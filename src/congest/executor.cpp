@@ -43,13 +43,11 @@ bool ExecutionResult::all_completed() const {
 // namespace) because ExecScratch -- declared in the header -- holds arenas of
 // them; this TU is the only one that defines or uses them.
 //
-// Message layout (the width-dispatch layer, congest/message.hpp): the engine
-// never moves an owning VMessage. A staged or delivered message is one packed
-// u32 header (sender + payload length) in a header lane plus W u64 words in a
-// W-strided payload lane, where W is the run width run() derived. Everything
-// below that stores "a message" stores those two lanes. perf-ok:
-// sizeof(VMessage) appears nowhere in this engine; lane strides come from the
-// run width alone.
+// Message layout (the width-dispatch layer, congest/message.hpp): a staged or
+// delivered message is one packed u32 header (sender + payload length) in a
+// header lane plus W u64 words in a W-strided payload lane, where W is the
+// run width run() derived. Everything below that stores "a message" stores
+// those two lanes; lane strides come from the run width alone.
 
 /// One scheduled execution event.
 struct ExecEvent {
@@ -785,7 +783,8 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
                      ev.alg,
                      ev.vround,
                      ev.node,
-                     finishing};
+                     finishing,
+                     /*slot_hint=*/0};
     VirtualContext ctx;
     ctx.self_ = ev.node;
     ctx.num_nodes_ = n;

@@ -124,39 +124,25 @@ class InlinePayload {
 
 using Payload = InlinePayload;
 
-/// A message as one owning value: sender plus full-capacity inline content.
-/// This is a *boundary* type (tests, examples, documentation of the logical
-/// record) -- the executor's staging and delivery lanes store the compact
-/// width-strided layout below instead, and programs read their inbox through
-/// MsgView/InboxView.
-struct VMessage {
-  NodeId from;
-  Payload payload;
-};
-
-// The executor's staging buffers and delivery arenas rely on messages being
+// The executor's staging buffers and delivery arenas copy payload words as
 // raw relocatable bytes; see docs/PERFORMANCE.md.
 static_assert(std::is_trivially_copyable_v<InlinePayload>);
-static_assert(std::is_trivially_copyable_v<VMessage>);
-static_assert(std::is_trivially_destructible_v<VMessage>);
-static_assert(alignof(VMessage) == alignof(std::uint64_t));
 
 // ---------------------------------------------------------------------------
 // Compact lane layout (the width-dispatch layer).
 //
-// The executor never moves VMessage values through staging or the CSR inbox.
-// Messages travel as two parallel lanes sized once per run to the *run width*
-// W (the largest payload any admitted algorithm may send):
+// The executor never moves owning message records through staging or the CSR
+// inbox. Messages travel as two parallel lanes sized once per run to the
+// *run width* W (the largest payload any admitted algorithm may send):
 //
 //   header lane : one u32 per message -- sender id and payload length packed
 //                 into 32 bits (see pack_msg_header below)
 //   payload lane: W u64 words per message, densely strided (message i's words
 //                 live at [i*W, i*W + W))
 //
-// so a delivered message costs 4 + 8*W bytes instead of sizeof(VMessage)
-// regardless of what the algorithms actually send. NodePrograms observe the
-// lanes through the view types below; nothing outside this layer may reason
-// about sizeof(VMessage) (lint_determinism.py enforces this).
+// so a delivered message costs 4 + 8*W bytes (arena_message_bytes(W)) rather
+// than a fixed worst-case record sized to the compile-time capacity.
+// NodePrograms observe the lanes through the view types below.
 
 /// Bits of the packed header reserved for the payload length. Sized to the
 /// compile-time inline capacity so raising DASCHED_PAYLOAD_INLINE_WORDS
@@ -232,9 +218,8 @@ class PayloadView {
   std::uint32_t len_ = 0;
 };
 
-/// A delivered message as seen by a NodeProgram: sender plus payload view.
-/// Structurally identical to VMessage from the program's point of view
-/// (`m.from`, `m.payload.at(0)`, ...) but borrows the arena lanes instead of
+/// A delivered message as seen by a NodeProgram: sender plus payload view
+/// (`m.from`, `m.payload.at(0)`, ...), borrowing the arena lanes instead of
 /// owning 8*kInlineCapacity payload bytes.
 struct MsgView {
   NodeId from;
@@ -243,8 +228,7 @@ struct MsgView {
 
 /// One node's inbox for one virtual round: `count` consecutive messages of a
 /// single (algorithm, round) bucket inside the compact lanes. Iteration
-/// yields MsgView values, so `for (const auto& m : ctx.inbox())` compiles and
-/// behaves exactly as it did over std::span<const VMessage>.
+/// yields MsgView values: `for (const auto& m : ctx.inbox())`.
 class InboxView {
  public:
   InboxView() = default;

@@ -43,9 +43,8 @@ class VirtualContext {
   std::uint32_t vround() const { return vround_; }
 
   /// Messages sent to this node in round vround()-1. The view borrows the
-  /// executor's compact delivery lanes; iteration yields MsgView values with
-  /// the same member shape (`m.from`, `m.payload`) the old
-  /// std::span<const VMessage> inbox exposed.
+  /// executor's compact delivery lanes; iteration yields MsgView values
+  /// (`m.from`, `m.payload`).
   InboxView inbox() const { return inbox_; }
 
   /// Incident edges (neighbor id + undirected edge id), sorted by neighbor.

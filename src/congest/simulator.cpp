@@ -4,13 +4,33 @@
 
 namespace dasched {
 
-SoloRunResult Simulator::run(const DistributedAlgorithm& algorithm) const {
+namespace {
+
+ExecConfig solo_config(std::uint32_t max_payload_words, bool record_patterns,
+                       TelemetrySink* telemetry) {
   ExecConfig cfg;
-  cfg.max_payload_words = max_payload_words_;
-  cfg.record_patterns = true;
+  cfg.max_payload_words = max_payload_words;
+  cfg.record_patterns = record_patterns;
   cfg.enforce_unit_capacity = true;
-  cfg.telemetry = telemetry_;
-  Executor executor(graph_, cfg);
+  cfg.telemetry = telemetry;
+  return cfg;
+}
+
+/// Lockstep (virtual round r runs in big-round r-1) with the solo contract:
+/// no causality violations and every node completed.
+ExecutionResult run_lockstep(Executor& executor, const DistributedAlgorithm& algorithm,
+                             NodeId num_nodes) {
+  const DistributedAlgorithm* algos[] = {&algorithm};
+  auto exec = executor.run(algos, ScheduleTable::lockstep(algos, num_nodes));
+  DASCHED_CHECK(exec.causality_violations == 0);
+  DASCHED_CHECK(exec.all_completed());
+  return exec;
+}
+
+}  // namespace
+
+SoloRunResult Simulator::run(const DistributedAlgorithm& algorithm) const {
+  Executor executor(graph_, solo_config(max_payload_words_, true, telemetry_));
 
   TimedSpan span(telemetry_, "simulator", "run");
   if (telemetry_ != nullptr) {
@@ -18,12 +38,7 @@ SoloRunResult Simulator::run(const DistributedAlgorithm& algorithm) const {
     span.arg("rounds", algorithm.rounds());
   }
 
-  const DistributedAlgorithm* algos[] = {&algorithm};
-  // Lockstep: virtual round r runs in big-round r-1.
-  auto exec = executor.run(algos, ScheduleTable::lockstep(algos, graph_.num_nodes()));
-
-  DASCHED_CHECK(exec.causality_violations == 0);
-  DASCHED_CHECK(exec.all_completed());
+  auto exec = run_lockstep(executor, algorithm, graph_.num_nodes());
 
   SoloRunResult result;
   result.outputs = std::move(exec.outputs[0]);
@@ -31,6 +46,14 @@ SoloRunResult Simulator::run(const DistributedAlgorithm& algorithm) const {
   result.total_messages = exec.total_messages;
   result.last_message_round = result.pattern.last_message_round();
   return result;
+}
+
+SoloRunner::SoloRunner(const Graph& g)
+    : graph_(g), executor_(g, solo_config(kDefaultMaxPayloadWords, false, nullptr)) {}
+
+std::vector<std::vector<std::uint64_t>> SoloRunner::outputs(
+    const DistributedAlgorithm& algorithm) {
+  return std::move(run_lockstep(executor_, algorithm, graph_.num_nodes()).outputs[0]);
 }
 
 }  // namespace dasched

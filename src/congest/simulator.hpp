@@ -41,4 +41,21 @@ class Simulator {
   TelemetrySink* telemetry_;
 };
 
+/// Solo runs for callers that read only outputs and run many algorithms on
+/// one graph -- the Thm 4.1 precomputation passes, one run per clustering or
+/// sharing layer. Same lockstep schedule, unit-capacity bound and checks as
+/// Simulator::run, but no pattern recording, and one Executor serves every
+/// run so its arenas stay warm across layers.
+class SoloRunner {
+ public:
+  explicit SoloRunner(const Graph& g);
+
+  /// outputs[node] of a solo run of `algorithm`.
+  std::vector<std::vector<std::uint64_t>> outputs(const DistributedAlgorithm& algorithm);
+
+ private:
+  const Graph& graph_;
+  Executor executor_;
+};
+
 }  // namespace dasched

@@ -259,12 +259,12 @@ Clustering ClusteringBuilder::build_distributed(const Graph& g) const {
   TimedSpan build_span(cfg_.telemetry, "clustering", "build_distributed");
   build_span.arg("layers", layers);
   build_span.arg("hop_cap", h);
-  Simulator sim(g);
+  SoloRunner runner(g);
   for (std::uint32_t l = 0; l < layers; ++l) {
     TimedSpan layer_span(cfg_.telemetry, "clustering", "layer");
     layer_span.arg("layer", l);
     ClusterLayerAlgorithm algo(layer_seed(cfg_.seed, l), dist, h, cfg_.dilation);
-    const auto run = sim.run(algo);
+    const auto outputs = runner.outputs(algo);
     result.precomputation_rounds += algo.rounds();
     if (cfg_.telemetry != nullptr) {
       cfg_.telemetry->add_counter("clustering.rounds", algo.rounds());
@@ -276,10 +276,10 @@ Clustering ClusteringBuilder::build_distributed(const Graph& g) const {
     layer.label.resize(g.num_nodes());
     layer.h_prime.resize(g.num_nodes());
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      const std::uint64_t label = run.outputs[v][0];
+      const std::uint64_t label = outputs[v][0];
       layer.label[v] = label;
       layer.center[v] = static_cast<NodeId>(label & 0xffffffffu);
-      layer.h_prime[v] = static_cast<std::uint32_t>(run.outputs[v][1]);
+      layer.h_prime[v] = static_cast<std::uint32_t>(outputs[v][1]);
     }
     record_layer_metrics(cfg_.telemetry, layer);
     result.layers.push_back(std::move(layer));

@@ -1,13 +1,18 @@
 // Lemma 4.3: sharing Theta(log^2 n) bits of randomness in every cluster.
 //
 // Every node (a potential center) draws s = Theta(log n) seed words of
-// Theta(log n) bits and injects s messages (label l(u), sub-label j, word),
+// Theta(log n) bits and injects s tokens (label l(u), sub-label j, word),
 // all with the same fake initial hop-count H - r(u) as in the clustering of
-// Lemma 4.2. Each round every node forwards the lexicographically smallest
-// (hop-count, label, sub-label) message it has not forwarded yet -- Lenzen's
-// pipelining -- so after H + Theta(log n) rounds per layer each node has
-// received all s words of its cluster center (the center's label is by
-// definition the smallest that can reach the node). All Theta(log n) layers
+// Lemma 4.2. Each round every node forwards, to all neighbors, the token
+// with the smallest (label, sub-label) among those that are
+//   ripe      -- held hop-count h <= round - 1 (own tokens ripen at round
+//                H - r(u) + 1; a received token is ripe on arrival),
+//   in budget -- h + 1 <= H, so a token reaches exactly its center's ball,
+//   improved  -- h is below the hop-count it was last forwarded with (a
+//                lower-hop copy that arrives late is forwarded again).
+// This is Lenzen's pipelining: after H + Theta(log n) rounds per layer each
+// node has received all s words of its cluster center (the center's label is
+// by definition the smallest that can reach the node). All Theta(log n) layers
 // together cost O(dilation log^2 n) rounds, and a node turns the received
 // words into a Theta(log n)-wise independent value family (rand/kwise.hpp)
 // from which per-algorithm delays are drawn consistently cluster-wide.

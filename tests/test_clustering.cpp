@@ -6,6 +6,7 @@
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "sched/clustering.hpp"
+#include "precompute_cases.hpp"
 
 namespace dasched {
 namespace {
@@ -158,6 +159,27 @@ TEST(Clustering, SingleNodeGraph) {
   for (const auto& layer : clustering.layers) {
     EXPECT_EQ(layer.center[0], 0u);
     EXPECT_EQ(layer.h_prime[0], cfg.dilation);  // no boundary anywhere
+  }
+}
+
+// Digests of build_distributed (every layer's labels, centers and h') on the
+// shared precomputation cases, captured when each layer ran on its own
+// Simulator. Do not regenerate: an engine change must leave them unchanged.
+TEST(ClusteringGolden, DistributedMatchesPinnedDigests) {
+  const std::uint64_t kGolden[] = {
+      0xf700958efb0961d7ULL,  // gnp128_d10
+      0xf26b6c4794f55796ULL,  // gnp300_d3
+      0xac98b890336da0b1ULL,  // grid8x8_d2
+      0x1415caaa38137379ULL,  // path40_d3
+      0xc0e223ab2c26ea55ULL,  // star33_d2
+      0x9c0c02a07fa64310ULL,  // gnp96_lowslack
+  };
+  const auto cases = testing_cases::precompute_cases();
+  ASSERT_EQ(cases.size(), std::size(kGolden));
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const auto clustering =
+        ClusteringBuilder(cases[i].clustering).build_distributed(cases[i].graph);
+    EXPECT_EQ(testing_cases::clustering_digest(clustering), kGolden[i]) << cases[i].name;
   }
 }
 

@@ -29,8 +29,6 @@ namespace {
 // --- InlinePayload semantics. ---
 
 static_assert(std::is_trivially_copyable_v<InlinePayload>);
-static_assert(std::is_trivially_copyable_v<VMessage>);
-static_assert(std::is_trivially_destructible_v<VMessage>);
 static_assert(InlinePayload::kInlineCapacity >= kDefaultMaxPayloadWords);
 
 TEST(InlinePayload, BasicSemantics) {

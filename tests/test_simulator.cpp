@@ -79,6 +79,21 @@ TEST(Simulator, BroadcastPatternOnPath) {
   EXPECT_EQ(result.pattern.last_message_round(), 4u);
 }
 
+TEST(SoloRunner, ReusedEngineMatchesSimulatorOutputs) {
+  // One SoloRunner serves algorithms of different rounds and widths in
+  // sequence; every run must reproduce Simulator::run's outputs.
+  const auto g = make_cycle(9);
+  BroadcastAlgorithm a(0, 6, 31, 41);
+  PingPong b(5, 3);
+  BroadcastAlgorithm c(4, 5, 32, 43);
+  const DistributedAlgorithm* algos[] = {&a, &b, &c, &a};
+  const Simulator sim(g);
+  SoloRunner runner(g);
+  for (const auto* algo : algos) {
+    EXPECT_EQ(runner.outputs(*algo), sim.run(*algo).outputs) << algo->name();
+  }
+}
+
 TEST(Executor, DelayedScheduleProducesSameOutputs) {
   const auto g = make_path(5);
   BroadcastAlgorithm algo(0, 4, 55, 3);

@@ -34,15 +34,6 @@ patterns quietly break that guarantee long before a test notices:
                         inline, use a recycled arena, or annotate the member
                         with `perf-ok` (arena/capacity-reused vectors) or
                         `det-ok: hot-path-vector`.
-  fixed-width-sizeof    sizeof(VMessage) / sizeof(StagedMessage) arithmetic
-                        outside the width-dispatch layer
-                        (src/congest/message.hpp): the delivery pipeline sizes
-                        its lanes to the RUN width via arena_message_bytes(W),
-                        and buffer math based on the fixed worst-case record
-                        silently re-inflates bytes/message to the compile-time
-                        cap (docs/PERFORMANCE.md). Use arena_message_bytes /
-                        the Lane strides, or annotate with `perf-ok` or
-                        `det-ok: fixed-width-sizeof`.
 
 This is a line-based heuristic lint, not a compiler: it trades soundness for
 zero dependencies. False positives are suppressed inline with
@@ -119,11 +110,6 @@ PERF_OK_RE = re.compile(r"//\s*perf-ok")
 # third-party code are out of scope.
 RAW_RNG_EXEMPT = ("util/rng.hpp",)
 
-# sizeof of the fixed-width compat records. The width-dispatch layer that
-# defines them is the one sanctioned home of such arithmetic; everywhere else
-# buffer math must come from arena_message_bytes(run width).
-FIXED_SIZEOF_RE = re.compile(r"\bsizeof\s*\(\s*(?:VMessage|StagedMessage)\s*\)")
-FIXED_SIZEOF_EXEMPT = ("src/congest/message.hpp",)
 
 
 def strip_strings_and_comments(line: str) -> str:
@@ -281,21 +267,6 @@ def lint_file(path: Path) -> list[Finding]:
                     "accumulate in integers or fix the reduction order",
                 ))
 
-    # --- fixed-width-sizeof (everywhere except the width-dispatch layer) ---
-    if not any(rel.endswith(exempt) for exempt in FIXED_SIZEOF_EXEMPT):
-        for idx, l in enumerate(code):
-            if not FIXED_SIZEOF_RE.search(l):
-                continue
-            if suppressed("fixed-width-sizeof", lines, idx) or perf_ok(lines, idx):
-                continue
-            findings.append(Finding(
-                path, idx + 1, "fixed-width-sizeof",
-                "sizeof on the fixed-width message record outside the "
-                "width-dispatch layer: lanes are sized to the run width, so "
-                "size buffers with arena_message_bytes(width) instead "
-                "(docs/PERFORMANCE.md)",
-            ))
-
     # --- hot-path-vector (only for struct/class members under src/congest/) ---
     if any(d in rel for d in HOT_PATH_DIRS):
         for idx in sorted(record_member_lines(code)):
@@ -371,28 +342,6 @@ SELF_TEST_HOT_PATH_EXPECT = [
     (3, "hot-path-vector"),
 ]
 
-# Exercises the fixed-width-sizeof rule: flagged everywhere except the
-# width-dispatch layer (src/congest/message.hpp), with both suppression
-# spellings honored. The comment-only mention must not fire (comments are
-# stripped before matching).
-SELF_TEST_FIXED_SIZEOF = """\
-#include <cstddef>
-// arena sizing: never sizeof(VMessage) -- this mention must not fire
-std::size_t bad_tile(std::size_t bytes) { return bytes / sizeof(VMessage); }
-std::size_t bad_staged() { return 4 * sizeof(StagedMessage); }
-// perf-ok: compat shim measured against the legacy record on purpose
-std::size_t legacy_a() { return sizeof(VMessage); }
-std::size_t legacy_b() {
-  return sizeof(StagedMessage);  // det-ok: fixed-width-sizeof -- ABI probe
-}
-"""
-
-SELF_TEST_FIXED_SIZEOF_EXPECT = [
-    (3, "fixed-width-sizeof"),
-    (4, "fixed-width-sizeof"),
-]
-
-
 def self_test() -> int:
     import tempfile
 
@@ -409,13 +358,6 @@ def self_test() -> int:
         elsewhere = Path(tmp) / "hot.hpp"
         elsewhere.write_text(SELF_TEST_HOT_PATH, encoding="utf-8")
         found_elsewhere = [(f.lineno, f.rule) for f in lint_file(elsewhere)]
-        # fixed-width-sizeof: fires outside the dispatch layer, never inside.
-        sizeof_bad = Path(tmp) / "src" / "congest" / "tile_math.hpp"
-        sizeof_bad.write_text(SELF_TEST_FIXED_SIZEOF, encoding="utf-8")
-        found_sizeof = [(f.lineno, f.rule) for f in lint_file(sizeof_bad)]
-        dispatch = Path(tmp) / "src" / "congest" / "message.hpp"
-        dispatch.write_text(SELF_TEST_FIXED_SIZEOF, encoding="utf-8")
-        found_dispatch = [(f.lineno, f.rule) for f in lint_file(dispatch)]
     ok = True
     if sorted(found) != sorted(SELF_TEST_EXPECT):
         print(f"self-test FAILED: expected {sorted(SELF_TEST_EXPECT)}, got {sorted(found)}",
@@ -431,19 +373,9 @@ def self_test() -> int:
               f"findings outside src/congest/, got {sorted(found_elsewhere)}",
               file=sys.stderr)
         ok = False
-    if sorted(found_sizeof) != sorted(SELF_TEST_FIXED_SIZEOF_EXPECT):
-        print(f"self-test FAILED (fixed-width-sizeof): expected "
-              f"{sorted(SELF_TEST_FIXED_SIZEOF_EXPECT)}, got {sorted(found_sizeof)}",
-              file=sys.stderr)
-        ok = False
-    if found_dispatch:
-        print(f"self-test FAILED (fixed-width-sizeof exemption): expected no "
-              f"findings in the width-dispatch layer, got {sorted(found_dispatch)}",
-              file=sys.stderr)
-        ok = False
     if not ok:
         return 2
-    print("self-test passed: 7 seeded findings caught, 8 suppressions/gates honored")
+    print("self-test passed: 5 seeded findings caught, 8 suppressions/gates honored")
     return 0
 
 
