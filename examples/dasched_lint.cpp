@@ -211,12 +211,12 @@ bool corrupt_schedule(const Options& opt, const ScheduleProblem& problem,
     std::vector<std::uint8_t> used(problem.graph().num_directed_edges());
     std::uint32_t max_round = 0;
     for (std::size_t a = 0; a < problem.size(); ++a) {
-      max_round = std::max(max_round, problem.solo()[a].pattern.last_message_round());
+      max_round = std::max(max_round, problem.solo(a).pattern.last_message_round());
     }
     for (std::uint32_t r = 1; r <= max_round; ++r) {
       std::fill(used.begin(), used.end(), std::uint8_t{0});
       for (std::size_t a = 0; a < problem.size(); ++a) {
-        for (const auto d : problem.solo()[a].pattern.edges_in_round(r)) {
+        for (const auto d : problem.solo(a).pattern.edges_in_round(r)) {
           if (used[d] != 0) return true;  // two algorithms collide here
           used[d] = 1;
         }
@@ -248,7 +248,7 @@ bool corrupt_schedule(const Options& opt, const ScheduleProblem& problem,
     // the discard is not causally closed (Lemma 4.4).
     DASCHED_CHECK_MSG(problem.solo_done(), "corrupt_schedule needs solo patterns");
     for (std::size_t a = 0; a < table->num_algorithms(); ++a) {
-      const auto& pattern = problem.solo()[a].pattern;
+      const auto& pattern = problem.solo(a).pattern;
       const std::uint32_t rounds = table->rounds(a);
       for (std::uint32_t r = pattern.last_message_round(); r >= 1; --r) {
         if (r >= rounds) continue;  // round-`rounds` messages feed on_finish

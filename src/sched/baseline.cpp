@@ -65,7 +65,7 @@ BaselineOutcome GreedyScheduler::run(ScheduleProblem& problem) const {
   for (std::size_t a = 0; a < k; ++a) {
     out_edges[a].resize(n);
     state[a].resize(n);
-    const auto& pattern = problem.solo()[a].pattern;
+    const auto& pattern = problem.solo(a).pattern;
     for (std::uint32_t r = 1; r <= pattern.last_message_round(); ++r) {
       for (const auto d : pattern.edges_in_round(r)) {
         const EdgeId e = d / 2;

@@ -28,7 +28,7 @@ LoadProfile delay_load_profile(const ScheduleProblem& problem,
 
   std::uint32_t num_phases = 0;
   for (std::size_t a = 0; a < problem.size(); ++a) {
-    const auto last = problem.solo()[a].pattern.last_message_round();
+    const auto last = problem.solo(a).pattern.last_message_round();
     if (last > 0) num_phases = std::max(num_phases, delays[a] + last);
   }
 
@@ -38,7 +38,7 @@ LoadProfile delay_load_profile(const ScheduleProblem& problem,
   // Sparse per-phase counting: bucket (phase -> edges touched this phase).
   std::vector<std::vector<std::uint32_t>> phase_edges(num_phases);
   for (std::size_t a = 0; a < problem.size(); ++a) {
-    const auto& pattern = problem.solo()[a].pattern;
+    const auto& pattern = problem.solo(a).pattern;
     for (std::uint32_t r = 1; r <= pattern.last_message_round(); ++r) {
       const auto edges = pattern.edges_in_round(r);
       auto& bucket = phase_edges[delays[a] + r - 1];

@@ -243,7 +243,7 @@ std::vector<std::uint32_t> PrivateRandomnessScheduler::no_dedup_loads(
   };
 
   for (std::size_t a = 0; a < problem.size(); ++a) {
-    const auto& pattern = problem.solo()[a].pattern;
+    const auto& pattern = problem.solo(a).pattern;
     for (std::uint32_t r = 1; r <= pattern.last_message_round(); ++r) {
       for (const auto d : pattern.edges_in_round(r)) {
         const EdgeId e = d / 2;

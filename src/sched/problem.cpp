@@ -25,20 +25,23 @@ void ScheduleProblem::run_solo() {
   if (solo_done()) return;
   Simulator sim(*graph_);
   solo_.reserve(algorithms_.size());
-  for (const auto& a : algorithms_) solo_.push_back(sim.run(*a));
+  for (const auto& a : algorithms_) {
+    solo_.push_back(std::make_shared<const SoloRunResult>(sim.run(*a)));
+  }
 }
 
-void ScheduleProblem::adopt_solo(std::vector<SoloRunResult> solo) {
+void ScheduleProblem::adopt_solo(std::vector<std::shared_ptr<const SoloRunResult>> solo) {
   DASCHED_CHECK_MSG(solo_.empty(), "adopt_solo: solo results already present");
   DASCHED_CHECK_EQ(solo.size(), algorithms_.size(),
                    "adopt_solo: one solo result per algorithm, in order");
   DASCHED_CHECK_MSG(!solo.empty(), "adopt_solo: empty result set");
+  for (const auto& s : solo) DASCHED_CHECK_MSG(s != nullptr, "adopt_solo: null solo result");
   solo_ = std::move(solo);
 }
 
-const std::vector<SoloRunResult>& ScheduleProblem::solo() const {
+const SoloRunResult& ScheduleProblem::solo(std::size_t a) const {
   DASCHED_CHECK_MSG(solo_done(), "call run_solo() first");
-  return solo_;
+  return *solo_[a];
 }
 
 std::uint32_t ScheduleProblem::dilation() const {
@@ -51,7 +54,7 @@ std::uint32_t ScheduleProblem::congestion() const {
   DASCHED_CHECK_MSG(solo_done(), "call run_solo() first");
   std::vector<std::uint32_t> loads(graph_->num_directed_edges(), 0);
   for (const auto& s : solo_) {
-    for (std::uint32_t d = 0; d < loads.size(); ++d) loads[d] += s.pattern.edge_load(d);
+    for (std::uint32_t d = 0; d < loads.size(); ++d) loads[d] += s->pattern.edge_load(d);
   }
   std::uint32_t congestion = 0;
   for (const auto load : loads) congestion = std::max(congestion, load);
@@ -92,7 +95,7 @@ std::uint32_t ScheduleProblem::trivial_lower_bound() const {
 std::uint64_t ScheduleProblem::total_messages() const {
   DASCHED_CHECK_MSG(solo_done(), "call run_solo() first");
   std::uint64_t total = 0;
-  for (const auto& s : solo_) total += s.total_messages;
+  for (const auto& s : solo_) total += s->total_messages;
   return total;
 }
 
@@ -105,7 +108,7 @@ ScheduleProblem::Verification ScheduleProblem::verify(const ExecutionResult& exe
     for (NodeId node = 0; node < graph_->num_nodes(); ++node) {
       if (!exec.completed[a][node]) {
         ++v.incomplete_nodes;
-      } else if (exec.outputs[a][node] != solo_[a].outputs[node]) {
+      } else if (exec.outputs[a][node] != solo_[a]->outputs[node]) {
         ++v.mismatched_outputs;
       }
     }

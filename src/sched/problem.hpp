@@ -42,17 +42,20 @@ class ScheduleProblem {
   /// Runs every algorithm alone, recording outputs and patterns. Idempotent.
   void run_solo();
 
-  /// Adopts previously recorded solo results (one per added algorithm, in
-  /// order) instead of simulating them -- the service profile cache's path
-  /// for repeat jobs. After this, solo_done() is true and run_solo() is a
-  /// no-op. The results are *trusted here*: the static verifier's
-  /// profile-consistency check (verify/schedule_verifier.cpp) is the gate
-  /// that catches adopted profiles disagreeing with the declared algorithms
-  /// (a stale or poisoned cache entry), so route adopted problems through
-  /// check_schedule before executing them.
-  void adopt_solo(std::vector<SoloRunResult> solo);
+  /// Adopts previously recorded solo results (one non-null result per added
+  /// algorithm, in order) instead of simulating them -- the service profile
+  /// cache's path for repeat jobs. The results are immutable and shared, not
+  /// copied: a cached profile, the problems built from it and the verifier
+  /// runs over them all read one instance. After this, solo_done() is true
+  /// and run_solo() is a no-op. The results are *trusted here*: the static
+  /// verifier's profile-consistency check (verify/schedule_verifier.cpp) is
+  /// the gate that catches adopted profiles disagreeing with the declared
+  /// algorithms (a stale or poisoned cache entry), so route adopted problems
+  /// through check_schedule before executing them.
+  void adopt_solo(std::vector<std::shared_ptr<const SoloRunResult>> solo);
   bool solo_done() const { return !solo_.empty(); }
-  const std::vector<SoloRunResult>& solo() const;
+  /// Algorithm `a`'s solo run. Requires solo_done().
+  const SoloRunResult& solo(std::size_t a) const;
 
   /// max_i rounds(A_i). Available without solo runs.
   std::uint32_t dilation() const;
@@ -91,7 +94,7 @@ class ScheduleProblem {
  private:
   const Graph* graph_;
   std::vector<std::unique_ptr<DistributedAlgorithm>> algorithms_;
-  std::vector<SoloRunResult> solo_;
+  std::vector<std::shared_ptr<const SoloRunResult>> solo_;
 };
 
 }  // namespace dasched

@@ -4,6 +4,7 @@
 #include <bit>
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -38,6 +39,10 @@ std::uint64_t nearest_rank(const std::vector<std::uint64_t>& sorted, double q) {
       ceil_div_u64(static_cast<std::uint64_t>(q * static_cast<double>(sorted.size())),
                    100));
   return sorted[std::min(rank == 0 ? 0 : rank - 1, sorted.size() - 1)];
+}
+
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
 
 }  // namespace
@@ -79,12 +84,14 @@ SchedulerDaemon::Admitted SchedulerDaemon::acquire_profile(Pending pending) {
   adm.key = ProfileKey{pending.request.spec.fingerprint(), graph_fp_};
   if (!pending.force_profile) {
     if (const JobProfile* cached = cache_.find(adm.key)) {
-      // Shape guard: a profile recorded on a different topology would make
-      // the congestion accounting below read out of bounds. Anything subtler
-      // (wrong rounds, wrong loads, wrong outputs) is deliberately left for
-      // the verifier gate -- the cache is data, the gate is the authority.
-      if (cached->solo.pattern.num_directed_edges() == graph_.num_directed_edges()) {
-        adm.profile = *cached;  // copy: inserts below may evict this entry
+      // Shape guard: a missing solo run, or one recorded on a different
+      // topology, would make the congestion accounting below read through
+      // null or out of bounds. Anything subtler (wrong rounds, wrong loads,
+      // wrong outputs) is deliberately left for the verifier gate -- the
+      // cache is data, the gate is the authority.
+      if (cached->solo != nullptr &&
+          cached->solo->pattern.num_directed_edges() == graph_.num_directed_edges()) {
+        adm.profile = *cached;  // shares the solo run: an eviction cannot free it
         adm.cache_hit = true;
         adm.pending = std::move(pending);
         return adm;
@@ -118,14 +125,12 @@ SchedulerDaemon::Admitted SchedulerDaemon::acquire_profile(Pending pending) {
     ++stats_.profiles_executed;
     count("service.profiles_executed");
   }
-  stats_.profile_seconds +=
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - profile_start)
-          .count();
+  stats_.profile_seconds += seconds_since(profile_start);
 
   adm.profile.rounds = algorithm->rounds();
   adm.profile.max_edge_load = solo.pattern.max_edge_load();
   adm.profile.total_messages = solo.total_messages;
-  adm.profile.solo = std::move(solo);
+  adm.profile.solo = std::make_shared<const SoloRunResult>(std::move(solo));
   cache_.insert(adm.key, adm.profile);
   adm.cache_hit = false;
   adm.pending = std::move(pending);
@@ -136,6 +141,8 @@ void SchedulerDaemon::compose_and_execute(std::uint64_t tick, ServiceResult& res
   if (queue_.empty()) return;
   ++stats_.composes;
   const std::uint64_t epoch = epoch_++;
+  const auto compose_start = std::chrono::steady_clock::now();
+  const double profile_before = stats_.profile_seconds;
 
   // Fairness order: tenants with the fewest admitted jobs go first, ties
   // broken by arrival then job id. The snapshot is taken once so the sort
@@ -166,7 +173,7 @@ void SchedulerDaemon::compose_and_execute(std::uint64_t tick, ServiceResult& res
 
   for (auto& pending : queue_) {
     Admitted adm = acquire_profile(std::move(pending));
-    const CommunicationPattern& pattern = adm.profile.solo.pattern;
+    const CommunicationPattern& pattern = adm.profile.solo->pattern;
 
     // Offered congestion including this job: the Theorem 1.1 delay range is
     // ceil(congestion / phase_len) big-rounds.
@@ -229,6 +236,8 @@ void SchedulerDaemon::compose_and_execute(std::uint64_t tick, ServiceResult& res
     cohort.push_back(std::move(adm));
   }
   queue_ = std::move(deferred);
+  stats_.compose_seconds +=
+      seconds_since(compose_start) - (stats_.profile_seconds - profile_before);
 
   if (!cohort.empty()) run_cohort(std::move(cohort), tick, result);
 }
@@ -244,8 +253,9 @@ void SchedulerDaemon::run_cohort(std::vector<Admitted> cohort, std::uint64_t tic
   // requeue the offending jobs (re-profiled from scratch next epoch) and
   // re-verify the remainder with their delays untouched.
   while (!cohort.empty()) {
+    const auto gate_start = std::chrono::steady_clock::now();
     ScheduleProblem problem(graph_);
-    std::vector<SoloRunResult> solos;
+    std::vector<std::shared_ptr<const SoloRunResult>> solos;
     std::vector<std::uint32_t> delays;
     solos.reserve(cohort.size());
     delays.reserve(cohort.size());
@@ -262,6 +272,8 @@ void SchedulerDaemon::run_cohort(std::vector<Admitted> cohort, std::uint64_t tic
     ++stats_.gate_runs;
     count("service.gate_runs");
     const verify::Report report = verify::check_schedule(problem, table, opts);
+    const auto gate_end = std::chrono::steady_clock::now();
+    stats_.gate_seconds += std::chrono::duration<double>(gate_end - gate_start).count();
     if (!report.ok()) {
       ++stats_.gate_rejections;
       count("service.gate_rejections");
@@ -327,7 +339,7 @@ void SchedulerDaemon::run_cohort(std::vector<Admitted> cohort, std::uint64_t tic
       bool complete = true;
       for (NodeId v = 0; v < graph_.num_nodes(); ++v) {
         if (!exec.completed[a][v] ||
-            exec.outputs[a][v] != adm.profile.solo.outputs[v]) {
+            exec.outputs[a][v] != adm.profile.solo->outputs[v]) {
           complete = false;
           break;
         }
@@ -348,6 +360,7 @@ void SchedulerDaemon::run_cohort(std::vector<Admitted> cohort, std::uint64_t tic
       }
       if (adm.cache_hit) count("service.cache_hits");
     }
+    stats_.execute_seconds += seconds_since(gate_end);
     return;
   }
 }
@@ -424,8 +437,7 @@ ServiceResult SchedulerDaemon::serve(const std::vector<JobRequest>& stream) {
         static_cast<double>(sum) / static_cast<double>(latencies.size());
   }
 
-  stats_.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  stats_.wall_seconds = seconds_since(start);
   result.stats = stats_;
 
   if (cfg_.telemetry != nullptr) {
@@ -495,6 +507,17 @@ std::string ServiceResult::to_json(bool include_timing) const {
   w.kv("executed", static_cast<double>(stats.profiles_executed));
   if (include_timing) w.kv("profile_seconds", stats.profile_seconds);
   w.end_object();
+
+  if (include_timing) {
+    // The epoch split: disjoint stages inside throughput.wall_seconds.
+    w.key("stage_seconds");
+    w.begin_object();
+    w.kv("profile", stats.profile_seconds);
+    w.kv("compose", stats.compose_seconds);
+    w.kv("gate", stats.gate_seconds);
+    w.kv("execute", stats.execute_seconds);
+    w.end_object();
+  }
 
   w.key("cache");
   w.begin_object();

@@ -148,6 +148,16 @@ struct ServiceStats {
   /// Wall-clock time spent acquiring cache-miss profiles (the cold-start
   /// admission cost bench E17 measures). Nondeterministic, like wall_seconds.
   double profile_seconds = 0.0;
+  /// The rest of the epoch split, timed per compose pass and per cohort
+  /// (never per job); disjoint from profile_seconds and from each other, so
+  /// the four sum to at most wall_seconds. compose: fairness sort and the
+  /// load-grid fold, profiling excluded. gate: building each candidate
+  /// cohort's problem and schedule and the daemon's check_schedule runs.
+  /// execute: the engine run (its admission gate's re-verification
+  /// included) and the per-job completion check. Nondeterministic.
+  double compose_seconds = 0.0;
+  double gate_seconds = 0.0;
+  double execute_seconds = 0.0;
 
   std::uint64_t rejected() const {
     return rejected_queue_full + rejected_congestion + rejected_verify;
@@ -213,7 +223,9 @@ class SchedulerDaemon {
   };
   struct Admitted {
     Pending pending;
-    JobProfile profile;  // by value: cache entries may be evicted underneath
+    // By value, so an eviction underneath cannot dangle it; the solo run
+    // inside is shared with the cache entry, not copied.
+    JobProfile profile;
     ProfileKey key;
     bool cache_hit = false;
     std::uint32_t delay = 0;

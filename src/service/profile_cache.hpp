@@ -18,6 +18,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <memory>
 
 #include "sched/problem.hpp"
 
@@ -34,11 +35,15 @@ struct ProfileKey {
 };
 
 /// A cached solo run plus the headline scalars admission reads constantly.
+/// The solo run is immutable and shared: a cache hit, the composed problem
+/// (ScheduleProblem::adopt_solo), both verifier runs and the completion
+/// check all read the one instance profiling produced. Null means "no
+/// profile" -- the daemon treats it as a shape-guard miss.
 struct JobProfile {
   std::uint32_t rounds = 0;         // declared rounds of the profiled program
   std::uint32_t max_edge_load = 0;  // solo congestion contribution
   std::uint64_t total_messages = 0;
-  SoloRunResult solo;
+  std::shared_ptr<const SoloRunResult> solo;
 };
 
 struct CacheStats {
@@ -55,7 +60,8 @@ class ProfileCache {
 
   /// Looks up `key`, counting a hit or miss and bumping recency on hit.
   /// The returned pointer is invalidated by the next insert/erase -- callers
-  /// that outlive the lookup must copy the profile.
+  /// that outlive the lookup copy the JobProfile, which shares (does not
+  /// duplicate) its solo run.
   const JobProfile* find(const ProfileKey& key);
 
   /// Inserts (or replaces) the profile for `key`, evicting the

@@ -1,7 +1,9 @@
 #include "verify/schedule_verifier.hpp"
 
 #include <algorithm>
+#include <array>
 #include <sstream>
+#include <utility>
 
 #include "util/check.hpp"
 #include "util/math.hpp"
@@ -13,18 +15,53 @@ namespace {
 std::string format_msg(const std::ostringstream& os) { return os.str(); }
 
 /// One staged (big_round, directed_edge) transmission for the static load
-/// accounting; sorting groups equal pairs so loads are a run-length count.
-struct LoadKey {
-  std::uint32_t big_round;
-  std::uint32_t edge;
-  friend bool operator<(const LoadKey& x, const LoadKey& y) {
-    if (x.big_round != y.big_round) return x.big_round < y.big_round;
-    return x.edge < y.edge;
+/// accounting, packed so that integer order is (big_round, edge) order;
+/// sorting groups equal pairs so loads are a run-length count.
+std::uint64_t load_key(std::uint32_t big_round, std::uint32_t edge) {
+  return (std::uint64_t{big_round} << 32) | edge;
+}
+
+/// Sorts load keys ascending. Radix, not a comparison sort: this count runs
+/// twice per service cohort over every scheduled message, and std::sort was
+/// about half of the verifier's time. LSD over 16-bit digits; a digit every key
+/// shares is skipped (typically two passes remain) and each pass counts only
+/// its digit's [min, max] span, so memory stays at most 2^16 counters
+/// whatever the slot values -- a corrupt schedule is a legitimate input.
+void sort_load_keys(std::vector<std::uint64_t>& keys) {
+  if (keys.size() < 2) return;
+  constexpr int kDigitBits = 16;
+  constexpr int kDigits = 64 / kDigitBits;
+  constexpr std::uint64_t kDigitMask = (std::uint64_t{1} << kDigitBits) - 1;
+  std::array<std::uint32_t, kDigits> lo;
+  std::array<std::uint32_t, kDigits> hi;
+  lo.fill(static_cast<std::uint32_t>(kDigitMask));
+  hi.fill(0);
+  for (const std::uint64_t key : keys) {
+    for (int d = 0; d < kDigits; ++d) {
+      const auto digit = static_cast<std::uint32_t>((key >> (d * kDigitBits)) & kDigitMask);
+      lo[d] = std::min(lo[d], digit);
+      hi[d] = std::max(hi[d], digit);
+    }
   }
-  friend bool operator==(const LoadKey& x, const LoadKey& y) {
-    return x.big_round == y.big_round && x.edge == y.edge;
+  std::vector<std::uint64_t> sorted;
+  std::vector<std::size_t> offset;
+  for (int d = 0; d < kDigits; ++d) {
+    if (lo[d] == hi[d]) continue;
+    const int shift = d * kDigitBits;
+    const std::uint32_t base = lo[d];
+    offset.assign(std::size_t{hi[d] - base} + 1, 0);
+    for (const std::uint64_t key : keys) {
+      ++offset[((key >> shift) & kDigitMask) - base];
+    }
+    std::size_t next = 0;
+    for (std::size_t& o : offset) next += std::exchange(o, next);
+    sorted.resize(keys.size());
+    for (const std::uint64_t key : keys) {
+      sorted[offset[((key >> shift) & kDigitMask) - base]++] = key;
+    }
+    keys.swap(sorted);
   }
-};
+}
 
 }  // namespace
 
@@ -74,7 +111,7 @@ Report check_schedule(const ScheduleProblem& problem, const ScheduleTable& sched
   // poisoned service cache entry whose pattern belongs to a different
   // program or graph -- before they can misdirect the message-level checks.
   for (std::size_t a = 0; a < k; ++a) {
-    const auto& solo = problem.solo()[a];
+    const auto& solo = problem.solo(a);
     std::ostringstream os;
     if (solo.pattern.num_directed_edges() != g.num_directed_edges()) {
       os << "solo pattern covers " << solo.pattern.num_directed_edges()
@@ -179,9 +216,14 @@ Report check_schedule(const ScheduleProblem& problem, const ScheduleTable& sched
   // run iff its producer slot is scheduled (Lemma 4.4 discard rule). ---
   const std::uint32_t headroom =
       opts.retry_budget == 0 ? 1u : (1u << opts.retry_budget);
-  std::vector<LoadKey> loads;
+  std::vector<std::uint64_t> loads;
+  {
+    std::uint64_t messages = 0;
+    for (std::size_t a = 0; a < k; ++a) messages += problem.solo(a).pattern.total_messages();
+    loads.reserve(messages);
+  }
   for (std::size_t a = 0; a < k; ++a) {
-    const auto& pattern = problem.solo()[a].pattern;
+    const auto& pattern = problem.solo(a).pattern;
     const std::uint32_t rounds = problem.algorithm(a).rounds();
     for (std::uint32_t r = 1; r <= pattern.last_message_round(); ++r) {
       for (const auto d : pattern.edges_in_round(r)) {
@@ -211,7 +253,7 @@ Report check_schedule(const ScheduleProblem& problem, const ScheduleTable& sched
           }
           continue;
         }
-        loads.push_back({producer_slot, d});
+        loads.push_back(load_key(producer_slot, d));
         if (consumer_slot == kNeverScheduled) continue;  // discard rule: no constraint
         ++report.measured.checked_messages;
         if (consumer_slot <= producer_slot) {
@@ -252,22 +294,24 @@ Report check_schedule(const ScheduleProblem& problem, const ScheduleTable& sched
   // --- Static per-edge per-big-round loads: sort the (big_round, edge)
   // transmissions and run-length count. Equal to the executor's measured
   // loads on a reliable network. ---
-  std::sort(loads.begin(), loads.end());
+  sort_load_keys(loads);
   for (std::size_t i = 0; i < loads.size();) {
     std::size_t j = i;
     while (j < loads.size() && loads[j] == loads[i]) ++j;
     const auto load = static_cast<std::uint32_t>(j - i);
+    const auto big_round = static_cast<std::uint32_t>(loads[i] >> 32);
+    const auto edge = static_cast<std::uint32_t>(loads[i]);
     report.measured.max_edge_load = std::max(report.measured.max_edge_load, load);
     if (static_loads != nullptr) {
       // The run-length groups come out sorted by (big_round, edge) -- the
       // exact order ExecProfiler::sorted_cells() uses, so the surfaces join
       // with one linear merge.
-      static_loads->push_back({loads[i].big_round, loads[i].edge, load});
+      static_loads->push_back({big_round, edge, load});
     }
     if (opts.congestion_budget > 0 && load > opts.congestion_budget) {
       Location loc;
-      loc.big_round = loads[i].big_round;
-      loc.edge = loads[i].edge;
+      loc.big_round = big_round;
+      loc.edge = edge;
       std::ostringstream os;
       os << load << " messages on one directed edge in one big-round exceed the phase budget "
          << opts.congestion_budget;

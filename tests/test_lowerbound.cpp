@@ -21,7 +21,7 @@ TEST(HardInstance, SoloRunMatchesXorOracle) {
   for (std::size_t a = 0; a < problem->size(); ++a) {
     const auto& algo = dynamic_cast<const HardInstanceAlgorithm&>(problem->algorithm(a));
     for (NodeId p = 1; p <= cfg.layers; ++p) {
-      const auto& out = problem->solo()[a].outputs[layered_spine(p)];
+      const auto& out = problem->solo(a).outputs[layered_spine(p)];
       EXPECT_EQ(out.at(0), algo.expected_spine_state(p)) << "alg " << a << " spine " << p;
       EXPECT_EQ(out.at(1), 1u);
     }
@@ -115,7 +115,7 @@ TEST(HardInstance, NonMembersStaySilent) {
     for (NodeId j = 0; j < cfg.width; ++j) {
       const NodeId u = layered_group_node(cfg.layers, cfg.width, i, j);
       const bool member = std::binary_search(s.begin(), s.end(), u);
-      const auto& out = problem->solo()[0].outputs[u];
+      const auto& out = problem->solo(0).outputs[u];
       if (member) {
         ASSERT_EQ(out.size(), 2u);
         EXPECT_EQ(out[1], 1u);  // received the spine state

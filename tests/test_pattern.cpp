@@ -185,7 +185,7 @@ TEST(SimulationValidator, PrivateSchedulerScheduleIsASimulation) {
       }
       return best;
     };
-    EXPECT_EQ(simulation_violations(g, problem->solo()[a].pattern, time), 0u)
+    EXPECT_EQ(simulation_violations(g, problem->solo(a).pattern, time), 0u)
         << "algorithm " << a;
   }
 }

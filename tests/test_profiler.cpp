@@ -373,7 +373,7 @@ TEST(FlightRecorderDeathTest, AdmissionRejectionWritesPostMortemDump) {
   // gate); instead invert causality for one receiving node of algorithm 1 so
   // the verifier rejects the table.
   ScheduleTable wrong = in.schedule;
-  const auto& pattern = in.problem->solo()[1].pattern;
+  const auto& pattern = in.problem->solo(1).pattern;
   std::int64_t victim = -1;
   for (std::uint32_t r = 1; r < in.problem->algorithm(1).rounds() && victim < 0; ++r) {
     const auto edges = pattern.edges_in_round(r);

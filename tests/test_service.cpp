@@ -1,10 +1,12 @@
 // Tests for the scheduling service (src/service/): the fingerprint utility,
 // seeded job streams, the solo-profile cache, the daemon's serve loop
-// (fairness, backpressure, verifier gating, thread-count identity), the
-// verifier's adopted-profile consistency check, and the service flags.
+// (fairness, backpressure, verifier gating, thread-count identity, stage
+// seconds), the verifier's adopted-profile consistency check, pinned
+// fingerprints of fixed streams, and the service flags.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <set>
 #include <sstream>
 
@@ -275,13 +277,16 @@ TEST(AdoptSolo, AdoptedProfilesServeAsGroundTruth) {
   const JobSpec spec = service::tenant_spec(stream_config(), 0, 0, g.num_nodes());
   // Profile once, adopt into a fresh problem: run_solo() must be a no-op and
   // the verifier must accept a lockstep schedule.
-  const SoloRunResult solo = Simulator(g).run(*service::make_algorithm(spec));
+  const auto solo = std::make_shared<const SoloRunResult>(
+      Simulator(g).run(*service::make_algorithm(spec)));
   ScheduleProblem problem(g);
   problem.add(service::make_algorithm(spec));
   problem.adopt_solo({solo});
   EXPECT_TRUE(problem.solo_done());
   problem.run_solo();  // idempotent
-  EXPECT_EQ(problem.solo()[0].total_messages, solo.total_messages);
+  // Adopted, not copied: the problem reads the caller's instance.
+  EXPECT_EQ(&problem.solo(0), solo.get());
+  EXPECT_EQ(solo.use_count(), 2);
   const auto table = ScheduleTable::lockstep(problem.algorithm_ptrs(), g.num_nodes());
   EXPECT_TRUE(verify::check_schedule(problem, table).ok());
 }
@@ -289,11 +294,18 @@ TEST(AdoptSolo, AdoptedProfilesServeAsGroundTruth) {
 TEST(AdoptSoloDeathTest, ContractViolationsDie) {
   const Graph g = test_graph();
   const JobSpec spec = service::tenant_spec(stream_config(), 0, 0, g.num_nodes());
-  const SoloRunResult solo = Simulator(g).run(*service::make_algorithm(spec));
+  const auto solo = std::make_shared<const SoloRunResult>(
+      Simulator(g).run(*service::make_algorithm(spec)));
   {
     ScheduleProblem problem(g);
     problem.add(service::make_algorithm(spec));
     EXPECT_DEATH(problem.adopt_solo({solo, solo}), "one solo result per algorithm");
+  }
+  {
+    ScheduleProblem problem(g);
+    problem.add(service::make_algorithm(spec));
+    problem.add(service::make_algorithm(spec));
+    EXPECT_DEATH(problem.adopt_solo({solo, nullptr}), "null solo result");
   }
   {
     // The empty-set check is reachable only with zero algorithms (otherwise
@@ -317,7 +329,8 @@ TEST(VerifierProfileConsistency, WrongGeometryProfileIsRejectedNotExecuted) {
   broadcast.radius = 3;
   // A profile recorded for a *different* program: aggregate over the same
   // graph runs 3r + 1 = 10 rounds, far past broadcast's 3.
-  const SoloRunResult stale = Simulator(g).run(AggregateAlgorithm(0, 3, 42));
+  const auto stale =
+      std::make_shared<const SoloRunResult>(Simulator(g).run(AggregateAlgorithm(0, 3, 42)));
   ScheduleProblem problem(g);
   problem.add(service::make_algorithm(broadcast));
   problem.adopt_solo({stale});
@@ -340,7 +353,8 @@ TEST(VerifierProfileConsistency, WrongEdgeCountProfileIsRejectedNotExecuted) {
   const Graph other = test_graph(80, 8);  // same n, different edges
   ASSERT_NE(g.num_directed_edges(), other.num_directed_edges());
   const JobSpec spec = service::tenant_spec(stream_config(), 1, 0, g.num_nodes());
-  const SoloRunResult foreign = Simulator(other).run(*service::make_algorithm(spec));
+  const auto foreign = std::make_shared<const SoloRunResult>(
+      Simulator(other).run(*service::make_algorithm(spec)));
   ScheduleProblem problem(g);
   problem.add(service::make_algorithm(spec));
   problem.adopt_solo({foreign});
@@ -610,31 +624,41 @@ TEST(Daemon, TenantFairnessUnderContention) {
   }
 }
 
-TEST(Daemon, StaleCacheEntryIsCaughtByTheGateAndRecovered) {
-  // THE divergence scenario: poison the cache with a profile of the wrong
-  // program (an aggregate's geometry under a broadcast's key). The daemon
-  // must not execute it -- the verifier gate rejects the composed schedule,
-  // the entry is invalidated, the job re-profiled and served correctly.
-  const Graph g = test_graph();
-  const auto cfg_stream = stream_config(0.5, 3, 1, 16);
-  const auto stream = service::generate_job_stream(cfg_stream, g.num_nodes());
-  ASSERT_FALSE(stream.empty());
+/// The stream the stale-cache scenario serves: one tenant on test_graph().
+std::vector<JobRequest> poisoned_stream(const Graph& g) {
+  return service::generate_job_stream(stream_config(0.5, 3, 1, 16), g.num_nodes());
+}
 
-  SchedulerDaemon daemon(g, {});
-  const JobSpec victim = stream[0].spec;
+/// Poisons `daemon`'s cache with a profile of the wrong program (an
+/// aggregate's geometry under a broadcast's key, or vice versa) for `victim`.
+void poison_cache(SchedulerDaemon& daemon, const Graph& g, const JobSpec& victim) {
   JobSpec other = victim;
   other.kind = victim.kind == JobSpec::Kind::kAggregate ? JobSpec::Kind::kBroadcast
                                                         : JobSpec::Kind::kAggregate;
-  const SoloRunResult wrong = Simulator(g).run(*service::make_algorithm(other));
-  ASSERT_NE(wrong.pattern.last_message_round(),
+  const auto wrong =
+      std::make_shared<const SoloRunResult>(Simulator(g).run(*service::make_algorithm(other)));
+  ASSERT_NE(wrong->pattern.last_message_round(),
             Simulator(g).run(*service::make_algorithm(victim)).pattern.last_message_round());
   JobProfile poison;
   poison.rounds = victim.rounds();
-  poison.max_edge_load = wrong.pattern.max_edge_load();
-  poison.total_messages = wrong.total_messages;
+  poison.max_edge_load = wrong->pattern.max_edge_load();
+  poison.total_messages = wrong->total_messages;
   poison.solo = wrong;
   daemon.mutable_cache().insert(
       ProfileKey{victim.fingerprint(), graph_fingerprint(g)}, poison);
+}
+
+TEST(Daemon, StaleCacheEntryIsCaughtByTheGateAndRecovered) {
+  // THE divergence scenario: poison the cache with a profile of the wrong
+  // program. The daemon must not execute it -- the verifier gate rejects the
+  // composed schedule, the entry is invalidated, the job re-profiled and
+  // served correctly.
+  const Graph g = test_graph();
+  const auto stream = poisoned_stream(g);
+  ASSERT_FALSE(stream.empty());
+
+  SchedulerDaemon daemon(g, {});
+  poison_cache(daemon, g, stream[0].spec);
 
   const ServiceResult result = daemon.serve(stream);
   // The gate fired at least once, the poisoned entry was invalidated, and
@@ -645,6 +669,65 @@ TEST(Daemon, StaleCacheEntryIsCaughtByTheGateAndRecovered) {
   EXPECT_EQ(result.stats.rejected_verify, 0u);
   EXPECT_EQ(result.stats.completed, stream.size());
   EXPECT_EQ(result.stats.admitted, result.stats.completed);
+}
+
+TEST(Daemon, NullProfileIsAShapeGuardMiss) {
+  // A JobProfile{} carries no solo run at all. The cache lookup finds it, the
+  // shape guard refuses it (erase + invalidation), and the job is profiled
+  // afresh -- so the trajectory is the clean daemon's, bit for bit.
+  const Graph g = test_graph();
+  const auto stream = poisoned_stream(g);
+  ASSERT_FALSE(stream.empty());
+  SchedulerDaemon clean(g, {});
+  const ServiceResult expected = clean.serve(stream);
+
+  SchedulerDaemon daemon(g, {});
+  daemon.mutable_cache().insert(
+      ProfileKey{stream[0].spec.fingerprint(), graph_fingerprint(g)}, JobProfile{});
+  const ServiceResult result = daemon.serve(stream);
+  EXPECT_EQ(result.stats.cache.invalidations, 1u);
+  EXPECT_EQ(result.stats.cache.hits, expected.stats.cache.hits + 1);  // the refused lookup
+  EXPECT_EQ(result.stats.profiles_static, expected.stats.profiles_static);
+  EXPECT_EQ(result.stats.gate_rejections, 0u);
+  EXPECT_FALSE(result.outcomes[0].cache_hit);
+  EXPECT_EQ(result.stats.completed, stream.size());
+  EXPECT_EQ(result.fingerprint, expected.fingerprint);
+  const JobProfile* reprofiled = daemon.mutable_cache().find(
+      ProfileKey{stream[0].spec.fingerprint(), graph_fingerprint(g)});
+  ASSERT_NE(reprofiled, nullptr);
+  ASSERT_NE(reprofiled->solo, nullptr);
+  EXPECT_EQ(reprofiled->solo->pattern.num_directed_edges(), g.num_directed_edges());
+}
+
+TEST(Daemon, StageSecondsSplitTheWallTime) {
+  const Graph g = test_graph();
+  const auto stream =
+      service::generate_job_stream(stream_config(1.0, 3, 3, 32), g.num_nodes());
+  SchedulerDaemon daemon(g, {});
+  const ServiceResult result = daemon.serve(stream);
+  const auto& s = result.stats;
+  ASSERT_GT(s.executions, 0u);
+  EXPECT_GE(s.profile_seconds, 0.0);
+  EXPECT_GE(s.compose_seconds, 0.0);
+  EXPECT_GT(s.gate_seconds, 0.0);
+  EXPECT_GT(s.execute_seconds, 0.0);
+  EXPECT_LE(s.profile_seconds + s.compose_seconds + s.gate_seconds + s.execute_seconds,
+            s.wall_seconds);
+
+  // Timed document only: the deterministic one is unchanged by the split.
+  std::string error;
+  const auto doc = json::parse(result.to_json(true), &error);
+  ASSERT_NE(doc, nullptr) << error;
+  const auto* stages = doc->get("stage_seconds");
+  ASSERT_NE(stages, nullptr);
+  EXPECT_EQ(stages->get("gate")->number, s.gate_seconds);
+  EXPECT_EQ(stages->get("execute")->number, s.execute_seconds);
+  EXPECT_EQ(result.to_json(false).find("stage_seconds"), std::string::npos);
+  ServiceResult zeroed = result;
+  zeroed.stats.compose_seconds = zeroed.stats.gate_seconds = 0.0;
+  zeroed.stats.execute_seconds = zeroed.stats.profile_seconds = 0.0;
+  zeroed.stats.wall_seconds = 0.0;
+  EXPECT_EQ(zeroed.to_json(false), result.to_json(false));
 }
 
 TEST(Daemon, RejectCodeNames) {
@@ -674,6 +757,88 @@ TEST(DaemonDeathTest, ContractViolationsDie) {
       EXPECT_DEATH((void)daemon.serve(stream), "dense");
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Pinned service results: the end-to-end fingerprint and an FNV digest of the
+// deterministic JSON document for fixed streams. Any change to the cohort
+// path that moves an admission, delay, deferral, cache decision or output
+// moves these constants.
+// ---------------------------------------------------------------------------
+
+struct ServiceGolden {
+  std::uint64_t fingerprint;
+  std::uint64_t json_digest;
+};
+
+void expect_golden(const ServiceResult& result, ServiceGolden golden) {
+  const std::uint64_t digest = Fingerprint{}.mix_bytes(result.to_json(false)).digest();
+  EXPECT_EQ(result.fingerprint, golden.fingerprint) << std::hex << "0x" << result.fingerprint;
+  EXPECT_EQ(digest, golden.json_digest) << std::hex << "0x" << digest;
+  EXPECT_EQ(result.stats.admitted, result.stats.completed);
+}
+
+/// The perfbench service_stream shape: G(300, 6/n), 2 jobs/tick for 600
+/// ticks, 16 tenants x 8 specs (more distinct specs than the default
+/// 64-entry cache holds, so about half the lookups miss).
+struct BenchShape {
+  Graph g;
+  std::vector<JobRequest> stream;
+};
+
+BenchShape bench_shape() {
+  Rng rng(1);
+  BenchShape shape{make_gnp_connected(300, 6.0 / 300, rng), {}};
+  JobStreamConfig cfg;
+  cfg.arrival_rate = 2.0;
+  cfg.arrival_seed = 1;
+  cfg.tenants = 16;
+  cfg.specs_per_tenant = 8;
+  cfg.duration = 600;
+  shape.stream = service::generate_job_stream(cfg, shape.g.num_nodes());
+  return shape;
+}
+
+TEST(ServiceGoldens, PerfbenchShape) {
+  const auto shape = bench_shape();
+  ASSERT_EQ(shape.stream.size(), 1177u);
+  SchedulerDaemon daemon(shape.g, {});
+  const ServiceResult result = daemon.serve(shape.stream);
+  EXPECT_EQ(result.stats.executions, 75u);
+  EXPECT_EQ(result.stats.cache.hits, 582u);
+  expect_golden(result, {0xca490bb6f8c84db4ULL, 0x7afe9b8bf523af1bULL});
+}
+
+TEST(ServiceGoldens, CacheDisabled) {
+  const auto shape = bench_shape();
+  ServiceConfig cfg;
+  cfg.cache_capacity = 0;
+  SchedulerDaemon daemon(shape.g, cfg);
+  const ServiceResult result = daemon.serve(shape.stream);
+  EXPECT_EQ(result.stats.cache.misses, shape.stream.size());
+  expect_golden(result, {0x6b99e14d2e971a40ULL, 0x8008ff30332496d7ULL});
+}
+
+TEST(ServiceGoldens, ExecutedProfiling) {
+  // Same trajectory as PerfbenchShape (equal fingerprint); only the
+  // profiling split in the document differs.
+  const auto shape = bench_shape();
+  ServiceConfig cfg;
+  cfg.static_admission = false;
+  SchedulerDaemon daemon(shape.g, cfg);
+  const ServiceResult result = daemon.serve(shape.stream);
+  EXPECT_EQ(result.stats.profiles_static, 0u);
+  expect_golden(result, {0xca490bb6f8c84db4ULL, 0xf0b50c072183b37bULL});
+}
+
+TEST(ServiceGoldens, PoisonedCacheRequeue) {
+  const Graph g = test_graph();
+  const auto stream = poisoned_stream(g);
+  SchedulerDaemon daemon(g, {});
+  poison_cache(daemon, g, stream[0].spec);
+  const ServiceResult result = daemon.serve(stream);
+  EXPECT_EQ(result.stats.gate_rejections, 1u);
+  expect_golden(result, {0xc5ae1e8a22d9fa33ULL, 0x4cd63ed86b5c8fb2ULL});
 }
 
 // ---------------------------------------------------------------------------

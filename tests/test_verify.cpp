@@ -11,10 +11,15 @@
 //     statically proven to have retry headroom; the unstretched one is not.
 //   * VerifyingAdmission: an admitting gate leaves the execution identical
 //     to the ungated run; a rejecting gate aborts before any event runs.
+//   * Static load count: the verifier's load surface, max load and overrun
+//     findings equal a naive std::map count, for slots and edge ids past 2^16.
 //   * Findings survive the RunReport JSON round-trip with exact totals.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <sstream>
+#include <string>
 
 #include "congest/executor.hpp"
 #include "fault/reliable.hpp"
@@ -99,7 +104,7 @@ TEST(CheckSchedule, GapIsFlagged) {
   // A gap with no side effects needs a (node, round) where the node sends
   // nothing: clearing that slot cannot orphan a producer. In a broadcast only
   // the frontier sends, so any node that is silent in some mid-row round works.
-  const auto& pattern = f.problem->solo()[0].pattern;
+  const auto& pattern = f.problem->solo(0).pattern;
   const std::uint32_t rounds = f.problem->algorithm(0).rounds();
   std::int64_t hit_node = -1;
   std::uint32_t hit_round = 0;
@@ -126,7 +131,7 @@ TEST(CheckSchedule, OrderInversionIsFlagged) {
   // A node with no inbound round-1 message (only sources send in round 1):
   // collapsing its round-2 slot onto round 1 breaks ordering but no message
   // constraint.
-  const auto& pattern = f.problem->solo()[0].pattern;
+  const auto& pattern = f.problem->solo(0).pattern;
   std::vector<bool> receives_r1(f.g.num_nodes(), false);
   for (const auto d : pattern.edges_in_round(1)) receives_r1[receiver_of(f.g, d)] = true;
   std::int64_t victim = -1;
@@ -157,7 +162,7 @@ TEST(CheckSchedule, CausalityInversionIsFlagged) {
   // Algorithm 1 starts at offset rounds(0) >= 1. Rewriting one receiving
   // node's row to lockstep (big-round r - 1) puts every inbound consumer slot
   // at or before its producer slot while the row itself stays well-formed.
-  const auto& pattern = f.problem->solo()[1].pattern;
+  const auto& pattern = f.problem->solo(1).pattern;
   const std::uint32_t rounds = f.problem->algorithm(1).rounds();
   std::int64_t victim = -1;
   for (std::uint32_t r = 1; r < rounds && victim < 0; ++r) {
@@ -176,7 +181,7 @@ TEST(CheckSchedule, MissingProducerIsFlagged) {
   auto f = make_fixture();
   // Truncate the whole row of a node that sends: its messages survive in the
   // consumers' schedules, so the discard set is not causally closed.
-  const auto& pattern = f.problem->solo()[0].pattern;
+  const auto& pattern = f.problem->solo(0).pattern;
   std::uint32_t sends_round = 0;
   std::int64_t victim = -1;
   for (std::uint32_t r = 1; r < f.problem->algorithm(0).rounds() && victim < 0; ++r) {
@@ -206,7 +211,7 @@ TEST(CheckSchedule, CongestionOverrunIsFlagged) {
   for (std::uint32_t r = 1; r <= f.problem->dilation() && !collision; ++r) {
     std::vector<std::uint8_t> used(f.g.num_directed_edges(), 0);
     for (std::size_t a = 0; a < f.problem->size(); ++a) {
-      for (const auto d : f.problem->solo()[a].pattern.edges_in_round(r)) {
+      for (const auto d : f.problem->solo(a).pattern.edges_in_round(r)) {
         if (used[d]) collision = true;
         used[d] = 1;
       }
@@ -385,6 +390,128 @@ TEST(CleanSweep, GlobalSharingAndDoublingVerify) {
   }
 }
 
+// --- Static load count vs a naive reference: for arbitrary (even corrupt)
+// tables, the verifier's sorted load surface, its max load and its
+// congestion-overrun findings equal a std::map count of the scheduled
+// (producer big-round, directed edge) transmissions, in map order. Slots at
+// and past 2^16 and near 2^31, and edge ids past 2^16, make every 16-bit
+// digit of the packed sort key vary. ---
+
+using LoadMap = std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint32_t>;
+
+LoadMap reference_loads(const ScheduleProblem& problem, const ScheduleTable& table) {
+  LoadMap loads;
+  for (std::size_t a = 0; a < problem.size(); ++a) {
+    const auto& pattern = problem.solo(a).pattern;
+    for (std::uint32_t r = 1; r <= pattern.last_message_round(); ++r) {
+      for (const auto d : pattern.edges_in_round(r)) {
+        const std::uint32_t slot = table.at(a, sender_of(problem.graph(), d), r);
+        if (slot != kNeverScheduled) ++loads[{slot, d}];
+      }
+    }
+  }
+  return loads;
+}
+
+void expect_loads_match_reference(const ScheduleProblem& problem, const ScheduleTable& table,
+                                  const std::string& name) {
+  VerifyOptions opts;
+  opts.congestion_budget = 1;
+  opts.phase_len = 1;
+  opts.max_findings_per_code = ~std::size_t{0};
+  std::vector<LoadCell> cells;
+  const auto report = check_schedule(problem, table, opts, &cells);
+  const LoadMap want = reference_loads(problem, table);
+
+  std::vector<LoadCell> want_cells;
+  std::vector<LoadCell> want_overruns;
+  std::uint32_t want_max = 0;
+  for (const auto& [key, load] : want) {
+    want_cells.push_back({key.first, key.second, load});
+    if (load > opts.congestion_budget) want_overruns.push_back(want_cells.back());
+    want_max = std::max(want_max, load);
+  }
+  std::vector<LoadCell> overruns;
+  for (const auto& f : report.findings()) {
+    if (f.code != verify::kCodeCongestionOverrun) continue;
+    overruns.push_back({static_cast<std::uint32_t>(f.location.big_round),
+                        static_cast<std::uint32_t>(f.location.edge),
+                        static_cast<std::uint32_t>(f.metrics.at(0).second)});
+  }
+  EXPECT_EQ(cells, want_cells) << name;
+  EXPECT_EQ(report.measured.max_edge_load, want_max) << name;
+  EXPECT_EQ(overruns, want_overruns) << name;
+  EXPECT_EQ(report.count(verify::kCodeCongestionOverrun), want_overruns.size()) << name;
+}
+
+/// A table whose slots are `base` plus a small random offset (so cells
+/// collide), with about one slot in eight left unscheduled.
+ScheduleTable random_table(const ScheduleProblem& problem, std::uint32_t base,
+                           std::uint32_t spread, Rng& rng) {
+  return ScheduleTable::from_fn(
+      problem.algorithm_ptrs(), problem.graph().num_nodes(),
+      [&](std::size_t, NodeId, std::uint32_t) -> std::uint32_t {
+        if (rng.next_below(8) == 0) return kNeverScheduled;
+        return base + static_cast<std::uint32_t>(rng.next_below(spread));
+      });
+}
+
+TEST(StaticLoadCount, MatchesNaiveReferenceAcrossSlotRanges) {
+  const auto f = make_fixture();
+  Rng rng(17);
+  const std::uint32_t bases[] = {0, 65530, 1u << 20, (1u << 31) - 6, 0xfffffff0u};
+  for (const std::uint32_t base : bases) {
+    for (int rep = 0; rep < 4; ++rep) {
+      expect_loads_match_reference(*f.problem, random_table(*f.problem, base, 12, rng),
+                                   "base " + std::to_string(base));
+    }
+  }
+  // Slots spread over the whole 32-bit range: every round digit varies.
+  for (int rep = 0; rep < 4; ++rep) {
+    const auto table = ScheduleTable::from_fn(
+        f.algos, f.g.num_nodes(), [&](std::size_t, NodeId, std::uint32_t) {
+          return static_cast<std::uint32_t>(rng.next_below(kNeverScheduled));
+        });
+    expect_loads_match_reference(*f.problem, table, "full range");
+  }
+}
+
+TEST(StaticLoadCount, MatchesNaiveReferencePastSixteenBitEdgeIds) {
+  // A path with 40000 nodes has 79998 directed edges: edge ids cross 2^16,
+  // so the edge half of the key needs two digit passes too. Delay tables
+  // (valid rows, colliding algorithms) keep the per-slot findings out.
+  const Graph g = make_path(40000);
+  ASSERT_GT(g.num_directed_edges(), 1u << 16);
+  auto problem = make_broadcast_workload(g, 12, 16, 3);
+  problem->run_solo();
+  const auto algos = problem->algorithm_ptrs();
+  const auto lockstep = ScheduleTable::lockstep(algos, g.num_nodes());
+  const LoadMap loads = reference_loads(*problem, lockstep);
+  ASSERT_TRUE(std::any_of(loads.begin(), loads.end(),
+                          [](const auto& cell) { return cell.first.second >= (1u << 16); }));
+  expect_loads_match_reference(*problem, lockstep, "path lockstep");
+  Rng rng(29);
+  for (const std::uint32_t base : {0u, 65530u, (1u << 31) - 3}) {
+    std::vector<std::uint32_t> delays(algos.size());
+    for (auto& d : delays) d = base + static_cast<std::uint32_t>(rng.next_below(6));
+    expect_loads_match_reference(*problem, ScheduleTable::from_delays(algos, g.num_nodes(), delays),
+                                 "path base " + std::to_string(base));
+  }
+}
+
+TEST(StaticLoadCount, EmptyLoadListHasNoCells) {
+  // Every slot unscheduled: no transmission exists, so no cell, no load and
+  // no overrun -- and every consumer is truncated too, so nothing else fires.
+  const auto f = make_fixture();
+  const ScheduleTable never(f.algos, f.g.num_nodes());
+  ASSERT_TRUE(reference_loads(*f.problem, never).empty());
+  expect_loads_match_reference(*f.problem, never, "unscheduled");
+  std::vector<LoadCell> cells{{1, 2, 3}};
+  const auto report = check_schedule(*f.problem, never, {}, &cells);
+  EXPECT_TRUE(cells.empty());
+  EXPECT_TRUE(report.ok()) << table_str(report);
+}
+
 // --- The admission gate: a passing gate is invisible, a failing gate aborts
 // before any event executes. ---
 
@@ -412,7 +539,7 @@ TEST(VerifyingAdmission, AdmittingGateLeavesExecutionIdentical) {
 TEST(VerifyingAdmissionDeathTest, RejectingGateAbortsBeforeExecution) {
   auto f = make_fixture();
   // Invert causality for one receiving node of algorithm 1 (as above).
-  const auto& pattern = f.problem->solo()[1].pattern;
+  const auto& pattern = f.problem->solo(1).pattern;
   std::int64_t victim = -1;
   for (std::uint32_t r = 1; r < f.problem->algorithm(1).rounds() && victim < 0; ++r) {
     const auto edges = pattern.edges_in_round(r);
