@@ -57,24 +57,25 @@ struct ExecEvent {
 };
 
 /// Logical identity of a staged message, parallel to the staged header lane.
-/// Filled only when an observer or the fault layer consumes identities
-/// (patterns, flight recorder, fault injection); the clean unobserved path
-/// never writes or reads it -- routing needs only the precomputed
-/// staged_round/staged_slot lanes.
+/// Filled only when the fate pass consumes identities (patterns, flight
+/// recorder, fault injection); the clean unobserved path never writes or
+/// reads it -- routing needs only the precomputed staged_dest lane.
 struct StagedMeta {
   std::uint32_t alg;
   std::uint32_t tag;  // sender's virtual round
   NodeId to;
 };
 
-/// A retransmission-path message: identity plus the compact lane record,
-/// inlined at the engine's instantiation width so RetryQueue entries stay
-/// trivially copyable PODs.
+/// A dropped message awaiting its retransmission slot: identity, the packed
+/// destination computed when it was first staged (so nothing is looked up
+/// twice), and the compact lane record, inlined at the engine's
+/// instantiation width so RetryQueue entries stay trivially copyable PODs.
 template <std::uint32_t W>
 struct RetryMessage {
   StagedMeta meta;
   std::uint32_t directed_edge;
-  std::uint32_t hdr;  // packed sender + length (congest/message.hpp)
+  std::uint32_t hdr;   // packed sender + length (congest/message.hpp)
+  std::uint64_t dest;  // staged_dest of the original send
   std::uint64_t pay[W];
 };
 
@@ -141,46 +142,67 @@ struct PendingSeg {
   Lane<std::uint32_t> slot;  // perf-ok: recycled via the owner's free list
   Lane<std::uint32_t> hdr;   // perf-ok: recycled via the owner's free list
   Lane<std::uint64_t> pay;   // perf-ok: recycled via the owner's free list
+
+  void clear() {
+    slot.clear();
+    hdr.clear();
+    pay.clear();
+  }
+};
+
+/// One lane source of the delivery barrier: compact SoA staging lanes, all
+/// parallel (entry i of each lane describes staged message i). The payload
+/// lane is W-strided: message i's words live at [i*W, i*W + W). staged_dest
+/// packs (consumer big-round << 32) | bucket slot -- or a sentinel round
+/// (kFinishDest with the packed finish key, kNeverDest) -- into one word so
+/// the send path and barrier move one lane instead of two; the fate pass
+/// marks its copy count in the same word.
+struct StagedLanes {
+  Lane<std::uint32_t> staged_hdr;   // perf-ok: cleared per round, capacity retained
+  Lane<std::uint64_t> staged_pay;   // perf-ok: W-strided payload lane
+  Lane<StagedMeta> staged_meta;     // perf-ok: only filled when need_meta
+  Lane<std::uint32_t> staged_edge;  // perf-ok: directed edge per message
+  Lane<std::uint64_t> staged_dest;  // perf-ok: (round << 32) | slot per message
+
+  void clear() {
+    staged_hdr.clear();
+    staged_pay.clear();
+    staged_meta.clear();
+    staged_edge.clear();
+    staged_dest.clear();
+  }
 };
 
 /// Per-worker staging plus reusable scratch. Within one big-round every event
 /// touches only its own (alg, node) state, so shards race only if they shared
 /// scratch -- they don't; and because each shard appends to its own staging
 /// lanes and shards are contiguous slices of the bucket, concatenating the
-/// lanes in shard order reproduces the serial staging order bit for bit.
-struct WorkerState {
-  // Compact SoA staging lanes, all parallel (entry i of each lane describes
-  // staged message i). The payload lane is W-strided: message i's words live
-  // at [i*W, i*W + W). staged_dest packs (consumer big-round << 32) | bucket
-  // slot -- or a sentinel round (kFinishDest with the packed finish key,
-  // kNeverDest) -- into one word so the send path and barrier move one lane
-  // instead of two.
-  Lane<std::uint32_t> staged_hdr;   // perf-ok: cleared per round, capacity retained
-  Lane<std::uint64_t> staged_pay;   // perf-ok: W-strided payload lane
-  Lane<StagedMeta> staged_meta;     // perf-ok: only filled for observed/faulty runs
-  Lane<std::uint32_t> staged_edge;  // perf-ok: directed edge per message
-  Lane<std::uint64_t> staged_dest;  // perf-ok: (round << 32) | slot per message
+/// lanes in shard order reproduces the canonical staging order bit for bit.
+struct WorkerState : StagedLanes {
   // Duplicate-send detection without any clearing: slot s was used by the
   // current event iff slot_stamp[s] == event_serial. The serial is bumped
   // before every event and never reset (a u64 cannot realistically wrap), so
   // stale stamps from any earlier event, round, or run can never collide.
   std::vector<std::uint64_t> slot_stamp;  // perf-ok: size max_degree, never cleared
   std::uint64_t event_serial = 0;
-  // --- Tile ownership (the tiled delivery barrier, docs/PERFORMANCE.md).
-  // Each worker statically owns a contiguous range of consumer tiles per
-  // round; everything below is written only by its owner during parallel
-  // phases. The serial barrier writes the same structures owner-correctly,
-  // so their contents are bit-identical across thread counts. ---
+  // --- Tile ownership (the delivery barrier, docs/PERFORMANCE.md). Each
+  // worker statically owns a contiguous range of consumer tiles and of
+  // directed edges per round; everything below is written only by its owner,
+  // whichever thread runs the owner's body, so the contents are
+  // bit-identical across thread counts. ---
   std::vector<std::uint32_t> pend_round;  // perf-ok: big-round -> own seg index or kNoBucket
   std::vector<PendingSeg> pend_pool;      // perf-ok: recycled via pend_free
   std::vector<std::uint32_t> pend_free;   // perf-ok: drained-seg free list
-  std::vector<std::uint32_t> touched;     // perf-ok: touched edges of this worker's edge range
+  std::vector<std::uint32_t> touched;     // perf-ok: touched edges of this owner's edge range
+  // One bit per edge of the owner's slice, all-zero between rounds: puts
+  // `touched` in edge order for per-cell observers without a sort.
+  std::vector<std::uint64_t> touched_bits;  // perf-ok: sized once per observed run
   // Inbox-presence words this owner set during the current round's gather;
   // the post-execution clear walks exactly these instead of memsetting the
   // whole bitset (the bitset is all-zero outside the round window).
   std::vector<std::uint32_t> touched_words;  // perf-ok: scoped presence clears
-  std::uint32_t max_load_partial = 0;  // max edge load over this worker's edge range
-  std::uint64_t violations = 0;  // causality violations counted at the parallel barrier (worker 0)
+  std::uint32_t max_load_partial = 0;  // max edge load over this owner's edge range
+  std::uint64_t violations = 0;  // causality violations counted at the barrier (owner 0)
   std::uint64_t delivered = 0;  // cumulative messages consumed by this worker
   std::uint64_t skipped = 0;    // events skipped because the node crash-stopped
 };
@@ -196,16 +218,19 @@ constexpr std::uint32_t kNoBucket = ~std::uint32_t{0};
 
 /// staged_dest round-half sentinels. kFinishDest marks tag == T messages
 /// (consumed by on_finish after the loop); kNeverDest marks messages whose
-/// consumer is never scheduled (counted nowhere, dropped). Real destinations
-/// are big-rounds < num_big_rounds, far below both. `dest >= kNeverDest`
-/// tests for either sentinel in one compare.
-constexpr std::uint32_t kNeverDest = ~std::uint32_t{0} - 1;
-constexpr std::uint32_t kFinishDest = ~std::uint32_t{0};
+/// consumer is never scheduled, and messages the fate pass dropped (counted
+/// nowhere, delivered nowhere). Real destinations are big-rounds below both
+/// (run_impl checks the horizon). The top bit is the fate pass's raw-duplicate
+/// mark (deliver two copies), so `dest >= kNeverDest` tests for either
+/// sentinel or a mark in one compare.
+constexpr std::uint32_t kNeverDest = 0x7ffffffe;
+constexpr std::uint32_t kFinishDest = 0x7fffffff;
+constexpr std::uint32_t kTwoCopies = 0x80000000;
 
-/// Minimum staged messages in a big-round before the delivery barrier itself
-/// runs tiled-parallel; below this the serial barrier wins (one pool dispatch
-/// costs two condition-variable sweeps). Invisible in results: the parallel
-/// barrier reproduces the serial routing bit for bit.
+/// Minimum messages in a big-round before the delivery barrier's owners run
+/// on the pool; below this the calling thread runs them in turn (one pool
+/// dispatch costs two condition-variable sweeps). Invisible in results: it
+/// is the same body either way.
 constexpr std::uint64_t kMinMessagesParallelBarrier = 256;
 
 /// Per-event send path, width-specialized: stages straight into the
@@ -376,9 +401,13 @@ struct ExecScratch {
   std::vector<std::uint32_t> finish_target;  // perf-ok: permutation scratch, one u32 per message
   std::vector<std::size_t> finish_offset;  // perf-ok: per (alg, node), size k*n + 1
 
-  // --- Edge-load accounting (self-zeroing between rounds). ---
-  std::vector<std::uint32_t> edge_count;     // perf-ok: zeroed via touched_edges
-  std::vector<std::uint32_t> touched_edges;  // perf-ok: reserved to num_directed_edges
+  // --- Edge-load accounting (self-zeroing between rounds via the owners'
+  // touched lists). ---
+  std::vector<std::uint32_t> edge_count;  // perf-ok: zeroed via WorkerState::touched
+
+  // --- This round's due retransmissions: the barrier's first lane source,
+  // ahead of worker 0. ---
+  StagedLanes retry_lane;
 };
 
 Executor::Executor(const Graph& g, ExecConfig cfg)
@@ -394,15 +423,12 @@ Executor::Executor(const Graph& g, ExecConfig cfg)
   // i.e. hand back 64x the requested bytes (see its contract).
   DASCHED_CHECK_MSG(cfg_.tile_bytes >= arena_message_bytes(cfg_.max_payload_words),
                     "tile_bytes smaller than one max-width arena message");
+  // The retry budget sizes 2^max_retries backoff arithmetic in run_impl;
+  // RetryPolicy's own bound keeps it well inside 32 bits.
+  if (cfg_.faults != nullptr) (void)cfg_.retry.stretch_factor();
 }
 
 Executor::~Executor() = default;
-
-ExecutionResult Executor::run(std::span<const DistributedAlgorithm* const> algorithms,
-                              const ExecTimeFn& exec_time) {
-  return run(algorithms,
-             ScheduleTable::from_fn(algorithms, graph_.num_nodes(), exec_time));
-}
 
 ExecutionResult Executor::run(std::span<const DistributedAlgorithm* const> algorithms,
                               const ScheduleTable& schedule) {
@@ -571,25 +597,27 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
   scratch.finish_hdr.clear();
   scratch.finish_pay.clear();
   scratch.edge_count.assign(graph_.num_directed_edges(), 0);
-  scratch.touched_edges.clear();
-  scratch.touched_edges.reserve(graph_.num_directed_edges());
-
   auto& edge_count = scratch.edge_count;
-  auto& touched_edges = scratch.touched_edges;
 
   // --- Fault injection and reliable delivery (docs/FAULTS.md). All fault
-  // decisions run at the delivery barrier below, which processes messages in
-  // shard-merged (== serial) order, and are pure functions of the plan seed
-  // and message identity -- so faulty runs are bit-identical across thread
-  // counts. With `faults` null none of this is touched. ---
+  // decisions run in the serial fate pass before each delivery barrier, in
+  // shard-merged order, and are pure functions of the plan seed and message
+  // identity -- so faulty runs are bit-identical across thread counts. With
+  // `faults` null none of this is touched. ---
   const FaultInjector* const faults = cfg_.faults;
   const std::uint32_t max_retries = faults != nullptr ? cfg_.retry.max_retries : 0;
   RetryQueue<RetryMessage<W>> retry_queue;
   std::vector<typename RetryQueue<RetryMessage<W>>::Entry> retry_due;
   // Retransmissions may land past the last scheduled big-round (they still
   // matter: tag-T messages are consumed by on_finish after the loop); the
-  // horizon grows to cover them.
+  // horizon grows to cover them -- by at most sum_{i<R} 2^i = 2^R - 1
+  // big-rounds, since chained retransmissions back off exponentially. Every
+  // round of it must stay below the staged_dest sentinels.
   std::uint32_t horizon = num_big_rounds;
+  const std::uint32_t round_headroom =
+      max_retries > 0 ? (1u << max_retries) - 1 : 0;
+  DASCHED_CHECK_MSG(std::uint64_t{num_big_rounds} + round_headroom < kNeverDest,
+                    "schedule horizon exceeds the packed destination range");
 
   // --- Worker pool and per-worker staging. Workers persist across runs:
   // slot_used is zeroed once at creation (the send loop restores it to zero
@@ -602,49 +630,38 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
     scratch.workers.resize(num_workers);
     for (auto& ws : scratch.workers) ws.slot_stamp.assign(graph_.max_degree(), 0);
   }
-  // Identity lanes are needed only when someone consumes message identities
-  // at the barrier; the clean unobserved path skips the lane entirely.
+  // Identity lanes are needed only when the fate pass consumes message
+  // identities; the clean unobserved path skips the lane and the pass.
   const bool need_meta = faults != nullptr || cfg_.recorder != nullptr ||
                          cfg_.record_patterns;
+  // Per-cell observers read the owners' touched lists after each barrier.
+  const bool cells_observed = cfg_.profiler != nullptr || cfg_.telemetry != nullptr;
   std::vector<WorkerState>& workers = scratch.workers;
   for (auto& ws : workers) {
     ws.delivered = 0;
     ws.skipped = 0;
     ws.max_load_partial = 0;
     ws.violations = 0;
-    ws.staged_hdr.clear();
+    ws.clear();
     ws.staged_hdr.reserve(scratch.staged_high_water);
-    ws.staged_pay.clear();
     ws.staged_pay.reserve(scratch.staged_high_water * W);
-    ws.staged_meta.clear();
     if (need_meta) ws.staged_meta.reserve(scratch.staged_high_water);
-    ws.staged_edge.clear();
     ws.staged_edge.reserve(scratch.staged_high_water);
-    ws.staged_dest.clear();
     ws.staged_dest.reserve(scratch.staged_high_water);
     ws.pend_round.assign(std::size_t{num_big_rounds} + 1, kNoBucket);
     ws.pend_free.clear();
     for (std::uint32_t b = 0; b < ws.pend_pool.size(); ++b) {
-      ws.pend_pool[b].slot.clear();
-      ws.pend_pool[b].hdr.clear();
-      ws.pend_pool[b].pay.clear();
+      ws.pend_pool[b].clear();
       ws.pend_free.push_back(b);
     }
     ws.touched.clear();
     ws.touched.reserve(graph_.num_directed_edges() / num_workers + 1);
+    ws.touched_bits.assign(
+        cells_observed ? (graph_.num_directed_edges() / num_workers + 1) / 64 + 1 : 0, 0);
     ws.touched_words.clear();
   }
   std::uint64_t rounds_parallel = 0;
   std::uint64_t rounds_serial = 0;
-  // The tiled parallel barrier engages only on unobserved clean runs: every
-  // observer (telemetry, profiler, recorder, patterns) and the fault layer
-  // is specified in serial shard-merged delivery order, which the serial
-  // barrier provides directly. Results are bit-identical either way; only
-  // who does the routing differs.
-  const bool barrier_observed = cfg_.faults != nullptr ||
-                                cfg_.telemetry != nullptr ||
-                                cfg_.recorder != nullptr ||
-                                cfg_.profiler != nullptr || cfg_.record_patterns;
 
   // --- Tile geometry and static ownership (docs/PERFORMANCE.md). Round t's
   // bucket of B events splits into T = ceil(B / tile_events) tiles of
@@ -668,15 +685,15 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
       row[w] = static_cast<std::uint32_t>(std::min(bsize, lo_tile * tile_events));
     }
   }
-  // Owner of a consumer slot: the inverse of the tile ranges above
-  // (w = floor(tile * W / T) is exactly the w with lo_tile(w) <= tile <
-  // lo_tile(w + 1)).
-  auto owner_of = [&](std::uint32_t dest, std::uint32_t slot) -> std::uint32_t {
-    if (num_workers == 1) return 0;
-    const std::size_t bsize = bucket_start[dest + 1] - bucket_start[dest];
-    const std::size_t tiles = (bsize + tile_events - 1) / tile_events;
-    return static_cast<std::uint32_t>(std::size_t{slot / tile_events} *
-                                      num_workers / tiles);
+  // Owner-partitioned phases (the gather's histogram and scatter, the
+  // delivery barrier) run on the pool when `parallel`, else for each owner
+  // in turn on the calling thread: the same body either way.
+  auto for_each_owner = [&](bool parallel, auto& body) {
+    if (parallel) {
+      pool_->run_static_ctx(num_workers, body);
+    } else {
+      for (std::uint32_t w = 0; w < num_workers; ++w) body(w);
+    }
   };
   const auto sched_flat = schedule.flat();
 
@@ -691,15 +708,12 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
   }
 
   // --- Congestion profiler + flight recorder (docs/OBSERVABILITY.md). Both
-  // are sized HERE, before the steady-state window opens: chained
-  // retransmissions extend the horizon by at most sum_{i<R} 2^i = 2^R - 1
-  // big-rounds, so the profiler's per-round accumulators never resize inside
-  // the loop even on faulty runs. Null pointers keep the engine byte-for-byte
-  // the uninstrumented executor. ---
+  // are sized HERE, before the steady-state window opens, with the retry
+  // headroom above, so the profiler's per-round accumulators never resize
+  // inside the loop even on faulty runs. Null pointers keep the engine
+  // byte-for-byte the uninstrumented executor. ---
   ExecProfiler* const profiler = cfg_.profiler;
   FlightRecorder* const recorder = cfg_.recorder;
-  const std::uint32_t round_headroom =
-      max_retries > 0 ? (1u << max_retries) - 1 : 0;
   if (profiler != nullptr) {
     profiler->begin_run(graph_.num_directed_edges(), num_big_rounds, num_workers,
                         round_headroom, tile_events);
@@ -711,10 +725,10 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
   bool round_has_inbox = false;
   std::size_t round_begin = 0;
 
-  // The per-event body shared by the serial and parallel paths. Everything it
-  // mutates is either owned by the event's (alg, node) -- programs, rngs,
-  // progress -- or by the executing shard's WorkerState; the round arena and
-  // its offsets are read-only during execution, so shards are data-race free.
+  // The per-event body every execution shard runs. Everything it mutates is
+  // either owned by the event's (alg, node) -- programs, rngs, progress -- or
+  // by the executing shard's WorkerState; the round arena and its offsets are
+  // read-only during execution, so shards are data-race free.
   auto execute_event = [&](const ExecEvent& ev, std::size_t event_index,
                            WorkerState& ws, std::uint32_t t) {
     if (faults != nullptr && faults->node_crashed(ev.node, t)) {
@@ -910,17 +924,11 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
           std::memcpy(ap + std::size_t{at} * W, sp + i * W,
                       W * sizeof(std::uint64_t));
         }
-        seg.slot.clear();
-        seg.hdr.clear();
-        seg.pay.clear();
+        seg.clear();
         ws.pend_free.push_back(seg_idx);
         ws.pend_round[t] = kNoBucket;
       };
-      if (parallel_gather) {
-        pool_->run_static_ctx(num_workers, histogram_body);
-      } else {
-        for (std::uint32_t w = 0; w < num_workers; ++w) histogram_body(w);
-      }
+      for_each_owner(parallel_gather, histogram_body);
       // Serial prefix over the populated slots only, in slot order (the
       // presence bits are walked word by word via countr_zero); doubles as
       // the cursor init, so the scatter needs no bit-walk of its own.
@@ -937,50 +945,39 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
           }
         }
       }
-      if (parallel_gather) {
-        pool_->run_static_ctx(num_workers, scatter_body);
-      } else {
-        for (std::uint32_t w = 0; w < num_workers; ++w) scatter_body(w);
-      }
+      for_each_owner(parallel_gather, scatter_body);
     }
 
     // --- Execute the bucket: statically sharded when large enough. When the
     // bucket has at least one tile per worker, shards are the workers' own
     // tile ranges -- the worker that scattered a tile's inboxes moments ago
     // executes that tile's events while they are still cache-resident.
-    // Smaller buckets fall back to evenly-balanced shards (tile granularity
-    // would idle workers); either way results are bit-identical. ---
+    // Otherwise shards are evenly balanced (tile granularity would idle
+    // workers), and a bucket too small to split is the 1-shard case, run on
+    // the calling thread; either way results are bit-identical. ---
     std::uint32_t shards = 1;
     if (num_workers > 1 && bucket_size >= 2 * kMinEventsPerShard) {
       shards = static_cast<std::uint32_t>(std::min<std::size_t>(
           num_workers, bucket_size / kMinEventsPerShard));
     }
-    if (shards <= 1) {
-      for (std::size_t i = begin; i < end; ++i) {
-        execute_event(events[i], i, workers[0], t);
-      }
-      ++rounds_serial;
-    } else if ((bucket_size + tile_events - 1) / tile_events >= num_workers) {
-      auto shard_body = [&](std::uint32_t w) {
-        const std::size_t lo = begin + sb[w];
-        const std::size_t hi = begin + sb[w + 1];
-        auto& ws = workers[w];
-        for (std::size_t i = lo; i < hi; ++i) execute_event(events[i], i, ws, t);
-      };
+    const bool tiled =
+        shards > 1 && (bucket_size + tile_events - 1) / tile_events >= num_workers;
+    auto shard_body = [&](std::uint32_t s) {
+      const std::size_t lo = begin + (tiled ? sb[s] : bucket_size * s / shards);
+      const std::size_t hi = begin + (tiled ? sb[s + 1] : bucket_size * (s + 1) / shards);
+      auto& ws = workers[s];
+      for (std::size_t i = lo; i < hi; ++i) execute_event(events[i], i, ws, t);
+    };
+    // The pool dispatches through one reference capture, so its
+    // std::function stays in its small-object buffer: no allocation.
+    if (tiled) {
       pool_->run_static_ctx(num_workers, shard_body);
-      ++rounds_parallel;
-    } else {
-      auto shard_body = [&](std::uint32_t s) {
-        const std::size_t lo = begin + bucket_size * s / shards;
-        const std::size_t hi = begin + bucket_size * (s + 1) / shards;
-        auto& ws = workers[s];
-        for (std::size_t i = lo; i < hi; ++i) execute_event(events[i], i, ws, t);
-      };
-      // run_ctx dispatches through one reference capture, so the pool's
-      // std::function stays in its small-object buffer: no allocation.
+    } else if (shards > 1) {
       pool_->run_ctx(shards, shard_body);
-      ++rounds_parallel;
+    } else {
+      shard_body(0);
     }
+    ++(shards > 1 ? rounds_parallel : rounds_serial);
 
     // --- Restore the presence-bitset invariant (all-zero between rounds):
     // clear exactly the words this round's gather touched. O(touched words),
@@ -992,17 +989,120 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
       }
     }
 
-    // --- Barrier: deliver staged messages in shard order (this reproduces
-    // the serial staging order exactly), account loads, detect violations. ---
-    auto account_edge = [&](std::uint32_t d) {
-      if (edge_count[d] == 0) touched_edges.push_back(d);
-      ++edge_count[d];
+    // --- Fate pass (docs/FAULTS.md): one serial walk, in shard-merged order,
+    // over this round's due retransmissions and then the workers' staged
+    // lanes. It does everything that consumes message identities -- pattern
+    // recording, flight-recorder fates, and on faulty runs the attempt
+    // accounting, injector calls and retry scheduling -- and marks each
+    // entry's copy count in place on its staged_dest: a dropped message
+    // becomes kNeverDest (0 copies), a raw duplicate gets kTwoCopies, a
+    // delivery stays as staged (1 copy). Runs exactly when need_meta. ---
+    auto& retry_lane = scratch.retry_lane;
+    retry_lane.clear();
+    if (max_retries > 0) retry_queue.drain_into(t, retry_due);
+    const std::uint64_t retries_this_round = retry_due.size();
+    auto fate = [&](StagedLanes& src, std::size_t i, std::uint32_t attempt) {
+      auto& fs = result.faults;
+      const StagedMeta meta = src.staged_meta[i];
+      const std::uint32_t edge = src.staged_edge[i];
+      // Fate entries go to the barrier ring (index num_workers).
+      auto note = [&](FlightRecorder::Kind kind, std::uint64_t key) {
+        if (recorder != nullptr) recorder->record(num_workers, kind, t, key, edge);
+      };
+      const std::uint64_t fr_key = (std::uint64_t{meta.alg} << 32) | meta.tag;
+      ++fs.attempts;
+      FlightRecorder::Kind fate_kind = FlightRecorder::Kind::kDeliver;
+      if (faults->link_down(edge / 2, t)) {
+        ++fs.dropped_outage;
+        fate_kind = FlightRecorder::Kind::kDropOutage;
+      } else if (faults->node_crashed(meta.to, t)) {
+        // A crashed receiver neither stores nor acks the message.
+        ++fs.dropped_crash;
+        fate_kind = FlightRecorder::Kind::kDropCrash;
+      } else if (faults->drop(meta.alg, edge, meta.tag, attempt)) {
+        ++fs.dropped_random;
+        fate_kind = FlightRecorder::Kind::kDropRandom;
+      }
+      note(fate_kind, fr_key);
+      if (fate_kind == FlightRecorder::Kind::kDeliver) {
+        ++fs.delivered;
+        if (faults->duplicate(meta.alg, edge, meta.tag, attempt)) {
+          if (max_retries > 0) {
+            // The reliable layer's per-edge bookkeeping recognizes the copy.
+            ++fs.duplicates_suppressed;
+          } else {
+            ++fs.duplicated;
+            ++fs.delivered;
+            note(FlightRecorder::Kind::kDuplicate, fr_key);
+            src.staged_dest[i] |= std::uint64_t{kTwoCopies} << 32;
+          }
+        }
+        return;
+      }
+      // Dropped. Retransmit with exponential backoff (gap 2^attempt after
+      // failed attempt `attempt`) while the sender is alive and budget lasts;
+      // the dropped message is the only one ever copied.
+      const std::uint32_t retry_round = t + (1u << attempt);
+      if (attempt < max_retries &&
+          !faults->node_crashed(msg_header_from(src.staged_hdr[i]), retry_round)) {
+        ++fs.retransmissions;
+        note(FlightRecorder::Kind::kRetry, (std::uint64_t{attempt + 1} << 32) | meta.tag);
+        if (retry_round >= horizon) {
+          horizon = retry_round + 1;
+          result.max_load_per_big_round.resize(horizon, 0);
+        }
+        RetryMessage<W> rm{meta, edge, src.staged_hdr[i], src.staged_dest[i], {}};
+        std::memcpy(rm.pay, src.staged_pay.data() + i * W, W * sizeof(std::uint64_t));
+        retry_queue.schedule(retry_round, rm, attempt + 1);
+      } else {
+        ++fs.lost;
+        note(FlightRecorder::Kind::kLost, fr_key);
+      }
+      src.staged_dest[i] = std::uint64_t{kNeverDest} << 32;
     };
-    // Bind each delivered message to the big-round in which its consumer
-    // executes. Messages whose consumer already ran (a causality violation)
-    // or is never scheduled would sit unread in any inbox; they are counted
-    // and dropped, which is observationally identical. tag == T messages are
-    // consumed by on_finish after the loop and so can never be violated.
+    for (std::size_t j = 0; j < retries_this_round; ++j) {
+      const RetryMessage<W>& rm = retry_due[j].msg;
+      retry_lane.staged_hdr.push(rm.hdr);
+      std::memcpy(retry_lane.staged_pay.append_n(W), rm.pay, W * sizeof(std::uint64_t));
+      retry_lane.staged_meta.push(rm.meta);
+      retry_lane.staged_edge.push(rm.directed_edge);
+      retry_lane.staged_dest.push(rm.dest);
+      fate(retry_lane, j, retry_due[j].attempt);
+    }
+    std::uint64_t fresh_this_round = 0;
+    for (auto& ws : workers) {
+      scratch.staged_high_water =
+          std::max(scratch.staged_high_water, ws.staged_hdr.size());
+      fresh_this_round += ws.staged_hdr.size();
+      if (!need_meta) continue;
+      for (std::size_t i = 0; i < ws.staged_hdr.size(); ++i) {
+        const StagedMeta& meta = ws.staged_meta[i];
+        if (cfg_.record_patterns) {
+          // Patterns describe what the algorithm sent; retries are excluded.
+          result.patterns[meta.alg].record(meta.tag, ws.staged_edge[i]);
+        }
+        if (faults != nullptr) {
+          fate(ws, i, 0);
+        } else if (recorder != nullptr) {
+          recorder->record(num_workers, FlightRecorder::Kind::kDeliver, t,
+                           (std::uint64_t{meta.alg} << 32) | meta.tag,
+                           ws.staged_edge[i]);
+        }
+      }
+    }
+    const std::uint64_t messages_this_round = retries_this_round + fresh_this_round;
+
+    // --- Delivery barrier: one owner-partitioned body. Lane sources are the
+    // retry lane, then the workers' staging lanes in shard order -- the order
+    // the fate pass walked. Owner w folds edge loads over its static slice of
+    // the directed-edge space (every attempt costs bandwidth, whatever its
+    // fate), then appends each parked copy whose consumer slot lies in its
+    // tiles to its own seg -- so gathers see one seg order regardless of
+    // thread count. Owner 0 additionally takes the tag == T stream (routed by
+    // its packed finish key) and the violation count: a copy whose consumer
+    // already ran would sit unread in any inbox, so it is counted and dropped,
+    // which is observationally identical. No atomics anywhere: every written
+    // cell has exactly one owner. ---
     auto acquire_seg = [&](WorkerState& ow, std::uint32_t dest) -> PendingSeg& {
       std::uint32_t idx = ow.pend_round[dest];
       if (idx == kNoBucket) {
@@ -1017,261 +1117,53 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
       }
       return ow.pend_pool[idx];
     };
-    // Serial routing of one message by its precomputed destination: the lane
-    // record is (packed header, W payload words); `slot` is the consumer's
-    // bucket slot, or the packed finish key for dest == kFinishDest. Parked
-    // messages go to the seg of the worker that OWNS the consumer's tile --
-    // not the worker that staged them -- so the serial barrier builds exactly
-    // the per-owner structure the parallel barrier builds, and gathers see
-    // one seg order regardless of thread count.
-    auto route_one = [&](std::uint32_t dest, std::uint32_t slot,
-                         std::uint32_t hdr, const std::uint64_t* pay) {
-      if (dest == kFinishDest) {
-        scratch.finish_key.push_back(slot);
-        scratch.finish_hdr.push_back(hdr);
-        scratch.finish_pay.insert(scratch.finish_pay.end(), pay, pay + W);
-        return;
-      }
-      if (dest == kNeverDest) return;  // consumer never runs
-      if (dest <= t) {
-        ++result.causality_violations;
-        return;
-      }
-      auto& seg = acquire_seg(workers[owner_of(dest, slot)], dest);
-      seg.slot.push(slot);
-      seg.hdr.push(hdr);
-      std::memcpy(seg.pay.append_n(W), pay, W * sizeof(std::uint64_t));
-    };
-    // Destination lookup for messages without precomputed lanes (retries on
-    // the faulty path re-enter the barrier from the retry queue).
-    auto deliver = [&](const RetryMessage<W>& sm) {
-      if (sm.meta.tag == schedule.rounds(sm.meta.alg)) {
-        route_one(kFinishDest,
-                  static_cast<std::uint32_t>(std::size_t{sm.meta.alg} * n + sm.meta.to),
-                  sm.hdr, sm.pay);
-        return;
-      }
-      const std::size_t si =
-          schedule.slot_index(sm.meta.alg, sm.meta.to, sm.meta.tag + 1);
-      const std::uint32_t dest = sched_flat[si];
-      const bool never = dest == kNeverScheduled;
-      route_one(never ? kNeverDest : dest, never ? 0 : scratch.slot_of[si],
-                sm.hdr, sm.pay);
-    };
-    // Faulty-path transmission: one bandwidth slot in this big-round, fate
-    // from the injector (pure in the message identity and t), retransmission
-    // bookkeeping for the reliable layer.
-    auto transmit_faulty = [&](const RetryMessage<W>& sm, std::uint32_t attempt) {
-      auto& fs = result.faults;
-      ++fs.attempts;
-      account_edge(sm.directed_edge);
-      ++result.total_messages;
-      // Flight-recorder fate entries go to the barrier ring (index
-      // num_workers): fates are decided here, serially, in shard-merged order.
-      const std::uint64_t fr_key = (std::uint64_t{sm.meta.alg} << 32) | sm.meta.tag;
-      bool dropped = false;
-      if (faults->link_down(sm.directed_edge / 2, t)) {
-        ++fs.dropped_outage;
-        if (recorder != nullptr) {
-          recorder->record(num_workers, FlightRecorder::Kind::kDropOutage, t,
-                           fr_key, sm.directed_edge);
-        }
-        dropped = true;
-      } else if (faults->node_crashed(sm.meta.to, t)) {
-        // A crashed receiver neither stores nor acks the message.
-        ++fs.dropped_crash;
-        if (recorder != nullptr) {
-          recorder->record(num_workers, FlightRecorder::Kind::kDropCrash, t,
-                           fr_key, sm.directed_edge);
-        }
-        dropped = true;
-      } else if (faults->drop(sm.meta.alg, sm.directed_edge, sm.meta.tag, attempt)) {
-        ++fs.dropped_random;
-        if (recorder != nullptr) {
-          recorder->record(num_workers, FlightRecorder::Kind::kDropRandom, t,
-                           fr_key, sm.directed_edge);
-        }
-        dropped = true;
-      }
-      if (!dropped) {
-        ++fs.delivered;
-        if (recorder != nullptr) {
-          recorder->record(num_workers, FlightRecorder::Kind::kDeliver, t,
-                           fr_key, sm.directed_edge);
-        }
-        if (faults->duplicate(sm.meta.alg, sm.directed_edge, sm.meta.tag, attempt)) {
-          if (max_retries > 0) {
-            // The reliable layer's per-edge bookkeeping recognizes the copy.
-            ++fs.duplicates_suppressed;
+    const std::uint64_t num_dir_edges = graph_.num_directed_edges();
+    auto barrier_body = [&](std::uint32_t w) {
+      auto& ow = workers[w];
+      auto source = [&](std::uint32_t v) -> const StagedLanes& {
+        return v == 0 ? retry_lane : workers[v - 1];
+      };
+      const auto elo = static_cast<std::uint32_t>(num_dir_edges * w / num_workers);
+      const auto ehi = static_cast<std::uint32_t>(num_dir_edges * (w + 1) / num_workers);
+      // First touches of this owner's edges. Per-cell observers read the
+      // touched list after the barrier in edge order, so observed runs mark
+      // the slice's bitset and walk it -- O(touched + slice / 64), no sort.
+      for (std::uint32_t v = 0; v <= num_workers; ++v) {
+        for (const auto d : source(v).staged_edge) {
+          if (d < elo || d >= ehi || edge_count[d]++ != 0) continue;
+          if (cells_observed) {
+            ow.touched_bits[(d - elo) >> 6] |= std::uint64_t{1} << ((d - elo) & 63);
           } else {
-            ++fs.duplicated;
-            ++fs.delivered;
-            if (recorder != nullptr) {
-              recorder->record(num_workers, FlightRecorder::Kind::kDuplicate, t,
-                               fr_key, sm.directed_edge);
-            }
-            deliver(sm);
+            ow.touched.push_back(d);
           }
-        }
-        deliver(sm);
-        return;
-      }
-      // Dropped. Retransmit with exponential backoff (gap 2^attempt after
-      // failed attempt `attempt`) while the sender is alive and budget lasts.
-      if (attempt < max_retries) {
-        const std::uint32_t retry_round = t + (1u << attempt);
-        if (!faults->node_crashed(msg_header_from(sm.hdr), retry_round)) {
-          ++fs.retransmissions;
-          if (recorder != nullptr) {
-            recorder->record(num_workers, FlightRecorder::Kind::kRetry, t,
-                             (std::uint64_t{attempt + 1} << 32) | sm.meta.tag,
-                             sm.directed_edge);
-          }
-          if (retry_round >= horizon) {
-            horizon = retry_round + 1;
-            result.max_load_per_big_round.resize(horizon, 0);
-          }
-          retry_queue.schedule(retry_round, sm, attempt + 1);
-          return;
         }
       }
-      ++fs.lost;
-      if (recorder != nullptr) {
-        recorder->record(num_workers, FlightRecorder::Kind::kLost, t, fr_key,
-                         sm.directed_edge);
+      for (std::size_t wi = 0; wi < ow.touched_bits.size(); ++wi) {
+        for (std::uint64_t bits = std::exchange(ow.touched_bits[wi], 0); bits != 0;
+             bits &= bits - 1) {
+          ow.touched.push_back(elo + static_cast<std::uint32_t>(wi * 64 + std::countr_zero(bits)));
+        }
       }
-    };
-
-    std::uint64_t messages_this_round = 0;
-    std::uint64_t retries_this_round = 0;
-    // Retransmissions due this round go first: they are older than this
-    // round's fresh sends, and their queue order is deterministic (scheduled
-    // at earlier barriers in shard-merged order).
-    if (max_retries > 0) {
-      retry_queue.drain_into(t, retry_due);
-      retries_this_round = retry_due.size();
-      messages_this_round += retries_this_round;
-      for (const auto& entry : retry_due) {
-        transmit_faulty(entry.msg, entry.attempt);
+      std::uint32_t local_max = 0;
+      for (const auto d : ow.touched) {
+        local_max = std::max(local_max, edge_count[d]);
+        if (!cells_observed) edge_count[d] = 0;
       }
-    }
-    std::uint64_t fresh_this_round = 0;
-    for (auto& ws : workers) {
-      scratch.staged_high_water =
-          std::max(scratch.staged_high_water, ws.staged_hdr.size());
-      fresh_this_round += ws.staged_hdr.size();
-    }
-    messages_this_round += fresh_this_round;
-
-    std::uint32_t max_load = 0;
-    if (barrier_observed || num_workers == 1 ||
-        fresh_this_round < kMinMessagesParallelBarrier) {
-      // --- Serial barrier: one thread walks the shards' lanes in order. ---
-      for (std::uint32_t w = 0; w < num_workers; ++w) {
-        auto& ws = workers[w];
-        const std::size_t staged_count = ws.staged_hdr.size();
-        for (std::size_t i = 0; i < staged_count; ++i) {
-          if (cfg_.record_patterns) {
-            // Patterns describe what the algorithm sent; retries are excluded.
-            const auto& meta = ws.staged_meta[i];
-            result.patterns[meta.alg].record(meta.tag, ws.staged_edge[i]);
-          }
-          if (faults == nullptr) {
-            account_edge(ws.staged_edge[i]);
-            ++result.total_messages;
-            if (recorder != nullptr) {
-              const auto& meta = ws.staged_meta[i];
-              recorder->record(num_workers, FlightRecorder::Kind::kDeliver, t,
-                               (std::uint64_t{meta.alg} << 32) | meta.tag,
-                               ws.staged_edge[i]);
-            }
-            const std::uint64_t ds = ws.staged_dest[i];
-            route_one(static_cast<std::uint32_t>(ds >> 32),
-                      static_cast<std::uint32_t>(ds), ws.staged_hdr[i],
-                      ws.staged_pay.data() + i * W);
-          } else {
-            RetryMessage<W> rm;
-            rm.meta = ws.staged_meta[i];
-            rm.directed_edge = ws.staged_edge[i];
-            rm.hdr = ws.staged_hdr[i];
-            std::memcpy(rm.pay, ws.staged_pay.data() + i * W,
-                        W * sizeof(std::uint64_t));
-            transmit_faulty(rm, 0);
-          }
-        }
-        ws.staged_hdr.clear();
-        ws.staged_pay.clear();
-        ws.staged_meta.clear();
-        ws.staged_edge.clear();
-        ws.staged_dest.clear();
-      }
-
-      for (const auto d : touched_edges) {
-        max_load = std::max(max_load, edge_count[d]);
-        if (cfg_.enforce_unit_capacity && edge_count[d] > 1) {
-          // Post-mortem before the hard failure: the rings hold the
-          // deliveries leading up to the overflow.
-          if (recorder != nullptr) recorder->dump_on("unit_capacity_overflow");
-          DASCHED_CHECK_LE(edge_count[d], 1u,
-                           "CONGEST bandwidth violated: >1 message per edge per round");
-        }
-        if (profiler != nullptr) {
-          // Touched cells are visited in first-touch order, which is the
-          // shard-merged (== serial) staging order: deterministic across
-          // thread counts.
-          profiler->record_cell(t, d, edge_count[d]);
-        }
-        if (telemetry != nullptr) {
-          telemetry->record_value("executor.edge_load", edge_count[d]);
-        }
-        edge_count[d] = 0;
-      }
-      touched_edges.clear();
-    } else {
-      // --- Tiled parallel barrier: one static pool dispatch, every worker
-      // scanning all shards' dense destination lanes in shard order but
-      // acting only on what it owns. Phase E folds edge loads over a static
-      // partition of the directed-edge space (self-zeroing, like the serial
-      // touched_edges sweep). Phase R appends each parked message's lane
-      // record to its owner's seg -- the exact structure route_one builds
-      // serially, because source order (shard-merged) and the slot -> owner
-      // map are thread-count independent. Worker 0 additionally takes the
-      // tag == T stream (routed by its packed finish key) and the violation
-      // count. No atomics anywhere: every written cell has exactly one
-      // owner. ---
-      const std::uint64_t num_dir_edges = graph_.num_directed_edges();
-      auto barrier_body = [&](std::uint32_t w) {
-        auto& ow = workers[w];
-        const auto elo =
-            static_cast<std::uint32_t>(num_dir_edges * w / num_workers);
-        const auto ehi =
-            static_cast<std::uint32_t>(num_dir_edges * (w + 1) / num_workers);
-        std::uint32_t local_max = 0;
-        for (std::uint32_t v = 0; v < num_workers; ++v) {
-          for (const auto d : workers[v].staged_edge) {
-            if (d >= elo && d < ehi) {
-              if (edge_count[d]++ == 0) ow.touched.push_back(d);
-            }
-          }
-        }
-        for (const auto d : ow.touched) {
-          local_max = std::max(local_max, edge_count[d]);
-          if (cfg_.enforce_unit_capacity && edge_count[d] > 1) {
-            DASCHED_CHECK_LE(edge_count[d], 1u,
-                             "CONGEST bandwidth violated: >1 message per edge per round");
-          }
-          edge_count[d] = 0;
-        }
-        ow.touched.clear();
-        ow.max_load_partial = local_max;
-        for (std::uint32_t v = 0; v < num_workers; ++v) {
-          auto& src = workers[v];
-          const std::size_t m = src.staged_hdr.size();
-          for (std::size_t i = 0; i < m; ++i) {
-            const std::uint64_t ds = src.staged_dest[i];
-            const auto dest = static_cast<std::uint32_t>(ds >> 32);
-            if (dest >= kNeverDest) {
-              if (dest == kFinishDest && w == 0) {
+      ow.max_load_partial = local_max;
+      if (!cells_observed) ow.touched.clear();
+      for (std::uint32_t v = 0; v <= num_workers; ++v) {
+        const StagedLanes& src = source(v);
+        const std::size_t m = src.staged_hdr.size();
+        for (std::size_t i = 0; i < m; ++i) {
+          const std::uint64_t ds = src.staged_dest[i];
+          auto dest = static_cast<std::uint32_t>(ds >> 32);
+          std::uint32_t copies = 1;
+          if (dest >= kNeverDest) {
+            copies += dest >> 31;
+            dest &= ~kTwoCopies;
+            if (dest == kNeverDest) continue;
+            if (dest == kFinishDest) {
+              for (std::uint32_t c = 0; w == 0 && c < copies; ++c) {
                 scratch.finish_key.push_back(static_cast<std::uint32_t>(ds));
                 scratch.finish_hdr.push_back(src.staged_hdr[i]);
                 scratch.finish_pay.insert(scratch.finish_pay.end(),
@@ -1280,35 +1172,54 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
               }
               continue;
             }
-            if (dest <= t) {
-              if (w == 0) ++ow.violations;
-              continue;
-            }
-            const auto slot = static_cast<std::uint32_t>(ds);
-            const auto* bound =
-                slot_bound.data() + std::size_t{dest} * (num_workers + 1);
-            if (slot < bound[w] || slot >= bound[w + 1]) continue;
-            auto& seg = acquire_seg(ow, dest);
+          }
+          if (dest <= t) {
+            if (w == 0) ow.violations += copies;
+            continue;
+          }
+          const auto slot = static_cast<std::uint32_t>(ds);
+          const auto* bound = slot_bound.data() + std::size_t{dest} * (num_workers + 1);
+          if (slot < bound[w] || slot >= bound[w + 1]) continue;
+          auto& seg = acquire_seg(ow, dest);
+          for (std::uint32_t c = 0; c < copies; ++c) {
             seg.slot.push(slot);
             seg.hdr.push(src.staged_hdr[i]);
             std::memcpy(seg.pay.append_n(W), src.staged_pay.data() + i * W,
                         W * sizeof(std::uint64_t));
           }
         }
-      };
-      pool_->run_static_ctx(num_workers, barrier_body);
-      for (auto& ws : workers) {
-        max_load = std::max(max_load, ws.max_load_partial);
-        ws.max_load_partial = 0;
-        ws.staged_hdr.clear();
-        ws.staged_pay.clear();
-        ws.staged_meta.clear();
-        ws.staged_edge.clear();
-        ws.staged_dest.clear();
       }
-      result.causality_violations += workers[0].violations;
-      workers[0].violations = 0;
-      result.total_messages += fresh_this_round;
+    };
+    for_each_owner(num_workers > 1 && messages_this_round >= kMinMessagesParallelBarrier,
+                   barrier_body);
+    std::uint32_t max_load = 0;
+    for (auto& ws : workers) {
+      max_load = std::max(max_load, ws.max_load_partial);
+      ws.clear();
+    }
+    result.causality_violations += workers[0].violations;
+    workers[0].violations = 0;
+    result.total_messages += messages_this_round;
+    if (cfg_.enforce_unit_capacity && max_load > 1) {
+      // Post-mortem before the hard failure: the rings hold the deliveries
+      // leading up to the overflow.
+      if (recorder != nullptr) recorder->dump_on("unit_capacity_overflow");
+      DASCHED_CHECK_LE(max_load, 1u,
+                       "CONGEST bandwidth violated: >1 message per edge per round");
+    }
+    if (cells_observed) {
+      // Owners' edge slices ascend and each touched list is sorted, so cells
+      // arrive in canonical (round, edge) order at every thread count.
+      for (auto& ws : workers) {
+        for (const auto d : ws.touched) {
+          if (profiler != nullptr) profiler->record_cell(t, d, edge_count[d]);
+          if (telemetry != nullptr) {
+            telemetry->record_value("executor.edge_load", edge_count[d]);
+          }
+          edge_count[d] = 0;
+        }
+        ws.touched.clear();
+      }
     }
     result.max_load_per_big_round[t] = max_load;
     result.max_edge_load = std::max(result.max_edge_load, max_load);

@@ -30,9 +30,13 @@
 // independent (each (alg, node) executes at most one event per big-round and
 // messages are staged until the round barrier), so the event bucket is
 // statically sharded across `ExecConfig::num_threads` pool workers with
-// per-shard staging buffers that are merged in shard order at the barrier.
-// The result is bit-identical to the serial path for every thread count; see
-// docs/PERFORMANCE.md for the argument and the measured scaling curve.
+// per-shard staging buffers that are read in shard order at the barrier.
+// The delivery barrier is one owner-partitioned body: each owner routes the
+// messages bound for its consumer tiles and folds its slice of the edge
+// loads, on the pool for big rounds and in turn on the calling thread
+// otherwise -- whatever faults or observers are attached. The result is
+// bit-identical for every thread count; see docs/PERFORMANCE.md for the
+// argument and the measured scaling curve.
 //
 // Memory discipline: the message path is allocation-free in steady state.
 // Messages travel as compact SoA lanes sized to the *run width* W (see run()):
@@ -52,10 +56,12 @@
 //
 // Fault injection: an optional `ExecConfig::faults` hook models an unreliable
 // network (message drops/duplicates, link outages, crash-stop nodes). All
-// fault decisions happen at the (serial, shard-order-merged) delivery barrier
-// and are pure functions of the plan seed and the message identity, so faulty
-// runs stay bit-identical across thread counts; with the hook null the
-// executor is byte-for-byte the reliable engine above. `ExecConfig::retry`
+// fault decisions happen in a serial fate pass over the round's messages in
+// shard order, just before the delivery barrier, and are pure functions of
+// the plan seed and the message identity, so faulty runs stay bit-identical
+// across thread counts; the barrier then delivers each message's marked
+// number of copies. With the hook null the executor is byte-for-byte the
+// reliable engine above. `ExecConfig::retry`
 // layers reliable delivery on top: dropped transmissions are re-sent with
 // exponential slot backoff (bounded attempts), consuming bandwidth in the
 // big-round of each retry; run the schedule through stretch_for_retries so
@@ -152,13 +158,15 @@ struct ExecConfig {
   /// default -- models the paper's perfectly reliable network; results are
   /// then bit-identical to a build without the fault subsystem, and no
   /// fault.* telemetry is emitted. When set, every transmission attempt
-  /// consults the injector at the delivery barrier (drops, duplicates, link
-  /// outages) and crash-stopped nodes skip their scheduled events; the run
+  /// consults the injector in the fate pass before the delivery barrier
+  /// (drops, duplicates, link outages) and crash-stopped nodes skip their
+  /// scheduled events; the run
   /// additionally fills ExecutionResult::faults and emits fault.* counters
   /// (docs/FAULTS.md lists them).
   const FaultInjector* faults = nullptr;
   /// Reliable-delivery retransmission policy; consulted only when `faults`
-  /// is set. With max_retries > 0, run the schedule through
+  /// is set, and then bounded by RetryPolicy's budget (the constructor
+  /// aborts past it). With max_retries > 0, run the schedule through
   /// stretch_for_retries(schedule, retry) so retry slots exist between
   /// original big-rounds -- then every retransmission lands strictly before
   /// the consumers that depend on it (fault/reliable.hpp).
@@ -175,15 +183,16 @@ struct ExecConfig {
   /// the default -- leaves the engine byte-for-byte unprofiled. When set, the
   /// executor sizes the profiler once per run (begin_run, with retry
   /// headroom), bumps per-worker shard counters during event execution, and
-  /// records every touched (directed edge, big-round) load cell at the serial
-  /// delivery barrier -- so profiled runs stay bit-identical across thread
-  /// counts and allocation-free in steady state. The profiler only observes;
-  /// ExecutionResults are unchanged (tests/test_profiler.cpp pins both).
+  /// records every touched (directed edge, big-round) load cell after each
+  /// delivery barrier in (big-round, edge) order -- so profiled runs stay
+  /// bit-identical across thread counts and allocation-free in steady state.
+  /// The profiler only observes; ExecutionResults are unchanged
+  /// (tests/test_profiler.cpp pins both).
   ExecProfiler* profiler = nullptr;
   /// Optional flight recorder (borrowed; must outlive the run). Null -- the
   /// default -- records nothing. When set, each worker logs its executions
-  /// and crash skips to its own bounded ring and the delivery barrier logs
-  /// per-message fates and per-round summaries; the executor dumps a
+  /// and crash skips to its own bounded ring and the serial fate pass and
+  /// barrier epilogue log per-message fates and per-round summaries; the executor dumps a
   /// post-mortem JSON document (FlightRecorderConfig::dump_path) when the
   /// admission gate rejects a schedule, a unit-capacity round overflows, or
   /// crash-stop faults fired during the run. See docs/OBSERVABILITY.md.
@@ -268,7 +277,8 @@ class Executor {
   /// capacity (InlinePayload::kInlineCapacity): there is deliberately no heap
   /// spill path on the message hot path -- raise
   /// -DDASCHED_PAYLOAD_INLINE_WORDS instead. Also aborts if cfg.tile_bytes
-  /// cannot hold even one max-width arena message (see tile_events_for_bytes).
+  /// cannot hold even one max-width arena message (see tile_events_for_bytes),
+  /// or if cfg.faults is set with a retry budget past RetryPolicy's bound.
   explicit Executor(const Graph& g, ExecConfig cfg = {});
   ~Executor();
 
@@ -286,11 +296,6 @@ class Executor {
   /// across widths >= what the algorithms actually send.
   ExecutionResult run(std::span<const DistributedAlgorithm* const> algorithms,
                       const ScheduleTable& schedule);
-
-  /// Convenience overload: materializes the callback into a ScheduleTable
-  /// (one call per slot) and runs it.
-  ExecutionResult run(std::span<const DistributedAlgorithm* const> algorithms,
-                      const ExecTimeFn& exec_time);
 
  private:
   /// The width-specialized engine body; W is the run width in payload words

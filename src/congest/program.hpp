@@ -64,6 +64,7 @@ class VirtualContext {
 
  private:
   friend class Executor;
+  friend class ReferenceExecutor;  // the differential-test oracle (tests/)
   using SendFn = void (*)(void* sink, NodeId neighbor, const Payload& payload);
 
   NodeId self_ = 0;

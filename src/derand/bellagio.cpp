@@ -47,13 +47,14 @@ BellagioResult run_bellagio(const Graph& g, std::uint32_t algorithm_rounds,
 
   Executor executor(g, {});
   const std::uint32_t t = algorithm_rounds;
-  const auto exec = executor.run(
-      ptrs, [&clustering, t](std::size_t l, NodeId v, std::uint32_t r) {
+  const auto schedule = ScheduleTable::from_fn(
+      ptrs, g.num_nodes(), [&clustering, t](std::size_t l, NodeId v, std::uint32_t r) {
         // Layer l occupies big-rounds [l*T, (l+1)*T); the Lemma 4.4
         // truncation keeps boundary-cut executions causally closed.
         if (clustering.layers[l].h_prime[v] + 1 < r) return kNeverScheduled;
         return static_cast<std::uint32_t>(l) * t + (r - 1);
       });
+  const auto exec = executor.run(ptrs, schedule);
   DASCHED_CHECK(exec.causality_violations == 0);
   result.execution_rounds = static_cast<std::uint64_t>(result.num_layers) * t;
 

@@ -2,8 +2,8 @@
 // exponential slot backoff, plus the schedule stretch that reserves the
 // retry slots.
 //
-// Semantics (the executor implements these at its delivery barrier, see
-// congest/executor.cpp):
+// Semantics (the executor implements these in the fate pass before its
+// delivery barrier, see congest/executor.cpp):
 //   * Acks are free: a transmission attempt that is not dropped is known
 //     delivered (synchronous model, acks ride the reverse direction of the
 //     same big-round and are never lost in this model).
@@ -70,8 +70,8 @@ inline ScheduleTable stretch_for_retries(const ScheduleTable& schedule,
 /// Per-big-round retransmission bookkeeping: messages awaiting a retry slot,
 /// bucketed by the absolute big-round in which they are due. Generic over the
 /// staged-message type M (owned by the executor); drained in FIFO order per
-/// round, which is deterministic because entries are scheduled at the
-/// (serial) delivery barrier.
+/// round, which is deterministic because entries are scheduled by the
+/// executor's serial fate pass.
 template <typename M>
 class RetryQueue {
  public:

@@ -74,12 +74,6 @@ void ExecProfiler::end_run() {
   cells_high_water_ = std::max(cells_high_water_, cells_.size());
 }
 
-std::vector<LoadCell> ExecProfiler::sorted_cells() const {
-  std::vector<LoadCell> out = cells_;
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 std::vector<ExecProfiler::EdgeSummary> ExecProfiler::top_edges(std::size_t n) const {
   std::vector<EdgeSummary> all;
   all.reserve(num_edges_);

@@ -19,7 +19,7 @@
 //     Executor onwards, the big-round loop performs zero heap allocations
 //     with the profiler attached (tests/test_profiler.cpp measures this).
 //   * Per-worker shards: event/inbox counters are bumped by the executing
-//     shard (no sharing, no atomics) and merged in shard order at the serial
+//     shard (no sharing, no atomics) and merged in shard order after each
 //     delivery barrier. Merged values are sums over a round, so every
 //     snapshot is bit-identical across thread counts -- same guarantee as
 //     ExecutionResult itself.
@@ -93,7 +93,8 @@ class ExecProfiler {
                  std::uint32_t num_workers, std::uint32_t round_headroom,
                  std::uint32_t tile_events = 0);
 
-  /// Hot path, serial barrier: one touched (edge, big-round) cell.
+  /// Hot path, after each delivery barrier: one touched (edge, big-round)
+  /// cell, in (big_round, edge) order.
   void record_cell(std::uint32_t big_round, std::uint32_t edge, std::uint32_t load) {
     cells_.push_back({big_round, edge, load});
     edge_total_[edge] += load;
@@ -108,7 +109,7 @@ class ExecProfiler {
   /// synchronization (each worker owns its shard), merged by end_round().
   WorkerShard* shards() { return shards_.data(); }
 
-  /// Serial barrier epilogue: folds the worker shards (in shard order -- the
+  /// Barrier epilogue (calling thread): folds the worker shards (in shard order -- the
   /// same deterministic order the staging buffers merge in) into this round's
   /// SoA slots and resets them for the next round.
   void end_round(std::uint32_t big_round, std::uint64_t messages,
@@ -141,12 +142,10 @@ class ExecProfiler {
     return {round_max_load_.data(), rounds_used_};
   }
 
-  /// Every touched cell of the last run in barrier order (rounds ascending,
-  /// first-touch order within a round). Deterministic across thread counts.
+  /// Every touched cell of the last run, sorted by (big_round, edge) -- the
+  /// order the executor records them in at every thread count, and the join
+  /// key the divergence monitor and the verifier's static load table share.
   const std::vector<LoadCell>& cells() const { return cells_; }
-  /// The cells sorted by (big_round, edge) -- the join key the divergence
-  /// monitor and the verifier's static load table share.
-  std::vector<LoadCell> sorted_cells() const;
 
   /// The n busiest directed edges by total load (ties broken by edge id).
   std::vector<EdgeSummary> top_edges(std::size_t n) const;
@@ -205,7 +204,7 @@ class ExecProfiler {
   std::vector<std::uint64_t> round_inbox_;
   std::vector<std::uint64_t> round_retries_;
 
-  // Sparse touched cells, barrier order; capacity reused across runs.
+  // Sparse touched cells, (big_round, edge) order; capacity reused across runs.
   std::vector<LoadCell> cells_;
 
   LogHistogram hist_cell_load_;

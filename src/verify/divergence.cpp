@@ -24,7 +24,7 @@ Report check_divergence(std::span<const LoadCell> predicted,
   Report report;
   report.max_findings_per_code = opts.max_findings_per_code;
 
-  const std::vector<LoadCell> cells = measured.sorted_cells();
+  const std::vector<LoadCell>& cells = measured.cells();
 
   std::uint64_t compared = 0;
   std::uint64_t diverged = 0;

@@ -304,7 +304,7 @@ Report check_schedule(const ScheduleProblem& problem, const ScheduleTable& sched
     report.measured.max_edge_load = std::max(report.measured.max_edge_load, load);
     if (static_loads != nullptr) {
       // The run-length groups come out sorted by (big_round, edge) -- the
-      // exact order ExecProfiler::sorted_cells() uses, so the surfaces join
+      // exact order ExecProfiler::cells() holds, so the surfaces join
       // with one linear merge.
       static_loads->push_back({big_round, edge, load});
     }

@@ -105,8 +105,10 @@ TEST(ExecutorContracts, SoloEnforcesUnitBandwidth) {
   cfg.enforce_unit_capacity = true;
   Executor executor(g, cfg);
   const DistributedAlgorithm* algos[] = {&a, &b};
+  const auto schedule = ScheduleTable::from_fn(
+      algos, g.num_nodes(), [](std::size_t, NodeId, std::uint32_t r) { return r - 1; });
   EXPECT_DEATH(
-      (void)executor.run(algos, [](std::size_t, NodeId, std::uint32_t r) { return r - 1; }),
+      (void)executor.run(algos, schedule),
       "bandwidth");
 }
 
@@ -117,8 +119,9 @@ TEST(ExecutorContracts, SchedulerBigRoundsMayCarryManyMessages) {
   MisbehavingAlgorithm b(Mode::kBandwidthHog, 2);
   Executor executor(g, {});
   const DistributedAlgorithm* algos[] = {&a, &b};
-  const auto exec =
-      executor.run(algos, [](std::size_t, NodeId, std::uint32_t r) { return r - 1; });
+  const auto schedule = ScheduleTable::from_fn(
+      algos, g.num_nodes(), [](std::size_t, NodeId, std::uint32_t r) { return r - 1; });
+  const auto exec = executor.run(algos, schedule);
   EXPECT_EQ(exec.max_edge_load, 2u);
 }
 
@@ -127,10 +130,11 @@ TEST(ExecutorContracts, RejectsNonMonotoneSchedule) {
   BroadcastAlgorithm algo(0, 3, 1, 1);
   Executor executor(g, {});
   const DistributedAlgorithm* algos[] = {&algo};
-  EXPECT_DEATH((void)executor.run(algos,
-                                  [](std::size_t, NodeId, std::uint32_t r) {
-                                    return r == 2 ? 0u : r;  // round 2 before round 1
-                                  }),
+  const auto schedule = ScheduleTable::from_fn(
+      algos, g.num_nodes(), [](std::size_t, NodeId, std::uint32_t r) {
+        return r == 2 ? 0u : r;  // round 2 before round 1
+      });
+  EXPECT_DEATH((void)executor.run(algos, schedule),
                "strictly increasing");
 }
 
@@ -139,10 +143,11 @@ TEST(ExecutorContracts, RejectsGappySchedule) {
   BroadcastAlgorithm algo(0, 3, 1, 1);
   Executor executor(g, {});
   const DistributedAlgorithm* algos[] = {&algo};
-  EXPECT_DEATH((void)executor.run(algos,
-                                  [](std::size_t, NodeId, std::uint32_t r) {
-                                    return r == 2 ? kNeverScheduled : r;  // hole at r=2
-                                  }),
+  const auto schedule = ScheduleTable::from_fn(
+      algos, g.num_nodes(), [](std::size_t, NodeId, std::uint32_t r) {
+        return r == 2 ? kNeverScheduled : r;  // hole at r=2
+      });
+  EXPECT_DEATH((void)executor.run(algos, schedule),
                "gap");
 }
 

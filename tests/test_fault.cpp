@@ -8,7 +8,8 @@
 //       - faulty runs are bit-identical for every thread count (same outputs,
 //         fault accounting, telemetry counters, and RunReport JSON).
 //   * Reliable delivery: bounded retransmissions on a retry-stretched schedule
-//     recover correctness with zero causality violations by construction.
+//     recover correctness with zero causality violations by construction,
+//     and the executor rejects retry budgets past RetryPolicy's bound.
 //   * Robustness analysis: slack arithmetic and the seeded survival curve.
 #include <gtest/gtest.h>
 
@@ -212,6 +213,29 @@ TEST(RetryPolicy, BackoffAndStretch) {
     const RetryPolicy p{budget};
     EXPECT_LT(p.backoff_offset(budget), p.stretch_factor());
   }
+}
+
+// The executor's backoff arithmetic is 2^attempt in 32 bits; the constructor
+// holds a faulty run to RetryPolicy's own budget bound instead of letting a
+// budget of 32 or more shift past the word. Without an injector the policy
+// is never consulted, so any value is inert.
+TEST(RetryPolicyDeathTest, ExecutorRejectsOversizedRetryBudgets) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const auto g = make_path(4);
+  const FaultInjector injector(g, FaultPlan{});
+  for (const std::uint32_t budget : {21u, 32u, 40u}) {
+    ExecConfig cfg;
+    cfg.faults = &injector;
+    cfg.retry.max_retries = budget;
+    EXPECT_DEATH((void)Executor(g, cfg), "retry budget unreasonably large")
+        << "max_retries=" << budget;
+    cfg.faults = nullptr;
+    (void)Executor(g, cfg);
+  }
+  ExecConfig cfg;
+  cfg.faults = &injector;
+  cfg.retry.max_retries = 20;
+  (void)Executor(g, cfg);
 }
 
 TEST(RetryQueue, FifoPerRoundAndAccounting) {

@@ -77,9 +77,11 @@ TEST(HardInstance, DelayProfileMatchesExecutorLoads) {
 
   Executor executor(g, {});
   const auto algos = problem->algorithm_ptrs();
-  const auto exec = executor.run(algos, [&delays](std::size_t a, NodeId, std::uint32_t r) {
-    return delays[a] + r - 1;
-  });
+  const auto schedule = ScheduleTable::from_fn(
+      algos, g.num_nodes(), [&delays](std::size_t a, NodeId, std::uint32_t r) {
+        return delays[a] + r - 1;
+      });
+  const auto exec = executor.run(algos, schedule);
   ASSERT_EQ(profile.num_phases(), exec.num_big_rounds);
   for (std::uint32_t t = 0; t < profile.num_phases(); ++t) {
     EXPECT_EQ(profile.max_load_per_phase[t], exec.max_load_per_big_round[t]) << t;

@@ -58,10 +58,11 @@ TEST(ScheduleProblem, VerifyAcceptsSoloReplay) {
   for (std::size_t a = 1; a < algos.size(); ++a) {
     offsets[a] = offsets[a - 1] + algos[a - 1]->rounds();
   }
-  const auto exec =
-      executor.run(algos, [&offsets](std::size_t a, NodeId, std::uint32_t r) {
+  const auto schedule = ScheduleTable::from_fn(
+      algos, g.num_nodes(), [&offsets](std::size_t a, NodeId, std::uint32_t r) {
         return offsets[a] + r - 1;
       });
+  const auto exec = executor.run(algos, schedule);
   const auto v = problem->verify(exec);
   EXPECT_TRUE(v.ok());
   EXPECT_EQ(v.incomplete_nodes, 0u);
@@ -78,9 +79,11 @@ TEST(ScheduleProblem, VerifyCountsBrokenSchedules) {
   // nodes never see the token.
   Executor executor(g, {});
   const auto algos = problem.algorithm_ptrs();
-  const auto exec = executor.run(algos, [](std::size_t, NodeId v, std::uint32_t r) {
-    return (v == 0 ? 100u : 0u) + r - 1;
-  });
+  const auto schedule = ScheduleTable::from_fn(
+      algos, g.num_nodes(), [](std::size_t, NodeId v, std::uint32_t r) {
+        return (v == 0 ? 100u : 0u) + r - 1;
+      });
+  const auto exec = executor.run(algos, schedule);
   const auto v = problem.verify(exec);
   EXPECT_FALSE(v.ok());
   EXPECT_GT(v.mismatched_outputs, 0u);

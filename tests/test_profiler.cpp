@@ -87,7 +87,7 @@ void expect_identical(const ExecutionResult& a, const ExecutionResult& b) {
 /// Everything a profiled run exposes, flattened for equality comparison
 /// across thread counts.
 struct ProfilerSnapshot {
-  std::vector<LoadCell> cells;  // barrier order, not sorted
+  std::vector<LoadCell> cells;  // (big_round, edge) order
   std::vector<std::uint64_t> round_messages, round_events, round_inbox,
       round_retries;
   std::vector<std::uint32_t> round_max;
@@ -234,7 +234,7 @@ TEST(Divergence, MeasuredEqualsPredictedOnReliableRuns) {
   (void)Executor(in.g, cfg).run(in.algos, in.schedule);
 
   // Exact equality, cell for cell: the static model IS the reliable network.
-  EXPECT_TRUE(profiler.sorted_cells() == predicted);
+  EXPECT_TRUE(profiler.cells() == predicted);
 
   verify::DivergenceOptions opts;
   opts.scheduled_big_rounds = vreport.measured.big_rounds;
@@ -295,21 +295,26 @@ TEST(Profiler, ZeroSteadyStateAllocationsWithObservatoryAttached) {
   ASSERT_TRUE(alloc_counting_linked());
   const auto in = make_instance();
 
-  ExecProfiler profiler;
-  FlightRecorder recorder(FlightRecorderConfig{});  // rings only, no dump path
-  ExecConfig cfg;
-  cfg.profiler = &profiler;
-  cfg.recorder = &recorder;
-  Executor executor(in.g, cfg);
+  // Serially and with the barrier's owners on a 4-worker pool.
+  for (const std::uint32_t threads : {0u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ExecProfiler profiler;
+    FlightRecorder recorder(FlightRecorderConfig{});  // rings only, no dump path
+    ExecConfig cfg;
+    cfg.num_threads = threads;
+    cfg.profiler = &profiler;
+    cfg.recorder = &recorder;
+    Executor executor(in.g, cfg);
 
-  // Run 1 warms the engine arenas, the profiler's cell list, and the rings to
-  // their high-water marks.
-  const auto warmup = executor.run(in.algos, in.schedule);
-  EXPECT_EQ(fingerprint(warmup), kGoldenOutputHash);
-  for (int run = 2; run <= 3; ++run) {
-    const auto r = executor.run(in.algos, in.schedule);
-    EXPECT_EQ(r.hot_path_allocs, 0u) << "run " << run;
-    EXPECT_EQ(fingerprint(r), kGoldenOutputHash);
+    // Run 1 warms the engine arenas, the profiler's cell list, and the rings
+    // to their high-water marks.
+    const auto warmup = executor.run(in.algos, in.schedule);
+    EXPECT_EQ(fingerprint(warmup), kGoldenOutputHash);
+    for (int run = 2; run <= 3; ++run) {
+      const auto r = executor.run(in.algos, in.schedule);
+      EXPECT_EQ(r.hot_path_allocs, 0u) << "run " << run;
+      EXPECT_EQ(fingerprint(r), kGoldenOutputHash);
+    }
   }
 }
 

@@ -54,10 +54,11 @@ TEST_P(FuzzSeeds, LockstepDelaysPreserveOutputsAndMatchAnalyzer) {
 
   Executor executor(g, {});
   const auto algos = problem->algorithm_ptrs();
-  const auto exec =
-      executor.run(algos, [&delays](std::size_t a, NodeId, std::uint32_t r) {
+  const auto schedule = ScheduleTable::from_fn(
+      algos, g.num_nodes(), [&delays](std::size_t a, NodeId, std::uint32_t r) {
         return delays[a] + r - 1;
       });
+  const auto exec = executor.run(algos, schedule);
   EXPECT_EQ(exec.causality_violations, 0u);
   EXPECT_TRUE(problem->verify(exec).ok()) << "seed " << seed;
 

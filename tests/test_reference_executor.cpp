@@ -1,0 +1,222 @@
+// Differential conformance: the Executor against the naive Section 2 oracle
+// in tests/reference_executor.hpp. Every tuple of (graph family, fault plan,
+// run width, schedule kind, thread count) must agree on outputs, completion,
+// causality violations, message totals, big-round count, per-big-round max
+// loads and fault accounting. The graphs are dense enough that populated
+// big-rounds carry well over 256 messages, so multi-thread runs put the
+// delivery barrier's owners on the pool.
+#include <gtest/gtest.h>
+
+#include <string>
+#include <tuple>
+
+#include "congest/executor.hpp"
+#include "fault/fault_injector.hpp"
+#include "fault/fault_plan.hpp"
+#include "fault/reliable.hpp"
+#include "graph/generators.hpp"
+#include "reference_executor.hpp"
+
+namespace dasched {
+namespace {
+
+/// Order-sensitive flood at a fixed payload width: the accumulator chains
+/// every absorbed word, so any reordering, loss or duplication of inbox
+/// contents changes the output. Each node skips a seeded subset of its
+/// neighbors every round, so edge loads vary from round to round.
+class FloodProgram final : public NodeProgram {
+ public:
+  FloodProgram(NodeId self, std::uint32_t width) : self_(self), width_(width) {}
+  void on_round(VirtualContext& ctx) override {
+    absorb(ctx);
+    Payload p;
+    for (std::uint32_t q = 0; q < width_; ++q) {
+      p.push_back((std::uint64_t{self_} << 32) ^ (std::uint64_t{ctx.vround()} << 8) ^ acc_ ^ q);
+    }
+    for (const auto& h : ctx.neighbors()) {
+      if (splitmix64(seed_combine(self_, h.neighbor, ctx.vround())) % 4 != 0) {
+        ctx.send(h.neighbor, p);
+      }
+    }
+  }
+  void on_finish(VirtualContext& ctx) override { absorb(ctx); }
+  std::vector<std::uint64_t> output() const override { return {acc_, absorbed_}; }
+
+ private:
+  void absorb(VirtualContext& ctx) {
+    for (const auto& m : ctx.inbox()) {
+      acc_ = acc_ * 0x100000001b3ull ^ m.from;
+      for (const auto w : m.payload) acc_ += w ^ (acc_ >> 7);
+      ++absorbed_;
+    }
+  }
+  NodeId self_;
+  std::uint32_t width_;
+  std::uint64_t acc_ = 0;
+  std::uint64_t absorbed_ = 0;
+};
+
+class FloodAlgorithm final : public DistributedAlgorithm {
+ public:
+  FloodAlgorithm(std::uint32_t width, std::uint32_t rounds, std::uint64_t seed)
+      : DistributedAlgorithm(seed), width_(width), rounds_(rounds) {}
+  std::string name() const override { return "oracle-flood"; }
+  std::uint32_t rounds() const override { return rounds_; }
+  std::unique_ptr<NodeProgram> make_program(NodeId node) const override {
+    return std::make_unique<FloodProgram>(node, width_);
+  }
+
+ private:
+  std::uint32_t width_;
+  std::uint32_t rounds_;
+};
+
+enum class Family { kPath, kStar, kClique, kGnp, kDisconnected };
+enum class Plan { kClean, kDropDup, kRetry, kOutage, kCrash };
+
+Graph make_graph(Family family) {
+  Rng rng(17);
+  switch (family) {
+    case Family::kPath: return make_path(60);
+    case Family::kStar: return make_star(60);
+    case Family::kClique: return make_complete(24);
+    case Family::kGnp: return make_gnp_connected(120, 0.06, rng);
+    case Family::kDisconnected: {
+      // Two dense components, a path fragment, and isolated nodes.
+      std::vector<std::pair<NodeId, NodeId>> edges;
+      for (NodeId u = 0; u < 16; ++u) {
+        for (NodeId v = u + 1; v < 16; ++v) {
+          edges.emplace_back(u, v);
+          if (rng.next_below(2) == 0) edges.emplace_back(20 + u, 20 + v);
+        }
+      }
+      for (NodeId v = 40; v + 1 < 50; ++v) edges.emplace_back(v, v + 1);
+      return Graph(56, edges);
+    }
+  }
+  return {};
+}
+
+FaultPlan make_plan(Plan kind, const Graph& g) {
+  FaultPlan plan;
+  plan.seed = 5151 + static_cast<std::uint64_t>(kind);
+  switch (kind) {
+    case Plan::kClean: break;
+    case Plan::kDropDup:
+      plan.drop_rate = 0.08;
+      plan.duplicate_rate = 0.06;
+      break;
+    case Plan::kRetry:
+      plan.drop_rate = 0.15;
+      plan.duplicate_rate = 0.04;
+      break;
+    case Plan::kOutage:
+      plan.drop_rate = 0.03;
+      add_random_outages(plan, g, 6, 20, 5);
+      break;
+    case Plan::kCrash:
+      plan.drop_rate = 0.03;
+      add_random_crashes(plan, g.num_nodes(), 4, 12);
+      break;
+  }
+  return plan;
+}
+
+void expect_conforms(const ExecutionResult& want, const ExecutionResult& got) {
+  EXPECT_EQ(want.outputs, got.outputs);
+  EXPECT_EQ(want.completed, got.completed);
+  EXPECT_EQ(want.causality_violations, got.causality_violations);
+  EXPECT_EQ(want.total_messages, got.total_messages);
+  EXPECT_EQ(want.num_big_rounds, got.num_big_rounds);
+  EXPECT_EQ(want.max_load_per_big_round, got.max_load_per_big_round);
+  EXPECT_EQ(want.max_edge_load, got.max_edge_load);
+  EXPECT_EQ(want.faults, got.faults);
+}
+
+using Tuple = std::tuple<Family, Plan, std::uint32_t>;
+
+class OracleConformance : public ::testing::TestWithParam<Tuple> {};
+
+TEST_P(OracleConformance, ExecutorMatchesTheReference) {
+  const auto [family, plan_kind, width] = GetParam();
+  const Graph g = make_graph(family);
+  std::vector<std::unique_ptr<FloodAlgorithm>> owned;
+  std::vector<const DistributedAlgorithm*> algos;
+  std::vector<std::uint32_t> delays;
+  for (std::uint32_t a = 0; a < 4; ++a) {
+    owned.push_back(std::make_unique<FloodAlgorithm>(width, 3 + a, 700 + a));
+    algos.push_back(owned.back().get());
+    delays.push_back(a % 2);
+  }
+  const FaultInjector injector(g, make_plan(plan_kind, g));
+  const FaultInjector* faults = plan_kind == Plan::kClean ? nullptr : &injector;
+  const RetryPolicy retry{plan_kind == Plan::kRetry ? 2u : 0u};
+
+  // Lockstep-with-delays schedules are causal, and are stretched for the
+  // retry budget; the skewed kind runs node v (v mod 3) big-rounds late, so
+  // a late node's sends arrive after their consumers ran (causality
+  // violations), and is not stretched, so retransmissions share barriers
+  // with fresh sends to the same inboxes.
+  const auto causal = ScheduleTable::from_delays(algos, g.num_nodes(), delays);
+  const auto skewed = ScheduleTable::from_fn(
+      algos, g.num_nodes(), [&](std::size_t a, NodeId v, std::uint32_t r) {
+        return delays[a] + v % 3 + 2 * (r - 1);
+      });
+  for (const auto* base : {&causal, &skewed}) {
+    const auto schedule = base == &causal ? stretch_for_retries(*base, retry) : *base;
+    const auto want = ReferenceExecutor(g, faults, retry).run(algos, schedule);
+    if (faults != nullptr) {
+      EXPECT_GT(want.faults.attempts, 0u);
+    }
+    if (base == &skewed) {
+      EXPECT_GT(want.causality_violations, 0u);
+    }
+    for (const std::uint32_t threads : {0u, 2u, 4u, 7u}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   (base == &causal ? " causal" : " skewed"));
+      ExecConfig cfg;
+      cfg.max_payload_words = width;
+      cfg.num_threads = threads;
+      cfg.faults = faults;
+      cfg.retry = retry;
+      expect_conforms(want, Executor(g, cfg).run(algos, schedule));
+    }
+  }
+}
+
+std::string tuple_name(const ::testing::TestParamInfo<Tuple>& info) {
+  static const char* const kFamilies[] = {"path", "star", "clique", "gnp", "disconnected"};
+  static const char* const kPlans[] = {"clean", "dropdup", "retry", "outage", "crash"};
+  const auto [family, plan, width] = info.param;
+  return std::string(kFamilies[static_cast<int>(family)]) + "_" +
+         kPlans[static_cast<int>(plan)] + "_w" + std::to_string(width);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    All, OracleConformance,
+    ::testing::Combine(::testing::Values(Family::kPath, Family::kStar, Family::kClique,
+                                         Family::kGnp, Family::kDisconnected),
+                       ::testing::Values(Plan::kClean, Plan::kDropDup, Plan::kRetry,
+                                         Plan::kOutage, Plan::kCrash),
+                       ::testing::Values(1u, 5u)),
+    tuple_name);
+
+// The oracle is only worth trusting if it can tell a broken run apart: a
+// skewed schedule produces violations and differs from the causal one.
+TEST(OracleSanity, SkewedScheduleViolatesCausality) {
+  const Graph g = make_graph(Family::kClique);
+  const FloodAlgorithm algo(2, 4, 1);
+  const DistributedAlgorithm* algos[] = {&algo};
+  const auto lockstep = ScheduleTable::lockstep(algos, g.num_nodes());
+  const auto skewed = ScheduleTable::from_fn(
+      algos, g.num_nodes(),
+      [](std::size_t, NodeId v, std::uint32_t r) { return v % 3 + 2 * (r - 1); });
+  const auto clean = ReferenceExecutor(g).run(algos, lockstep);
+  const auto late = ReferenceExecutor(g).run(algos, skewed);
+  EXPECT_EQ(clean.causality_violations, 0u);
+  EXPECT_GT(late.causality_violations, 0u);
+  EXPECT_NE(clean.outputs, late.outputs);
+}
+
+}  // namespace
+}  // namespace dasched

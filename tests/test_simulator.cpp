@@ -104,8 +104,9 @@ TEST(Executor, DelayedScheduleProducesSameOutputs) {
   // Same algorithm, but every virtual round r runs at big-round 10 + 3r.
   Executor executor(g, {});
   const DistributedAlgorithm* algos[] = {&algo};
-  const auto exec = executor.run(
-      algos, [](std::size_t, NodeId, std::uint32_t r) { return 10 + 3 * r; });
+  const auto schedule = ScheduleTable::from_fn(
+      algos, g.num_nodes(), [](std::size_t, NodeId, std::uint32_t r) { return 10 + 3 * r; });
+  const auto exec = executor.run(algos, schedule);
 
   EXPECT_EQ(exec.causality_violations, 0u);
   EXPECT_TRUE(exec.all_completed());
@@ -122,8 +123,9 @@ TEST(Executor, PerNodeSkewedScheduleStillCausal) {
 
   Executor executor(g, {});
   const DistributedAlgorithm* algos[] = {&algo};
-  const auto exec = executor.run(
-      algos, [](std::size_t, NodeId v, std::uint32_t r) { return r + v; });
+  const auto schedule = ScheduleTable::from_fn(
+      algos, g.num_nodes(), [](std::size_t, NodeId v, std::uint32_t r) { return r + v; });
+  const auto exec = executor.run(algos, schedule);
   EXPECT_EQ(exec.causality_violations, 0u);
   EXPECT_EQ(exec.outputs[0], solo.outputs);
   EXPECT_EQ(exec.outputs[0][5].at(PathRoutingAlgorithm::kOutDelivered), 1u);
@@ -140,8 +142,9 @@ TEST(Executor, FloodUnderSkewIsFlaggedUnfaithful) {
 
   Executor executor(g, {});
   const DistributedAlgorithm* algos[] = {&algo};
-  const auto exec = executor.run(
-      algos, [](std::size_t, NodeId v, std::uint32_t r) { return r + v; });
+  const auto schedule = ScheduleTable::from_fn(
+      algos, g.num_nodes(), [](std::size_t, NodeId v, std::uint32_t r) { return r + v; });
+  const auto exec = executor.run(algos, schedule);
   EXPECT_GT(exec.causality_violations, 0u);
   // For broadcast specifically the late messages are redundant, so outputs
   // still match solo -- which is exactly why the engine tracks violations
@@ -157,10 +160,12 @@ TEST(Executor, DetectsCausalityViolation) {
   // differ from solo.
   Executor executor(g, {});
   const DistributedAlgorithm* algos[] = {&algo};
-  const auto exec = executor.run(algos, [](std::size_t, NodeId v, std::uint32_t r) {
-    if (v == 0) return 10 + r;  // source runs late
-    return r;                   // others run early
-  });
+  const auto schedule = ScheduleTable::from_fn(
+      algos, g.num_nodes(), [](std::size_t, NodeId v, std::uint32_t r) {
+        if (v == 0) return 10 + r;  // source runs late
+        return r;                   // others run early
+      });
+  const auto exec = executor.run(algos, schedule);
   EXPECT_GT(exec.causality_violations, 0u);
   EXPECT_EQ(exec.outputs[0][1][BroadcastAlgorithm::kOutReceived], 0u);
 }
@@ -171,10 +176,12 @@ TEST(Executor, NeverScheduledTruncatesExecution) {
   Executor executor(g, {});
   const DistributedAlgorithm* algos[] = {&algo};
   // Node 3 never executes anything; others run lockstep.
-  const auto exec = executor.run(algos, [](std::size_t, NodeId v, std::uint32_t r) {
-    if (v == 3) return kNeverScheduled;
-    return r - 1;
-  });
+  const auto schedule = ScheduleTable::from_fn(
+      algos, g.num_nodes(), [](std::size_t, NodeId v, std::uint32_t r) {
+        if (v == 3) return kNeverScheduled;
+        return r - 1;
+      });
+  const auto exec = executor.run(algos, schedule);
   EXPECT_FALSE(exec.all_completed());
   EXPECT_TRUE(exec.completed[0][0]);
   EXPECT_FALSE(exec.completed[0][3]);
@@ -194,9 +201,11 @@ TEST(Executor, TwoAlgorithmsInterleavedKeepSoloOutputs) {
   Executor executor(g, {});
   const DistributedAlgorithm* algos[] = {&a, &b};
   // Algorithm 0 at even big-rounds, algorithm 1 at odd ones.
-  const auto exec = executor.run(algos, [](std::size_t alg, NodeId, std::uint32_t r) {
-    return 2 * (r - 1) + static_cast<std::uint32_t>(alg);
-  });
+  const auto schedule = ScheduleTable::from_fn(
+      algos, g.num_nodes(), [](std::size_t alg, NodeId, std::uint32_t r) {
+        return 2 * (r - 1) + static_cast<std::uint32_t>(alg);
+      });
+  const auto exec = executor.run(algos, schedule);
   EXPECT_EQ(exec.causality_violations, 0u);
   EXPECT_EQ(exec.outputs[0], solo_a.outputs);
   EXPECT_EQ(exec.outputs[1], solo_b.outputs);
@@ -213,8 +222,9 @@ TEST(Executor, LoadAccountingMatchesHandCount) {
   const DistributedAlgorithm* algos[] = {&algo};
   // All four rounds at the same... not allowed (strictly increasing). Use
   // consecutive big-rounds; each big-round carries exactly one message.
-  const auto exec = executor.run(
-      algos, [](std::size_t, NodeId, std::uint32_t r) { return r - 1; });
+  const auto schedule = ScheduleTable::from_fn(
+      algos, g.num_nodes(), [](std::size_t, NodeId, std::uint32_t r) { return r - 1; });
+  const auto exec = executor.run(algos, schedule);
   EXPECT_EQ(exec.num_big_rounds, 4u);
   ASSERT_EQ(exec.max_load_per_big_round.size(), 4u);
   for (const auto load : exec.max_load_per_big_round) EXPECT_EQ(load, 1u);
@@ -234,8 +244,9 @@ TEST(Executor, RecordsPatternsIdenticalToSimulator) {
   cfg.record_patterns = true;
   Executor executor(g, cfg);
   const DistributedAlgorithm* algos[] = {&algo};
-  const auto exec = executor.run(
-      algos, [](std::size_t, NodeId, std::uint32_t r) { return 5 * r; });
+  const auto schedule = ScheduleTable::from_fn(
+      algos, g.num_nodes(), [](std::size_t, NodeId, std::uint32_t r) { return 5 * r; });
+  const auto exec = executor.run(algos, schedule);
 
   ASSERT_EQ(exec.patterns.size(), 1u);
   EXPECT_EQ(exec.patterns[0].total_messages(), solo.pattern.total_messages());

@@ -1,20 +1,30 @@
-// The tiled parallel delivery barrier (congest/executor.cpp,
+// The owner-partitioned delivery barrier (congest/executor.cpp,
 // docs/PERFORMANCE.md): end-of-big-round delivery runs as a tiled counting
-// sort -- per-worker histograms over statically owned consumer tiles, exact
-// CSR offsets from a deterministic prefix-sum, parallel scatter with no
-// atomics -- and must stay bit-identical to the serial delivery order in
-// every geometry. These tests drive the barrier's edge cases:
+// sort -- per-owner histograms over statically owned consumer tiles, exact
+// CSR offsets from a deterministic prefix-sum, scatter with no atomics --
+// and the same owner bodies run on the pool or in turn on the calling
+// thread, so results are bit-identical in every geometry. These tests drive
+// the barrier's edge cases:
 //   * big-rounds with no messages at all (scaled schedules interleave empty
 //     rounds between populated ones),
 //   * tile_bytes as a pure tuning knob: tiny tiles (every tile over-full,
 //     many more tiles than workers) through giant tiles (one tile for the
 //     whole bucket, fewer tiles than workers),
-//   * a unit-capacity overflow detected inside the parallel barrier (death
-//     test on a round provably routed through the tiled path),
+//   * a unit-capacity overflow detected after the barrier (death tests at 0
+//     and 4 threads, and the flight recorder's post-mortem dump),
 //   * retries on faulty runs landing in their owner's tile deterministically
 //     across thread counts,
-//   * zero steady-state allocations through the tiled path.
+//   * every observer (profiler, flight recorder, telemetry, patterns) on
+//     faulty runs whose rounds put the owners on the pool: identical
+//     observations at every thread count,
+//   * zero steady-state allocations through the pooled path, observed or not.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdio>
+#include <fstream>
+#include <map>
+#include <sstream>
 
 #include "congest/executor.hpp"
 #include "fault/fault_injector.hpp"
@@ -23,6 +33,10 @@
 #include "graph/generators.hpp"
 #include "sched/shared_scheduler.hpp"
 #include "sched/workloads.hpp"
+#include "telemetry/flight_recorder.hpp"
+#include "telemetry/json.hpp"
+#include "telemetry/metrics_registry.hpp"
+#include "telemetry/profiler.hpp"
 
 namespace dasched {
 namespace {
@@ -37,8 +51,9 @@ struct Instance {
 };
 
 /// The shared fixture of test_fault / test_parallel_executor: dense enough
-/// that populated big-rounds carry well over kMinMessagesParallelBarrier
-/// messages, so multi-thread runs exercise the tiled barrier.
+/// that most populated big-rounds carry well over 256 messages (the
+/// executor's pool threshold for the barrier), so multi-thread runs put the
+/// owners on the pool.
 Instance make_instance() {
   Rng rng(11);
   Instance in{make_gnp_connected(150, 6.0 / 150, rng), nullptr, {}, {}};
@@ -182,12 +197,12 @@ TEST(TiledBarrier, AllNeverScheduledIsANoop) {
   }
 }
 
-// --- Unit-capacity overflow inside the parallel barrier. Two chatter
-// algorithms (every node floods every neighbor every round) scheduled in
-// lockstep put load 2 on every directed edge of every big-round, and
-// big-round 0 already carries 2 * num_directed_edges messages -- far past
-// the parallel-barrier threshold -- so the overflow CHECK fires from a
-// worker thread during the parallel edge-accounting phase. ---
+// --- Unit-capacity overflow. Two chatter algorithms (every node floods
+// every neighbor every round) scheduled in lockstep put load 2 on every
+// directed edge of every big-round, and big-round 0 already carries
+// 2 * num_directed_edges messages -- far past the pool threshold -- so at 4
+// threads the overflowing loads are folded by pooled owners. The check
+// after the barrier must fire at every thread count. ---
 
 class ChatterProgram final : public NodeProgram {
  public:
@@ -198,19 +213,29 @@ class ChatterProgram final : public NodeProgram {
 
 class ChatterAlgorithm final : public DistributedAlgorithm {
  public:
-  ChatterAlgorithm() : DistributedAlgorithm(1) {}
+  explicit ChatterAlgorithm(std::uint32_t rounds = 4)
+      : DistributedAlgorithm(1), rounds_(rounds) {}
   std::string name() const override { return "chatter"; }
-  std::uint32_t rounds() const override { return 4; }
+  std::uint32_t rounds() const override { return rounds_; }
   std::unique_ptr<NodeProgram> make_program(NodeId) const override {
     return std::make_unique<ChatterProgram>();
   }
+
+ private:
+  std::uint32_t rounds_;
 };
 
-TEST(TiledBarrierDeathTest, UnitCapacityOverflowDiesOnTheParallelPath) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+Graph chatter_graph() {
   Rng rng(11);
-  const auto g = make_gnp_connected(150, 6.0 / 150, rng);
-  // Big-round 0 must engage the tiled barrier: every node sends to every
+  return make_gnp_connected(150, 6.0 / 150, rng);
+}
+
+class TiledBarrierDeathTest : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(TiledBarrierDeathTest, UnitCapacityOverflowDiesOnTheParallelPath) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const auto g = chatter_graph();
+  // Big-round 0 must engage the pooled barrier: every node sends to every
   // neighbor for both algorithms at once.
   ASSERT_GE(2u * g.num_directed_edges(), 256u);
 
@@ -220,9 +245,45 @@ TEST(TiledBarrierDeathTest, UnitCapacityOverflowDiesOnTheParallelPath) {
 
   ExecConfig cfg;
   cfg.enforce_unit_capacity = true;
-  cfg.num_threads = 4;
+  cfg.num_threads = GetParam();
   EXPECT_DEATH((void)Executor(g, cfg).run(algos, lockstep),
                "CONGEST bandwidth violated");
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, TiledBarrierDeathTest, ::testing::Values(0u, 4u),
+                         [](const auto& info) { return "t" + std::to_string(info.param); });
+
+// The flight recorder's post-mortem is written before the overflow aborts,
+// whichever thread folded the overflowing edge.
+TEST(TiledBarrierRecorderDeathTest, UnitCapacityOverflowWritesTheDumpAtFourThreads) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const auto g = chatter_graph();
+  const ChatterAlgorithm a0, a1;
+  const DistributedAlgorithm* algos[] = {&a0, &a1};
+  const auto lockstep = ScheduleTable::lockstep(algos, g.num_nodes());
+
+  const std::string path = testing::TempDir() + "dasched_overflow_dump.json";
+  std::remove(path.c_str());
+  FlightRecorderConfig fcfg;
+  fcfg.dump_path = path;
+  FlightRecorder recorder(fcfg);
+  ExecConfig cfg;
+  cfg.enforce_unit_capacity = true;
+  cfg.num_threads = 4;
+  cfg.recorder = &recorder;
+  EXPECT_DEATH((void)Executor(g, cfg).run(algos, lockstep),
+               "CONGEST bandwidth violated");
+
+  std::ifstream is(path);
+  ASSERT_TRUE(is.good()) << "the child wrote no post-mortem dump";
+  std::stringstream ss;
+  ss << is.rdbuf();
+  const auto doc = json::parse(ss.str());
+  ASSERT_NE(doc, nullptr);
+  EXPECT_EQ(doc->get("reason")->string, "unit_capacity_overflow");
+  EXPECT_EQ(doc->get("workers")->number, 4.0);
+  EXPECT_NE(ss.str().find("\"kind\":\"deliver\""), std::string::npos);
+  std::remove(path.c_str());
 }
 
 // --- Faulty runs: retransmissions re-enter the barrier rounds later and must
@@ -269,23 +330,162 @@ TEST(TiledBarrier, RetriesCrossTileBoundariesDeterministically) {
   }
 }
 
-// --- Zero steady-state allocations through the tiled parallel barrier: the
-// second run of a warmed executor must not allocate, tiny tiles included. ---
+// --- Observers at pooled-barrier scale. The mixed instance plus a chatter
+// algorithm over its whole horizon puts ~900 fresh messages in every
+// big-round with fresh sends, and a messy fault plan (drops, duplicates,
+// crashes, outages) runs with the reliable layer (suppressed duplicates,
+// retransmissions) and without it (raw duplicates). Every observation must
+// be identical at every thread count: the profiler's cells and their
+// (round, edge) order, the flight recorder's barrier ring (every fate,
+// delivery and round summary -- the worker rings are per worker by design),
+// the recorded patterns, FaultStats, and the executor.* telemetry apart from
+// the executor.parallel.* dispatch counts. ---
+
+struct Observation {
+  ExecutionResult result;
+  std::vector<LoadCell> cells;
+  std::string profile_json;
+  std::string barrier_ring;
+  std::vector<std::vector<std::uint32_t>> pattern_edges;  // per (alg, round)
+  std::map<std::string, std::uint64_t, std::less<>> counters;
+  std::size_t edge_load_samples = 0;
+  double edge_load_sum = 0;
+};
+
+struct ObservedInstance {
+  Instance base;
+  std::unique_ptr<ChatterAlgorithm> chatter;
+  std::vector<const DistributedAlgorithm*> algos;
+  ScheduleTable schedule;
+};
+
+ObservedInstance make_observed_instance() {
+  ObservedInstance in{make_instance(), nullptr, {}, {}};
+  const std::uint32_t horizon =
+      Executor(in.base.g).run(in.base.algos, in.base.schedule).num_big_rounds;
+  in.chatter = std::make_unique<ChatterAlgorithm>(horizon);
+  in.algos = in.base.algos;
+  in.algos.push_back(in.chatter.get());
+  auto delays = SharedRandomnessScheduler::draw_delays(77, in.base.algos.size(), 9, 4);
+  delays.push_back(0);
+  in.schedule = ScheduleTable::from_delays(in.algos, in.base.g.num_nodes(), delays);
+  return in;
+}
+
+Observation observe(const ObservedInstance& in, const FaultInjector& injector,
+                    RetryPolicy retry, std::uint32_t threads) {
+  ExecProfiler profiler;
+  FlightRecorderConfig fcfg;
+  fcfg.capacity = 1u << 15;
+  FlightRecorder recorder(fcfg);
+  MetricsRegistry metrics;
+  ExecConfig cfg;
+  cfg.num_threads = threads;
+  cfg.faults = &injector;
+  cfg.retry = retry;
+  cfg.profiler = &profiler;
+  cfg.recorder = &recorder;
+  cfg.telemetry = &metrics;
+  cfg.record_patterns = true;
+  Observation o;
+  o.result = Executor(in.base.g, cfg).run(in.algos, stretch_for_retries(in.schedule, retry));
+  o.cells = profiler.cells();
+  o.profile_json = profiler.to_json();
+  const std::string dump = recorder.to_json("observed");
+  const auto ring = dump.find("\"ring\":\"barrier\"");
+  EXPECT_NE(ring, std::string::npos);
+  o.barrier_ring = dump.substr(ring);
+  for (const auto& pattern : o.result.patterns) {
+    for (std::uint32_t r = 1; r <= pattern.last_message_round(); ++r) {
+      const auto edges = pattern.edges_in_round(r);
+      o.pattern_edges.emplace_back(edges.begin(), edges.end());
+    }
+  }
+  for (const auto& [name, value] : metrics.counters()) {
+    if (name.rfind("executor.parallel.", 0) != 0) o.counters.emplace(name, value);
+  }
+  const auto* edge_load = metrics.histogram("executor.edge_load");
+  EXPECT_NE(edge_load, nullptr);
+  o.edge_load_samples = edge_load->count();
+  o.edge_load_sum = edge_load->sum();
+  return o;
+}
+
+TEST(TiledBarrier, ObserversAreThreadCountInvariantAtPooledScale) {
+  const auto in = make_observed_instance();
+  FaultPlan plan;
+  plan.seed = 2024;
+  plan.drop_rate = 0.05;
+  plan.duplicate_rate = 0.03;
+  add_random_crashes(plan, in.base.g.num_nodes(), 3, 10);
+  add_random_outages(plan, in.base.g, 4, 12, 4);
+  const FaultInjector injector(in.base.g, plan);
+
+  for (const RetryPolicy retry : {RetryPolicy{0}, RetryPolicy{2}}) {
+    SCOPED_TRACE("max_retries=" + std::to_string(retry.max_retries));
+    ExecProfiler shape;
+    {
+      ExecConfig cfg;
+      cfg.faults = &injector;
+      cfg.retry = retry;
+      cfg.profiler = &shape;
+      (void)Executor(in.base.g, cfg).run(in.algos, stretch_for_retries(in.schedule, retry));
+    }
+    for (std::uint32_t t = 0; t < shape.rounds_used(); ++t) {
+      const std::uint64_t fresh = shape.round_messages(t) - shape.round_retries(t);
+      if (fresh > 0) {
+        EXPECT_GE(fresh, 256u) << "round " << t;
+      }
+    }
+
+    const Observation serial = observe(in, injector, retry, 0);
+    EXPECT_GT(serial.result.faults.dropped(), 0u);
+    EXPECT_GT(serial.result.faults.duplicated + serial.result.faults.duplicates_suppressed, 0u);
+    EXPECT_TRUE(std::is_sorted(serial.cells.begin(), serial.cells.end()));
+    EXPECT_NE(serial.barrier_ring.find("\"kind\":\"drop-random\""), std::string::npos);
+    for (const std::uint32_t threads : {2u, 4u, 7u}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      const Observation o = observe(in, injector, retry, threads);
+      expect_identical(serial.result, o.result);
+      EXPECT_EQ(serial.result.faults, o.result.faults);
+      EXPECT_TRUE(serial.cells == o.cells);
+      EXPECT_EQ(serial.profile_json, o.profile_json);
+      EXPECT_EQ(serial.barrier_ring, o.barrier_ring);
+      EXPECT_EQ(serial.pattern_edges, o.pattern_edges);
+      EXPECT_EQ(serial.counters, o.counters);
+      EXPECT_EQ(serial.edge_load_samples, o.edge_load_samples);
+      EXPECT_EQ(serial.edge_load_sum, o.edge_load_sum);
+    }
+  }
+}
+
+// --- Zero steady-state allocations through the pooled barrier: the second
+// run of a warmed 4-thread executor must not allocate, tiny tiles included,
+// and neither with the profiler and flight recorder attached. ---
 
 TEST(TiledBarrier, ZeroSteadyStateAllocationsThroughTheTiledPath) {
   const auto in = make_instance();
-  for (const std::size_t tile_bytes :
-       {arena_message_bytes(kDefaultMaxPayloadWords), kDefaultTileBytes}) {
-    SCOPED_TRACE("tile_bytes=" + std::to_string(tile_bytes));
-    ExecConfig cfg;
-    cfg.num_threads = 4;
-    cfg.tile_bytes = tile_bytes;
-    Executor executor(in.g, cfg);
-    const auto first = executor.run(in.algos, in.schedule);
-    const auto second = executor.run(in.algos, in.schedule);
-    expect_identical(first, second);
-    EXPECT_EQ(second.hot_path_allocs, 0u)
-        << "warmed tiled runs must stay off the allocator";
+  for (const bool observed : {false, true}) {
+    for (const std::size_t tile_bytes :
+         {arena_message_bytes(kDefaultMaxPayloadWords), kDefaultTileBytes}) {
+      SCOPED_TRACE("tile_bytes=" + std::to_string(tile_bytes) +
+                   (observed ? " observed" : ""));
+      ExecProfiler profiler;
+      FlightRecorder recorder(FlightRecorderConfig{});
+      ExecConfig cfg;
+      cfg.num_threads = 4;
+      cfg.tile_bytes = tile_bytes;
+      if (observed) {
+        cfg.profiler = &profiler;
+        cfg.recorder = &recorder;
+      }
+      Executor executor(in.g, cfg);
+      const auto first = executor.run(in.algos, in.schedule);
+      const auto second = executor.run(in.algos, in.schedule);
+      expect_identical(first, second);
+      EXPECT_EQ(second.hot_path_allocs, 0u)
+          << "warmed pooled runs must stay off the allocator";
+    }
   }
 }
 
