@@ -8,6 +8,8 @@
 #include "sched/baseline.hpp"
 #include "sched/delay_schedule.hpp"
 #include "sched/shared_scheduler.hpp"
+#include "sched/workloads.hpp"
+#include "util/fingerprint.hpp"
 
 namespace dasched {
 namespace {
@@ -88,6 +90,37 @@ TEST(HardInstance, DelayProfileMatchesExecutorLoads) {
   }
   EXPECT_EQ(profile.adaptive_rounds(), exec.adaptive_physical_rounds());
   EXPECT_EQ(profile.total_messages, exec.total_messages);
+}
+
+// Digests of delay_load_profile (every phase's max load, the max and the
+// message total) on two seeded problems, captured before the phase buckets
+// moved to util/load_cells. Do not regenerate.
+TEST(DelayLoadProfileGolden, MatchesPinnedDigests) {
+  const auto digest = [](const LoadProfile& p) {
+    Fingerprint fp;
+    fp.mix(p.max_load_per_phase.size());
+    for (const auto load : p.max_load_per_phase) fp.mix(load);
+    return fp.mix(p.max_load).mix(p.total_messages).digest();
+  };
+  {
+    const HardInstanceConfig cfg{.layers = 5, .width = 12, .algorithms = 10,
+                                 .participation = 0.35, .seed = 6};
+    const auto g = make_layered(cfg.layers, cfg.width);
+    auto problem = make_hard_instance(g, cfg);
+    problem->run_solo();
+    const std::vector<std::uint32_t> delays = {0, 3, 1, 4, 2, 0, 7, 5, 1, 6};
+    const auto profile = delay_load_profile(*problem, delays);
+    EXPECT_EQ(digest(profile), 0x7de814b8e0e67d45ULL) << "hard: " << std::hex << digest(profile);
+  }
+  {
+    Rng rng(11);
+    const auto g = make_gnp_connected(150, 6.0 / 150, rng);
+    auto problem = make_mixed_workload(g, 10, 4, 77);
+    problem->run_solo();
+    const auto delays = SharedRandomnessScheduler::draw_delays(77, problem->size(), 9, 4);
+    const auto profile = delay_load_profile(*problem, delays);
+    EXPECT_EQ(digest(profile), 0x4141f8651b4d3bbcULL) << "mixed: " << std::hex << digest(profile);
+  }
 }
 
 TEST(HardInstance, ScaledConfigKeepsRatios) {

@@ -8,6 +8,7 @@
 #include "lowerbound/hard_instance.hpp"
 #include "sched/moser_tardos.hpp"
 #include "sched/workloads.hpp"
+#include "util/fingerprint.hpp"
 
 namespace dasched {
 namespace {
@@ -96,6 +97,41 @@ TEST(MoserTardos, HardInstanceNeedsFarMoreWork) {
     EXPECT_TRUE(problem->verify(out.exec).ok());
   } else {
     SUCCEED();
+  }
+}
+
+// Digests of the resampler's outcome (convergence, iteration count, frame,
+// every delay and the realized length) on two seeded problems, captured
+// before the per-iteration load count moved to util/load_cells. Do not
+// regenerate: a change in how cells are counted must leave them unchanged.
+TEST(MoserTardosGolden, OutcomesMatchPinnedDigests) {
+  const auto digest = [](const MoserTardosOutcome& out) {
+    Fingerprint fp;
+    fp.mix(out.converged).mix(out.resample_iterations).mix(out.frame);
+    fp.mix(out.delays.size());
+    for (const auto d : out.delays) fp.mix(d);
+    return fp.mix(out.schedule_rounds).digest();
+  };
+  {
+    const auto g = make_grid(10, 10, true);
+    auto problem = make_routing_workload(g, 60, 7);
+    MoserTardosConfig cfg;
+    cfg.seed = 1;
+    cfg.frame_factor = 2.0;
+    const auto out = MoserTardosScheduler(cfg).run(*problem);
+    EXPECT_EQ(digest(out), 0x8bc86d0482c9d14eULL) << "routing: " << std::hex << digest(out);
+  }
+  {
+    const HardInstanceConfig hcfg{.layers = 5, .width = 24, .algorithms = 20,
+                                  .participation = 0.35, .seed = 4};
+    const auto g = make_layered(hcfg.layers, hcfg.width);
+    auto problem = make_hard_instance(g, hcfg);
+    MoserTardosConfig cfg;
+    cfg.seed = 3;
+    cfg.frame_factor = 2.0;
+    cfg.max_iterations = 3000;
+    const auto out = MoserTardosScheduler(cfg).run(*problem);
+    EXPECT_EQ(digest(out), 0xf4e12f60a49f98eaULL) << "hard: " << std::hex << digest(out);
   }
 }
 

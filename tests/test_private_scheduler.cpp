@@ -10,6 +10,7 @@
 #include "sched/private_scheduler.hpp"
 #include "sched/problem.hpp"
 #include "sched/workloads.hpp"
+#include "util/fingerprint.hpp"
 
 namespace dasched {
 namespace {
@@ -211,6 +212,44 @@ TEST(PrivateScheduler, NoDedupLoadsDominateDedupLoads) {
   for (const auto x : out.exec.max_load_per_big_round) total_dedup += x;
 
   EXPECT_GE(total_nodedup, total_dedup);
+}
+
+// Digests of the E6 ablation's no-dedup per-big-round max loads on two seeded
+// problems, captured before the dense T x m grid moved to util/load_cells.
+// Do not regenerate.
+TEST(NoDedupLoadsGolden, MatchesPinnedDigests) {
+  const auto digest = [](const ScheduleProblem& problem, std::uint64_t seed,
+                         std::uint32_t layers) {
+    ClusteringConfig ccfg;
+    ccfg.seed = seed;
+    ccfg.dilation = problem.dilation();
+    ccfg.num_layers = layers;
+    const auto clustering = ClusteringBuilder(ccfg).build_central(problem.graph());
+    const auto seeds = RandomnessSharing({.seed = seed}).run_central(problem.graph(), clustering);
+    std::uint32_t support = 0;
+    const auto delay = PrivateRandomnessScheduler(test_config(seed, layers))
+                           .compute_delays(problem, clustering, seeds, &support);
+    const auto loads = PrivateRandomnessScheduler::no_dedup_loads(problem, clustering, delay);
+    Fingerprint fp;
+    fp.mix(loads.size());
+    for (const auto x : loads) fp.mix(x);
+    return fp.digest();
+  };
+  {
+    const auto g = make_grid(6, 6);
+    auto problem = make_broadcast_workload(g, 8, 3, 64);
+    problem->run_solo();
+    const auto d = digest(*problem, 9, 8);
+    EXPECT_EQ(d, 0x5583feab58cc4881ULL) << "grid: " << std::hex << d;
+  }
+  {
+    Rng rng(9);
+    const auto g = make_gnp_connected(50, 0.1, rng);
+    auto problem = make_mixed_workload(g, 6, 3, 3);
+    problem->run_solo();
+    const auto d = digest(*problem, 4, 12);
+    EXPECT_EQ(d, 0x856340377fb00b47ULL) << "gnp: " << std::hex << d;
+  }
 }
 
 }  // namespace

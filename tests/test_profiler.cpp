@@ -16,6 +16,7 @@
 //     post-mortem dump before the engine aborts.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -32,6 +33,7 @@
 #include "telemetry/json.hpp"
 #include "telemetry/profiler.hpp"
 #include "util/alloc_counter.hpp"
+#include "util/fingerprint.hpp"
 #include "verify/divergence.hpp"
 #include "verify/schedule_verifier.hpp"
 
@@ -47,13 +49,14 @@ struct Instance {
   ScheduleTable schedule;
 };
 
-Instance make_instance() {
-  Rng rng(11);
+Instance make_instance(std::uint64_t graph_seed = 11, std::uint64_t workload_seed = 77) {
+  Rng rng(graph_seed);
   Instance in{make_gnp_connected(150, 6.0 / 150, rng), nullptr, {}, {}};
-  in.problem = make_mixed_workload(in.g, 10, 4, 77);
+  in.problem = make_mixed_workload(in.g, 10, 4, workload_seed);
   in.problem->run_solo();
   in.algos = in.problem->algorithm_ptrs();
-  const auto delays = SharedRandomnessScheduler::draw_delays(77, in.algos.size(), 9, 4);
+  const auto delays =
+      SharedRandomnessScheduler::draw_delays(workload_seed, in.algos.size(), 9, 4);
   in.schedule = ScheduleTable::from_delays(in.algos, in.g.num_nodes(), delays);
   return in;
 }
@@ -287,6 +290,64 @@ TEST(Divergence, FaultyRunsDivergeInTheExpectedDirections) {
   // Crash-stopped senders never transmit their predicted cells.
   EXPECT_TRUE(div.has(verify::kCodeDivergenceUnrealized));
   EXPECT_TRUE(div.has(verify::kCodeDivergenceSummary));
+}
+
+// Digests of check_divergence reports on faulty runs of two seeded problems:
+// severity totals, per-code counts and every recorded finding in report
+// order, captured before the merge moved to util/load_cells. Do not
+// regenerate.
+TEST(DivergenceGolden, FaultyRunReportsMatchPinnedDigests) {
+  const auto digest = [](const verify::Report& report) {
+    Fingerprint fp;
+    fp.mix(report.errors()).mix(report.warnings()).mix(report.infos());
+    for (const char* code :
+         {verify::kCodeDivergenceLoad, verify::kCodeDivergenceUnpredicted,
+          verify::kCodeDivergenceUnrealized, verify::kCodeDivergenceRounds,
+          verify::kCodeDivergenceSummary}) {
+      fp.mix(report.count(code));
+    }
+    for (const auto& f : report.findings()) {
+      fp.mix_bytes(f.code).mix_bytes(f.location.str()).mix_bytes(f.message);
+      for (const auto& [name, value] : f.metrics) {
+        fp.mix_bytes(name).mix(std::bit_cast<std::uint64_t>(value));
+      }
+    }
+    return fp.digest();
+  };
+  const struct {
+    std::uint64_t graph_seed, workload_seed, fault_seed;
+    std::uint64_t golden;
+  } kCases[] = {
+      {11, 77, 2024, 0x69b6d93293eea3e2ULL},
+      {12, 78, 7, 0xd5e3d3f8d15c9177ULL},
+  };
+  for (const auto& c : kCases) {
+    const auto in = make_instance(c.graph_seed, c.workload_seed);
+    FaultPlan plan;
+    plan.seed = c.fault_seed;
+    plan.drop_rate = 0.05;
+    plan.duplicate_rate = 0.02;
+    add_random_crashes(plan, in.g.num_nodes(), 2, 10);
+    const FaultInjector injector(in.g, plan);
+    const RetryPolicy retry{2};
+    const auto stretched = stretch_for_retries(in.schedule, retry);
+    std::vector<LoadCell> predicted;
+    const auto vreport = verify::check_schedule(*in.problem, stretched, {}, &predicted);
+
+    ExecProfiler profiler;
+    ExecConfig cfg;
+    cfg.faults = &injector;
+    cfg.retry = retry;
+    cfg.profiler = &profiler;
+    (void)Executor(in.g, cfg).run(in.algos, stretched);
+
+    verify::DivergenceOptions opts;
+    opts.scheduled_big_rounds = vreport.measured.big_rounds;
+    opts.tolerance = 1;
+    opts.max_findings_per_code = 64;
+    const auto d = digest(verify::check_divergence(predicted, profiler, opts));
+    EXPECT_EQ(d, c.golden) << "seed " << c.graph_seed << ": " << std::hex << d;
+  }
 }
 
 // --- Steady-state allocation discipline with the observatory attached. ---
