@@ -51,8 +51,7 @@ void print_tables() {
 
     const std::vector<std::vector<std::uint64_t>> global(n, {n ^ 0xABCDULL});
     DistinctElementsAlgorithm algo(g, params, values, global, 3);
-    Simulator sim(g);
-    const auto solo = sim.run(algo);
+    const auto solo = solo_run(g, algo);
     table.add_row({Table::fmt(std::uint64_t{n}), Table::fmt(std::uint64_t{algo.rounds()}),
                    "global shared (oracle)", Table::fmt(std::uint64_t{algo.rounds()}),
                    "0", Table::fmt(accuracy(solo.outputs), 1), "0"});
@@ -87,8 +86,7 @@ void print_tables() {
     const auto exact = exact_distinct_counts(g, values, params.radius);
     const std::vector<std::vector<std::uint64_t>> global(g.num_nodes(), {0x5EEDULL});
     DistinctElementsAlgorithm algo(g, params, values, global, 3);
-    Simulator sim(g);
-    const auto solo = sim.run(algo);
+    const auto solo = solo_run(g, algo);
     std::uint32_t within = 0;
     const double tol = params.rho * params.rho;
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -147,10 +145,9 @@ void bm_distinct_elements(benchmark::State& state) {
   params.radius = 2;
   params.iterations = 32;
   const std::vector<std::vector<std::uint64_t>> global(g.num_nodes(), {1ULL});
-  Simulator sim(g);
   for (auto _ : state) {
     DistinctElementsAlgorithm algo(g, params, values, global, 3);
-    const auto out = sim.run(algo);
+    const auto out = solo_run(g, algo);
     benchmark::DoNotOptimize(out.total_messages);
   }
 }

@@ -121,10 +121,9 @@ int main(int argc, char** argv) {
 
   verify::Report report;
   if (opt.cross_check) {
-    Simulator sim(g);
     const auto algos = problem->algorithm_ptrs();
     for (std::size_t a = 0; a < algos.size(); ++a) {
-      verify::check_certificate(certs[a], sim.run(*algos[a]),
+      verify::check_certificate(certs[a], solo_run(g, *algos[a]),
                                 report, static_cast<std::int64_t>(a));
     }
     std::printf("\n");

@@ -40,6 +40,7 @@
 #include "sched/private_scheduler.hpp"
 #include "sched/shared_scheduler.hpp"
 #include "telemetry/run_report.hpp"
+#include "util/load_cells.hpp"
 #include "util/math.hpp"
 #include "verify/schedule_verifier.hpp"
 
@@ -208,21 +209,18 @@ bool corrupt_schedule(const Options& opt, const ScheduleProblem& problem,
     *table = ScheduleTable::lockstep(problem.algorithm_ptrs(),
                                      problem.graph().num_nodes());
     vopts->congestion_budget = 1;
-    std::vector<std::uint8_t> used(problem.graph().num_directed_edges());
-    std::uint32_t max_round = 0;
+    std::vector<std::uint64_t> keys;
     for (std::size_t a = 0; a < problem.size(); ++a) {
-      max_round = std::max(max_round, problem.solo(a).pattern.last_message_round());
-    }
-    for (std::uint32_t r = 1; r <= max_round; ++r) {
-      std::fill(used.begin(), used.end(), std::uint8_t{0});
-      for (std::size_t a = 0; a < problem.size(); ++a) {
-        for (const auto d : problem.solo(a).pattern.edges_in_round(r)) {
-          if (used[d] != 0) return true;  // two algorithms collide here
-          used[d] = 1;
-        }
+      for (const LoadCell& cell : problem.solo(a).pattern.cells()) {
+        keys.push_back(cell_key(cell.big_round, cell.edge));
       }
     }
-    return false;
+    std::vector<LoadCell> cells;
+    count_cells(keys, cells);
+    // Each algorithm contributes each of its cells once, so a load above 1
+    // means two algorithms collide there.
+    return std::any_of(cells.begin(), cells.end(),
+                       [](const LoadCell& cell) { return cell.load > 1; });
   }
   if (opt.corrupt == "causality") {
     // Pull the most-delayed algorithm's rows at one node up to lockstep: its

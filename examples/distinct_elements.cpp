@@ -56,8 +56,7 @@ int main(int argc, char** argv) {
     const std::vector<std::vector<std::uint64_t>> global(n, {seed ^ 0xABCD});
     DistinctElementsAlgorithm algo(g, params, values, global, 3);
     algo_rounds = algo.rounds();
-    Simulator sim(g);
-    const auto result = sim.run(algo);
+    const auto result = solo_run(g, algo);
     table.add_row({"global shared (oracle)", Table::fmt(std::uint64_t{algo.rounds()}), "0",
                    Table::fmt(accuracy(result.outputs), 1)});
   }

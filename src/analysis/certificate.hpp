@@ -70,7 +70,6 @@ struct PatternCertificate {
     solo.outputs = outputs;
     solo.pattern = pattern;
     solo.total_messages = total_messages;
-    solo.last_message_round = last_message_round;
     return solo;
   }
 };

@@ -402,7 +402,8 @@ struct ExecScratch {
   std::vector<std::size_t> finish_offset;  // perf-ok: per (alg, node), size k*n + 1
 
   // --- Edge-load accounting (self-zeroing between rounds via the owners'
-  // touched lists). ---
+  // touched lists). A dense per-edge count, not util/load_cells: the barrier
+  // must not allocate or sort in steady state. ---
   std::vector<std::uint32_t> edge_count;  // perf-ok: zeroed via WorkerState::touched
 
   // --- This round's due retransmissions: the barrier's first lane source,

@@ -132,7 +132,7 @@ struct ExecConfig {
   /// Record per-algorithm communication patterns (indexed by virtual round).
   bool record_patterns = false;
   /// Enforce the raw CONGEST bound of one message per directed edge per
-  /// big-round -- used by the solo Simulator where big-round == round.
+  /// big-round -- used by solo_run where big-round == round.
   bool enforce_unit_capacity = false;
   /// Worker threads for big-round execution. 0 and 1 both mean serial; N >= 2
   /// spawns a pool of N workers (N - 1 threads plus the calling thread) that

@@ -30,22 +30,15 @@ std::span<const std::uint32_t> CommunicationPattern::edges_in_round(
   return by_round_[round - 1];
 }
 
-std::uint32_t combined_congestion(std::span<const CommunicationPattern> patterns) {
-  const auto loads = combined_edge_load(patterns);
-  std::uint32_t congestion = 0;
-  for (const auto load : loads) congestion = std::max(congestion, load);
-  return congestion;
-}
-
-std::vector<std::uint32_t> combined_edge_load(
-    std::span<const CommunicationPattern> patterns) {
-  if (patterns.empty()) return {};
-  std::vector<std::uint32_t> loads(patterns.front().num_directed_edges(), 0);
-  for (const auto& p : patterns) {
-    DASCHED_CHECK(p.num_directed_edges() == loads.size());
-    for (std::uint32_t d = 0; d < loads.size(); ++d) loads[d] += p.edge_load(d);
+std::vector<LoadCell> CommunicationPattern::cells() const {
+  std::vector<std::uint64_t> keys;
+  keys.reserve(total_);
+  for (std::uint32_t r = 1; r <= by_round_.size(); ++r) {
+    for (const auto d : by_round_[r - 1]) keys.push_back(cell_key(r, d));
   }
-  return loads;
+  std::vector<LoadCell> out;
+  count_cells(keys, out);
+  return out;
 }
 
 std::uint64_t simulation_violations(const Graph& g, const CommunicationPattern& pattern,

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "util/load_cells.hpp"
 
 namespace dasched {
 
@@ -45,21 +46,21 @@ class CommunicationPattern {
     return static_cast<std::uint32_t>(edge_load_.size());
   }
 
-  /// Directed edges used in round r (1-based); empty span past the last round.
+  /// Directed edges used in round r (1-based), in record order; empty span
+  /// past the last round.
   std::span<const std::uint32_t> edges_in_round(std::uint32_t round) const;
 
+  /// The pattern's load surface: one cell per (round, directed edge) pair
+  /// that carries a message, sorted by (round, edge).
+  std::vector<LoadCell> cells() const;
+
  private:
+  // Rows keep record order (the greedy baseline and edges[0] picks read it);
+  // cells() is the sorted surface.
   std::vector<std::vector<std::uint32_t>> by_round_;  // perf-ok: index r-1 -> edges, opt-in recording
   std::vector<std::uint32_t> edge_load_;  // perf-ok: per directed edge, sized once
   std::uint64_t total_ = 0;
 };
-
-/// congestion of a problem instance: max over directed edges of the summed
-/// load of all patterns (the paper's `congestion = max_e sum_i c_i(e)`).
-std::uint32_t combined_congestion(std::span<const CommunicationPattern> patterns);
-
-/// Per-directed-edge combined load vector.
-std::vector<std::uint32_t> combined_edge_load(std::span<const CommunicationPattern> patterns);
 
 /// Big-round assignment for a node's virtual rounds (Section 2's simulation
 /// mapping f, restricted to lockstep-per-node schedules): returns the

@@ -6,10 +6,8 @@ namespace dasched {
 
 namespace {
 
-ExecConfig solo_config(std::uint32_t max_payload_words, bool record_patterns,
-                       TelemetrySink* telemetry) {
+ExecConfig solo_config(bool record_patterns, TelemetrySink* telemetry) {
   ExecConfig cfg;
-  cfg.max_payload_words = max_payload_words;
   cfg.record_patterns = record_patterns;
   cfg.enforce_unit_capacity = true;
   cfg.telemetry = telemetry;
@@ -29,27 +27,21 @@ ExecutionResult run_lockstep(Executor& executor, const DistributedAlgorithm& alg
 
 }  // namespace
 
-SoloRunResult Simulator::run(const DistributedAlgorithm& algorithm) const {
-  Executor executor(graph_, solo_config(max_payload_words_, true, telemetry_));
+SoloRunResult solo_run(const Graph& g, const DistributedAlgorithm& algorithm,
+                       TelemetrySink* telemetry) {
+  Executor executor(g, solo_config(true, telemetry));
 
-  TimedSpan span(telemetry_, "simulator", "run");
-  if (telemetry_ != nullptr) {
-    telemetry_->add_counter("simulator.runs", 1);
+  TimedSpan span(telemetry, "simulator", "run");
+  if (telemetry != nullptr) {
+    telemetry->add_counter("simulator.runs", 1);
     span.arg("rounds", algorithm.rounds());
   }
 
-  auto exec = run_lockstep(executor, algorithm, graph_.num_nodes());
-
-  SoloRunResult result;
-  result.outputs = std::move(exec.outputs[0]);
-  result.pattern = std::move(exec.patterns[0]);
-  result.total_messages = exec.total_messages;
-  result.last_message_round = result.pattern.last_message_round();
-  return result;
+  auto exec = run_lockstep(executor, algorithm, g.num_nodes());
+  return {std::move(exec.outputs[0]), std::move(exec.patterns[0]), exec.total_messages};
 }
 
-SoloRunner::SoloRunner(const Graph& g)
-    : graph_(g), executor_(g, solo_config(kDefaultMaxPayloadWords, false, nullptr)) {}
+SoloRunner::SoloRunner(const Graph& g) : graph_(g), executor_(g, solo_config(false, nullptr)) {}
 
 std::vector<std::vector<std::uint64_t>> SoloRunner::outputs(
     const DistributedAlgorithm& algorithm) {

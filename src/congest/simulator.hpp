@@ -21,31 +21,20 @@ struct SoloRunResult {
   std::vector<std::vector<std::uint64_t>> outputs;  // perf-ok: per node, filled once per run
   CommunicationPattern pattern;
   std::uint64_t total_messages = 0;
-  /// Last virtual round in which any message was sent (<= algorithm rounds()).
-  std::uint32_t last_message_round = 0;
 };
 
-class Simulator {
- public:
-  /// `telemetry` (optional, borrowed) instruments each solo run: a
-  /// simulator/run span plus the executor's own metrics (see executor.hpp).
-  explicit Simulator(const Graph& g, std::uint32_t max_payload_words = kDefaultMaxPayloadWords,
-                     TelemetrySink* telemetry = nullptr)
-      : graph_(g), max_payload_words_(max_payload_words), telemetry_(telemetry) {}
-
-  SoloRunResult run(const DistributedAlgorithm& algorithm) const;
-
- private:
-  const Graph& graph_;
-  std::uint32_t max_payload_words_;
-  TelemetrySink* telemetry_;
-};
+/// One solo run of `algorithm` on `g` with pattern recording, on a fresh
+/// Executor. `telemetry` (optional, borrowed) instruments the run: a
+/// simulator/run span, the simulator.runs counter and the executor's own
+/// metrics (see executor.hpp).
+SoloRunResult solo_run(const Graph& g, const DistributedAlgorithm& algorithm,
+                       TelemetrySink* telemetry = nullptr);
 
 /// Solo runs for callers that read only outputs and run many algorithms on
 /// one graph -- the Thm 4.1 precomputation passes, one run per clustering or
 /// sharing layer. Same lockstep schedule, unit-capacity bound and checks as
-/// Simulator::run, but no pattern recording, and one Executor serves every
-/// run so its arenas stay warm across layers.
+/// solo_run, but no pattern recording, and one Executor serves every run so
+/// its arenas stay warm across layers.
 class SoloRunner {
  public:
   explicit SoloRunner(const Graph& g);

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/check.hpp"
+#include "util/load_cells.hpp"
 
 namespace dasched {
 
@@ -24,38 +25,22 @@ LoadProfile::Fixed LoadProfile::fixed(std::uint32_t phase_len) const {
 LoadProfile delay_load_profile(const ScheduleProblem& problem,
                                std::span<const std::uint32_t> delays) {
   DASCHED_CHECK(delays.size() == problem.size());
-  const auto& g = problem.graph();
-
-  std::uint32_t num_phases = 0;
-  for (std::size_t a = 0; a < problem.size(); ++a) {
-    const auto last = problem.solo(a).pattern.last_message_round();
-    if (last > 0) num_phases = std::max(num_phases, delays[a] + last);
-  }
-
-  LoadProfile profile;
-  profile.max_load_per_phase.assign(num_phases, 0);
-
-  // Sparse per-phase counting: bucket (phase -> edges touched this phase).
-  std::vector<std::vector<std::uint32_t>> phase_edges(num_phases);
+  std::vector<std::uint64_t> keys;
   for (std::size_t a = 0; a < problem.size(); ++a) {
     const auto& pattern = problem.solo(a).pattern;
     for (std::uint32_t r = 1; r <= pattern.last_message_round(); ++r) {
-      const auto edges = pattern.edges_in_round(r);
-      auto& bucket = phase_edges[delays[a] + r - 1];
-      bucket.insert(bucket.end(), edges.begin(), edges.end());
-      profile.total_messages += edges.size();
+      for (const auto d : pattern.edges_in_round(r)) {
+        keys.push_back(cell_key(delays[a] + r - 1, d));
+      }
     }
   }
-
-  std::vector<std::uint32_t> count(g.num_directed_edges(), 0);
-  for (std::uint32_t t = 0; t < num_phases; ++t) {
-    std::uint32_t max_load = 0;
-    for (const auto d : phase_edges[t]) {
-      max_load = std::max(max_load, ++count[d]);
-    }
-    for (const auto d : phase_edges[t]) count[d] = 0;
-    profile.max_load_per_phase[t] = max_load;
-    profile.max_load = std::max(profile.max_load, max_load);
+  LoadProfile profile;
+  profile.total_messages = keys.size();
+  std::vector<LoadCell> cells;
+  count_cells(keys, cells);
+  profile.max_load_per_phase = round_max_loads(cells);
+  for (const auto load : profile.max_load_per_phase) {
+    profile.max_load = std::max(profile.max_load, load);
   }
   return profile;
 }

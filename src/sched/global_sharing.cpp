@@ -129,8 +129,7 @@ GlobalSharingOutcome GlobalSharingScheduler::run(ScheduleProblem& problem) const
 
   GlobalSharingOutcome out;
   MinIdSeedBroadcast protocol(std::max(1u, diameter), words, cfg_.seed);
-  Simulator sim(g);
-  const auto run = sim.run(protocol);
+  const auto run = solo_run(g, protocol);
   out.precomputation_rounds = protocol.rounds();
 
   // Every node folds the received words into the shared scheduler seed; if

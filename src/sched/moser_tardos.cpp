@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
 #include "util/check.hpp"
+#include "util/load_cells.hpp"
 
 namespace dasched {
 
@@ -37,31 +37,32 @@ MoserTardosOutcome MoserTardosScheduler::run(ScheduleProblem& problem) const {
   out.delays.resize(k);
   for (auto& d : out.delays) d = static_cast<std::uint32_t>(rng.next_below(out.frame));
 
-  std::unordered_map<std::uint64_t, std::uint32_t> load;
-  load.reserve(messages.size() * 2);
+  const auto cell_of = [&](const Msg& m) {
+    return cell_key(out.delays[m.alg] + m.round - 1, m.dedge);
+  };
+  std::vector<std::uint64_t> keys;
+  std::vector<LoadCell> cells;
   for (out.resample_iterations = 0; out.resample_iterations < cfg_.max_iterations;
        ++out.resample_iterations) {
-    // Count loads; remember the lexicographically smallest violated cell so
-    // the run is deterministic per seed.
-    load.clear();
-    std::uint64_t violated = ~std::uint64_t{0};
-    for (const auto& m : messages) {
-      const std::uint64_t cell =
-          (static_cast<std::uint64_t>(out.delays[m.alg] + m.round - 1) << 32) | m.dedge;
-      if (++load[cell] > cfg_.capacity) violated = std::min(violated, cell);
-    }
-    if (violated == ~std::uint64_t{0}) {
+    // Count loads; the first overloaded cell in (round, edge) order is the
+    // event, so the run is deterministic per seed.
+    keys.clear();
+    for (const auto& m : messages) keys.push_back(cell_of(m));
+    count_cells(keys, cells);
+    const auto event = std::find_if(cells.begin(), cells.end(), [&](const LoadCell& c) {
+      return c.load > cfg_.capacity;
+    });
+    if (event == cells.end()) {
       out.converged = true;
       break;
     }
+    const std::uint64_t violated = cell_key(event->big_round, event->edge);
     // Moser-Tardos: resample every algorithm participating in the event.
     // (Collect first, then resample -- computing cells with mutated delays
     // would misidentify participants.)
     std::vector<std::uint8_t> in_event(k, 0);
     for (const auto& m : messages) {
-      const std::uint64_t cell =
-          (static_cast<std::uint64_t>(out.delays[m.alg] + m.round - 1) << 32) | m.dedge;
-      if (cell == violated) in_event[m.alg] = 1;
+      if (cell_of(m) == violated) in_event[m.alg] = 1;
     }
     for (std::size_t a = 0; a < k; ++a) {
       if (in_event[a]) {

@@ -6,6 +6,7 @@
 
 #include "rand/distributions.hpp"
 #include "rand/kwise.hpp"
+#include "util/load_cells.hpp"
 #include "util/math.hpp"
 
 namespace dasched {
@@ -234,14 +235,7 @@ std::vector<std::uint32_t> PrivateRandomnessScheduler::no_dedup_loads(
   const auto& g = problem.graph();
   const auto layers = static_cast<std::uint32_t>(clustering.num_layers());
 
-  // load[t][d] would be huge; track per-big-round maxima with a flat map.
-  std::vector<std::vector<std::uint32_t>> load;  // [t][directed edge]
-  auto bump = [&](std::uint32_t t, std::uint32_t d) {
-    if (t >= load.size()) load.resize(t + 1);
-    if (load[t].empty()) load[t].assign(g.num_directed_edges(), 0);
-    ++load[t][d];
-  };
-
+  std::vector<std::uint64_t> keys;
   for (std::size_t a = 0; a < problem.size(); ++a) {
     const auto& pattern = problem.solo(a).pattern;
     for (std::uint32_t r = 1; r <= pattern.last_message_round(); ++r) {
@@ -251,18 +245,16 @@ std::vector<std::uint32_t> PrivateRandomnessScheduler::no_dedup_loads(
         const NodeId sender = (d % 2 == 0) ? lo : hi;
         for (std::uint32_t l = 0; l < layers; ++l) {
           if (clustering.layers[l].h_prime[sender] >= r - 1) {
-            bump(delay[l][sender][a] + (r - 1), d);
+            keys.push_back(cell_key(delay[l][sender][a] + (r - 1), d));
           }
         }
       }
     }
   }
 
-  std::vector<std::uint32_t> max_per_round(load.size(), 0);
-  for (std::size_t t = 0; t < load.size(); ++t) {
-    for (const auto x : load[t]) max_per_round[t] = std::max(max_per_round[t], x);
-  }
-  return max_per_round;
+  std::vector<LoadCell> cells;
+  count_cells(keys, cells);
+  return round_max_loads(cells);
 }
 
 }  // namespace dasched

@@ -23,10 +23,9 @@ std::vector<const DistributedAlgorithm*> ScheduleProblem::algorithm_ptrs() const
 
 void ScheduleProblem::run_solo() {
   if (solo_done()) return;
-  Simulator sim(*graph_);
   solo_.reserve(algorithms_.size());
   for (const auto& a : algorithms_) {
-    solo_.push_back(std::make_shared<const SoloRunResult>(sim.run(*a)));
+    solo_.push_back(std::make_shared<const SoloRunResult>(solo_run(*graph_, *a)));
   }
 }
 

@@ -116,7 +116,7 @@ SchedulerDaemon::Admitted SchedulerDaemon::acquire_profile(Pending pending) {
     }
   }
   if (!from_static) {
-    solo = Simulator(graph_, cfg_.max_payload_words, cfg_.telemetry).run(*algorithm);
+    solo = solo_run(graph_, *algorithm, cfg_.telemetry);
   }
   if (from_static) {
     ++stats_.profiles_static;
@@ -165,7 +165,9 @@ void SchedulerDaemon::compose_and_execute(std::uint64_t tick, ServiceResult& res
   // Incremental composition: fold jobs into the live load grid one at a
   // time. edge_acc holds the summed solo loads of everything accepted so
   // far; grid[t][d] the composed per-cell loads. Accepted jobs keep their
-  // delays -- only the newcomer draws fresh randomness.
+  // delays -- only the newcomer draws fresh randomness. The grid is dense,
+  // not a LoadCell surface: a trial fold then touches only the newcomer's
+  // cells, where a sorted surface would make it linear in the cohort.
   std::vector<Admitted> cohort;
   std::vector<Pending> deferred;
   std::vector<std::uint32_t> edge_acc(graph_.num_directed_edges(), 0);
@@ -319,7 +321,6 @@ void SchedulerDaemon::run_cohort(std::vector<Admitted> cohort, std::uint64_t tic
     // admission gate (belt and braces -- it just passed statically).
     verify::VerifyingAdmission gate(problem, opts);
     ExecConfig ec;
-    ec.max_payload_words = cfg_.max_payload_words;
     ec.tile_bytes = cfg_.tile_bytes;
     ec.num_threads = cfg_.num_threads;
     ec.telemetry = cfg_.telemetry;

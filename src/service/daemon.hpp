@@ -89,7 +89,6 @@ struct ServiceConfig {
   /// inherits the engine's bit-identity contract.
   std::uint32_t num_threads = 0;
   std::size_t tile_bytes = kDefaultTileBytes;
-  std::uint32_t max_payload_words = kDefaultMaxPayloadWords;
   /// Profile cache-miss jobs from the static pattern analyzer (src/analysis)
   /// when their footprint yields an exact certificate with outputs, instead
   /// of solo-executing them -- near-free cold-start admission. The verifier

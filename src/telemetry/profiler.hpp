@@ -40,26 +40,13 @@
 #include <vector>
 
 #include "telemetry/telemetry.hpp"
+#include "util/load_cells.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
 namespace dasched {
 
 class Table;
-
-/// One measured (or statically predicted) per-(big-round, directed-edge)
-/// load. Ordered by (big_round, edge) so measured and predicted tables join
-/// with one linear merge.
-struct LoadCell {
-  std::uint32_t big_round = 0;
-  std::uint32_t edge = 0;  // directed edge id
-  std::uint32_t load = 0;
-  friend bool operator<(const LoadCell& x, const LoadCell& y) {
-    if (x.big_round != y.big_round) return x.big_round < y.big_round;
-    return x.edge < y.edge;
-  }
-  friend bool operator==(const LoadCell&, const LoadCell&) = default;
-};
 
 class ExecProfiler {
  public:

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "util/load_cells.hpp"
+
 namespace dasched::verify {
 
 namespace {
@@ -11,15 +13,6 @@ Location at(std::int64_t alg_index) {
   Location loc;
   loc.alg = alg_index;
   return loc;
-}
-
-/// Per-round cell loads of `pattern`, as (directed edge -> count) over the
-/// scratch vector; `touched` lists the nonzero entries for cheap reset.
-void round_loads(const CommunicationPattern& pattern, std::uint32_t round,
-                 std::vector<std::uint32_t>& loads, std::vector<std::uint32_t>& touched) {
-  for (const std::uint32_t d : pattern.edges_in_round(round)) {
-    if (loads[d]++ == 0) touched.push_back(d);
-  }
 }
 
 }  // namespace
@@ -55,34 +48,27 @@ bool check_certificate(const analysis::PatternCertificate& cert, const SoloRunRe
   if (!dims_ok) return false;
 
   std::uint64_t cells_compared = 0;
-  std::vector<std::uint32_t> cert_loads(num_directed, 0);
-  std::vector<std::uint32_t> solo_loads(num_directed, 0);
-  std::vector<std::uint32_t> touched;
+  const auto cell_at = [&](const LoadCell& cell) {
+    Location loc = at(alg_index);
+    loc.vround = cell.big_round;
+    loc.edge = cell.edge;
+    return loc;
+  };
 
   if (cert.exact()) {
-    // Cell-for-cell equality over the union of rounds either side touches.
-    const std::uint32_t last =
-        std::max(cert.pattern.last_message_round(), solo.pattern.last_message_round());
-    for (std::uint32_t r = 1; r <= last; ++r) {
-      touched.clear();
-      round_loads(cert.pattern, r, cert_loads, touched);
-      round_loads(solo.pattern, r, solo_loads, touched);
-      for (const std::uint32_t d : touched) {
-        ++cells_compared;
-        if (cert_loads[d] != solo_loads[d]) {
-          std::ostringstream os;
-          os << "certified load " << cert_loads[d] << " != executed load " << solo_loads[d];
-          Location loc = at(alg_index);
-          loc.vround = r;
-          loc.edge = d;
-          report.add({Severity::kError, kCodeCertificateCellMismatch, loc, os.str(),
-                      {{"certified", static_cast<double>(cert_loads[d])},
-                       {"executed", static_cast<double>(solo_loads[d])}}});
-        }
-        cert_loads[d] = 0;
-        solo_loads[d] = 0;
-      }
-    }
+    // Cell-for-cell equality over the union of both surfaces; a cell counts
+    // once for each surface that has it.
+    join_cells(cert.pattern.cells(), solo.pattern.cells(),
+               [&](const LoadCell& cell, std::uint32_t certified, std::uint32_t executed) {
+                 cells_compared += (certified != 0) + (executed != 0);
+                 if (certified == executed) return;
+                 std::ostringstream os;
+                 os << "certified load " << certified << " != executed load " << executed;
+                 report.add({Severity::kError, kCodeCertificateCellMismatch, cell_at(cell),
+                             os.str(),
+                             {{"certified", static_cast<double>(certified)},
+                              {"executed", static_cast<double>(executed)}}});
+               });
     if (cert.has_outputs) {
       for (NodeId v = 0; v < solo.outputs.size(); ++v) {
         if (cert.outputs[v] == solo.outputs[v]) continue;
@@ -120,18 +106,10 @@ bool check_certificate(const analysis::PatternCertificate& cert, const SoloRunRe
         bound_violation("per-edge load", solo.pattern.edge_load(d), cert.per_edge_bound, loc);
       }
     }
-    for (std::uint32_t r = 1; r <= solo.pattern.last_message_round(); ++r) {
-      touched.clear();
-      round_loads(solo.pattern, r, solo_loads, touched);
-      for (const std::uint32_t d : touched) {
-        ++cells_compared;
-        if (solo_loads[d] > cert.per_cell_bound) {
-          Location loc = at(alg_index);
-          loc.vround = r;
-          loc.edge = d;
-          bound_violation("cell load", solo_loads[d], cert.per_cell_bound, loc);
-        }
-        solo_loads[d] = 0;
+    for (const LoadCell& cell : solo.pattern.cells()) {
+      ++cells_compared;
+      if (cell.load > cert.per_cell_bound) {
+        bound_violation("cell load", cell.load, cert.per_cell_bound, cell_at(cell));
       }
     }
   }

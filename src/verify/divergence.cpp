@@ -1,9 +1,7 @@
 #include "verify/divergence.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <sstream>
-#include <vector>
 
 namespace dasched::verify {
 
@@ -24,72 +22,45 @@ Report check_divergence(std::span<const LoadCell> predicted,
   Report report;
   report.max_findings_per_code = opts.max_findings_per_code;
 
-  const std::vector<LoadCell>& cells = measured.cells();
-
   std::uint64_t compared = 0;
   std::uint64_t diverged = 0;
   std::uint64_t messages_predicted = 0;
   std::uint64_t messages_measured = 0;
   std::uint64_t max_abs_delta = 0;
 
-  // One linear merge over the two sorted surfaces; every cell present in
-  // either surface is visited exactly once.
-  std::size_t p = 0;
-  std::size_t m = 0;
-  while (p < predicted.size() || m < cells.size()) {
-    const bool take_p =
-        m >= cells.size() || (p < predicted.size() && predicted[p] < cells[m]);
-    const bool take_m =
-        p >= predicted.size() || (m < cells.size() && cells[m] < predicted[p]);
-    if (take_p) {
-      // Predicted but never realized: the sender transmitted nothing here.
-      const LoadCell& cell = predicted[p++];
-      messages_predicted += cell.load;
-      ++diverged;
-      max_abs_delta = std::max<std::uint64_t>(max_abs_delta, cell.load);
-      std::ostringstream os;
-      os << "predicted load " << cell.load
-         << " never materialized (crash-stopped or truncated sender?)";
-      report.add({Severity::kWarning, kCodeDivergenceUnrealized,
-                  cell_location(cell), os.str(),
-                  {{"predicted", static_cast<double>(cell.load)},
-                   {"measured", 0.0}}});
-    } else if (take_m) {
-      // Measured but never predicted: bandwidth the static model missed.
-      const LoadCell& cell = cells[m++];
-      messages_measured += cell.load;
-      ++diverged;
-      max_abs_delta = std::max<std::uint64_t>(max_abs_delta, cell.load);
-      std::ostringstream os;
-      os << "measured load " << cell.load
-         << " on a cell the static model did not predict (retransmissions?)";
-      report.add({Severity::kWarning, kCodeDivergenceUnpredicted,
-                  cell_location(cell), os.str(),
-                  {{"predicted", 0.0},
-                   {"measured", static_cast<double>(cell.load)}}});
-    } else {
-      // Same (big_round, edge) cell on both sides.
-      const LoadCell& want = predicted[p++];
-      const LoadCell& got = cells[m++];
-      messages_predicted += want.load;
-      messages_measured += got.load;
+  join_cells(predicted, measured.cells(), [&](const LoadCell& cell, std::uint32_t want,
+                                               std::uint32_t got) {
+    messages_predicted += want;
+    messages_measured += got;
+    const std::uint64_t delta = want > got ? want - got : got - want;
+    if (want != 0 && got != 0) {
       ++compared;
-      const std::uint64_t delta = want.load > got.load ? want.load - got.load
-                                                       : got.load - want.load;
-      if (delta > opts.tolerance) {
-        ++diverged;
-        max_abs_delta = std::max(max_abs_delta, delta);
-        std::ostringstream os;
-        os << "measured load " << got.load << " != predicted " << want.load
-           << " (|delta| " << delta << " > tolerance " << opts.tolerance << ")";
-        report.add({Severity::kWarning, kCodeDivergenceLoad,
-                    cell_location(want), os.str(),
-                    {{"predicted", static_cast<double>(want.load)},
-                     {"measured", static_cast<double>(got.load)},
-                     {"delta", static_cast<double>(delta)}}});
-      }
+      if (delta <= opts.tolerance) return;
     }
-  }
+    ++diverged;
+    max_abs_delta = std::max(max_abs_delta, delta);
+    std::ostringstream os;
+    if (want == 0) {
+      // Measured but never predicted: bandwidth the static model missed.
+      os << "measured load " << got
+         << " on a cell the static model did not predict (retransmissions?)";
+      report.add({Severity::kWarning, kCodeDivergenceUnpredicted, cell_location(cell),
+                  os.str(), {{"predicted", 0.0}, {"measured", static_cast<double>(got)}}});
+    } else if (got == 0) {
+      // Predicted but never realized: the sender transmitted nothing here.
+      os << "predicted load " << want
+         << " never materialized (crash-stopped or truncated sender?)";
+      report.add({Severity::kWarning, kCodeDivergenceUnrealized, cell_location(cell),
+                  os.str(), {{"predicted", static_cast<double>(want)}, {"measured", 0.0}}});
+    } else {
+      os << "measured load " << got << " != predicted " << want << " (|delta| " << delta
+         << " > tolerance " << opts.tolerance << ")";
+      report.add({Severity::kWarning, kCodeDivergenceLoad, cell_location(cell), os.str(),
+                  {{"predicted", static_cast<double>(want)},
+                   {"measured", static_cast<double>(got)},
+                   {"delta", static_cast<double>(delta)}}});
+    }
+  });
 
   if (opts.scheduled_big_rounds > 0 &&
       measured.rounds_used() != opts.scheduled_big_rounds) {

@@ -7,8 +7,8 @@
 // realized. On a reliable network the two are equal cell for cell --
 // algorithms are deterministic per (alg, node) seed, so the scheduled run
 // transmits precisely the predicted messages. check_divergence() joins the
-// two sorted surfaces with one linear merge and reports every disagreement
-// as a structured finding (codes in invariants.hpp):
+// two sorted surfaces (join_cells, util/load_cells.hpp) and reports every
+// disagreement as a structured finding (codes in invariants.hpp):
 //
 //   divergence.load        both surfaces have the cell, loads differ
 //   divergence.unpredicted measured messages on a cell the model missed

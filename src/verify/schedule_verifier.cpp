@@ -1,11 +1,10 @@
 #include "verify/schedule_verifier.hpp"
 
 #include <algorithm>
-#include <array>
 #include <sstream>
-#include <utility>
 
 #include "util/check.hpp"
+#include "util/load_cells.hpp"
 #include "util/math.hpp"
 
 namespace dasched::verify {
@@ -13,55 +12,6 @@ namespace dasched::verify {
 namespace {
 
 std::string format_msg(const std::ostringstream& os) { return os.str(); }
-
-/// One staged (big_round, directed_edge) transmission for the static load
-/// accounting, packed so that integer order is (big_round, edge) order;
-/// sorting groups equal pairs so loads are a run-length count.
-std::uint64_t load_key(std::uint32_t big_round, std::uint32_t edge) {
-  return (std::uint64_t{big_round} << 32) | edge;
-}
-
-/// Sorts load keys ascending. Radix, not a comparison sort: this count runs
-/// twice per service cohort over every scheduled message, and std::sort was
-/// about half of the verifier's time. LSD over 16-bit digits; a digit every key
-/// shares is skipped (typically two passes remain) and each pass counts only
-/// its digit's [min, max] span, so memory stays at most 2^16 counters
-/// whatever the slot values -- a corrupt schedule is a legitimate input.
-void sort_load_keys(std::vector<std::uint64_t>& keys) {
-  if (keys.size() < 2) return;
-  constexpr int kDigitBits = 16;
-  constexpr int kDigits = 64 / kDigitBits;
-  constexpr std::uint64_t kDigitMask = (std::uint64_t{1} << kDigitBits) - 1;
-  std::array<std::uint32_t, kDigits> lo;
-  std::array<std::uint32_t, kDigits> hi;
-  lo.fill(static_cast<std::uint32_t>(kDigitMask));
-  hi.fill(0);
-  for (const std::uint64_t key : keys) {
-    for (int d = 0; d < kDigits; ++d) {
-      const auto digit = static_cast<std::uint32_t>((key >> (d * kDigitBits)) & kDigitMask);
-      lo[d] = std::min(lo[d], digit);
-      hi[d] = std::max(hi[d], digit);
-    }
-  }
-  std::vector<std::uint64_t> sorted;
-  std::vector<std::size_t> offset;
-  for (int d = 0; d < kDigits; ++d) {
-    if (lo[d] == hi[d]) continue;
-    const int shift = d * kDigitBits;
-    const std::uint32_t base = lo[d];
-    offset.assign(std::size_t{hi[d] - base} + 1, 0);
-    for (const std::uint64_t key : keys) {
-      ++offset[((key >> shift) & kDigitMask) - base];
-    }
-    std::size_t next = 0;
-    for (std::size_t& o : offset) next += std::exchange(o, next);
-    sorted.resize(keys.size());
-    for (const std::uint64_t key : keys) {
-      sorted[offset[((key >> shift) & kDigitMask) - base]++] = key;
-    }
-    keys.swap(sorted);
-  }
-}
 
 }  // namespace
 
@@ -253,7 +203,7 @@ Report check_schedule(const ScheduleProblem& problem, const ScheduleTable& sched
           }
           continue;
         }
-        loads.push_back(load_key(producer_slot, d));
+        loads.push_back(cell_key(producer_slot, d));
         if (consumer_slot == kNeverScheduled) continue;  // discard rule: no constraint
         ++report.measured.checked_messages;
         if (consumer_slot <= producer_slot) {
@@ -291,35 +241,26 @@ Report check_schedule(const ScheduleProblem& problem, const ScheduleTable& sched
     }
   }
 
-  // --- Static per-edge per-big-round loads: sort the (big_round, edge)
-  // transmissions and run-length count. Equal to the executor's measured
+  // --- Static per-edge per-big-round loads, sorted by (big_round, edge) --
+  // the order ExecProfiler::cells() holds. Equal to the executor's measured
   // loads on a reliable network. ---
-  sort_load_keys(loads);
-  for (std::size_t i = 0; i < loads.size();) {
-    std::size_t j = i;
-    while (j < loads.size() && loads[j] == loads[i]) ++j;
-    const auto load = static_cast<std::uint32_t>(j - i);
-    const auto big_round = static_cast<std::uint32_t>(loads[i] >> 32);
-    const auto edge = static_cast<std::uint32_t>(loads[i]);
-    report.measured.max_edge_load = std::max(report.measured.max_edge_load, load);
-    if (static_loads != nullptr) {
-      // The run-length groups come out sorted by (big_round, edge) -- the
-      // exact order ExecProfiler::cells() holds, so the surfaces join
-      // with one linear merge.
-      static_loads->push_back({big_round, edge, load});
-    }
-    if (opts.congestion_budget > 0 && load > opts.congestion_budget) {
+  std::vector<LoadCell> local_cells;
+  std::vector<LoadCell>& cells = static_loads != nullptr ? *static_loads : local_cells;
+  count_cells(loads, cells);
+  for (const LoadCell& cell : cells) {
+    report.measured.max_edge_load = std::max(report.measured.max_edge_load, cell.load);
+    if (opts.congestion_budget > 0 && cell.load > opts.congestion_budget) {
       Location loc;
-      loc.big_round = big_round;
-      loc.edge = edge;
+      loc.big_round = cell.big_round;
+      loc.edge = cell.edge;
       std::ostringstream os;
-      os << load << " messages on one directed edge in one big-round exceed the phase budget "
+      os << cell.load
+         << " messages on one directed edge in one big-round exceed the phase budget "
          << opts.congestion_budget;
       report.add({Severity::kError, kCodeCongestionOverrun, loc, format_msg(os),
-                  {{"load", static_cast<double>(load)},
+                  {{"load", static_cast<double>(cell.load)},
                    {"budget", static_cast<double>(opts.congestion_budget)}}});
     }
-    i = j;
   }
 
   // --- Total length vs the O(congestion + dilation log n) budget. ---

@@ -27,7 +27,8 @@
 
 #include "congest/admission.hpp"
 #include "sched/problem.hpp"
-#include "telemetry/profiler.hpp"
+#include "telemetry/telemetry.hpp"
+#include "util/load_cells.hpp"
 #include "verify/findings.hpp"
 #include "verify/invariants.hpp"
 

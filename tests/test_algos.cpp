@@ -43,9 +43,8 @@ TEST_P(AlgosOnGraphs, BroadcastReachesExactlyTheBall) {
   const std::uint32_t h = 3;
   const auto dist = bfs_distances(g, source);
 
-  Simulator sim(g);
   BroadcastAlgorithm algo(source, h, 77, 42);
-  const auto result = sim.run(algo);
+  const auto result = solo_run(g, algo);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     const bool in_ball = dist[v] <= h;
     EXPECT_EQ(result.outputs[v][BroadcastAlgorithm::kOutReceived], in_ball ? 1u : 0u)
@@ -63,9 +62,8 @@ TEST_P(AlgosOnGraphs, BfsDistancesMatchOracle) {
   const std::uint32_t h = eccentricity(g, source);
   const auto dist = bfs_distances(g, source);
 
-  Simulator sim(g);
   BfsAlgorithm algo(source, std::max(1u, h), 43);
-  const auto result = sim.run(algo);
+  const auto result = solo_run(g, algo);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     ASSERT_EQ(result.outputs[v][BfsAlgorithm::kOutReached], 1u) << v;
     EXPECT_EQ(result.outputs[v][BfsAlgorithm::kOutDistance], dist[v]) << v;
@@ -90,8 +88,7 @@ TEST_P(AlgosOnGraphs, AggregateComputesBallSum) {
     if (dist[v] <= h) expected += algo.local_value(v);
   }
 
-  Simulator sim(g);
-  const auto result = sim.run(algo);
+  const auto result = solo_run(g, algo);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     const bool in_ball = dist[v] <= h;
     EXPECT_EQ(result.outputs[v][AggregateAlgorithm::kOutInBall], in_ball ? 1u : 0u);
@@ -114,8 +111,7 @@ TEST(PathRouting, DeliversAlongPath) {
   // Path along the top row then down: 0-1-2-3-7-11-15.
   PathRoutingAlgorithm algo({0, 1, 2, 3, 7, 11, 15}, 1234, 5);
   EXPECT_EQ(algo.rounds(), 6u);
-  Simulator sim(g);
-  const auto result = sim.run(algo);
+  const auto result = solo_run(g, algo);
   EXPECT_EQ(result.outputs[15].at(PathRoutingAlgorithm::kOutDelivered), 1u);
   EXPECT_EQ(result.outputs[15].at(PathRoutingAlgorithm::kOutValue), 1234u);
   // Intermediate nodes output nothing.
@@ -131,7 +127,6 @@ TEST(PathRouting, RandomInstanceIsConsistent) {
   const auto g = make_grid(6, 6);
   const auto packets = make_random_routing_instance(g, 12, rng, 1000);
   ASSERT_EQ(packets.size(), 12u);
-  Simulator sim(g);
   const auto dist_cache = [&](NodeId a, NodeId b) {
     return bfs_distances(g, a)[b];
   };
@@ -139,25 +134,23 @@ TEST(PathRouting, RandomInstanceIsConsistent) {
     const auto& path = p->path();
     // Paths are shortest.
     EXPECT_EQ(path.size() - 1, dist_cache(path.front(), path.back()));
-    const auto result = sim.run(*p);
+    const auto result = solo_run(g, *p);
     EXPECT_EQ(result.outputs[path.back()].at(PathRoutingAlgorithm::kOutDelivered), 1u);
   }
 }
 
 TEST(Broadcast, SingleHopOnlyNeighborsReached) {
   const auto g = make_star(6);
-  Simulator sim(g);
   BroadcastAlgorithm from_leaf(3, 1, 5, 1);
-  const auto result = sim.run(from_leaf);
+  const auto result = solo_run(g, from_leaf);
   EXPECT_EQ(result.outputs[0][BroadcastAlgorithm::kOutReceived], 1u);  // hub
   EXPECT_EQ(result.outputs[1][BroadcastAlgorithm::kOutReceived], 0u);  // other leaf
 }
 
 TEST(Bfs, CappedRadiusLeavesFarNodesUnreached) {
   const auto g = make_path(10);
-  Simulator sim(g);
   BfsAlgorithm algo(0, 4, 2);
-  const auto result = sim.run(algo);
+  const auto result = solo_run(g, algo);
   EXPECT_EQ(result.outputs[4][BfsAlgorithm::kOutReached], 1u);
   EXPECT_EQ(result.outputs[5][BfsAlgorithm::kOutReached], 0u);
 }
@@ -165,8 +158,7 @@ TEST(Bfs, CappedRadiusLeavesFarNodesUnreached) {
 TEST(Aggregate, PatternUsesBothDirectionsOfTreeEdges) {
   const auto g = make_binary_tree(15);
   AggregateAlgorithm algo(0, 3, 7);
-  Simulator sim(g);
-  const auto result = sim.run(algo);
+  const auto result = solo_run(g, algo);
   // Flood goes down (and across), convergecast goes up: edge (0,1) must carry
   // messages in both directions.
   const EdgeId e = g.find_edge(0, 1);

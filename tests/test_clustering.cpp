@@ -164,7 +164,7 @@ TEST(Clustering, SingleNodeGraph) {
 
 // Digests of build_distributed (every layer's labels, centers and h') on the
 // shared precomputation cases, captured when each layer ran on its own
-// Simulator. Do not regenerate: an engine change must leave them unchanged.
+// solo-run engine. Do not regenerate: an engine change must leave them unchanged.
 TEST(ClusteringGolden, DistributedMatchesPinnedDigests) {
   const std::uint64_t kGolden[] = {
       0xf700958efb0961d7ULL,  // gnp128_d10

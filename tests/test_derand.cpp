@@ -37,8 +37,7 @@ TEST(DistinctElements, GlobalSharedRandomnessEstimatesWithinFactor) {
   params.iterations = 64;
   DistinctElementsAlgorithm algo(g, params, values, global_seed(g.num_nodes(), 99), 5);
 
-  Simulator sim(g);
-  const auto result = sim.run(algo);
+  const auto result = solo_run(g, algo);
   const auto exact = exact_distinct_counts(g, values, params.radius);
 
   const double tolerance = params.rho * params.rho;  // one threshold of slack
@@ -66,8 +65,7 @@ TEST(DistinctElements, CountsDistinctNotTotal) {
   params.radius = 3;
   params.iterations = 48;
   DistinctElementsAlgorithm algo(g, params, values, global_seed(g.num_nodes(), 7), 3);
-  Simulator sim(g);
-  const auto result = sim.run(algo);
+  const auto result = solo_run(g, algo);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     EXPECT_LE(result.outputs[v][1], 2u) << v;
   }

@@ -76,27 +76,24 @@ using Mode = MisbehavingAlgorithm::Mode;
 TEST(ExecutorContracts, RejectsSendToNonNeighbor) {
   const auto g = make_path(4);
   MisbehavingAlgorithm algo(Mode::kSendToNonNeighbor, 2);
-  Simulator sim(g);
-  EXPECT_DEATH((void)sim.run(algo), "non-neighbor");
+  EXPECT_DEATH((void)solo_run(g, algo), "non-neighbor");
 }
 
 TEST(ExecutorContracts, RejectsDoubleSendToSameNeighbor) {
   const auto g = make_path(4);
   MisbehavingAlgorithm algo(Mode::kDoubleSendToNeighbor, 2);
-  Simulator sim(g);
-  EXPECT_DEATH((void)sim.run(algo), "two messages to one neighbor");
+  EXPECT_DEATH((void)solo_run(g, algo), "two messages to one neighbor");
 }
 
 TEST(ExecutorContracts, RejectsOversizedPayload) {
   const auto g = make_path(4);
   MisbehavingAlgorithm algo(Mode::kOversizedPayload, 2);
-  Simulator sim(g);
-  EXPECT_DEATH((void)sim.run(algo), "word budget");
+  EXPECT_DEATH((void)solo_run(g, algo), "word budget");
 }
 
 TEST(ExecutorContracts, SoloEnforcesUnitBandwidth) {
   // Two bandwidth hogs scheduled into the SAME big-round over one edge: the
-  // unit-capacity check must fire (this is what makes Simulator a CONGEST
+  // unit-capacity check must fire (this is what makes solo_run a CONGEST
   // simulator rather than a message bus).
   const auto g = make_path(4);
   MisbehavingAlgorithm a(Mode::kBandwidthHog, 2);
@@ -170,8 +167,7 @@ TEST(ExecutorContracts, SendDuringFinishDies) {
   };
   const auto g = make_path(2);
   FinishSenderAlgo algo;
-  Simulator sim(g);
-  EXPECT_DEATH((void)sim.run(algo), "on_finish");
+  EXPECT_DEATH((void)solo_run(g, algo), "on_finish");
 }
 
 // --- ExecutionResult schedule-length measures, edge cases. ---

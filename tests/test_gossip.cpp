@@ -19,9 +19,8 @@ TEST(Gossip, SpreadsPlausiblyAndDeterministically) {
   Rng rng(3);
   const auto g = make_gnp_connected(60, 0.1, rng);
   GossipAlgorithm algo(0, 30, 77, 5);
-  Simulator sim(g);
-  const auto a = sim.run(algo);
-  const auto b = sim.run(algo);
+  const auto a = solo_run(g, algo);
+  const auto b = solo_run(g, algo);
   // Determinism: same seed, same execution.
   for (NodeId v = 0; v < g.num_nodes(); ++v) EXPECT_EQ(a.outputs[v], b.outputs[v]);
   // Plausibility: push gossip informs most of a 60-node expander in 30 rounds.
@@ -38,11 +37,10 @@ TEST(Gossip, SpreadsPlausiblyAndDeterministically) {
 TEST(Gossip, DifferentSeedsSpreadDifferently) {
   Rng rng(4);
   const auto g = make_gnp_connected(60, 0.1, rng);
-  Simulator sim(g);
   GossipAlgorithm a(0, 10, 1, 100);
   GossipAlgorithm b(0, 10, 1, 101);
-  const auto ra = sim.run(a);
-  const auto rb = sim.run(b);
+  const auto ra = solo_run(g, a);
+  const auto rb = solo_run(g, b);
   bool differs = false;
   for (NodeId v = 0; v < g.num_nodes() && !differs; ++v) {
     differs = ra.outputs[v] != rb.outputs[v];

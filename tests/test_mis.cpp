@@ -37,8 +37,7 @@ TEST(LubyMis, ComputesAValidMisWithPrivateRandomness) {
   for (const auto& g : graphs) {
     const auto phases = 2u * static_cast<std::uint32_t>(ceil_log2(g.num_nodes())) + 4;
     LubyMisAlgorithm algo(phases, {}, 7);
-    Simulator sim(g);
-    const auto result = sim.run(algo);
+    const auto result = solo_run(g, algo);
     const auto run = extract(result.outputs);
     // All nodes decided (Theta(log n) phases suffice at these sizes).
     for (NodeId v = 0; v < g.num_nodes(); ++v) ASSERT_EQ(run.decided[v], 1u);
@@ -53,13 +52,12 @@ TEST(LubyMis, SharedSeedIsDeterministicDifferentSeedsDiffer) {
   const auto g = make_gnp_connected(60, 0.1, rng);
   const std::vector<std::vector<std::uint64_t>> seed_a(g.num_nodes(), {11});
   const std::vector<std::vector<std::uint64_t>> seed_b(g.num_nodes(), {12});
-  Simulator sim(g);
   LubyMisAlgorithm a1(16, seed_a, 1);
   LubyMisAlgorithm a2(16, seed_a, 2);  // different base seed, same shared seed
   LubyMisAlgorithm b(16, seed_b, 1);
-  const auto ra1 = sim.run(a1);
-  const auto ra2 = sim.run(a2);
-  const auto rb = sim.run(b);
+  const auto ra1 = solo_run(g, a1);
+  const auto ra2 = solo_run(g, a2);
+  const auto rb = solo_run(g, b);
   EXPECT_EQ(ra1.outputs, ra2.outputs);  // seeded variant ignores private rng
   EXPECT_NE(ra1.outputs, rb.outputs);   // different MIS per seed (not Bellagio!)
 }
@@ -119,8 +117,7 @@ TEST(LubyMis, BellagioWrapperProducesConflicts) {
   // decided ones, which is exactly the stitching property at issue.)
   const std::vector<std::vector<std::uint64_t>> global(g.num_nodes(), {77});
   LubyMisAlgorithm algo(phases, global, 9);
-  Simulator sim(g);
-  const auto solo = sim.run(algo);
+  const auto solo = solo_run(g, algo);
   const auto run = extract(solo.outputs);
   const auto [gi, gm] = check_mis(g, run.decided, run.in_mis);
   EXPECT_EQ(gi, 0u);

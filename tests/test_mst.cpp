@@ -54,12 +54,11 @@ TEST_P(MstOnGraphs, MatchesKruskalForEveryKnobValue) {
   const auto& c = mst_cases()[GetParam()];
   const auto w = make_mst_weights(c.graph, 77);
   const auto expected = kruskal_incident(c.graph, w);
-  Simulator sim(c.graph);
   for (const std::uint32_t target :
        {1u, 2u, 4u, 8u, c.graph.num_nodes() / 2, c.graph.num_nodes()}) {
     if (target < 1) continue;
     PipelineMstAlgorithm algo(c.graph, w, target, 5);
-    const auto result = sim.run(algo);
+    const auto result = solo_run(c.graph, algo);
     for (NodeId v = 0; v < c.graph.num_nodes(); ++v) {
       EXPECT_EQ(result.outputs[v], expected[v])
           << c.name << " target=" << target << " node " << v;
@@ -69,12 +68,11 @@ TEST_P(MstOnGraphs, MatchesKruskalForEveryKnobValue) {
 
 TEST_P(MstOnGraphs, DifferentWeightSeedsGiveDifferentTreesButAlwaysCorrect) {
   const auto& c = mst_cases()[GetParam()];
-  Simulator sim(c.graph);
   for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
     const auto w = make_mst_weights(c.graph, seed);
     const auto expected = kruskal_incident(c.graph, w);
     PipelineMstAlgorithm algo(c.graph, w, 4, seed);
-    const auto result = sim.run(algo);
+    const auto result = solo_run(c.graph, algo);
     for (NodeId v = 0; v < c.graph.num_nodes(); ++v) {
       EXPECT_EQ(result.outputs[v], expected[v]) << c.name << " seed " << seed;
     }
@@ -161,16 +159,14 @@ TEST(Mst, SingleNodeAndSingleEdge) {
   {
     const auto g = make_path(1);
     PipelineMstAlgorithm algo(g, {}, 1, 1);
-    Simulator sim(g);
-    const auto r = sim.run(algo);
+    const auto r = solo_run(g, algo);
     EXPECT_TRUE(r.outputs[0].empty());
   }
   {
     const auto g = make_path(2);
     const auto w = make_mst_weights(g, 2);
     PipelineMstAlgorithm algo(g, w, 1, 1);
-    Simulator sim(g);
-    const auto r = sim.run(algo);
+    const auto r = solo_run(g, algo);
     EXPECT_EQ(r.outputs[0], (std::vector<std::uint64_t>{0}));
     EXPECT_EQ(r.outputs[1], (std::vector<std::uint64_t>{0}));
   }

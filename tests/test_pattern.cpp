@@ -1,6 +1,9 @@
 // Communication-pattern tests (Section 2): time-expanded footprint recording,
-// congestion combination, and the simulation-mapping validator.
+// its load surface, congestion combination (ScheduleProblem::congestion), and
+// the simulation-mapping validator.
 #include <gtest/gtest.h>
+
+#include <memory>
 
 #include "algos/bfs.hpp"
 #include "algos/broadcast.hpp"
@@ -8,10 +11,26 @@
 #include "congest/simulator.hpp"
 #include "graph/generators.hpp"
 #include "sched/private_scheduler.hpp"
+#include "sched/problem.hpp"
 #include "sched/workloads.hpp"
 
 namespace dasched {
 namespace {
+
+/// congestion() of a problem on `g` whose solo patterns are `patterns` (the
+/// algorithms are placeholders and never run).
+std::uint32_t congestion_of(const Graph& g, std::vector<CommunicationPattern> patterns) {
+  ScheduleProblem problem(g);
+  std::vector<std::shared_ptr<const SoloRunResult>> solo;
+  for (auto& pattern : patterns) {
+    problem.add(std::make_unique<BroadcastAlgorithm>(0, 1, 0, 1));
+    const std::uint64_t total = pattern.total_messages();
+    solo.push_back(
+        std::make_shared<const SoloRunResult>(SoloRunResult{{}, std::move(pattern), total}));
+  }
+  problem.adopt_solo(std::move(solo));
+  return problem.congestion();
+}
 
 TEST(Pattern, RecordAndQuery) {
   CommunicationPattern p(6);
@@ -29,6 +48,16 @@ TEST(Pattern, RecordAndQuery) {
   EXPECT_TRUE(p.edges_in_round(9).empty());
 }
 
+TEST(Pattern, CellsCountRecordsInRoundEdgeOrder) {
+  CommunicationPattern p(6);
+  p.record(3, 0);
+  p.record(1, 5);
+  p.record(1, 2);
+  p.record(1, 5);
+  EXPECT_EQ(p.cells(), (std::vector<LoadCell>{{1, 2, 1}, {1, 5, 2}, {3, 0, 1}}));
+  EXPECT_TRUE(CommunicationPattern(6).cells().empty());
+}
+
 TEST(Pattern, CombinedCongestionSumsPerEdge) {
   CommunicationPattern a(4);
   CommunicationPattern b(4);
@@ -36,12 +65,8 @@ TEST(Pattern, CombinedCongestionSumsPerEdge) {
   a.record(2, 1);
   b.record(5, 1);
   b.record(1, 3);
-  const CommunicationPattern patterns[] = {a, b};
-  EXPECT_EQ(combined_congestion(patterns), 3u);
-  const auto loads = combined_edge_load(patterns);
-  EXPECT_EQ(loads[1], 3u);
-  EXPECT_EQ(loads[3], 1u);
-  EXPECT_EQ(loads[0], 0u);
+  EXPECT_EQ(congestion_of(make_path(3), {a, b}), 3u);
+  EXPECT_EQ(congestion_of(make_path(3), {b}), 1u);
 }
 
 TEST(Pattern, EmptyPatternHasZeroEverything) {
@@ -78,13 +103,11 @@ TEST(Pattern, SingleEdgeGraphFootprint) {
   EXPECT_EQ(p.max_edge_load(), 2u);
   EXPECT_EQ(p.total_messages(), 3u);
   ASSERT_EQ(p.edges_in_round(1).size(), 2u);
-  const CommunicationPattern patterns[] = {p};
-  EXPECT_EQ(combined_congestion(patterns), 2u);
+  EXPECT_EQ(congestion_of(g, {p}), 2u);
 }
 
 TEST(Pattern, CombinedCongestionOfNothingIsZero) {
-  EXPECT_EQ(combined_congestion({}), 0u);
-  EXPECT_TRUE(combined_edge_load({}).empty());
+  EXPECT_EQ(congestion_of(make_path(3), {CommunicationPattern(4), CommunicationPattern(4)}), 0u);
 }
 
 TEST(Pattern, BfsPatternIsUnknowableButRecordable) {
@@ -92,9 +115,8 @@ TEST(Pattern, BfsPatternIsUnknowableButRecordable) {
   // only know it after running. Verify the recorded footprint matches the
   // BFS structure: node at distance q sends in round q+1.
   const auto g = make_path(6);
-  Simulator sim(g);
   BfsAlgorithm algo(0, 5, 1);
-  const auto result = sim.run(algo);
+  const auto result = solo_run(g, algo);
   for (std::uint32_t r = 1; r <= 5; ++r) {
     // In round r, node r-1 floods both directions (except ends).
     for (const auto d : result.pattern.edges_in_round(r)) {
@@ -108,9 +130,8 @@ TEST(Pattern, BfsPatternIsUnknowableButRecordable) {
 
 TEST(SimulationValidator, LockstepAndShiftedAreSimulations) {
   const auto g = make_grid(4, 4);
-  Simulator sim(g);
   BroadcastAlgorithm algo(0, 4, 9, 2);
-  const auto solo = sim.run(algo);
+  const auto solo = solo_run(g, algo);
 
   EXPECT_EQ(simulation_violations(g, solo.pattern,
                                   [](NodeId, std::uint32_t r) { return r - 1; }),
@@ -122,9 +143,8 @@ TEST(SimulationValidator, LockstepAndShiftedAreSimulations) {
 
 TEST(SimulationValidator, FlagsSkewAndMissingSenders) {
   const auto g = make_path(5);
-  Simulator sim(g);
   BroadcastAlgorithm algo(0, 4, 9, 2);
-  const auto solo = sim.run(algo);
+  const auto solo = solo_run(g, algo);
 
   // Receiver runs before sender: violations.
   EXPECT_GT(simulation_violations(g, solo.pattern,

@@ -278,7 +278,7 @@ TEST(AdoptSolo, AdoptedProfilesServeAsGroundTruth) {
   // Profile once, adopt into a fresh problem: run_solo() must be a no-op and
   // the verifier must accept a lockstep schedule.
   const auto solo = std::make_shared<const SoloRunResult>(
-      Simulator(g).run(*service::make_algorithm(spec)));
+      solo_run(g, *service::make_algorithm(spec)));
   ScheduleProblem problem(g);
   problem.add(service::make_algorithm(spec));
   problem.adopt_solo({solo});
@@ -295,7 +295,7 @@ TEST(AdoptSoloDeathTest, ContractViolationsDie) {
   const Graph g = test_graph();
   const JobSpec spec = service::tenant_spec(stream_config(), 0, 0, g.num_nodes());
   const auto solo = std::make_shared<const SoloRunResult>(
-      Simulator(g).run(*service::make_algorithm(spec)));
+      solo_run(g, *service::make_algorithm(spec)));
   {
     ScheduleProblem problem(g);
     problem.add(service::make_algorithm(spec));
@@ -330,7 +330,7 @@ TEST(VerifierProfileConsistency, WrongGeometryProfileIsRejectedNotExecuted) {
   // A profile recorded for a *different* program: aggregate over the same
   // graph runs 3r + 1 = 10 rounds, far past broadcast's 3.
   const auto stale =
-      std::make_shared<const SoloRunResult>(Simulator(g).run(AggregateAlgorithm(0, 3, 42)));
+      std::make_shared<const SoloRunResult>(solo_run(g, AggregateAlgorithm(0, 3, 42)));
   ScheduleProblem problem(g);
   problem.add(service::make_algorithm(broadcast));
   problem.adopt_solo({stale});
@@ -354,7 +354,7 @@ TEST(VerifierProfileConsistency, WrongEdgeCountProfileIsRejectedNotExecuted) {
   ASSERT_NE(g.num_directed_edges(), other.num_directed_edges());
   const JobSpec spec = service::tenant_spec(stream_config(), 1, 0, g.num_nodes());
   const auto foreign = std::make_shared<const SoloRunResult>(
-      Simulator(other).run(*service::make_algorithm(spec)));
+      solo_run(other, *service::make_algorithm(spec)));
   ScheduleProblem problem(g);
   problem.add(service::make_algorithm(spec));
   problem.adopt_solo({foreign});
@@ -636,9 +636,9 @@ void poison_cache(SchedulerDaemon& daemon, const Graph& g, const JobSpec& victim
   other.kind = victim.kind == JobSpec::Kind::kAggregate ? JobSpec::Kind::kBroadcast
                                                         : JobSpec::Kind::kAggregate;
   const auto wrong =
-      std::make_shared<const SoloRunResult>(Simulator(g).run(*service::make_algorithm(other)));
+      std::make_shared<const SoloRunResult>(solo_run(g, *service::make_algorithm(other)));
   ASSERT_NE(wrong->pattern.last_message_round(),
-            Simulator(g).run(*service::make_algorithm(victim)).pattern.last_message_round());
+            solo_run(g, *service::make_algorithm(victim)).pattern.last_message_round());
   JobProfile poison;
   poison.rounds = victim.rounds();
   poison.max_edge_load = wrong->pattern.max_edge_load();

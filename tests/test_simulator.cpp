@@ -54,9 +54,8 @@ std::unique_ptr<NodeProgram> PingPong::make_program(NodeId node) const {
 
 TEST(Simulator, PingPongCountsRounds) {
   const auto g = make_path(2);
-  Simulator sim(g);
   PingPong algo(6, 1);
-  const auto result = sim.run(algo);
+  const auto result = solo_run(g, algo);
   // Rounds 1..6 alternate sends; each send increments the counter once.
   EXPECT_EQ(result.outputs[0].at(0), 6u);  // node 0 absorbed node 1's round-6 reply? see below
   EXPECT_EQ(result.outputs[1].at(0), 5u);
@@ -67,9 +66,8 @@ TEST(Simulator, PingPongCountsRounds) {
 
 TEST(Simulator, BroadcastPatternOnPath) {
   const auto g = make_path(5);
-  Simulator sim(g);
   BroadcastAlgorithm algo(0, 4, 99, 7);
-  const auto result = sim.run(algo);
+  const auto result = solo_run(g, algo);
   for (NodeId v = 0; v < 5; ++v) {
     EXPECT_EQ(result.outputs[v][BroadcastAlgorithm::kOutReceived], 1u);
     EXPECT_EQ(result.outputs[v][BroadcastAlgorithm::kOutValue], 99u);
@@ -81,16 +79,15 @@ TEST(Simulator, BroadcastPatternOnPath) {
 
 TEST(SoloRunner, ReusedEngineMatchesSimulatorOutputs) {
   // One SoloRunner serves algorithms of different rounds and widths in
-  // sequence; every run must reproduce Simulator::run's outputs.
+  // sequence; every run must reproduce solo_run's outputs.
   const auto g = make_cycle(9);
   BroadcastAlgorithm a(0, 6, 31, 41);
   PingPong b(5, 3);
   BroadcastAlgorithm c(4, 5, 32, 43);
   const DistributedAlgorithm* algos[] = {&a, &b, &c, &a};
-  const Simulator sim(g);
   SoloRunner runner(g);
   for (const auto* algo : algos) {
-    EXPECT_EQ(runner.outputs(*algo), sim.run(*algo).outputs) << algo->name();
+    EXPECT_EQ(runner.outputs(*algo), solo_run(g, *algo).outputs) << algo->name();
   }
 }
 
@@ -98,8 +95,7 @@ TEST(Executor, DelayedScheduleProducesSameOutputs) {
   const auto g = make_path(5);
   BroadcastAlgorithm algo(0, 4, 55, 3);
 
-  Simulator sim(g);
-  const auto solo = sim.run(algo);
+  const auto solo = solo_run(g, algo);
 
   // Same algorithm, but every virtual round r runs at big-round 10 + 3r.
   Executor executor(g, {});
@@ -118,8 +114,7 @@ TEST(Executor, PerNodeSkewedScheduleStillCausal) {
   // upstream neighbor respects causality exactly.
   const auto g = make_path(6);
   PathRoutingAlgorithm algo({0, 1, 2, 3, 4, 5}, 321, 4);
-  Simulator sim(g);
-  const auto solo = sim.run(algo);
+  const auto solo = solo_run(g, algo);
 
   Executor executor(g, {});
   const DistributedAlgorithm* algos[] = {&algo};
@@ -137,8 +132,7 @@ TEST(Executor, FloodUnderSkewIsFlaggedUnfaithful) {
   // receiver's *output* happens to be unaffected (it already held the token).
   const auto g = make_path(6);
   BroadcastAlgorithm algo(0, 5, 1, 4);
-  Simulator sim(g);
-  const auto solo = sim.run(algo);
+  const auto solo = solo_run(g, algo);
 
   Executor executor(g, {});
   const DistributedAlgorithm* algos[] = {&algo};
@@ -194,9 +188,8 @@ TEST(Executor, TwoAlgorithmsInterleavedKeepSoloOutputs) {
   const auto g = make_cycle(8);
   BroadcastAlgorithm a(0, 4, 11, 21);
   BroadcastAlgorithm b(4, 4, 22, 22);
-  Simulator sim(g);
-  const auto solo_a = sim.run(a);
-  const auto solo_b = sim.run(b);
+  const auto solo_a = solo_run(g, a);
+  const auto solo_b = solo_run(g, b);
 
   Executor executor(g, {});
   const DistributedAlgorithm* algos[] = {&a, &b};
@@ -237,8 +230,7 @@ TEST(Executor, LoadAccountingMatchesHandCount) {
 TEST(Executor, RecordsPatternsIdenticalToSimulator) {
   const auto g = make_grid(3, 3);
   BroadcastAlgorithm algo(4, 4, 5, 9);
-  Simulator sim(g);
-  const auto solo = sim.run(algo);
+  const auto solo = solo_run(g, algo);
 
   ExecConfig cfg;
   cfg.record_patterns = true;

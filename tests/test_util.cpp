@@ -3,6 +3,7 @@
 #include <cmath>
 #include <set>
 
+#include "util/load_cells.hpp"
 #include "util/math.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -188,6 +189,44 @@ TEST(Table, NumericFormatting) {
   EXPECT_EQ(Table::fmt(std::int64_t{-5}), "-5");
   EXPECT_EQ(Table::fmt(std::uint64_t{7}), "7");
   EXPECT_EQ(Table::fmt(3.14159, 2), "3.14");
+}
+
+// join_cells visits every cell of the union exactly once, in (round, edge)
+// order, with each side's load (0 where a side lacks the cell).
+TEST(LoadCells, JoinVisitsEachUnionCellOnceInOrder) {
+  struct Visit {
+    std::uint32_t round, edge, a, b;
+    bool operator==(const Visit&) const = default;
+  };
+  const auto join = [](const std::vector<LoadCell>& a, const std::vector<LoadCell>& b) {
+    std::vector<Visit> visits;
+    join_cells(a, b, [&](const LoadCell& cell, std::uint32_t la, std::uint32_t lb) {
+      visits.push_back({cell.big_round, cell.edge, la, lb});
+    });
+    return visits;
+  };
+  // Disjoint: every cell is one-sided.
+  EXPECT_EQ(join({{1, 5, 2}, {3, 0, 1}}, {{0, 9, 4}, {2, 1, 1}, {4, 0, 3}}),
+            (std::vector<Visit>{{0, 9, 0, 4}, {1, 5, 2, 0}, {2, 1, 0, 1},
+                                {3, 0, 1, 0}, {4, 0, 0, 3}}));
+  // Identical: every cell is joined once, never twice.
+  const std::vector<LoadCell> same{{0, 1, 1}, {0, 7, 2}, {1u << 20, 1u << 17, 5}};
+  EXPECT_EQ(join(same, same), (std::vector<Visit>{{0, 1, 1, 1},
+                                                  {0, 7, 2, 2},
+                                                  {1u << 20, 1u << 17, 5, 5}}));
+  // Interleaved: shared cells between one-sided runs on either side, same
+  // round different edges, and one side running out first.
+  EXPECT_EQ(join({{1, 1, 1}, {1, 2, 2}, {1, 4, 1}, {2, 0, 3}},
+                 {{1, 2, 5}, {1, 3, 1}, {2, 0, 3}, {2, 6, 1}, {9, 9, 9}}),
+            (std::vector<Visit>{{1, 1, 1, 0}, {1, 2, 2, 5}, {1, 3, 0, 1}, {1, 4, 1, 0},
+                                {2, 0, 3, 3}, {2, 6, 0, 1}, {9, 9, 0, 9}}));
+  EXPECT_TRUE(join({}, {}).empty());
+}
+
+TEST(LoadCells, RoundMaxLoadsFillsQuietRoundsWithZero) {
+  EXPECT_TRUE(round_max_loads({}).empty());
+  const std::vector<LoadCell> cells{{0, 3, 2}, {0, 8, 5}, {3, 1, 1}};
+  EXPECT_EQ(round_max_loads(cells), (std::vector<std::uint32_t>{5, 0, 0, 1}));
 }
 
 }  // namespace

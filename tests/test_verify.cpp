@@ -12,7 +12,8 @@
 //   * VerifyingAdmission: an admitting gate leaves the execution identical
 //     to the ungated run; a rejecting gate aborts before any event runs.
 //   * Static load count: the verifier's load surface, max load and overrun
-//     findings equal a naive std::map count, for slots and edge ids past 2^16.
+//     findings, and util/load_cells' count_cells, equal a naive std::map
+//     count, for slots and edge ids past 2^16.
 //   * Findings survive the RunReport JSON round-trip with exact totals.
 #include <gtest/gtest.h>
 
@@ -32,6 +33,7 @@
 #include "sched/workloads.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/run_report.hpp"
+#include "util/load_cells.hpp"
 #include "verify/schedule_verifier.hpp"
 
 namespace dasched {
@@ -392,25 +394,37 @@ TEST(CleanSweep, GlobalSharingAndDoublingVerify) {
 
 // --- Static load count vs a naive reference: for arbitrary (even corrupt)
 // tables, the verifier's sorted load surface, its max load and its
-// congestion-overrun findings equal a std::map count of the scheduled
-// (producer big-round, directed edge) transmissions, in map order. Slots at
-// and past 2^16 and near 2^31, and edge ids past 2^16, make every 16-bit
-// digit of the packed sort key vary. ---
+// congestion-overrun findings -- and count_cells over the same transmissions
+// in emission order -- equal a std::map count of the scheduled (producer
+// big-round, directed edge) transmissions, in map order. Slots at and past
+// 2^16 and near 2^31, and edge ids past 2^16, make every 16-bit digit of the
+// packed sort key vary. ---
 
 using LoadMap = std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint32_t>;
 
-LoadMap reference_loads(const ScheduleProblem& problem, const ScheduleTable& table) {
+/// The reference count; `keys` (optional) receives each transmission's
+/// cell_key in emission order.
+LoadMap reference_loads(const ScheduleProblem& problem, const ScheduleTable& table,
+                        std::vector<std::uint64_t>* keys = nullptr) {
   LoadMap loads;
   for (std::size_t a = 0; a < problem.size(); ++a) {
     const auto& pattern = problem.solo(a).pattern;
     for (std::uint32_t r = 1; r <= pattern.last_message_round(); ++r) {
       for (const auto d : pattern.edges_in_round(r)) {
         const std::uint32_t slot = table.at(a, sender_of(problem.graph(), d), r);
-        if (slot != kNeverScheduled) ++loads[{slot, d}];
+        if (slot == kNeverScheduled) continue;
+        ++loads[{slot, d}];
+        if (keys != nullptr) keys->push_back(cell_key(slot, d));
       }
     }
   }
   return loads;
+}
+
+std::vector<LoadCell> map_cells(const LoadMap& loads) {
+  std::vector<LoadCell> cells;
+  for (const auto& [key, load] : loads) cells.push_back({key.first, key.second, load});
+  return cells;
 }
 
 void expect_loads_match_reference(const ScheduleProblem& problem, const ScheduleTable& table,
@@ -421,15 +435,18 @@ void expect_loads_match_reference(const ScheduleProblem& problem, const Schedule
   opts.max_findings_per_code = ~std::size_t{0};
   std::vector<LoadCell> cells;
   const auto report = check_schedule(problem, table, opts, &cells);
-  const LoadMap want = reference_loads(problem, table);
+  std::vector<std::uint64_t> keys;
+  const LoadMap want = reference_loads(problem, table, &keys);
+  const std::vector<LoadCell> want_cells = map_cells(want);
+  std::vector<LoadCell> counted{{1, 2, 3}};
+  count_cells(keys, counted);
+  EXPECT_EQ(counted, want_cells) << name;
 
-  std::vector<LoadCell> want_cells;
   std::vector<LoadCell> want_overruns;
   std::uint32_t want_max = 0;
-  for (const auto& [key, load] : want) {
-    want_cells.push_back({key.first, key.second, load});
-    if (load > opts.congestion_budget) want_overruns.push_back(want_cells.back());
-    want_max = std::max(want_max, load);
+  for (const LoadCell& cell : want_cells) {
+    if (cell.load > opts.congestion_budget) want_overruns.push_back(cell);
+    want_max = std::max(want_max, cell.load);
   }
   std::vector<LoadCell> overruns;
   for (const auto& f : report.findings()) {
@@ -496,6 +513,41 @@ TEST(StaticLoadCount, MatchesNaiveReferencePastSixteenBitEdgeIds) {
     for (auto& d : delays) d = base + static_cast<std::uint32_t>(rng.next_below(6));
     expect_loads_match_reference(*problem, ScheduleTable::from_delays(algos, g.num_nodes(), delays),
                                  "path base " + std::to_string(base));
+  }
+}
+
+TEST(StaticLoadCount, CountCellsMatchesNaiveReferenceOnRawKeys) {
+  const auto reference = [](const std::vector<std::uint64_t>& keys) {
+    LoadMap loads;
+    for (const auto key : keys) {
+      ++loads[{static_cast<std::uint32_t>(key >> 32), static_cast<std::uint32_t>(key)}];
+    }
+    return map_cells(loads);
+  };
+  Rng rng(41);
+  std::vector<std::vector<std::uint64_t>> inputs;
+  inputs.push_back({});
+  inputs.push_back({cell_key(3, 4)});
+  inputs.push_back(std::vector<std::uint64_t>(50, cell_key(70000, 90000)));  // all equal
+  {
+    // Round and edge halves both cross 2^16 (and reach the top digit), with
+    // collisions: every 16-bit digit varies.
+    std::vector<std::uint64_t> keys;
+    for (int i = 0; i < 4000; ++i) {
+      const auto round = static_cast<std::uint32_t>(
+          (rng.next_below(4) << 30) | (rng.next_below(3) << 16) | rng.next_below(5));
+      const auto edge = static_cast<std::uint32_t>(
+          (rng.next_below(2) << 31) | (rng.next_below(3) << 16) | rng.next_below(5));
+      keys.push_back(cell_key(round, edge));
+    }
+    inputs.push_back(std::move(keys));
+  }
+  for (auto& keys : inputs) {
+    const auto want = reference(keys);
+    std::vector<LoadCell> cells{{9, 9, 9}};
+    count_cells(keys, cells);
+    EXPECT_EQ(cells, want) << keys.size() << " keys";
+    EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
   }
 }
 
