@@ -57,9 +57,9 @@ struct ExecEvent {
 };
 
 /// Logical identity of a staged message, parallel to the staged header lane.
-/// Filled only when the fate pass consumes identities (patterns, flight
-/// recorder, fault injection); the clean unobserved path never writes or
-/// reads it -- routing needs only the precomputed staged_dest lane.
+/// Filled only when fates or the fate commit consume identities (patterns,
+/// flight recorder, fault injection); the clean unobserved path never writes
+/// or reads it -- routing needs only the precomputed staged_dest lane.
 struct StagedMeta {
   std::uint32_t alg;
   std::uint32_t tag;  // sender's virtual round
@@ -155,8 +155,8 @@ struct PendingSeg {
 /// lane is W-strided: message i's words live at [i*W, i*W + W). staged_dest
 /// packs (consumer big-round << 32) | bucket slot -- or a sentinel round
 /// (kFinishDest with the packed finish key, kNeverDest) -- into one word so
-/// the send path and barrier move one lane instead of two; the fate pass
-/// marks its copy count in the same word.
+/// the send path and barrier move one lane instead of two; the fault
+/// decision marks its copy count in the same word.
 struct StagedLanes {
   Lane<std::uint32_t> staged_hdr;   // perf-ok: cleared per round, capacity retained
   Lane<std::uint64_t> staged_pay;   // perf-ok: W-strided payload lane
@@ -205,6 +205,11 @@ struct WorkerState : StagedLanes {
   std::uint64_t violations = 0;  // causality violations counted at the barrier (owner 0)
   std::uint64_t delivered = 0;  // cumulative messages consumed by this worker
   std::uint64_t skipped = 0;    // events skipped because the node crash-stopped
+  // --- Fault fates of this worker's staged messages, decided at the end of
+  // its execute shard on faulty runs and read by the serial fate commit. ---
+  Lane<std::uint8_t> staged_fate;   // perf-ok: one fate byte per staged message
+  Lane<std::uint32_t> retransmit;   // perf-ok: staged indices to retransmit, ascending
+  ExecutionResult::FaultStats fault_partial;  // folded into the result at run end
 };
 
 namespace {
@@ -218,14 +223,21 @@ constexpr std::uint32_t kNoBucket = ~std::uint32_t{0};
 
 /// staged_dest round-half sentinels. kFinishDest marks tag == T messages
 /// (consumed by on_finish after the loop); kNeverDest marks messages whose
-/// consumer is never scheduled, and messages the fate pass dropped (counted
+/// consumer is never scheduled, and messages a fault dropped (counted
 /// nowhere, delivered nowhere). Real destinations are big-rounds below both
-/// (run_impl checks the horizon). The top bit is the fate pass's raw-duplicate
-/// mark (deliver two copies), so `dest >= kNeverDest` tests for either
-/// sentinel or a mark in one compare.
+/// (run_impl checks the horizon). The top bit is the fault decision's
+/// raw-duplicate mark (deliver two copies), so `dest >= kNeverDest` tests for
+/// either sentinel or a mark in one compare.
 constexpr std::uint32_t kNeverDest = 0x7ffffffe;
 constexpr std::uint32_t kFinishDest = 0x7fffffff;
 constexpr std::uint32_t kTwoCopies = 0x80000000;
+
+/// A message's fate byte: the FlightRecorder kind of its attempt's outcome
+/// (kDeliver or one of the kDrop kinds) in the low bits, plus two flags.
+constexpr std::uint8_t kFateDuplicate = 0x10;   // delivered with a raw duplicate
+constexpr std::uint8_t kFateRetransmit = 0x20;  // dropped, retransmission due
+constexpr std::uint8_t kFateKindMask = 0x0f;
+static_assert(static_cast<std::uint32_t>(FlightRecorder::Kind::kDropCrash) <= kFateKindMask);
 
 /// Minimum messages in a big-round before the delivery barrier's owners run
 /// on the pool; below this the calling thread runs them in turn (one pool
@@ -496,10 +508,23 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
 
   ExecScratch& scratch = *scratch_;
 
+  // Retransmissions may land past the last scheduled big-round (they still
+  // matter: tag-T messages are consumed by on_finish after the loop); the
+  // horizon grows to cover them -- by at most sum_{i<R} 2^i = 2^R - 1
+  // big-rounds, since chained retransmissions back off exponentially. Every
+  // round of it must stay below the staged_dest sentinels.
+  const FaultInjector* const faults = cfg_.faults;
+  const std::uint32_t max_retries = faults != nullptr ? cfg_.retry.max_retries : 0;
+  const std::uint32_t round_headroom =
+      max_retries > 0 ? (1u << max_retries) - 1 : 0;
+
   // --- One pass over the schedule: validate (gap-free prefix, strictly
-  // increasing big-rounds), count events per big-round, and record
-  // max_big_round together. bucket_start[t + 1] accumulates the bucket sizes
-  // and is prefix-summed into CSR offsets below. ---
+  // increasing big-rounds, horizon inside the packed destination range),
+  // count events per big-round, and record max_big_round together. The
+  // horizon is checked per slot, before bucket_start grows to cover it, so a
+  // corrupt table fails here instead of sizing O(max big-round) buffers.
+  // bucket_start[t + 1] accumulates the bucket sizes and is prefix-summed
+  // into CSR offsets below. ---
   std::uint32_t max_big_round = 0;
   std::uint64_t total_events = 0;
   auto& bucket_start = scratch.bucket_start;
@@ -520,6 +545,8 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
         DASCHED_CHECK_MSG(!ended, "schedule has a gap: round scheduled after a skipped one");
         DASCHED_CHECK_MSG(r == 1 || t > prev,
                           "schedule must be strictly increasing per (alg, node)");
+        DASCHED_CHECK_MSG(std::uint64_t{t} + 1 + round_headroom < kNeverDest,
+                          "schedule horizon exceeds the packed destination range");
         prev = t;
         max_big_round = std::max(max_big_round, t);
         if (std::size_t{t} + 2 > bucket_start.size()) bucket_start.resize(std::size_t{t} + 2, 0);
@@ -600,25 +627,14 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
   scratch.edge_count.assign(graph_.num_directed_edges(), 0);
   auto& edge_count = scratch.edge_count;
 
-  // --- Fault injection and reliable delivery (docs/FAULTS.md). All fault
-  // decisions run in the serial fate pass before each delivery barrier, in
-  // shard-merged order, and are pure functions of the plan seed and message
-  // identity -- so faulty runs are bit-identical across thread counts. With
-  // `faults` null none of this is touched. ---
-  const FaultInjector* const faults = cfg_.faults;
-  const std::uint32_t max_retries = faults != nullptr ? cfg_.retry.max_retries : 0;
+  // --- Fault injection and reliable delivery (docs/FAULTS.md). Every fate
+  // is a pure function of the plan seed and message identity: each execute
+  // shard decides its own staged messages' fates, and one serial commit
+  // walks them in shard-merged order -- so faulty runs are bit-identical
+  // across thread counts. With `faults` null none of this is touched. ---
   RetryQueue<RetryMessage<W>> retry_queue;
   std::vector<typename RetryQueue<RetryMessage<W>>::Entry> retry_due;
-  // Retransmissions may land past the last scheduled big-round (they still
-  // matter: tag-T messages are consumed by on_finish after the loop); the
-  // horizon grows to cover them -- by at most sum_{i<R} 2^i = 2^R - 1
-  // big-rounds, since chained retransmissions back off exponentially. Every
-  // round of it must stay below the staged_dest sentinels.
   std::uint32_t horizon = num_big_rounds;
-  const std::uint32_t round_headroom =
-      max_retries > 0 ? (1u << max_retries) - 1 : 0;
-  DASCHED_CHECK_MSG(std::uint64_t{num_big_rounds} + round_headroom < kNeverDest,
-                    "schedule horizon exceeds the packed destination range");
 
   // --- Worker pool and per-worker staging. Workers persist across runs:
   // slot_used is zeroed once at creation (the send loop restores it to zero
@@ -631,8 +647,8 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
     scratch.workers.resize(num_workers);
     for (auto& ws : scratch.workers) ws.slot_stamp.assign(graph_.max_degree(), 0);
   }
-  // Identity lanes are needed only when the fate pass consumes message
-  // identities; the clean unobserved path skips the lane and the pass.
+  // Identity lanes are needed only when fates or the fate commit consume
+  // message identities; the clean unobserved path skips the lane.
   const bool need_meta = faults != nullptr || cfg_.recorder != nullptr ||
                          cfg_.record_patterns;
   // Per-cell observers read the owners' touched lists after each barrier.
@@ -643,6 +659,7 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
     ws.skipped = 0;
     ws.max_load_partial = 0;
     ws.violations = 0;
+    ws.fault_partial = {};
     ws.clear();
     ws.staged_hdr.reserve(scratch.staged_high_water);
     ws.staged_pay.reserve(scratch.staged_high_water * W);
@@ -963,11 +980,69 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
     }
     const bool tiled =
         shards > 1 && (bucket_size + tile_events - 1) / tile_events >= num_workers;
+    // Fault decision for one staged attempt (docs/FAULTS.md): the attempt
+    // accounting into `fs`, the injector queries, and the copy-count mark on
+    // staged_dest -- two copies for a raw duplicate, none for a lost message.
+    // A message due for retransmission keeps its destination for the commit
+    // to copy. Reads only pure injector state, so shards run it in parallel.
+    auto decide = [&](StagedLanes& src, std::size_t i, std::uint32_t attempt,
+                      ExecutionResult::FaultStats& fs) -> std::uint8_t {
+      const StagedMeta meta = src.staged_meta[i];
+      const std::uint32_t edge = src.staged_edge[i];
+      ++fs.attempts;
+      FlightRecorder::Kind kind = FlightRecorder::Kind::kDeliver;
+      if (faults->link_down(edge / 2, t)) {
+        ++fs.dropped_outage;
+        kind = FlightRecorder::Kind::kDropOutage;
+      } else if (faults->node_crashed(meta.to, t)) {
+        // A crashed receiver neither stores nor acks the message.
+        ++fs.dropped_crash;
+        kind = FlightRecorder::Kind::kDropCrash;
+      } else if (faults->drop(meta.alg, edge, meta.tag, attempt)) {
+        ++fs.dropped_random;
+        kind = FlightRecorder::Kind::kDropRandom;
+      }
+      const auto fate = static_cast<std::uint8_t>(kind);
+      if (kind == FlightRecorder::Kind::kDeliver) {
+        ++fs.delivered;
+        if (!faults->duplicate(meta.alg, edge, meta.tag, attempt)) return fate;
+        if (max_retries > 0) {
+          // The reliable layer's per-edge bookkeeping recognizes the copy.
+          ++fs.duplicates_suppressed;
+          return fate;
+        }
+        ++fs.duplicated;
+        ++fs.delivered;
+        src.staged_dest[i] |= std::uint64_t{kTwoCopies} << 32;
+        return fate | kFateDuplicate;
+      }
+      // Dropped. Retransmit with exponential backoff (gap 2^attempt after
+      // failed attempt `attempt`) while the sender is alive and budget lasts.
+      if (attempt < max_retries &&
+          !faults->node_crashed(msg_header_from(src.staged_hdr[i]), t + (1u << attempt))) {
+        ++fs.retransmissions;
+        return fate | kFateRetransmit;
+      }
+      ++fs.lost;
+      src.staged_dest[i] = std::uint64_t{kNeverDest} << 32;
+      return fate;
+    };
+    // A shard's fresh messages, decided while its lanes are still in the
+    // worker's cache. Out of line, so the shard body -- with the event loop
+    // inlined into it -- compiles for clean runs as if faults did not exist.
+    auto decide_fresh = [&](WorkerState& ws) __attribute__((noinline)) {
+      for (std::size_t i = 0; i < ws.staged_hdr.size(); ++i) {
+        const std::uint8_t fate = decide(ws, i, 0, ws.fault_partial);
+        ws.staged_fate.push(fate);
+        if ((fate & kFateRetransmit) != 0) ws.retransmit.push(static_cast<std::uint32_t>(i));
+      }
+    };
     auto shard_body = [&](std::uint32_t s) {
       const std::size_t lo = begin + (tiled ? sb[s] : bucket_size * s / shards);
       const std::size_t hi = begin + (tiled ? sb[s + 1] : bucket_size * (s + 1) / shards);
       auto& ws = workers[s];
       for (std::size_t i = lo; i < hi; ++i) execute_event(events[i], i, ws, t);
+      if (faults != nullptr) decide_fresh(ws);
     };
     // The pool dispatches through one reference capture, so its
     // std::function stays in its small-object buffer: no allocation.
@@ -990,112 +1065,84 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
       }
     }
 
-    // --- Fate pass (docs/FAULTS.md): one serial walk, in shard-merged order,
-    // over this round's due retransmissions and then the workers' staged
-    // lanes. It does everything that consumes message identities -- pattern
-    // recording, flight-recorder fates, and on faulty runs the attempt
-    // accounting, injector calls and retry scheduling -- and marks each
-    // entry's copy count in place on its staged_dest: a dropped message
-    // becomes kNeverDest (0 copies), a raw duplicate gets kTwoCopies, a
-    // delivery stays as staged (1 copy). Runs exactly when need_meta. ---
+    // --- Fate commit (docs/FAULTS.md): one serial walk in canonical order --
+    // this round's due retransmissions (small: decided here), then the
+    // workers' staged lanes in shard order, whose fates the shards decided.
+    // It does everything whose order is observable: pattern records, flight
+    // recorder fate notes (read back from the fate bytes), and retry-queue
+    // inserts, each of which copies the dropped message and marks the entry
+    // dropped (kNeverDest, 0 copies). ---
     auto& retry_lane = scratch.retry_lane;
     retry_lane.clear();
     if (max_retries > 0) retry_queue.drain_into(t, retry_due);
     const std::uint64_t retries_this_round = retry_due.size();
-    auto fate = [&](StagedLanes& src, std::size_t i, std::uint32_t attempt) {
-      auto& fs = result.faults;
+    // Fate entries go to the barrier ring (index num_workers).
+    auto note = [&](const StagedLanes& src, std::size_t i, std::uint32_t attempt,
+                    std::uint8_t fate) {
       const StagedMeta meta = src.staged_meta[i];
       const std::uint32_t edge = src.staged_edge[i];
-      // Fate entries go to the barrier ring (index num_workers).
-      auto note = [&](FlightRecorder::Kind kind, std::uint64_t key) {
-        if (recorder != nullptr) recorder->record(num_workers, kind, t, key, edge);
-      };
       const std::uint64_t fr_key = (std::uint64_t{meta.alg} << 32) | meta.tag;
-      ++fs.attempts;
-      FlightRecorder::Kind fate_kind = FlightRecorder::Kind::kDeliver;
-      if (faults->link_down(edge / 2, t)) {
-        ++fs.dropped_outage;
-        fate_kind = FlightRecorder::Kind::kDropOutage;
-      } else if (faults->node_crashed(meta.to, t)) {
-        // A crashed receiver neither stores nor acks the message.
-        ++fs.dropped_crash;
-        fate_kind = FlightRecorder::Kind::kDropCrash;
-      } else if (faults->drop(meta.alg, edge, meta.tag, attempt)) {
-        ++fs.dropped_random;
-        fate_kind = FlightRecorder::Kind::kDropRandom;
+      const auto kind = static_cast<FlightRecorder::Kind>(fate & kFateKindMask);
+      recorder->record(num_workers, kind, t, fr_key, edge);
+      if ((fate & kFateDuplicate) != 0) {
+        recorder->record(num_workers, FlightRecorder::Kind::kDuplicate, t, fr_key, edge);
+      } else if ((fate & kFateRetransmit) != 0) {
+        recorder->record(num_workers, FlightRecorder::Kind::kRetry, t,
+                         (std::uint64_t{attempt + 1} << 32) | meta.tag, edge);
+      } else if (kind != FlightRecorder::Kind::kDeliver) {
+        recorder->record(num_workers, FlightRecorder::Kind::kLost, t, fr_key, edge);
       }
-      note(fate_kind, fr_key);
-      if (fate_kind == FlightRecorder::Kind::kDeliver) {
-        ++fs.delivered;
-        if (faults->duplicate(meta.alg, edge, meta.tag, attempt)) {
-          if (max_retries > 0) {
-            // The reliable layer's per-edge bookkeeping recognizes the copy.
-            ++fs.duplicates_suppressed;
-          } else {
-            ++fs.duplicated;
-            ++fs.delivered;
-            note(FlightRecorder::Kind::kDuplicate, fr_key);
-            src.staged_dest[i] |= std::uint64_t{kTwoCopies} << 32;
-          }
-        }
-        return;
-      }
-      // Dropped. Retransmit with exponential backoff (gap 2^attempt after
-      // failed attempt `attempt`) while the sender is alive and budget lasts;
-      // the dropped message is the only one ever copied.
+    };
+    auto retransmit = [&](StagedLanes& src, std::size_t i, std::uint32_t attempt) {
       const std::uint32_t retry_round = t + (1u << attempt);
-      if (attempt < max_retries &&
-          !faults->node_crashed(msg_header_from(src.staged_hdr[i]), retry_round)) {
-        ++fs.retransmissions;
-        note(FlightRecorder::Kind::kRetry, (std::uint64_t{attempt + 1} << 32) | meta.tag);
-        if (retry_round >= horizon) {
-          horizon = retry_round + 1;
-          result.max_load_per_big_round.resize(horizon, 0);
-        }
-        RetryMessage<W> rm{meta, edge, src.staged_hdr[i], src.staged_dest[i], {}};
-        std::memcpy(rm.pay, src.staged_pay.data() + i * W, W * sizeof(std::uint64_t));
-        retry_queue.schedule(retry_round, rm, attempt + 1);
-      } else {
-        ++fs.lost;
-        note(FlightRecorder::Kind::kLost, fr_key);
+      if (retry_round >= horizon) {
+        horizon = retry_round + 1;
+        result.max_load_per_big_round.resize(horizon, 0);
       }
+      RetryMessage<W> rm{src.staged_meta[i], src.staged_edge[i], src.staged_hdr[i],
+                         src.staged_dest[i], {}};
+      std::memcpy(rm.pay, src.staged_pay.data() + i * W, W * sizeof(std::uint64_t));
+      retry_queue.schedule(retry_round, rm, attempt + 1);
       src.staged_dest[i] = std::uint64_t{kNeverDest} << 32;
     };
     for (std::size_t j = 0; j < retries_this_round; ++j) {
       const RetryMessage<W>& rm = retry_due[j].msg;
+      const std::uint32_t attempt = retry_due[j].attempt;
       retry_lane.staged_hdr.push(rm.hdr);
       std::memcpy(retry_lane.staged_pay.append_n(W), rm.pay, W * sizeof(std::uint64_t));
       retry_lane.staged_meta.push(rm.meta);
       retry_lane.staged_edge.push(rm.directed_edge);
       retry_lane.staged_dest.push(rm.dest);
-      fate(retry_lane, j, retry_due[j].attempt);
+      const std::uint8_t fate = decide(retry_lane, j, attempt, result.faults);
+      if (recorder != nullptr) note(retry_lane, j, attempt, fate);
+      if ((fate & kFateRetransmit) != 0) retransmit(retry_lane, j, attempt);
     }
     std::uint64_t fresh_this_round = 0;
     for (auto& ws : workers) {
       scratch.staged_high_water =
           std::max(scratch.staged_high_water, ws.staged_hdr.size());
       fresh_this_round += ws.staged_hdr.size();
-      if (!need_meta) continue;
-      for (std::size_t i = 0; i < ws.staged_hdr.size(); ++i) {
-        const StagedMeta& meta = ws.staged_meta[i];
-        if (cfg_.record_patterns) {
-          // Patterns describe what the algorithm sent; retries are excluded.
-          result.patterns[meta.alg].record(meta.tag, ws.staged_edge[i]);
-        }
-        if (faults != nullptr) {
-          fate(ws, i, 0);
-        } else if (recorder != nullptr) {
-          recorder->record(num_workers, FlightRecorder::Kind::kDeliver, t,
-                           (std::uint64_t{meta.alg} << 32) | meta.tag,
-                           ws.staged_edge[i]);
+      if (cfg_.record_patterns || recorder != nullptr) {
+        for (std::size_t i = 0; i < ws.staged_hdr.size(); ++i) {
+          if (cfg_.record_patterns) {
+            // Patterns describe what the algorithm sent; retries are excluded.
+            result.patterns[ws.staged_meta[i].alg].record(ws.staged_meta[i].tag,
+                                                          ws.staged_edge[i]);
+          }
+          if (recorder != nullptr) {
+            note(ws, i, 0,
+                 faults != nullptr ? ws.staged_fate[i]
+                                   : static_cast<std::uint8_t>(FlightRecorder::Kind::kDeliver));
+          }
         }
       }
+      for (const auto i : ws.retransmit) retransmit(ws, i, 0);
     }
     const std::uint64_t messages_this_round = retries_this_round + fresh_this_round;
 
     // --- Delivery barrier: one owner-partitioned body. Lane sources are the
     // retry lane, then the workers' staging lanes in shard order -- the order
-    // the fate pass walked. Owner w folds edge loads over its static slice of
+    // the fate commit walked. Owner w folds edge loads over its static slice of
     // the directed-edge space (every attempt costs bandwidth, whatever its
     // fate), then appends each parked copy whose consumer slot lies in its
     // tiles to its own seg -- so gathers see one seg order regardless of
@@ -1197,6 +1244,8 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
     for (auto& ws : workers) {
       max_load = std::max(max_load, ws.max_load_partial);
       ws.clear();
+      ws.staged_fate.clear();
+      ws.retransmit.clear();
     }
     result.causality_violations += workers[0].violations;
     workers[0].violations = 0;
@@ -1253,7 +1302,10 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
 
   // Retransmissions may have extended the run past the scheduled horizon.
   result.num_big_rounds = horizon;
-  for (const auto& ws : workers) result.faults.skipped_events += ws.skipped;
+  for (const auto& ws : workers) {
+    result.faults += ws.fault_partial;
+    result.faults.skipped_events += ws.skipped;
+  }
 
   if (profiler != nullptr) profiler->end_run();
   if (recorder != nullptr && faults != nullptr && faults->num_crashes() > 0) {

@@ -55,13 +55,14 @@
 // "Memory layout & allocation budget").
 //
 // Fault injection: an optional `ExecConfig::faults` hook models an unreliable
-// network (message drops/duplicates, link outages, crash-stop nodes). All
-// fault decisions happen in a serial fate pass over the round's messages in
-// shard order, just before the delivery barrier, and are pure functions of
-// the plan seed and the message identity, so faulty runs stay bit-identical
-// across thread counts; the barrier then delivers each message's marked
-// number of copies. With the hook null the executor is byte-for-byte the
-// reliable engine above. `ExecConfig::retry`
+// network (message drops/duplicates, link outages, crash-stop nodes). Fault
+// decisions are pure functions of the plan seed and the message identity, so
+// each execute shard decides the fates of the messages it staged, in
+// parallel; one serial fate commit then applies the order-dependent effects
+// (retry-queue inserts, recorder fate notes, patterns) in shard order, so
+// faulty runs stay bit-identical across thread counts. The delivery barrier
+// then delivers each message's marked number of copies. With the hook null
+// the executor is byte-for-byte the reliable engine above. `ExecConfig::retry`
 // layers reliable delivery on top: dropped transmissions are re-sent with
 // exponential slot backoff (bounded attempts), consuming bandwidth in the
 // big-round of each retry; run the schedule through stretch_for_retries so
@@ -158,9 +159,10 @@ struct ExecConfig {
   /// default -- models the paper's perfectly reliable network; results are
   /// then bit-identical to a build without the fault subsystem, and no
   /// fault.* telemetry is emitted. When set, every transmission attempt
-  /// consults the injector in the fate pass before the delivery barrier
-  /// (drops, duplicates, link outages) and crash-stopped nodes skip their
-  /// scheduled events; the run
+  /// consults the injector (drops, duplicates, link outages) on the execute
+  /// shard that staged it -- concurrently, hence FaultInjector's
+  /// thread-safety contract -- and crash-stopped nodes skip their scheduled
+  /// events; the run
   /// additionally fills ExecutionResult::faults and emits fault.* counters
   /// (docs/FAULTS.md lists them).
   const FaultInjector* faults = nullptr;
@@ -191,8 +193,9 @@ struct ExecConfig {
   ExecProfiler* profiler = nullptr;
   /// Optional flight recorder (borrowed; must outlive the run). Null -- the
   /// default -- records nothing. When set, each worker logs its executions
-  /// and crash skips to its own bounded ring and the serial fate pass and
-  /// barrier epilogue log per-message fates and per-round summaries; the executor dumps a
+  /// and crash skips to its own bounded ring, and the serial fate commit and
+  /// barrier epilogue log per-message fates (in canonical order, read from
+  /// the shards' fate bytes) and per-round summaries; the executor dumps a
   /// post-mortem JSON document (FlightRecorderConfig::dump_path) when the
   /// admission gate rejects a schedule, a unit-capacity round overflows, or
   /// crash-stop faults fired during the run. See docs/OBSERVABILITY.md.
@@ -237,6 +240,20 @@ struct ExecutionResult {
     std::uint64_t skipped_events = 0;  // events not executed: crash-stop
     std::uint64_t dropped() const {
       return dropped_random + dropped_outage + dropped_crash;
+    }
+    /// Every field is a sum, so per-worker partials fold in any order.
+    FaultStats& operator+=(const FaultStats& o) {
+      attempts += o.attempts;
+      delivered += o.delivered;
+      dropped_random += o.dropped_random;
+      dropped_outage += o.dropped_outage;
+      dropped_crash += o.dropped_crash;
+      duplicated += o.duplicated;
+      duplicates_suppressed += o.duplicates_suppressed;
+      retransmissions += o.retransmissions;
+      lost += o.lost;
+      skipped_events += o.skipped_events;
+      return *this;
     }
     friend bool operator==(const FaultStats&, const FaultStats&) = default;
   };

@@ -16,6 +16,12 @@
 // and of `ExecConfig::num_threads` sharding. Retransmissions pass a fresh
 // attempt index and therefore redraw independently. See docs/FAULTS.md for
 // the full argument.
+//
+// Thread-safety contract: link_down, node_crashed, drop and duplicate (and
+// crash_round) are const, read only state fixed at construction, and the
+// class has no `mutable` members -- so any number of threads may call them
+// at once. The executor relies on this: every execute shard on the worker
+// pool decides the fates of its own staged messages concurrently.
 #pragma once
 
 #include <cstdint>

@@ -2,8 +2,9 @@
 // exponential slot backoff, plus the schedule stretch that reserves the
 // retry slots.
 //
-// Semantics (the executor implements these in the fate pass before its
-// delivery barrier, see congest/executor.cpp):
+// Semantics (the executor implements these in its per-shard fate decision
+// and serial fate commit before the delivery barrier, see
+// congest/executor.cpp):
 //   * Acks are free: a transmission attempt that is not dropped is known
 //     delivered (synchronous model, acks ride the reverse direction of the
 //     same big-round and are never lost in this model).
@@ -71,7 +72,7 @@ inline ScheduleTable stretch_for_retries(const ScheduleTable& schedule,
 /// bucketed by the absolute big-round in which they are due. Generic over the
 /// staged-message type M (owned by the executor); drained in FIFO order per
 /// round, which is deterministic because entries are scheduled by the
-/// executor's serial fate pass.
+/// executor's serial fate commit, in canonical order.
 template <typename M>
 class RetryQueue {
  public:

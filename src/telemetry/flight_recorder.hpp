@@ -1,5 +1,5 @@
 // Bounded flight recorder for the scheduled-execution engine: a fixed-size
-// ring buffer per worker (plus one for the delivery barrier's fate pass) of the
+// ring buffer per worker (plus one for the serial fate commit and barrier) of the
 // most recent logical events -- executions, deliveries, drops, retries,
 // crash skips, barrier summaries -- that can be dumped as a post-mortem JSON
 // document when something goes wrong: the admission gate rejects a schedule,
