@@ -241,8 +241,8 @@ static_assert(static_cast<std::uint32_t>(FlightRecorder::Kind::kDropCrash) <= kF
 
 /// Minimum messages in a big-round before the delivery barrier's owners run
 /// on the pool; below this the calling thread runs them in turn (one pool
-/// dispatch costs two condition-variable sweeps). Invisible in results: it
-/// is the same body either way.
+/// dispatch publishes a batch to every worker and waits for all their acks).
+/// Invisible in results: it is the same body either way.
 constexpr std::uint64_t kMinMessagesParallelBarrier = 256;
 
 /// Per-event send path, width-specialized: stages straight into the
@@ -708,7 +708,7 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
   // in turn on the calling thread: the same body either way.
   auto for_each_owner = [&](bool parallel, auto& body) {
     if (parallel) {
-      pool_->run_static_ctx(num_workers, body);
+      pool_->run(num_workers, body);
     } else {
       for (std::uint32_t w = 0; w < num_workers; ++w) body(w);
     }
@@ -1044,12 +1044,9 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
       for (std::size_t i = lo; i < hi; ++i) execute_event(events[i], i, ws, t);
       if (faults != nullptr) decide_fresh(ws);
     };
-    // The pool dispatches through one reference capture, so its
-    // std::function stays in its small-object buffer: no allocation.
-    if (tiled) {
-      pool_->run_static_ctx(num_workers, shard_body);
-    } else if (shards > 1) {
-      pool_->run_ctx(shards, shard_body);
+    // Shard s runs on worker s, the owner of workers[s].
+    if (shards > 1) {
+      pool_->run(tiled ? num_workers : shards, shard_body);
     } else {
       shard_body(0);
     }

@@ -98,9 +98,10 @@ inline constexpr std::size_t kDefaultTileBytes = 32 * 1024;
 /// power of two with tile_events * arena_message_bytes(width) <= tile_bytes,
 /// clamped to >= 64 so one inbox-presence bitset word (64 events) never
 /// straddles two tiles -- the word-disjointness is what lets tile owners
-/// write the bitset without atomics. Narrower run widths therefore get more
-/// events per tile out of the same byte budget. Benches report this value
-/// next to their --tile-bytes flag.
+/// write the bitset without atomics -- and to <= 2^31, the largest power of
+/// two a u32 holds, so a huge budget cannot wrap it to 0. Narrower run
+/// widths therefore get more events per tile out of the same byte budget.
+/// Benches report this value next to their --tile-bytes flag.
 ///
 /// Contract: tile_bytes must hold at least one max-width message at the given
 /// width -- a budget below arena_message_bytes(width) used to be silently
@@ -115,7 +116,7 @@ constexpr std::uint32_t tile_events_for_bytes(std::size_t tile_bytes,
                     "tile_bytes smaller than one max-width arena message");
   const std::size_t budget = tile_bytes / arena_message_bytes(width);
   std::uint32_t events = 64;
-  while (std::size_t{events} * 2 <= budget) events *= 2;
+  while (events < (1u << 31) && std::size_t{events} * 2 <= budget) events *= 2;
   return events;
 }
 
@@ -137,7 +138,8 @@ struct ExecConfig {
   bool enforce_unit_capacity = false;
   /// Worker threads for big-round execution. 0 and 1 both mean serial; N >= 2
   /// spawns a pool of N workers (N - 1 threads plus the calling thread) that
-  /// is reused across big-rounds and runs. Every value produces bit-identical
+  /// is reused across big-rounds and runs; between dispatches its idle
+  /// workers spin briefly, then park. Every value produces bit-identical
   /// ExecutionResults (asserted by tests/test_parallel_executor.cpp); pick
   /// hardware concurrency for throughput (docs/PERFORMANCE.md).
   std::uint32_t num_threads = 0;

@@ -1,25 +1,66 @@
 #include "util/parallel.hpp"
 
 #include <algorithm>
+#include <chrono>
 
 #include "util/check.hpp"
 
 namespace dasched {
+namespace {
+
+/// How long an idle thread spins before it parks. Consecutive dispatches of
+/// one big-round are microseconds apart, so a spinning worker catches them
+/// without a futex round trip; a pool left idle (serial scheduler work beside
+/// it) parks after the window and stops competing for cores. 50 us is ~2,000
+/// `pause`s at the 22.5 ns each measured on a 4-vCPU x86 host; the bound is
+/// in time, not iterations, because `pause` latency differs up to 10x between
+/// CPUs.
+constexpr std::chrono::microseconds kSpinWindow{50};
+
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+/// Spin-then-park: returns the first value of `word` (loaded with acquire)
+/// that satisfies `done`, spinning for kSpinWindow and then blocking in
+/// std::atomic::wait until the word changes. Every 64th spin yields, so
+/// when threads outnumber cores a spinner hands its core to the thread it
+/// waits on (7 workers on 4 cores: ~90 us per dispatch without, ~10 us with).
+template <typename Done>
+std::uint32_t await(const std::atomic<std::uint32_t>& word, Done done) {
+  const auto deadline = std::chrono::steady_clock::now() + kSpinWindow;
+  std::uint32_t v = word.load(std::memory_order_acquire);
+  for (std::uint32_t spins = 1; !done(v); ++spins) {
+    if (spins % 64 != 0) {
+      cpu_relax();
+    } else if (std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    } else {
+      word.wait(v, std::memory_order_acquire);
+    }
+    v = word.load(std::memory_order_acquire);
+  }
+  return v;
+}
+
+}  // namespace
 
 ThreadPool::ThreadPool(unsigned num_workers)
     : num_workers_(std::max(1u, num_workers)) {
   threads_.reserve(num_workers_ - 1);
-  for (unsigned i = 1; i < num_workers_; ++i) {
+  for (std::uint32_t i = 1; i < num_workers_; ++i) {
     threads_.emplace_back([this, i] { worker_loop(i); });
   }
 }
 
 ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  work_cv_.notify_all();
+  stop_ = true;
+  generation_.fetch_add(1, std::memory_order_release);
+  generation_.notify_all();
   for (auto& t : threads_) t.join();
 }
 
@@ -27,83 +68,33 @@ unsigned ThreadPool::hardware_workers() {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
-bool ThreadPool::claim_and_run(std::unique_lock<std::mutex>& lock) {
-  if (next_shard_ >= num_shards_) return false;
-  const std::uint32_t shard = next_shard_++;
-  const auto* task = task_;
-  lock.unlock();
-  (*task)(shard);
-  lock.lock();
-  if (++completed_ == num_shards_) done_cv_.notify_all();
-  return true;
+void ThreadPool::dispatch(std::uint32_t parties, Task task, void* ctx) {
+  if (parties == 0) return;
+  DASCHED_CHECK_LE(parties, num_workers_, "ThreadPool::run has more parties than workers");
+  DASCHED_CHECK_MSG(!busy_.exchange(true, std::memory_order_acquire),
+                    "ThreadPool::run is not reentrant");
+  task_ = task;
+  ctx_ = ctx;
+  parties_ = parties;
+  acks_.store(0, std::memory_order_relaxed);
+  generation_.fetch_add(1, std::memory_order_release);
+  generation_.notify_all();
+  task(ctx, 0);
+  // Every spawned worker acks, with or without a party, so none can still be
+  // reading this batch's fields when the next dispatch overwrites them.
+  const std::uint32_t spawned = num_workers_ - 1;
+  await(acks_, [spawned](std::uint32_t acked) { return acked == spawned; });
+  busy_.store(false, std::memory_order_release);
 }
 
-void ThreadPool::run(std::uint32_t num_shards,
-                     const std::function<void(std::uint32_t)>& task) {
-  if (num_shards == 0) return;
-  std::unique_lock<std::mutex> lock(mu_);
-  DASCHED_CHECK_MSG(task_ == nullptr, "ThreadPool::run is not reentrant");
-  task_ = &task;
-  num_shards_ = num_shards;
-  next_shard_ = 0;
-  completed_ = 0;
-  static_assign_ = false;
-  ++generation_;
-  work_cv_.notify_all();
-  while (claim_and_run(lock)) {
-  }
-  done_cv_.wait(lock, [this] { return completed_ == num_shards_; });
-  task_ = nullptr;
-}
-
-void ThreadPool::run_static(std::uint32_t num_shards,
-                            const std::function<void(std::uint32_t)>& task) {
-  if (num_shards == 0) return;
-  DASCHED_CHECK_LE(num_shards, num_workers_);
-  std::unique_lock<std::mutex> lock(mu_);
-  DASCHED_CHECK_MSG(task_ == nullptr, "ThreadPool::run is not reentrant");
-  task_ = &task;
-  num_shards_ = num_shards;
-  next_shard_ = 0;  // unused under static assignment
-  completed_ = 0;
-  static_assign_ = true;
-  ++generation_;
-  work_cv_.notify_all();
-  {
-    // The caller is worker 0 and always owns shard 0.
-    lock.unlock();
-    task(0);
-    lock.lock();
-    ++completed_;
-  }
-  done_cv_.wait(lock, [this] { return completed_ == num_shards_; });
-  task_ = nullptr;
-  static_assign_ = false;
-}
-
-void ThreadPool::worker_loop(unsigned index) {
-  std::unique_lock<std::mutex> lock(mu_);
-  std::uint64_t seen_generation = 0;
+void ThreadPool::worker_loop(std::uint32_t index) {
+  const std::uint32_t spawned = num_workers_ - 1;
+  std::uint32_t seen = 0;
   for (;;) {
-    work_cv_.wait(lock, [&] {
-      return stop_ ||
-             (task_ != nullptr && generation_ != seen_generation &&
-              (static_assign_ ? index < num_shards_ : next_shard_ < num_shards_));
-    });
+    seen = await(generation_, [seen](std::uint32_t g) { return g != seen; });
     if (stop_) return;
-    seen_generation = generation_;
-    if (static_assign_) {
-      // This worker's shard is its own index; no claiming, no stealing --
-      // the binding is what gives tile owners stable cache affinity.
-      const auto* task = task_;
-      lock.unlock();
-      (*task)(index);
-      lock.lock();
-      if (++completed_ == num_shards_) done_cv_.notify_all();
-    } else {
-      while (claim_and_run(lock)) {
-      }
-    }
+    if (index < parties_) task_(ctx_, index);
+    if (acks_.fetch_add(1, std::memory_order_release) + 1 == spawned) acks_.notify_one();
   }
 }
 

@@ -2,27 +2,26 @@
 //
 // The pool exists for one pattern, used by the big-round execution engine and
 // reusable by schedulers and benches: a caller repeatedly has a batch of
-// independent shards (statically partitioned work, e.g. contiguous slices of
-// one big-round's event bucket) and wants them executed across a fixed set of
-// threads with a full barrier at the end of every batch. Threads are spawned
-// once and parked between batches, so dispatching a batch costs two
-// condition-variable sweeps rather than thread creation -- cheap enough to
-// call once per big-round.
+// statically partitioned work (e.g. the tile ranges of one big-round's event
+// bucket) and wants party i of the batch run on worker i, with a full
+// barrier at the end of every batch. Threads are spawned once; between
+// batches idle workers spin on a generation counter for a short window and
+// then park, so a batch that follows closely costs one release store and a
+// few cache-line transfers -- cheap enough to dispatch several times per
+// big-round -- and a pool left idle costs no CPU.
 //
-// Determinism contract: the pool guarantees every shard runs exactly once and
-// that all shard effects happen-before run() returns. *Which* thread runs a
-// shard is unspecified (idle workers claim the next unclaimed shard), so
-// callers that need bit-reproducible results must make shard outputs
-// independent of the executing thread -- write into per-shard buffers and
-// merge them in shard order after run() returns. That is exactly how the
-// executor keeps parallel execution bit-identical to serial (see
-// docs/PERFORMANCE.md).
+// Determinism contract: party i runs exactly once, on worker i (worker 0 is
+// the calling thread), and all party effects happen-before run() returns.
+// The binding is fixed, so a caller that partitions state per worker -- the
+// executor's tile owners and per-worker staging lanes -- gets the same thread
+// touching the same state batch after batch. Callers that need
+// bit-reproducible results write into per-party buffers and merge them in
+// party order after run() returns; that is how the executor keeps parallel
+// execution bit-identical to serial (see docs/PERFORMANCE.md).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
-#include <functional>
-#include <condition_variable>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -30,8 +29,8 @@ namespace dasched {
 
 class ThreadPool {
  public:
-  /// A pool with `num_workers` total workers (>= 1). The calling thread
-  /// participates in run(), so num_workers - 1 threads are spawned.
+  /// A pool with `num_workers` total workers (>= 1). The calling thread is
+  /// worker 0 of every run(), so num_workers - 1 threads are spawned.
   explicit ThreadPool(unsigned num_workers);
   ~ThreadPool();
 
@@ -41,60 +40,40 @@ class ThreadPool {
   /// Total workers (spawned threads + the caller).
   unsigned num_workers() const { return num_workers_; }
 
-  /// Invokes task(shard) once for every shard in [0, num_shards) and blocks
-  /// until all have completed. The caller's thread participates. Shards must
-  /// be free of data races against each other; `task` is borrowed for the
-  /// duration of the call. Not reentrant: run() must not be called from
-  /// inside a task, and only one run() may be active at a time.
-  void run(std::uint32_t num_shards, const std::function<void(std::uint32_t)>& task);
-
-  /// Like run(), but dispatches an arbitrary callable through one reference
-  /// capture so the internal std::function stays within its small-object
-  /// buffer -- no heap allocation per batch, however large `body`'s own
-  /// capture list is. This is what keeps the executor's per-big-round
-  /// dispatch off the allocator (docs/PERFORMANCE.md).
+  /// Invokes body(i) once for every party i in [0, parties), party i on
+  /// worker i, and blocks until all have completed; CHECKs parties <=
+  /// num_workers(). Parties must be free of data races against each other;
+  /// `body` is borrowed for the duration of the call and dispatched through
+  /// a function pointer, so no call allocates. Not reentrant: run() must not
+  /// be called from inside a party, and only one run() may be active at a
+  /// time.
   template <typename F>
-  void run_ctx(std::uint32_t num_shards, F& body) {
-    run(num_shards, [&body](std::uint32_t shard) { body(shard); });
-  }
-
-  /// Statically-bound variant: shard `i` runs on worker `i` (worker 0 is the
-  /// calling thread), so a caller that partitions state per worker -- e.g.
-  /// the executor's tile-owning delivery barrier -- gets the same thread
-  /// touching the same tiles batch after batch (temporal cache locality
-  /// across the big-round barrier). Requires num_shards <= num_workers().
-  /// Same barrier/happens-before guarantees as run().
-  void run_static(std::uint32_t num_shards,
-                  const std::function<void(std::uint32_t)>& task);
-
-  /// run_ctx's small-buffer dispatch for run_static.
-  template <typename F>
-  void run_static_ctx(std::uint32_t num_shards, F& body) {
-    run_static(num_shards, [&body](std::uint32_t shard) { body(shard); });
+  void run(std::uint32_t parties, F& body) {
+    dispatch(parties, [](void* ctx, std::uint32_t i) { (*static_cast<F*>(ctx))(i); }, &body);
   }
 
   /// std::thread::hardware_concurrency() clamped to >= 1.
   static unsigned hardware_workers();
 
  private:
-  void worker_loop(unsigned index);
-  /// Claims and runs one shard; returns false when none remain. `lock` must
-  /// hold mu_ on entry and holds it again on return.
-  bool claim_and_run(std::unique_lock<std::mutex>& lock);
+  using Task = void (*)(void*, std::uint32_t);
+
+  void dispatch(std::uint32_t parties, Task task, void* ctx);
+  void worker_loop(std::uint32_t index);
 
   const unsigned num_workers_;
   std::vector<std::thread> threads_;
 
-  std::mutex mu_;
-  std::condition_variable work_cv_;  // workers wait for a new batch
-  std::condition_variable done_cv_;  // run() waits for batch completion
-  const std::function<void(std::uint32_t)>* task_ = nullptr;  // null between batches
-  std::uint32_t num_shards_ = 0;
-  std::uint32_t next_shard_ = 0;
-  std::uint32_t completed_ = 0;
-  std::uint64_t generation_ = 0;  // bumped per batch so workers never re-enter an old one
-  bool static_assign_ = false;  // run_static batch: shard i is pinned to worker i
+  // The batch: written by the caller before it bumps generation_ (release),
+  // read by workers after they observe the bump (acquire).
+  Task task_ = nullptr;
+  void* ctx_ = nullptr;
+  std::uint32_t parties_ = 0;
   bool stop_ = false;
+
+  std::atomic<std::uint32_t> generation_{0};  // bumped once per batch and at shutdown
+  std::atomic<std::uint32_t> acks_{0};        // spawned workers done with this batch
+  std::atomic<bool> busy_{false};             // a run() is active (reentrancy check)
 };
 
 }  // namespace dasched

@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <thread>
 
 #include "congest/executor.hpp"
 #include "graph/generators.hpp"
@@ -60,43 +62,155 @@ void expect_identical_patterns(const CommunicationPattern& a,
   }
 }
 
-// --- ThreadPool primitive. ---
+// --- ThreadPool primitive: party i runs once, on worker i; the caller is
+// worker 0; idle workers spin, then park. ---
 
-TEST(ThreadPool, RunsEveryShardExactlyOnce) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.num_workers(), 4u);
-  std::vector<std::atomic<int>> hits(97);
-  pool.run(97, [&](std::uint32_t s) { ++hits[s]; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+constexpr unsigned kPoolWidths[] = {2, 3, 4, 7};
+
+/// Longer than the pool's spin window (50 us), so every worker parks.
+constexpr auto kParkSleep = std::chrono::milliseconds(2);
+
+TEST(ThreadPool, RunsPartyIOnceOnWorkerI) {
+  for (const unsigned workers : {1u, 2u, 3u, 4u, 7u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    ThreadPool pool(workers);
+    EXPECT_EQ(pool.num_workers(), workers);
+    std::vector<std::thread::id> first(workers);
+    for (int batch = 0; batch < 20; ++batch) {
+      for (std::uint32_t parties = 1; parties <= workers; ++parties) {
+        std::vector<std::thread::id> ran_on(workers);
+        std::vector<int> hits(workers, 0);
+        auto body = [&](std::uint32_t i) {
+          ++hits[i];
+          ran_on[i] = std::this_thread::get_id();
+        };
+        pool.run(parties, body);
+        for (std::uint32_t i = 0; i < workers; ++i) {
+          EXPECT_EQ(hits[i], i < parties ? 1 : 0) << "party " << i;
+        }
+        EXPECT_EQ(ran_on[0], std::this_thread::get_id());
+        for (std::uint32_t i = 0; i < parties; ++i) {
+          if (first[i] == std::thread::id{}) first[i] = ran_on[i];
+          EXPECT_EQ(ran_on[i], first[i]) << "party " << i << " changed worker";
+        }
+      }
+    }
+    // Distinct workers are distinct threads.
+    std::sort(first.begin(), first.end());
+    EXPECT_EQ(std::unique(first.begin(), first.end()), first.end());
+  }
 }
 
 TEST(ThreadPool, ReusableAcrossBatches) {
   ThreadPool pool(3);
   std::vector<std::uint64_t> sums(3, 0);
-  for (int batch = 0; batch < 50; ++batch) {
-    pool.run(3, [&](std::uint32_t s) { sums[s] += s + 1; });
-  }
+  auto body = [&](std::uint32_t s) { sums[s] += s + 1; };
+  for (int batch = 0; batch < 50; ++batch) pool.run(3, body);
   EXPECT_EQ(sums, (std::vector<std::uint64_t>{50, 100, 150}));
 }
 
 TEST(ThreadPool, SingleWorkerRunsOnCaller) {
   ThreadPool pool(1);
-  std::vector<int> order;
-  pool.run(5, [&](std::uint32_t s) { order.push_back(static_cast<int>(s)); });
-  // One worker (the caller) claims shards in order.
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  std::thread::id ran_on;
+  auto body = [&](std::uint32_t) { ran_on = std::this_thread::get_id(); };
+  pool.run(1, body);
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
 }
 
 TEST(ThreadPool, ZeroShardsIsANoop) {
   ThreadPool pool(2);
-  pool.run(0, [&](std::uint32_t) { FAIL() << "no shard should run"; });
+  auto body = [&](std::uint32_t) { FAIL() << "no party should run"; };
+  pool.run(0, body);
 }
 
-TEST(ThreadPool, MoreShardsThanWorkers) {
-  ThreadPool pool(2);
-  std::atomic<std::uint64_t> total{0};
-  pool.run(1000, [&](std::uint32_t s) { total += s; });
-  EXPECT_EQ(total.load(), 1000ull * 999 / 2);
+// Back-to-back tiny batches keep the workers spinning; batches separated by
+// sleeps past the spin window find them parked. Each batch's writes must be
+// visible to the caller when run() returns.
+TEST(ThreadPool, StressSpinningAndParkedBatches) {
+  for (const unsigned workers : kPoolWidths) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    ThreadPool pool(workers);
+    std::vector<std::uint64_t> counts(workers, 0);
+    auto body = [&](std::uint32_t i) { ++counts[i]; };
+    constexpr std::uint64_t kTiny = 100'000;
+    for (std::uint64_t b = 0; b < kTiny; ++b) {
+      pool.run(workers, body);
+      ASSERT_EQ(counts[workers - 1], b + 1);
+    }
+    for (int b = 0; b < 5; ++b) {
+      std::this_thread::sleep_for(kParkSleep);
+      pool.run(workers, body);
+    }
+    for (const auto c : counts) EXPECT_EQ(c, kTiny + 5);
+  }
+}
+
+TEST(ThreadPool, DestroysWhileWorkersSpinOrPark) {
+  for (const unsigned workers : kPoolWidths) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    std::atomic<std::uint32_t> ran{0};
+    auto body = [&](std::uint32_t) { ran.fetch_add(1, std::memory_order_relaxed); };
+    { ThreadPool never_used(workers); }
+    {
+      ThreadPool spinning(workers);
+      spinning.run(workers, body);
+    }  // destroyed within the spin window
+    {
+      ThreadPool parked(workers);
+      parked.run(workers, body);
+      std::this_thread::sleep_for(kParkSleep);
+    }
+    EXPECT_EQ(ran.load(), 2 * workers);
+  }
+}
+
+// Four 4-worker pools at once oversubscribe the cores; spinning must not
+// keep any of them from finishing.
+TEST(ThreadPool, OversubscribedPoolsFinish) {
+  constexpr unsigned kPools = 4;
+  constexpr unsigned kWorkers = 4;
+  constexpr std::uint64_t kBatches = 2'000;
+  std::vector<std::uint64_t> totals(kPools, 0);
+  std::vector<std::thread> callers;
+  for (unsigned p = 0; p < kPools; ++p) {
+    callers.emplace_back([&totals, p] {
+      ThreadPool pool(kWorkers);
+      std::vector<std::uint64_t> counts(kWorkers, 0);
+      auto body = [&](std::uint32_t i) { ++counts[i]; };
+      for (std::uint64_t b = 0; b < kBatches; ++b) pool.run(kWorkers, body);
+      for (const auto c : counts) totals[p] += c;
+    });
+  }
+  for (auto& t : callers) t.join();
+  for (const auto t : totals) EXPECT_EQ(t, kBatches * kWorkers);
+}
+
+TEST(ThreadPoolDeathTest, RejectsMorePartiesThanWorkers) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto body = [](std::uint32_t) {};
+  EXPECT_DEATH(
+      {
+        ThreadPool pool(2);
+        pool.run(3, body);
+      },
+      "more parties than workers");
+}
+
+TEST(ThreadPoolDeathTest, RejectsRunFromInsideAParty) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const std::uint32_t nested_party : {0u, 1u}) {
+    SCOPED_TRACE("nested in party " + std::to_string(nested_party));
+    EXPECT_DEATH(
+        {
+          ThreadPool pool(2);
+          auto inner = [](std::uint32_t) {};
+          auto outer = [&](std::uint32_t i) {
+            if (i == nested_party) pool.run(1, inner);
+          };
+          pool.run(2, outer);
+        },
+        "not reentrant");
+  }
 }
 
 // --- Executor determinism across thread counts. ---

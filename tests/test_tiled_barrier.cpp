@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -102,6 +103,10 @@ TEST(TileGeometry, EventsPerTileIsAPowerOfTwoMultipleOf64) {
   }
   // The default at the default width: half an L1's worth of arena.
   EXPECT_EQ(tile_events_for_bytes(kDefaultTileBytes), 512u);
+  // Budgets of 2^32 messages and more stop doubling at 2^31 instead of
+  // wrapping the u32 event count to 0 (which never ended the loop).
+  EXPECT_EQ(tile_events_for_bytes(std::size_t{1} << 40, 3), 1u << 31);
+  EXPECT_EQ(tile_events_for_bytes(SIZE_MAX, 3), 1u << 31);
 }
 
 // --- Degenerate budgets are rejected, not silently floored: a tile_bytes
