@@ -5,7 +5,7 @@
 // the reproduction artifact -- and then runs its google-benchmark timing
 // cases, so `for b in build/bench/*; do $b; done` produces both.
 //
-// Every bench also understands three extra flags (consumed before the
+// Every bench also understands four extra flags (consumed before the
 // google-benchmark flags are parsed):
 //   --report out.json   write a structured RunReport: every emitted table,
 //                       cell-for-cell, plus run metadata. This is how the
@@ -23,12 +23,6 @@
 //                       executor stays on its unprofiled path). The last
 //                       profiled run's dasched.profile.v1 object is attached
 //                       to the --report document.
-//   --tile-bytes B      delivery-tile arena budget for benches that run
-//                       schedules (bench::tile_bytes() -> ExecConfig).
-//                       Pure cache tuning: results are bit-identical for
-//                       every value (docs/PERFORMANCE.md). The effective
-//                       events-per-tile the budget resolves to is recorded
-//                       in the --report metadata as `tile_events`.
 // Tables are routed through bench::emit(table), which both prints the ASCII
 // form and records the table into the report.
 #pragma once
@@ -68,7 +62,6 @@ struct ReportState {
   std::string report_path;
   std::string trace_path;
   std::uint32_t num_threads = 0;
-  std::size_t tile_bytes = kDefaultTileBytes;
   bool profile = false;
   ExecProfiler profiler;
 
@@ -98,11 +91,6 @@ inline TelemetrySink* telemetry() {
 /// execute schedules thread this into their scheduler/executor configs.
 inline std::uint32_t num_threads() { return report_state().num_threads; }
 
-/// Delivery-tile arena budget requested via --tile-bytes (default
-/// kDefaultTileBytes). Benches that execute schedules thread this into
-/// ExecConfig::tile_bytes; bit-identical for every value.
-inline std::size_t tile_bytes() { return report_state().tile_bytes; }
-
 /// Congestion profiler benches can hand to ExecConfig::profiler /
 /// scheduler configs. Null unless --profile was given, keeping the executor
 /// on its unprofiled path by default.
@@ -118,7 +106,7 @@ inline void emit(const Table& table) {
   report_state().report.add_table(table);
 }
 
-/// Strips --report/--trace/--threads/--profile/--tile-bytes from argv;
+/// Strips --report/--trace/--threads/--profile from argv;
 /// returns false on a malformed flag.
 inline bool consume_report_flags(int* argc, char** argv) {
   auto& s = report_state();
@@ -148,18 +136,6 @@ inline bool consume_report_flags(int* argc, char** argv) {
         std::fprintf(stderr, "--threads: invalid count '%s'\n", arg);
         return false;
       }
-    } else if (std::strcmp(argv[i], "--tile-bytes") == 0) {
-      if (i + 1 >= *argc) {
-        std::fprintf(stderr, "--tile-bytes requires a byte count argument\n");
-        return false;
-      }
-      const char* arg = argv[++i];
-      std::uint64_t bytes = 0;
-      if (!parse_flag_u64(arg, &bytes)) {
-        std::fprintf(stderr, "--tile-bytes: invalid byte count '%s'\n", arg);
-        return false;
-      }
-      s.tile_bytes = static_cast<std::size_t>(bytes);
     } else {
       argv[write++] = argv[i];
     }
@@ -174,11 +150,6 @@ inline int flush_reports(const char* bench_name) {
   int rc = 0;
   if (!s.report_path.empty()) {
     s.report.set_meta("bench", bench_name);
-    // The tile geometry the run actually used: the requested byte budget and
-    // the events-per-tile it resolves to (executor.hpp's derivation).
-    s.report.set_meta("tile_bytes", std::uint64_t{s.tile_bytes});
-    s.report.set_meta("tile_events",
-                      std::uint64_t{tile_events_for_bytes(s.tile_bytes)});
 #ifdef DASCHED_BUILD_TYPE
     s.report.set_meta("build_type", DASCHED_BUILD_TYPE);
 #else

@@ -1,16 +1,15 @@
-// E15 -- engineering: million-node scale sweep of the tiled delivery engine.
+// E15 -- engineering: million-node scale sweep of the delivery engine.
 //
 // Not a paper claim but the capacity statement behind the experiment suite:
-// the executor's tiled parallel delivery barrier (congest/executor.cpp,
+// the executor's owner-partitioned delivery barrier (congest/executor.cpp,
 // docs/PERFORMANCE.md) holds its zero-allocation, bit-identical contract as
 // the instance grows from n = 10^3 to n = 10^6 nodes with k = 100 staggered
 // algorithms -- the regime the ROADMAP's scheduling experiments need.
 //
 //   E15.a  the scale ladder: for each rung (n, k, T) report the instance
-//          geometry (directed edges, big-rounds, delivered messages, delivery
-//          tiles at the configured --tile-bytes), serial throughput, threaded
-//          throughput at 2 and 4 workers, the bit-identity verdict across
-//          all of them, and the process peak RSS after the rung. The RSS
+//          geometry (directed edges, big-rounds, delivered messages), serial
+//          throughput, threaded throughput at 2 and 4 workers, the
+//          bit-identity verdict across all of them, and the process peak RSS after the rung. The RSS
 //          column is the "memory budget" record: a process-wide high-water
 //          mark, monotone down the ladder, so the last rung's value bounds
 //          the whole sweep.
@@ -23,8 +22,7 @@
 // on single-core CI runners, threaded rows cost more than serial ones and
 // the column documents that rather than hiding it.
 //
-// Flags (beyond bench_common's --report/--trace/--threads/--profile/
-// --tile-bytes):
+// Flags (beyond bench_common's --report/--trace/--threads/--profile):
 //   --max-n N   drop ladder rungs with more than N nodes (CI's reduced
 //               ladder; the default keeps all rungs up to n = 10^6).
 #include "bench_common.hpp"
@@ -165,10 +163,8 @@ NodeId g_max_n = 1'000'000;
 bool g_identity_ok = true;
 
 void run_scale_ladder() {
-  const std::uint32_t tile_events = tile_events_for_bytes(bench::tile_bytes());
-  Table table("E15.a -- scale ladder (tile_events = " +
-              std::to_string(tile_events) + ", staggered flood, k = 100)");
-  table.set_header({"n", "dir edges", "T", "big-rounds", "messages", "tiles",
+  Table table("E15.a -- scale ladder (staggered flood, k = 100)");
+  table.set_header({"n", "dir edges", "T", "big-rounds", "messages",
                     "serial ms", "messages/s", "x2 speedup", "x4 speedup",
                     "identical", "peak RSS MiB"});
 
@@ -176,13 +172,6 @@ void run_scale_ladder() {
     if (rung.n > g_max_n) continue;
     Workload w = make_workload(rung.n, rung.k, rung.rounds, rung.deg,
                                15000 + rung.n);
-    // With unit-staggered delays, at most min(k, T) algorithms overlap in any
-    // big-round, so the busiest delivery bucket holds min(k, T) * n events.
-    const std::uint64_t max_bucket =
-        std::uint64_t{std::min<std::uint32_t>(
-            static_cast<std::uint32_t>(rung.k), rung.rounds)} *
-        rung.n;
-    const std::uint64_t tiles = (max_bucket + tile_events - 1) / tile_events;
     // Big rungs are single-pass; small ones take best-of to steady the clock.
     const int repeats = rung.n >= 100'000 ? 1 : 3;
 
@@ -194,7 +183,6 @@ void run_scale_ladder() {
     for (std::size_t ti = 0; ti < 3; ++ti) {
       ExecConfig cfg;
       cfg.num_threads = thread_counts[ti];
-      cfg.tile_bytes = bench::tile_bytes();
       Executor executor(*w.graph, cfg);
       double best_ms = 0.0;
       ExecutionResult result;
@@ -220,7 +208,7 @@ void run_scale_ladder() {
                    Table::fmt(std::uint64_t{w.graph->num_directed_edges()}),
                    Table::fmt(std::uint64_t{rung.rounds}),
                    Table::fmt(std::uint64_t{serial_result.num_big_rounds}),
-                   Table::fmt(serial_result.total_messages), Table::fmt(tiles),
+                   Table::fmt(serial_result.total_messages),
                    Table::fmt(serial_ms, 2),
                    Table::fmt(serial_result.total_messages / (serial_ms / 1000.0), 0),
                    Table::fmt(speedup[0], 2), Table::fmt(speedup[1], 2),
@@ -232,7 +220,7 @@ void run_scale_ladder() {
 void print_tables() {
   bench::experiment_banner(
       "E15 (engineering)",
-      "million-node scale sweep: tiled parallel delivery barrier");
+      "million-node scale sweep: owner-partitioned parallel delivery barrier");
   std::cout << "ladder cap: n <= " << g_max_n << "\n\n";
   run_scale_ladder();
   if (!g_identity_ok) {
@@ -244,7 +232,6 @@ void bm_scale_mid(benchmark::State& state) {
   static Workload w = make_workload(10'000, 100, 6, 6.0, 15999);
   ExecConfig cfg;
   cfg.num_threads = static_cast<std::uint32_t>(state.range(0));
-  cfg.tile_bytes = bench::tile_bytes();
   Executor executor(*w.graph, cfg);
   for (auto _ : state) {
     const auto result = executor.run(w.algos, w.schedule);

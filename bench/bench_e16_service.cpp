@@ -22,8 +22,7 @@
 // rung fails either one, and CI runs the ladder as a Release smoke test with
 // exactly that contract.
 //
-// Flags (beyond bench_common's --report/--trace/--threads/--profile/
-// --tile-bytes):
+// Flags (beyond bench_common's --report/--trace/--threads/--profile):
 //   --duration TICKS   arrival window per rung (default 96)
 //   --tenants T        tenants per stream (default 4)
 //   --arrival-seed S   stream seed (default 1)
@@ -59,7 +58,6 @@ service::ServiceResult serve_once(const Graph& g, const std::vector<service::Job
   cfg.epoch_ticks = 8;
   cfg.cache_capacity = 64;
   cfg.num_threads = threads;
-  cfg.tile_bytes = bench::tile_bytes();
   service::SchedulerDaemon daemon(g, cfg);
   return daemon.serve(stream);
 }

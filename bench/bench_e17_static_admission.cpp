@@ -27,8 +27,7 @@
 // footprints) gate the exit code: main() exits 3 if either fails, and CI runs
 // the ladder as a Release smoke test with exactly that contract.
 //
-// Flags (beyond bench_common's --report/--trace/--threads/--profile/
-// --tile-bytes):
+// Flags (beyond bench_common's --report/--trace/--threads/--profile):
 //   --duration TICKS   arrival window per rung (default 96)
 //   --tenants T        tenants per stream (default 4)
 //   --arrival-seed S   stream seed (default 1)
@@ -72,7 +71,6 @@ service::ServiceResult serve_once(const Graph& g, const std::vector<service::Job
   cfg.cache_capacity = cache_capacity;
   cfg.static_admission = static_admission;
   cfg.num_threads = threads;
-  cfg.tile_bytes = bench::tile_bytes();
   service::SchedulerDaemon daemon(g, cfg);
   return daemon.serve(stream);
 }

@@ -185,9 +185,9 @@ struct WorkerState : StagedLanes {
   // stale stamps from any earlier event, round, or run can never collide.
   std::vector<std::uint64_t> slot_stamp;  // perf-ok: size max_degree, never cleared
   std::uint64_t event_serial = 0;
-  // --- Tile ownership (the delivery barrier, docs/PERFORMANCE.md). Each
-  // worker statically owns a contiguous range of consumer tiles and of
-  // directed edges per round; everything below is written only by its owner,
+  // --- Ownership (the owner partition, docs/PERFORMANCE.md). Each worker
+  // statically owns a contiguous range of consumer slots and of directed
+  // edges per round; everything below is written only by its owner,
   // whichever thread runs the owner's body, so the contents are
   // bit-identical across thread counts. ---
   std::vector<std::uint32_t> pend_round;  // perf-ok: big-round -> own seg index or kNoBucket
@@ -213,11 +213,6 @@ struct WorkerState : StagedLanes {
 };
 
 namespace {
-
-/// Minimum events per shard before a big-round is farmed out to the pool:
-/// below this, waking the workers costs more than the bucket. The cutoff is
-/// invisible in results -- serial and parallel execution are bit-identical.
-constexpr std::size_t kMinEventsPerShard = 16;
 
 constexpr std::uint32_t kNoBucket = ~std::uint32_t{0};
 
@@ -369,7 +364,7 @@ struct ExecScratch {
   std::vector<WorkerState> workers;  // perf-ok: persistent across runs
   std::size_t staged_high_water = 0;  // max staged per worker per big-round
 
-  // --- Tiled delivery barrier (docs/PERFORMANCE.md). Pending deliveries
+  // --- Owner-partitioned delivery (docs/PERFORMANCE.md). Pending deliveries
   // live in per-worker PendingSegs keyed by the consumer's big-round (see
   // WorkerState); the lanes below are the shared, statically-partitioned
   // coordinate system the owners operate in.
@@ -380,10 +375,10 @@ struct ExecScratch {
   // any entry the barrier reads belongs to a scheduled slot, which was
   // freshly written this run.
   //
-  // slot_bound is the static tile-ownership table, num_big_rounds rows of
+  // slot_bound is the owner partition, num_big_rounds + 1 rows of
   // (num_workers + 1) consumer-slot boundaries: worker w owns slots
-  // [row[w], row[w + 1]) of round t's bucket -- whole tiles, 64-event
-  // aligned so one inbox_present word never spans two owners.
+  // [row[w], row[w + 1]) of round t's bucket -- 64-event aligned so one
+  // inbox_present word never spans two owners.
   //
   // inbox_present is maintained all-zero outside a round's gather/execute
   // window: the gather's first-touch histogram sets bits and records the
@@ -392,7 +387,7 @@ struct ExecScratch {
   // entirely -- a count cell is only ever read behind a presence bit set
   // this round, and the first touch *assigns* 1 instead of incrementing. ---
   std::vector<std::uint32_t> slot_of;      // perf-ok: lane of schedule.flat(), rebuilt per run
-  std::vector<std::uint32_t> slot_bound;   // perf-ok: tile ownership, rebuilt per run
+  std::vector<std::uint32_t> slot_bound;   // perf-ok: owner partition, rebuilt per run
   std::vector<std::uint64_t> inbox_present;  // perf-ok: 1 bit per event of the bucket
 
   // --- Per-big-round CSR inbox arena lanes: this round's consumable
@@ -431,11 +426,6 @@ Executor::Executor(const Graph& g, ExecConfig cfg)
                    "to a larger inline message");
   DASCHED_CHECK_GE(cfg_.max_payload_words, 1u,
                    "max_payload_words must be at least one word");
-  // Reject geometry that cannot hold even one max-width message per tile --
-  // tile_events_for_bytes used to silently floor such budgets to 64 events,
-  // i.e. hand back 64x the requested bytes (see its contract).
-  DASCHED_CHECK_MSG(cfg_.tile_bytes >= arena_message_bytes(cfg_.max_payload_words),
-                    "tile_bytes smaller than one max-width arena message");
   // The retry budget sizes 2^max_retries backoff arithmetic in run_impl;
   // RetryPolicy's own bound keeps it well inside 32 bits.
   if (cfg_.faults != nullptr) (void)cfg_.retry.stretch_factor();
@@ -681,31 +671,28 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
   std::uint64_t rounds_parallel = 0;
   std::uint64_t rounds_serial = 0;
 
-  // --- Tile geometry and static ownership (docs/PERFORMANCE.md). Round t's
-  // bucket of B events splits into T = ceil(B / tile_events) tiles of
-  // tile_events consecutive consumer slots; worker w owns the tile range
-  // [ceil(w*T/W), ceil((w+1)*T/W)), recorded as consumer-slot boundaries.
-  // Tile boundaries are multiples of tile_events (itself a multiple of 64),
-  // so owners never share an inbox_present word; the last non-empty range is
-  // clamped to B and absorbs the ragged tail. The byte budget is spent at
-  // the *run width*: narrower runs pack more events into the same tile
-  // bytes. ---
-  const std::uint32_t tile_events = tile_events_for_bytes(cfg_.tile_bytes, W);
+  // --- The owner partition (docs/PERFORMANCE.md, "Owner partition").
+  // Round t's bucket of B events splits into P = ceil(B / 64) inbox-presence
+  // words; owner w holds words [ceil(w*P/W), ceil((w+1)*P/W)), recorded as
+  // consumer-slot boundaries clamped to B. The gather, the execute shards and
+  // the delivery barrier all read this one partition, so the worker that
+  // scatters a slot's inbox also executes its event, and owners never share
+  // a presence word. The extra all-zero row serves the empty buckets of
+  // retry-extended rounds. ---
   auto& slot_bound = scratch.slot_bound;
-  slot_bound.assign(std::size_t{num_big_rounds} * (num_workers + 1), 0);
+  slot_bound.assign(std::size_t{num_big_rounds + 1} * (num_workers + 1), 0);
   for (std::uint32_t t = 0; t < num_big_rounds; ++t) {
     const std::size_t bsize = bucket_start[t + 1] - bucket_start[t];
-    const std::size_t tiles = (bsize + tile_events - 1) / tile_events;
+    const std::size_t words = (bsize + 63) / 64;
     auto* row = slot_bound.data() + std::size_t{t} * (num_workers + 1);
     for (std::uint32_t w = 0; w <= num_workers; ++w) {
-      const std::size_t lo_tile =
-          (std::size_t{w} * tiles + num_workers - 1) / num_workers;
-      row[w] = static_cast<std::uint32_t>(std::min(bsize, lo_tile * tile_events));
+      const std::size_t lo_word = (std::size_t{w} * words + num_workers - 1) / num_workers;
+      row[w] = static_cast<std::uint32_t>(std::min(bsize, lo_word * 64));
     }
   }
-  // Owner-partitioned phases (the gather's histogram and scatter, the
-  // delivery barrier) run on the pool when `parallel`, else for each owner
-  // in turn on the calling thread: the same body either way.
+  // Owner-partitioned phases (the gather's histogram and scatter, execute,
+  // the delivery barrier) run on the pool when `parallel`, else for each
+  // owner in turn on the calling thread: the same body either way.
   auto for_each_owner = [&](bool parallel, auto& body) {
     if (parallel) {
       pool_->run(num_workers, body);
@@ -734,7 +721,7 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
   FlightRecorder* const recorder = cfg_.recorder;
   if (profiler != nullptr) {
     profiler->begin_run(graph_.num_directed_edges(), num_big_rounds, num_workers,
-                        round_headroom, tile_events);
+                        round_headroom);
   }
   if (recorder != nullptr) recorder->begin_run(num_workers);
 
@@ -853,7 +840,7 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
     // counting-sort them (stably -- seg order is delivery order) into
     // contiguous arena-lane slices per event. Every pending message's
     // consumer provably executes in this round, and its slot lies in its
-    // owner's tile range, so owners histogram and scatter only slots (and
+    // owner's range, so owners histogram and scatter only slots (and
     // 64-event presence words) they own: the whole gather runs on the pool
     // with no atomics, and a serial sweep over the same segs builds the
     // identical arena. Exact per-slot offsets come from one serial
@@ -869,10 +856,8 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
         pend_total += ws.pend_pool[ws.pend_round[t]].slot.size();
       }
     }
-    const std::uint32_t* sb =
-        t < num_big_rounds
-            ? slot_bound.data() + std::size_t{t} * (num_workers + 1)
-            : nullptr;
+    const std::uint32_t* const sb =
+        slot_bound.data() + std::size_t{std::min(t, num_big_rounds)} * (num_workers + 1);
     if (pend_total > 0) {
       round_has_inbox = true;
       const std::size_t present_words = (bucket_size + 63) / 64;
@@ -966,20 +951,6 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
       for_each_owner(parallel_gather, scatter_body);
     }
 
-    // --- Execute the bucket: statically sharded when large enough. When the
-    // bucket has at least one tile per worker, shards are the workers' own
-    // tile ranges -- the worker that scattered a tile's inboxes moments ago
-    // executes that tile's events while they are still cache-resident.
-    // Otherwise shards are evenly balanced (tile granularity would idle
-    // workers), and a bucket too small to split is the 1-shard case, run on
-    // the calling thread; either way results are bit-identical. ---
-    std::uint32_t shards = 1;
-    if (num_workers > 1 && bucket_size >= 2 * kMinEventsPerShard) {
-      shards = static_cast<std::uint32_t>(std::min<std::size_t>(
-          num_workers, bucket_size / kMinEventsPerShard));
-    }
-    const bool tiled =
-        shards > 1 && (bucket_size + tile_events - 1) / tile_events >= num_workers;
     // Fault decision for one staged attempt (docs/FAULTS.md): the attempt
     // accounting into `fs`, the injector queries, and the copy-count mark on
     // staged_dest -- two copies for a raw duplicate, none for a lost message.
@@ -1037,20 +1008,20 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
         if ((fate & kFateRetransmit) != 0) ws.retransmit.push(static_cast<std::uint32_t>(i));
       }
     };
-    auto shard_body = [&](std::uint32_t s) {
-      const std::size_t lo = begin + (tiled ? sb[s] : bucket_size * s / shards);
-      const std::size_t hi = begin + (tiled ? sb[s + 1] : bucket_size * (s + 1) / shards);
-      auto& ws = workers[s];
+    // --- Execute the bucket: owner w runs its own slots on workers[w], while
+    // the inboxes it just scattered are cache-resident. The pool runs the
+    // owners when more than one is non-empty; results are bit-identical
+    // either way. ---
+    auto shard_body = [&](std::uint32_t w) {
+      const std::size_t lo = begin + sb[w];
+      const std::size_t hi = begin + sb[w + 1];
+      auto& ws = workers[w];
       for (std::size_t i = lo; i < hi; ++i) execute_event(events[i], i, ws, t);
       if (faults != nullptr) decide_fresh(ws);
     };
-    // Shard s runs on worker s, the owner of workers[s].
-    if (shards > 1) {
-      pool_->run(tiled ? num_workers : shards, shard_body);
-    } else {
-      shard_body(0);
-    }
-    ++(shards > 1 ? rounds_parallel : rounds_serial);
+    const bool parallel_execute = sb[1] < bucket_size;
+    for_each_owner(parallel_execute, shard_body);
+    ++(parallel_execute ? rounds_parallel : rounds_serial);
 
     // --- Restore the presence-bitset invariant (all-zero between rounds):
     // clear exactly the words this round's gather touched. O(touched words),
@@ -1141,8 +1112,8 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
     // retry lane, then the workers' staging lanes in shard order -- the order
     // the fate commit walked. Owner w folds edge loads over its static slice of
     // the directed-edge space (every attempt costs bandwidth, whatever its
-    // fate), then appends each parked copy whose consumer slot lies in its
-    // tiles to its own seg -- so gathers see one seg order regardless of
+    // fate), then appends each parked copy whose consumer slot it owns to
+    // its own seg -- so gathers see one seg order regardless of
     // thread count. Owner 0 additionally takes the tag == T stream (routed by
     // its packed finish key) and the violation count: a copy whose consumer
     // already ran would sit unread in any inbox, so it is counted and dropped,

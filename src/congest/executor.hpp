@@ -28,15 +28,16 @@
 //
 // Parallel execution: within one big-round every scheduled event is
 // independent (each (alg, node) executes at most one event per big-round and
-// messages are staged until the round barrier), so the event bucket is
-// statically sharded across `ExecConfig::num_threads` pool workers with
-// per-shard staging buffers that are read in shard order at the barrier.
-// The delivery barrier is one owner-partitioned body: each owner routes the
-// messages bound for its consumer tiles and folds its slice of the edge
-// loads, on the pool for big rounds and in turn on the calling thread
-// otherwise -- whatever faults or observers are attached. The result is
-// bit-identical for every thread count; see docs/PERFORMANCE.md for the
-// argument and the measured scaling curve.
+// messages are staged until the round barrier), so each bucket has one
+// static owner partition across `ExecConfig::num_threads` pool workers:
+// contiguous, 64-event aligned slot ranges. Owner w gathers the inboxes of
+// its slots, executes their events into its own staging lanes (read in owner
+// order at the barrier), and in the delivery barrier routes the messages
+// bound for its slots and folds its slice of the edge loads -- on the pool
+// for big rounds and in turn on the calling thread otherwise, whatever
+// faults or observers are attached. The result is bit-identical for every
+// thread count; see docs/PERFORMANCE.md for the argument and the measured
+// scaling curve.
 //
 // Memory discipline: the message path is allocation-free in steady state.
 // Messages travel as compact SoA lanes sized to the *run width* W (see run()):
@@ -89,48 +90,8 @@
 
 namespace dasched {
 
-/// Default byte budget per delivery tile (see ExecConfig::tile_bytes): half
-/// an L1 data cache's worth of arena, which keeps one tile's scatter
-/// resident while its owner streams messages into it.
-inline constexpr std::size_t kDefaultTileBytes = 32 * 1024;
-
-/// Events per delivery tile for a byte budget at a payload width: the largest
-/// power of two with tile_events * arena_message_bytes(width) <= tile_bytes,
-/// clamped to >= 64 so one inbox-presence bitset word (64 events) never
-/// straddles two tiles -- the word-disjointness is what lets tile owners
-/// write the bitset without atomics -- and to <= 2^31, the largest power of
-/// two a u32 holds, so a huge budget cannot wrap it to 0. Narrower run
-/// widths therefore get more events per tile out of the same byte budget.
-/// Benches report this value next to their --tile-bytes flag.
-///
-/// Contract: tile_bytes must hold at least one max-width message at the given
-/// width -- a budget below arena_message_bytes(width) used to be silently
-/// floored to 64 events (i.e. 64x the requested bytes), which hid
-/// misconfigured geometry; it is now a hard CHECK (tests/test_tiled_barrier.cpp
-/// pins the death).
-constexpr std::uint32_t tile_events_for_bytes(std::size_t tile_bytes,
-                                              std::uint32_t width = kDefaultMaxPayloadWords) {
-  DASCHED_CHECK_MSG(width >= 1 && width <= InlinePayload::kInlineCapacity,
-                    "tile geometry width outside the inline payload capacity");
-  DASCHED_CHECK_MSG(tile_bytes >= arena_message_bytes(width),
-                    "tile_bytes smaller than one max-width arena message");
-  const std::size_t budget = tile_bytes / arena_message_bytes(width);
-  std::uint32_t events = 64;
-  while (events < (1u << 31) && std::size_t{events} * 2 <= budget) events *= 2;
-  return events;
-}
-
 struct ExecConfig {
   std::uint32_t max_payload_words = kDefaultMaxPayloadWords;
-  /// Tile geometry of the delivery barrier. Each big-round bucket's
-  /// (alg, node) consumer space is split into tiles of
-  /// tile_events_for_bytes(tile_bytes) consecutive events; contiguous tile
-  /// ranges are statically owned by pool workers, which histogram and
-  /// scatter only tiles they own (no atomics) and execute the same tiles'
-  /// events the next round (temporal locality across the barrier). Purely a
-  /// cache tuning knob: every value produces bit-identical ExecutionResults
-  /// (docs/PERFORMANCE.md, "Memory layout & allocation budget").
-  std::size_t tile_bytes = kDefaultTileBytes;
   /// Record per-algorithm communication patterns (indexed by virtual round).
   bool record_patterns = false;
   /// Enforce the raw CONGEST bound of one message per directed edge per
@@ -279,7 +240,7 @@ struct ExecutionResult {
 /// Canonical fingerprint of an ExecutionResult: FNV-1a (util/fingerprint.hpp)
 /// over the per-(alg, node) outputs (size then words), the completion flags,
 /// and the per-big-round max loads -- exactly the fields the bit-identity
-/// contract pins across thread counts, tile sizes, and observer attachments.
+/// contract pins across thread counts, run widths, and observer attachments.
 /// The golden constants in tests/test_fault.cpp and tests/test_profiler.cpp
 /// are digests of this function; the service layer folds it into its own
 /// end-to-end fingerprint (src/service/daemon.hpp).
@@ -295,9 +256,8 @@ class Executor {
   /// Aborts if cfg.max_payload_words exceeds the compile-time inline payload
   /// capacity (InlinePayload::kInlineCapacity): there is deliberately no heap
   /// spill path on the message hot path -- raise
-  /// -DDASCHED_PAYLOAD_INLINE_WORDS instead. Also aborts if cfg.tile_bytes
-  /// cannot hold even one max-width arena message (see tile_events_for_bytes),
-  /// or if cfg.faults is set with a retry budget past RetryPolicy's bound.
+  /// -DDASCHED_PAYLOAD_INLINE_WORDS instead. Also aborts if cfg.faults is set
+  /// with a retry budget past RetryPolicy's bound.
   explicit Executor(const Graph& g, ExecConfig cfg = {});
   ~Executor();
 

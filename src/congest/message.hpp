@@ -170,9 +170,7 @@ inline constexpr std::uint32_t msg_header_len(std::uint32_t header) {
 }
 
 /// Bytes one delivered message occupies in the compact CSR inbox arena at a
-/// given run width: a packed u32 header plus `width` u64 payload words. The
-/// delivery barrier's tile geometry (ExecConfig::tile_bytes) is expressed in
-/// multiples of this.
+/// given run width: a packed u32 header plus `width` u64 payload words.
 inline constexpr std::size_t arena_message_bytes(std::uint32_t width) {
   return sizeof(std::uint32_t) + std::size_t{width} * sizeof(std::uint64_t);
 }

@@ -321,7 +321,6 @@ void SchedulerDaemon::run_cohort(std::vector<Admitted> cohort, std::uint64_t tic
     // admission gate (belt and braces -- it just passed statically).
     verify::VerifyingAdmission gate(problem, opts);
     ExecConfig ec;
-    ec.tile_bytes = cfg_.tile_bytes;
     ec.num_threads = cfg_.num_threads;
     ec.telemetry = cfg_.telemetry;
     ec.admission = &gate;

@@ -37,7 +37,7 @@
 //
 // Everything is driven by seeds and the simulated clock: a (graph, config,
 // stream) triple produces bit-identical ServiceResults -- outcomes, stats,
-// fingerprint -- for every thread count and tile size (the engine's identity
+// fingerprint -- for every thread count (the engine's identity
 // contract lifts to the service layer). See docs/SERVICE.md.
 #pragma once
 
@@ -88,7 +88,6 @@ struct ServiceConfig {
   /// Executor threading (0/1 = serial). Never affects results -- the service
   /// inherits the engine's bit-identity contract.
   std::uint32_t num_threads = 0;
-  std::size_t tile_bytes = kDefaultTileBytes;
   /// Profile cache-miss jobs from the static pattern analyzer (src/analysis)
   /// when their footprint yields an exact certificate with outputs, instead
   /// of solo-executing them -- near-free cold-start admission. The verifier

@@ -11,11 +11,9 @@ namespace dasched {
 void ExecProfiler::begin_run(std::uint32_t num_directed_edges,
                              std::uint32_t num_big_rounds,
                              std::uint32_t num_workers,
-                             std::uint32_t round_headroom,
-                             std::uint32_t tile_events) {
+                             std::uint32_t round_headroom) {
   num_edges_ = num_directed_edges;
   num_workers_ = num_workers;
-  tile_events_ = tile_events;
   rounds_capacity_ = num_big_rounds + round_headroom;
   rounds_used_ = 0;
   total_messages_ = 0;
@@ -177,10 +175,9 @@ void ExecProfiler::write_json(std::ostream& os) const {
   w.kv("retries", total_retries_);
   w.kv("max_edge_load", std::uint64_t{run_max_load_});
   w.kv("touched_cells", std::uint64_t{cells_.size()});
-  // Deliberately no worker count here: the profile of a run is bit-identical
-  // across thread counts (tests/test_profiler.cpp), and tile geometry -- a
-  // pure config value -- is the only engine parameter that may appear.
-  w.kv("tile_events", std::uint64_t{tile_events_});
+  // Deliberately no worker count or other engine parameter here: the
+  // profile of a run is bit-identical across thread counts
+  // (tests/test_profiler.cpp).
   w.end_object();
 
   w.key("rounds");

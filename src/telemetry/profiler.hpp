@@ -72,13 +72,8 @@ class ExecProfiler {
   /// resets the previous run's data (capacities are retained, so repeated
   /// runs stay allocation-free once warm). Called by the executor before the
   /// steady-state window opens.
-  /// `tile_events` is the executor's delivery-tile width (events per tile,
-  /// from ExecConfig::tile_bytes), recorded into the profile JSON so per-round
-  /// inbox distributions can be read against the barrier geometry that
-  /// produced them; 0 means "not reported".
   void begin_run(std::uint32_t num_directed_edges, std::uint32_t num_big_rounds,
-                 std::uint32_t num_workers, std::uint32_t round_headroom,
-                 std::uint32_t tile_events = 0);
+                 std::uint32_t num_workers, std::uint32_t round_headroom);
 
   /// Hot path, after each delivery barrier: one touched (edge, big-round)
   /// cell, in (big_round, edge) order.
@@ -167,7 +162,6 @@ class ExecProfiler {
   std::uint32_t num_edges_ = 0;
   std::uint32_t num_workers_ = 0;
   std::uint32_t rounds_capacity_ = 0;
-  std::uint32_t tile_events_ = 0;  // delivery-tile width of the profiled run
   std::uint32_t rounds_used_ = 0;
   std::uint64_t runs_ = 0;
   std::uint64_t total_messages_ = 0;

@@ -2,8 +2,8 @@
 //
 // The pool exists for one pattern, used by the big-round execution engine and
 // reusable by schedulers and benches: a caller repeatedly has a batch of
-// statically partitioned work (e.g. the tile ranges of one big-round's event
-// bucket) and wants party i of the batch run on worker i, with a full
+// statically partitioned work (e.g. the owner ranges of one big-round's
+// event bucket) and wants party i of the batch run on worker i, with a full
 // barrier at the end of every batch. Threads are spawned once; between
 // batches idle workers spin on a generation counter for a short window and
 // then park, so a batch that follows closely costs one release store and a
@@ -13,7 +13,7 @@
 // Determinism contract: party i runs exactly once, on worker i (worker 0 is
 // the calling thread), and all party effects happen-before run() returns.
 // The binding is fixed, so a caller that partitions state per worker -- the
-// executor's tile owners and per-worker staging lanes -- gets the same thread
+// executor's slot owners and per-worker staging lanes -- gets the same thread
 // touching the same state batch after batch. Callers that need
 // bit-reproducible results write into per-party buffers and merge them in
 // party order after run() returns; that is how the executor keeps parallel

@@ -8,7 +8,7 @@
 // big-round run in (algorithm, node) order and transmissions are processed in
 // send order, after the round's due retransmissions. A delivery whose
 // consumer has already executed is a causality violation: counted, never
-// read. There are no lanes, tiles, owners, arenas, shards or width dispatch;
+// read. There are no lanes, owners, arenas, shards or width dispatch;
 // the whole run is one thread walking the schedule table slot by slot.
 //
 // Faults use the same FaultInjector questions as the engine, with the

@@ -1,19 +1,21 @@
 // The owner-partitioned delivery barrier (congest/executor.cpp,
-// docs/PERFORMANCE.md): end-of-big-round delivery runs as a tiled counting
-// sort -- per-owner histograms over statically owned consumer tiles, exact
-// CSR offsets from a deterministic prefix-sum, scatter with no atomics --
-// and the same owner bodies run on the pool or in turn on the calling
-// thread, so results are bit-identical in every geometry. These tests drive
-// the barrier's edge cases:
+// docs/PERFORMANCE.md): every big-round bucket has one static owner
+// partition of 64-event aligned slot ranges, shared by the gather (per-owner
+// histograms, exact CSR offsets from a deterministic prefix-sum, scatter with
+// no atomics), the execute shards and the barrier -- and the same owner
+// bodies run on the pool or in turn on the calling thread, so results are
+// bit-identical at every thread count. These tests drive its edge cases:
+//   * buckets on either side of every owner boundary (1, 63, 64, 65,
+//     64W - 1, 64W, 64W + 1 and far more than 64W events), clean, faulty and
+//     observed,
+//   * the execute predicate: a bucket goes to the pool exactly when more
+//     than one owner is non-empty,
 //   * big-rounds with no messages at all (scaled schedules interleave empty
 //     rounds between populated ones),
-//   * tile_bytes as a pure tuning knob: tiny tiles (every tile over-full,
-//     many more tiles than workers) through giant tiles (one tile for the
-//     whole bucket, fewer tiles than workers),
 //   * a unit-capacity overflow detected after the barrier (death tests at 0
 //     and 4 threads, and the flight recorder's post-mortem dump),
-//   * retries on faulty runs landing in their owner's tile deterministically
-//     across thread counts,
+//   * retries on faulty runs landing in their consumer's owner
+//     deterministically across thread counts,
 //   * every observer (profiler, flight recorder, telemetry, patterns) on
 //     faulty runs whose rounds put the owners on the pool: identical
 //     observations at every thread count,
@@ -25,6 +27,7 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 
 #include "congest/executor.hpp"
@@ -38,6 +41,7 @@
 #include "telemetry/json.hpp"
 #include "telemetry/metrics_registry.hpp"
 #include "telemetry/profiler.hpp"
+#include "util/fingerprint.hpp"
 
 namespace dasched {
 namespace {
@@ -77,86 +81,144 @@ void expect_identical(const ExecutionResult& a, const ExecutionResult& b) {
   EXPECT_EQ(a.max_edge_load, b.max_edge_load);
 }
 
-// --- Tile geometry derivation. ---
+// --- The owner partition. Owner boundaries fall on multiples of 64 events
+// (one inbox-presence word), so buckets one event either side of 64 and of
+// 64W sit on every edge of the partition: a lone owner, a second owner
+// holding one event, every owner full, one owner spilling over. ---
 
-TEST(TileGeometry, EventsPerTileIsAPowerOfTwoMultipleOf64) {
-  // Small (but legal) budgets clamp to the 64-event floor (one presence word).
-  EXPECT_EQ(tile_events_for_bytes(arena_message_bytes(kDefaultMaxPayloadWords)), 64u);
-  EXPECT_EQ(tile_events_for_bytes(64 * arena_message_bytes(3) - 1, 3), 64u);
-  // Powers of two: never mid-word tile boundaries. Narrower widths pack more
-  // events into the same budget, never fewer.
-  for (std::uint32_t width = 1; width <= InlinePayload::kInlineCapacity; ++width) {
-    std::uint32_t prev = ~0u;
-    for (const std::size_t bytes : {std::size_t{1} << 12, std::size_t{1} << 15,
-                                    std::size_t{1} << 20, std::size_t{1} << 30}) {
-      const auto ev = tile_events_for_bytes(bytes, width);
-      EXPECT_GE(ev, 64u);
-      EXPECT_EQ(ev & (ev - 1), 0u)
-          << "not a power of two at " << bytes << " width " << width;
-      EXPECT_LE(std::size_t{ev} * arena_message_bytes(width),
-                std::max(bytes, 64 * arena_message_bytes(width)));
-    }
-    const auto at_default = tile_events_for_bytes(kDefaultTileBytes, width);
-    EXPECT_LE(at_default, prev == ~0u ? at_default : prev)
-        << "wider messages cannot mean bigger tiles";
-    prev = at_default;
+/// Folds every inbox message (sender, then payload words) into a running hash
+/// and sends the hash on to every neighbor, so each output depends on the
+/// content and order of every inbox the node read: a message routed to the
+/// wrong slot or delivered out of order changes some output.
+class FoldProgram final : public NodeProgram {
+ public:
+  explicit FoldProgram(NodeId self) : hash_(fnv1a_mix(kFnvOffsetBasis, self)) {}
+  void on_round(VirtualContext& ctx) override {
+    fold(ctx);
+    for (const auto& h : ctx.neighbors()) ctx.send(h.neighbor, {ctx.vround(), hash_});
   }
-  // The default at the default width: half an L1's worth of arena.
-  EXPECT_EQ(tile_events_for_bytes(kDefaultTileBytes), 512u);
-  // Budgets of 2^32 messages and more stop doubling at 2^31 instead of
-  // wrapping the u32 event count to 0 (which never ended the loop).
-  EXPECT_EQ(tile_events_for_bytes(std::size_t{1} << 40, 3), 1u << 31);
-  EXPECT_EQ(tile_events_for_bytes(SIZE_MAX, 3), 1u << 31);
+  void on_finish(VirtualContext& ctx) override { fold(ctx); }
+  std::vector<std::uint64_t> output() const override { return {hash_}; }
+
+ private:
+  void fold(const VirtualContext& ctx) {
+    for (const auto& m : ctx.inbox()) {
+      hash_ = fnv1a_mix(hash_, m.from);
+      for (const auto word : m.payload) hash_ = fnv1a_mix(hash_, word);
+    }
+  }
+  std::uint64_t hash_;
+};
+
+class FoldAlgorithm final : public DistributedAlgorithm {
+ public:
+  FoldAlgorithm() : DistributedAlgorithm(5) {}
+  std::string name() const override { return "fold"; }
+  std::uint32_t rounds() const override { return 4; }
+  std::unique_ptr<NodeProgram> make_program(NodeId v) const override {
+    return std::make_unique<FoldProgram>(v);
+  }
+};
+
+/// A connected graph on `n` nodes: lockstep schedules over it put exactly n
+/// events in every big-round's bucket.
+Graph graph_with_bucket(NodeId n) {
+  if (n < 3) return make_path(n);
+  Rng rng(n);
+  return make_gnp_connected(n, std::min(1.0, 6.0 / n), rng);
 }
 
-// --- Degenerate budgets are rejected, not silently floored: a tile_bytes
-// below one max-width arena message used to clamp to 64 events and hand back
-// 64x the requested bytes. Both the free function and the executor
-// constructor must refuse such geometry outright. ---
-
-TEST(TileGeometryDeathTest, RejectsBudgetsBelowOneMessage) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH((void)tile_events_for_bytes(0),
-               "tile_bytes smaller than one max-width arena message");
-  EXPECT_DEATH((void)tile_events_for_bytes(arena_message_bytes(3) - 1, 3),
-               "tile_bytes smaller than one max-width arena message");
-  EXPECT_DEATH((void)tile_events_for_bytes(kDefaultTileBytes, 0),
-               "tile geometry width outside the inline payload capacity");
-  EXPECT_DEATH(
-      (void)tile_events_for_bytes(kDefaultTileBytes,
-                                  InlinePayload::kInlineCapacity + 1),
-      "tile geometry width outside the inline payload capacity");
-  Rng rng(3);
-  const auto g = make_gnp_connected(20, 0.3, rng);
-  ExecConfig cfg;
-  cfg.tile_bytes = arena_message_bytes(cfg.max_payload_words) - 1;
-  EXPECT_DEATH((void)Executor(g, cfg),
-               "tile_bytes smaller than one max-width arena message");
+TEST(TiledBarrier, ExecuteGoesToThePoolPastOneOwner) {
+  // At 4 workers a 64-event bucket is one presence word, all of it owner 0's;
+  // a 65-event bucket is two words, so owner 1 holds one event.
+  const FoldAlgorithm alg;
+  const DistributedAlgorithm* algos[] = {&alg};
+  for (const NodeId n : {64u, 65u}) {
+    SCOPED_TRACE("bucket=" + std::to_string(n));
+    const auto g = graph_with_bucket(n);
+    MetricsRegistry metrics;
+    ExecConfig cfg;
+    cfg.num_threads = 4;
+    cfg.telemetry = &metrics;
+    const auto r = Executor(g, cfg).run(algos, ScheduleTable::lockstep(algos, n));
+    ASSERT_EQ(r.num_big_rounds, alg.rounds());
+    const std::uint64_t rounds = r.num_big_rounds;
+    EXPECT_EQ(metrics.counter("executor.parallel.rounds_serial"), n == 64 ? rounds : 0);
+    EXPECT_EQ(metrics.counter("executor.parallel.rounds_parallel"), n == 64 ? 0 : rounds);
+  }
 }
 
-// --- tile_bytes is pure tuning: every geometry, every thread count,
-// bit-identical results. Covers over-full tiles (64-event tiles receiving
-// arbitrarily many messages), tile count >> workers, and workers > tile
-// count (a 1 GiB tile swallows every bucket whole). ---
+struct SweepRun {
+  std::uint64_t fingerprint = 0;
+  ExecutionResult::FaultStats faults;
+  std::string profile_json;
+  std::string barrier_ring;
+};
 
-TEST(TiledBarrier, TileBytesIsInvisibleInResults) {
-  const auto in = make_instance();
-  const auto baseline = Executor(in.g, {}).run(in.algos, in.schedule);
-  EXPECT_TRUE(in.problem->verify(baseline).ok());
-
-  // The smallest legal budget (one max-width message) clamps to 64-event
-  // tiles: maximum tile count, every tile over-full.
-  for (const std::size_t tile_bytes :
-       {arena_message_bytes(kDefaultMaxPayloadWords), std::size_t{1} << 12,
-        std::size_t{1} << 20, std::size_t{1} << 30}) {
-    for (const auto threads : kThreadCounts) {
-      SCOPED_TRACE("tile_bytes=" + std::to_string(tile_bytes) +
-                   " threads=" + std::to_string(threads));
-      ExecConfig cfg;
-      cfg.tile_bytes = tile_bytes;
-      cfg.num_threads = threads;
-      const auto r = Executor(in.g, cfg).run(in.algos, in.schedule);
-      expect_identical(baseline, r);
+TEST(TiledBarrier, OwnerBoundariesAreInvisibleInResults) {
+  std::set<NodeId> buckets = {1, 63, 64, 65, 3000};
+  for (const NodeId workers : {2u, 4u, 7u}) {
+    buckets.insert({64 * workers - 1, 64 * workers, 64 * workers + 1});
+  }
+  const FoldAlgorithm alg;
+  const DistributedAlgorithm* algos[] = {&alg};
+  // Three modes: clean; faulty with retransmissions; faulty without the
+  // reliable layer (raw duplicates) under every observer.
+  enum class Mode { kClean, kRetries, kObserved };
+  for (const NodeId n : buckets) {
+    const auto g = graph_with_bucket(n);
+    FaultPlan plan;
+    plan.seed = 1800 + n;
+    plan.drop_rate = 0.1;
+    plan.duplicate_rate = 0.05;
+    add_random_crashes(plan, n, 2, 3);
+    add_random_outages(plan, g, 2, 3, 2);
+    const FaultInjector injector(g, plan);
+    const auto lockstep = ScheduleTable::lockstep(algos, n);
+    for (const Mode mode : {Mode::kClean, Mode::kRetries, Mode::kObserved}) {
+      const RetryPolicy retry{mode == Mode::kRetries ? 2u : 0u};
+      const auto schedule = stretch_for_retries(lockstep, retry);
+      auto run = [&](std::uint32_t threads) {
+        ExecProfiler profiler;
+        FlightRecorderConfig fcfg;
+        fcfg.capacity = 1u << 15;
+        FlightRecorder recorder(fcfg);
+        MetricsRegistry metrics;
+        ExecConfig cfg;
+        cfg.num_threads = threads;
+        if (mode != Mode::kClean) {
+          cfg.faults = &injector;
+          cfg.retry = retry;
+        }
+        if (mode == Mode::kObserved) {
+          cfg.profiler = &profiler;
+          cfg.recorder = &recorder;
+          cfg.telemetry = &metrics;
+          cfg.record_patterns = true;
+        }
+        const auto r = Executor(g, cfg).run(algos, schedule);
+        SweepRun out{result_fingerprint(r), r.faults, {}, {}};
+        if (mode == Mode::kObserved) {
+          out.profile_json = profiler.to_json();
+          const std::string dump = recorder.to_json("sweep");
+          out.barrier_ring = dump.substr(dump.find("\"ring\":\"barrier\""));
+        }
+        return out;
+      };
+      const SweepRun serial = run(0);
+      if (mode != Mode::kClean && n >= 64) {
+        EXPECT_GT(serial.faults.dropped(), 0u) << "bucket=" << n;
+      }
+      for (const std::uint32_t threads : {2u, 4u, 7u}) {
+        SCOPED_TRACE("bucket=" + std::to_string(n) + " mode=" +
+                     std::to_string(static_cast<int>(mode)) +
+                     " threads=" + std::to_string(threads));
+        const SweepRun r = run(threads);
+        EXPECT_EQ(serial.fingerprint, r.fingerprint);
+        EXPECT_EQ(serial.faults, r.faults);
+        EXPECT_EQ(serial.profile_json, r.profile_json);
+        EXPECT_EQ(serial.barrier_ring, r.barrier_ring);
+      }
     }
   }
 }
@@ -179,8 +241,6 @@ TEST(TiledBarrier, EmptyBigRoundsBetweenPopulatedOnes) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     ExecConfig cfg;
     cfg.num_threads = threads;
-    // Smallest legal budget -> 64-event tiles: maximum tile count.
-    cfg.tile_bytes = arena_message_bytes(kDefaultMaxPayloadWords);
     const auto r = Executor(in.g, cfg).run(in.algos, sparse);
     expect_identical(baseline, r);
   }
@@ -292,10 +352,10 @@ TEST(TiledBarrierRecorderDeathTest, UnitCapacityOverflowWritesTheDumpAtFourThrea
 }
 
 // --- Faulty runs: retransmissions re-enter the barrier rounds later and must
-// land in the seg of whichever worker owns the consumer's tile -- including
-// tiles owned by a different worker than the one that staged the original
-// send. Tiny tiles maximize cross-tile traffic; results must match the
-// serial run bit for bit, and bounded retries must recover correctness. ---
+// land in the seg of whichever worker owns the consumer's slot -- including
+// slots owned by a different worker than the one that staged the original
+// send. Results must match the serial run bit for bit, and bounded retries
+// must recover correctness. ---
 
 TEST(TiledBarrier, RetriesCrossTileBoundariesDeterministically) {
   const auto in = make_instance();
@@ -308,30 +368,25 @@ TEST(TiledBarrier, RetriesCrossTileBoundariesDeterministically) {
   const RetryPolicy retry{3};
   const auto stretched = stretch_for_retries(in.schedule, retry);
 
-  auto run_with = [&](std::uint32_t threads, std::size_t tile_bytes) {
+  auto run_with = [&](std::uint32_t threads) {
     ExecConfig cfg;
     cfg.num_threads = threads;
-    cfg.tile_bytes = tile_bytes;
     cfg.faults = &injector;
     cfg.retry = retry;
     return Executor(in.g, cfg).run(in.algos, stretched);
   };
 
-  const auto baseline = run_with(0, kDefaultTileBytes);
+  const auto baseline = run_with(0);
   EXPECT_GT(baseline.faults.retransmissions, 0u);
   EXPECT_EQ(baseline.causality_violations, 0u)
       << "the retry-stretched schedule absorbs every retransmission";
   for (const auto threads : kThreadCounts) {
-    for (const std::size_t tile_bytes :
-         {arena_message_bytes(kDefaultMaxPayloadWords), std::size_t{1} << 30}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " tile_bytes=" + std::to_string(tile_bytes));
-      const auto r = run_with(threads, tile_bytes);
-      expect_identical(baseline, r);
-      EXPECT_EQ(baseline.faults.retransmissions, r.faults.retransmissions);
-      EXPECT_EQ(baseline.faults.delivered, r.faults.delivered);
-      EXPECT_EQ(baseline.faults.lost, r.faults.lost);
-    }
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const auto r = run_with(threads);
+    expect_identical(baseline, r);
+    EXPECT_EQ(baseline.faults.retransmissions, r.faults.retransmissions);
+    EXPECT_EQ(baseline.faults.delivered, r.faults.delivered);
+    EXPECT_EQ(baseline.faults.lost, r.faults.lost);
   }
 }
 
@@ -465,32 +520,27 @@ TEST(TiledBarrier, ObserversAreThreadCountInvariantAtPooledScale) {
 }
 
 // --- Zero steady-state allocations through the pooled barrier: the second
-// run of a warmed 4-thread executor must not allocate, tiny tiles included,
-// and neither with the profiler and flight recorder attached. ---
+// run of a warmed 4-thread executor must not allocate, neither bare nor with
+// the profiler and flight recorder attached. ---
 
 TEST(TiledBarrier, ZeroSteadyStateAllocationsThroughTheTiledPath) {
   const auto in = make_instance();
   for (const bool observed : {false, true}) {
-    for (const std::size_t tile_bytes :
-         {arena_message_bytes(kDefaultMaxPayloadWords), kDefaultTileBytes}) {
-      SCOPED_TRACE("tile_bytes=" + std::to_string(tile_bytes) +
-                   (observed ? " observed" : ""));
-      ExecProfiler profiler;
-      FlightRecorder recorder(FlightRecorderConfig{});
-      ExecConfig cfg;
-      cfg.num_threads = 4;
-      cfg.tile_bytes = tile_bytes;
-      if (observed) {
-        cfg.profiler = &profiler;
-        cfg.recorder = &recorder;
-      }
-      Executor executor(in.g, cfg);
-      const auto first = executor.run(in.algos, in.schedule);
-      const auto second = executor.run(in.algos, in.schedule);
-      expect_identical(first, second);
-      EXPECT_EQ(second.hot_path_allocs, 0u)
-          << "warmed pooled runs must stay off the allocator";
+    SCOPED_TRACE(observed ? "observed" : "bare");
+    ExecProfiler profiler;
+    FlightRecorder recorder(FlightRecorderConfig{});
+    ExecConfig cfg;
+    cfg.num_threads = 4;
+    if (observed) {
+      cfg.profiler = &profiler;
+      cfg.recorder = &recorder;
     }
+    Executor executor(in.g, cfg);
+    const auto first = executor.run(in.algos, in.schedule);
+    const auto second = executor.run(in.algos, in.schedule);
+    expect_identical(first, second);
+    EXPECT_EQ(second.hot_path_allocs, 0u)
+        << "warmed pooled runs must stay off the allocator";
   }
 }
 

@@ -535,12 +535,12 @@ def synthetic_e15(serial_mps, identical="yes", top_n=1_000_000,
             {
                 "title": "E15.a -- scale ladder",
                 "columns": ["n", "dir edges", "T", "big-rounds", "messages",
-                            "tiles", "serial ms", "messages/s", "x2 speedup",
+                            "serial ms", "messages/s", "x2 speedup",
                             "x4 speedup", "identical", "peak RSS MiB"],
                 "rows": [
-                    ["1000", "6000", "8", "107", "4800000", "16", "300.0",
+                    ["1000", "6000", "8", "107", "4800000", "300.0",
                      f"{serial_mps * 1.5:.0f}", "1.0", "0.8", "yes", "150.0"],
-                    [f"{top_n}", "4000000", "2", "101", "800000000", "3907",
+                    [f"{top_n}", "4000000", "2", "101", "800000000",
                      "80000.0", f"{serial_mps:.0f}", "1.0", "0.8", identical,
                      f"{rss:.1f}"],
                 ],
