@@ -69,8 +69,7 @@ void print_tables() {
     auto pp = make_mixed_workload(g, 12, 3, 77);
     PrivateSchedulerConfig pcfg;
     pcfg.seed = seed;
-    pcfg.central_clustering = true;  // identical results, cheaper sweep (tested)
-    pcfg.central_sharing = true;
+    pcfg.central_precomputation = true;  // identical results, cheaper sweep (tested)
     const auto priv = PrivateRandomnessScheduler(pcfg).run(*pp);
     t2.add_row({Table::fmt(seed), Table::fmt(shared.schedule_rounds),
                 Table::fmt(priv.schedule_rounds),
@@ -88,8 +87,7 @@ void bm_private_scheduler(benchmark::State& state) {
   for (auto _ : state) {
     auto p = make_mixed_workload(g, 8, 3, 5);
     PrivateSchedulerConfig cfg;
-    cfg.central_clustering = true;
-    cfg.central_sharing = true;
+    cfg.central_precomputation = true;
     const auto out = PrivateRandomnessScheduler(cfg).run(*p);
     benchmark::DoNotOptimize(out.schedule_rounds);
   }

@@ -36,8 +36,7 @@ void print_tables() {
     PrivateSchedulerConfig cfg;
     cfg.seed = 21;
     cfg.delay_kind = kind;
-    cfg.central_clustering = true;
-    cfg.central_sharing = true;
+    cfg.central_precomputation = true;
     const auto out = PrivateRandomnessScheduler(cfg).run(*p);
     const auto v = p->verify(out.exec);
     table.add_row({name, Table::fmt(std::uint64_t{out.delay_support}),
@@ -88,8 +87,7 @@ void print_tables() {
       PrivateSchedulerConfig cfg;
       cfg.seed = seed;
       cfg.delay_kind = kinds[i];
-      cfg.central_clustering = true;
-      cfg.central_sharing = true;
+      cfg.central_precomputation = true;
       const auto out = PrivateRandomnessScheduler(cfg).run(*p);
       lens[i] = out.schedule_rounds;
     }

@@ -156,8 +156,8 @@ ScheduleTable build_schedule(const Options& opt, ScheduleProblem& problem,
   if (opt.scheduler == "private") {
     PrivateSchedulerConfig cfg;
     cfg.seed = opt.seed;
-    cfg.central_clustering = true;  // skip the protocol simulations: the
-    cfg.central_sharing = true;     // schedule is identical (tests verify)
+    // Skip the protocol simulations: the schedule is identical (tests verify).
+    cfg.central_precomputation = true;
     auto out = PrivateRandomnessScheduler(cfg).run(problem);
     vopts->phase_len = out.phase_len;
     vopts->delay_support = out.delay_support;

@@ -66,23 +66,8 @@ struct StagedMeta {
   NodeId to;
 };
 
-/// A dropped message awaiting its retransmission slot: identity, the packed
-/// destination computed when it was first staged (so nothing is looked up
-/// twice), and the compact lane record, inlined at the engine's
-/// instantiation width so RetryQueue entries stay trivially copyable PODs.
-template <std::uint32_t W>
-struct RetryMessage {
-  StagedMeta meta;
-  std::uint32_t directed_edge;
-  std::uint32_t hdr;   // packed sender + length (congest/message.hpp)
-  std::uint64_t dest;  // staged_dest of the original send
-  std::uint64_t pay[W];
-};
-
 static_assert(std::is_trivially_copyable_v<ExecEvent>);
 static_assert(std::is_trivially_copyable_v<StagedMeta>);
-static_assert(std::is_trivially_copyable_v<RetryMessage<1>>);
-static_assert(std::is_trivially_copyable_v<RetryMessage<InlinePayload::kInlineCapacity>>);
 
 /// A minimal growable POD lane. The staging and parked-delivery lanes below
 /// append tens of millions of fixed-size records per run; std::vector's
@@ -137,11 +122,12 @@ struct Lane {
 /// One owner-worker's parked deliveries bound to a future big-round: the
 /// consumer-slot lane, the header lane, and the W-strided payload lane kept
 /// parallel (SoA), so the gather histogram at that round streams a dense u32
-/// lane and only the final scatter moves payload words.
+/// lane and only the final scatter moves payload words. The tag == T stream
+/// uses the same shape with the packed finish key in the slot lane.
 struct PendingSeg {
-  Lane<std::uint32_t> slot;  // perf-ok: recycled via the owner's free list
-  Lane<std::uint32_t> hdr;   // perf-ok: recycled via the owner's free list
-  Lane<std::uint64_t> pay;   // perf-ok: recycled via the owner's free list
+  Lane<std::uint32_t> slot;  // perf-ok: consumer slot (or finish key) per message
+  Lane<std::uint32_t> hdr;   // perf-ok: packed header per message
+  Lane<std::uint64_t> pay;   // perf-ok: W-strided payload lane
 
   void clear() {
     slot.clear();
@@ -173,6 +159,64 @@ struct StagedLanes {
   }
 };
 
+/// Retransmissions due in one big-round, parked by the fate commit: the
+/// dropped attempts' staged lanes (destination as first staged, so nothing
+/// is looked up twice) plus the 1-based attempt each entry makes. At its
+/// round the bundle is the delivery barrier's first lane source as it
+/// stands, ahead of worker 0.
+struct RetryLanes : StagedLanes {
+  Lane<std::uint8_t> attempt;  // perf-ok: one attempt index per entry
+
+  void clear() {
+    StagedLanes::clear();
+    attempt.clear();
+  }
+};
+
+constexpr std::uint32_t kNoBucket = ~std::uint32_t{0};
+
+/// Lane bundles keyed by big-round, recycled through a free list, so the
+/// number of live bundles tracks the rounds with traffic in flight. A
+/// bundle is addressed by round through `index`: acquire() may grow `pool`,
+/// which invalidates references to every bundle.
+template <typename Seg>
+struct RoundPool {
+  std::vector<std::uint32_t> index;      // perf-ok: big-round -> pool slot or kNoBucket
+  std::vector<Seg> pool;                 // perf-ok: recycled via free_list
+  std::vector<std::uint32_t> free_list;  // perf-ok: released pool slots
+
+  /// Releases every bundle and keys the pool by big-rounds [0, rounds).
+  void reset(std::size_t rounds) {
+    index.assign(rounds, kNoBucket);
+    free_list.clear();
+    for (std::uint32_t b = 0; b < pool.size(); ++b) {
+      pool[b].clear();
+      free_list.push_back(b);
+    }
+  }
+  std::uint32_t find(std::uint32_t round) const {
+    return round < index.size() ? index[round] : kNoBucket;
+  }
+  Seg& acquire(std::uint32_t round) {
+    std::uint32_t& b = index[round];
+    if (b == kNoBucket) {
+      if (free_list.empty()) {
+        b = static_cast<std::uint32_t>(pool.size());
+        pool.emplace_back();
+      } else {
+        b = free_list.back();
+        free_list.pop_back();
+      }
+    }
+    return pool[b];
+  }
+  void release(std::uint32_t round) {
+    pool[index[round]].clear();
+    free_list.push_back(index[round]);
+    index[round] = kNoBucket;
+  }
+};
+
 /// Per-worker staging plus reusable scratch. Within one big-round every event
 /// touches only its own (alg, node) state, so shards race only if they shared
 /// scratch -- they don't; and because each shard appends to its own staging
@@ -190,9 +234,7 @@ struct WorkerState : StagedLanes {
   // edges per round; everything below is written only by its owner,
   // whichever thread runs the owner's body, so the contents are
   // bit-identical across thread counts. ---
-  std::vector<std::uint32_t> pend_round;  // perf-ok: big-round -> own seg index or kNoBucket
-  std::vector<PendingSeg> pend_pool;      // perf-ok: recycled via pend_free
-  std::vector<std::uint32_t> pend_free;   // perf-ok: drained-seg free list
+  RoundPool<PendingSeg> pend;             // parked deliveries by consumer big-round
   std::vector<std::uint32_t> touched;     // perf-ok: touched edges of this owner's edge range
   // One bit per edge of the owner's slice, all-zero between rounds: puts
   // `touched` in edge order for per-cell observers without a sort.
@@ -213,8 +255,6 @@ struct WorkerState : StagedLanes {
 };
 
 namespace {
-
-constexpr std::uint32_t kNoBucket = ~std::uint32_t{0};
 
 /// staged_dest round-half sentinels. kFinishDest marks tag == T messages
 /// (consumed by on_finish after the loop); kNeverDest marks messages whose
@@ -340,6 +380,9 @@ inline void prefetch_for_write(const void* p) {
 /// finish arena is checked to stay under 2^31 messages so the bit is free.
 constexpr std::uint32_t kPlaced = 0x80000000u;
 
+/// The barrier's first lane source in rounds with no retransmission due.
+const StagedLanes kNoRetries{};
+
 }  // namespace
 
 /// Everything the engine reuses across big-rounds and runs. First run of a
@@ -398,13 +441,12 @@ struct ExecScratch {
   std::vector<std::uint32_t> inbox_cursor;  // perf-ok: counting-sort scratch
   std::vector<std::uint32_t> inbox_count;   // perf-ok: never zeroed (presence-guarded)
 
-  // --- tag == T messages, consumed by on_finish after the loop. Kept as
-  // compact lanes keyed by the packed finish key alg*n + to (fits u32,
-  // checked per run) and stably sorted IN PLACE by one cycle-following
-  // permutation after the loop -- there is no second arena copy. ---
-  std::vector<std::uint32_t> finish_key;   // perf-ok: appended across the run
-  std::vector<std::uint32_t> finish_hdr;   // perf-ok: appended across the run
-  std::vector<std::uint64_t> finish_pay;   // perf-ok: W-strided, appended across the run
+  // --- tag == T messages, consumed by on_finish after the loop. Appended
+  // across the run to one seg whose slot lane holds the packed finish key
+  // alg*n + to (fits u32, checked per run), and stably sorted IN PLACE by
+  // one cycle-following permutation after the loop -- there is no second
+  // arena copy. ---
+  PendingSeg finish;
   std::vector<std::uint32_t> finish_target;  // perf-ok: permutation scratch, one u32 per message
   std::vector<std::size_t> finish_offset;  // perf-ok: per (alg, node), size k*n + 1
 
@@ -413,9 +455,8 @@ struct ExecScratch {
   // must not allocate or sort in steady state. ---
   std::vector<std::uint32_t> edge_count;  // perf-ok: zeroed via WorkerState::touched
 
-  // --- This round's due retransmissions: the barrier's first lane source,
-  // ahead of worker 0. ---
-  StagedLanes retry_lane;
+  // --- Parked retransmissions keyed by due big-round (docs/FAULTS.md). ---
+  RoundPool<RetryLanes> retry;
 };
 
 Executor::Executor(const Graph& g, ExecConfig cfg)
@@ -603,6 +644,9 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
     result.patterns.assign(k, CommunicationPattern(graph_.num_directed_edges()));
   }
   result.num_big_rounds = num_big_rounds;
+  // Retransmissions extend the horizon into the reserved headroom, inside
+  // the loop, without reallocating.
+  result.max_load_per_big_round.reserve(std::size_t{num_big_rounds} + round_headroom);
   result.max_load_per_big_round.assign(num_big_rounds, 0);
 
   // --- Size the delivery arenas (no allocation inside the loop: segs and
@@ -611,9 +655,7 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
   scratch.inbox_cursor.reserve(max_bucket_size);
   scratch.inbox_count.reserve(max_bucket_size);
   scratch.inbox_present.reserve(max_bucket_size / 64 + 1);
-  scratch.finish_key.clear();
-  scratch.finish_hdr.clear();
-  scratch.finish_pay.clear();
+  scratch.finish.clear();
   scratch.edge_count.assign(graph_.num_directed_edges(), 0);
   auto& edge_count = scratch.edge_count;
 
@@ -621,9 +663,10 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
   // is a pure function of the plan seed and message identity: each execute
   // shard decides its own staged messages' fates, and one serial commit
   // walks them in shard-merged order -- so faulty runs are bit-identical
-  // across thread counts. With `faults` null none of this is touched. ---
-  RetryQueue<RetryMessage<W>> retry_queue;
-  std::vector<typename RetryQueue<RetryMessage<W>>::Entry> retry_due;
+  // across thread counts. Retransmissions park in scratch.retry under their
+  // due round, at most num_big_rounds + round_headroom - 1. With `faults`
+  // null the pool stays empty. ---
+  scratch.retry.reset(std::size_t{num_big_rounds} + round_headroom);
   std::uint32_t horizon = num_big_rounds;
 
   // --- Worker pool and per-worker staging. Workers persist across runs:
@@ -656,12 +699,7 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
     if (need_meta) ws.staged_meta.reserve(scratch.staged_high_water);
     ws.staged_edge.reserve(scratch.staged_high_water);
     ws.staged_dest.reserve(scratch.staged_high_water);
-    ws.pend_round.assign(std::size_t{num_big_rounds} + 1, kNoBucket);
-    ws.pend_free.clear();
-    for (std::uint32_t b = 0; b < ws.pend_pool.size(); ++b) {
-      ws.pend_pool[b].clear();
-      ws.pend_free.push_back(b);
-    }
+    ws.pend.reset(num_big_rounds);
     ws.touched.clear();
     ws.touched.reserve(graph_.num_directed_edges() / num_workers + 1);
     ws.touched_bits.assign(
@@ -720,8 +758,7 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
   ExecProfiler* const profiler = cfg_.profiler;
   FlightRecorder* const recorder = cfg_.recorder;
   if (profiler != nullptr) {
-    profiler->begin_run(graph_.num_directed_edges(), num_big_rounds, num_workers,
-                        round_headroom);
+    profiler->begin_run(graph_.num_directed_edges(), num_big_rounds, round_headroom);
   }
   if (recorder != nullptr) recorder->begin_run(num_workers);
 
@@ -770,13 +807,6 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
       }
     }
     ws.delivered += in_count;
-    if (profiler != nullptr) {
-      // Shard-local bumps (no sharing, no atomics): this worker owns its
-      // shard; end_round() folds the shards in shard order at the barrier.
-      auto& shard = profiler->shards()[&ws - workers.data()];
-      ++shard.events;
-      shard.inbox += in_count;
-    }
     if (recorder != nullptr) {
       recorder->record(static_cast<std::uint32_t>(&ws - workers.data()),
                        FlightRecorder::Kind::kEvent, t,
@@ -824,6 +854,7 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
   // --- Main loop over big-rounds. Rounds >= num_big_rounds exist only when
   // retransmissions extended the horizon; they have no scheduled events. ---
   std::uint64_t delivered_before = 0;
+  std::uint64_t skipped_before = 0;
   for (std::uint32_t t = 0; t < horizon; ++t) {
     const std::size_t begin = t < num_big_rounds ? bucket_start[t] : events.size();
     const std::size_t end = t < num_big_rounds ? bucket_start[t + 1] : events.size();
@@ -852,9 +883,8 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
     round_has_inbox = false;
     std::size_t pend_total = 0;
     for (auto& ws : workers) {
-      if (t < ws.pend_round.size() && ws.pend_round[t] != kNoBucket) {
-        pend_total += ws.pend_pool[ws.pend_round[t]].slot.size();
-      }
+      const std::uint32_t b = ws.pend.find(t);
+      if (b != kNoBucket) pend_total += ws.pend.pool[b].slot.size();
     }
     const std::uint32_t* const sb =
         slot_bound.data() + std::size_t{std::min(t, num_big_rounds)} * (num_workers + 1);
@@ -879,15 +909,14 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
           num_workers > 1 && pend_total >= kMinMessagesParallelBarrier;
       auto histogram_body = [&](std::uint32_t w) {
         auto& ws = workers[w];
-        const std::uint32_t seg_idx =
-            t < ws.pend_round.size() ? ws.pend_round[t] : kNoBucket;
+        const std::uint32_t seg_idx = ws.pend.find(t);
         if (seg_idx == kNoBucket) return;
         std::uint64_t* const present = scratch.inbox_present.data();
         std::uint32_t* const count = scratch.inbox_count.data();
         // First-touch histogram over this owner's dense slot lane: presence
         // bits double as the "count is live" guard, so count cells need no
         // pre-zeroing and the touched-word list scopes the post-round clear.
-        for (const auto s : ws.pend_pool[seg_idx].slot) {
+        for (const auto s : ws.pend.pool[seg_idx].slot) {
           const std::size_t word = s >> 6;
           const std::uint64_t bit = std::uint64_t{1} << (s & 63);
           const std::uint64_t wv = present[word];
@@ -902,10 +931,9 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
       };
       auto scatter_body = [&](std::uint32_t w) {
         auto& ws = workers[w];
-        const std::uint32_t seg_idx =
-            t < ws.pend_round.size() ? ws.pend_round[t] : kNoBucket;
+        const std::uint32_t seg_idx = ws.pend.find(t);
         if (seg_idx == kNoBucket) return;
-        auto& seg = ws.pend_pool[seg_idx];
+        const auto& seg = ws.pend.pool[seg_idx];
         const std::size_t m = seg.slot.size();
         const std::uint32_t* const sl = seg.slot.data();
         const std::uint32_t* const sh = seg.hdr.data();
@@ -927,9 +955,7 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
           std::memcpy(ap + std::size_t{at} * W, sp + i * W,
                       W * sizeof(std::uint64_t));
         }
-        seg.clear();
-        ws.pend_free.push_back(seg_idx);
-        ws.pend_round[t] = kNoBucket;
+        ws.pend.release(t);
       };
       for_each_owner(parallel_gather, histogram_body);
       // Serial prefix over the populated slots only, in slot order (the
@@ -1034,16 +1060,16 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
     }
 
     // --- Fate commit (docs/FAULTS.md): one serial walk in canonical order --
-    // this round's due retransmissions (small: decided here), then the
-    // workers' staged lanes in shard order, whose fates the shards decided.
-    // It does everything whose order is observable: pattern records, flight
-    // recorder fate notes (read back from the fate bytes), and retry-queue
-    // inserts, each of which copies the dropped message and marks the entry
-    // dropped (kNeverDest, 0 copies). ---
-    auto& retry_lane = scratch.retry_lane;
-    retry_lane.clear();
-    if (max_retries > 0) retry_queue.drain_into(t, retry_due);
-    const std::uint64_t retries_this_round = retry_due.size();
+    // this round's due retransmissions (small: decided here, in the lanes
+    // they were parked in), then the workers' staged lanes in shard order,
+    // whose fates the shards decided. It does everything whose order is
+    // observable: pattern records, flight recorder fate notes (read back
+    // from the fate bytes), and retransmissions, each of which appends the
+    // dropped message to its due round's lanes and marks the entry dropped
+    // (kNeverDest, 0 copies). ---
+    const std::uint32_t due = scratch.retry.find(t);
+    const std::uint64_t retries_this_round =
+        due == kNoBucket ? 0 : scratch.retry.pool[due].staged_hdr.size();
     // Fate entries go to the barrier ring (index num_workers).
     auto note = [&](const StagedLanes& src, std::size_t i, std::uint32_t attempt,
                     std::uint8_t fate) {
@@ -1065,25 +1091,31 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
       const std::uint32_t retry_round = t + (1u << attempt);
       if (retry_round >= horizon) {
         horizon = retry_round + 1;
-        result.max_load_per_big_round.resize(horizon, 0);
+        result.max_load_per_big_round.resize(horizon, 0);  // within the reserve
       }
-      RetryMessage<W> rm{src.staged_meta[i], src.staged_edge[i], src.staged_hdr[i],
-                         src.staged_dest[i], {}};
-      std::memcpy(rm.pay, src.staged_pay.data() + i * W, W * sizeof(std::uint64_t));
-      retry_queue.schedule(retry_round, rm, attempt + 1);
+      // `src` is read out before acquire(), which may grow the pool and so
+      // move `src` when it is this round's bundle.
+      const std::uint32_t hdr = src.staged_hdr[i];
+      const StagedMeta meta = src.staged_meta[i];
+      const std::uint32_t edge = src.staged_edge[i];
+      const std::uint64_t dest = src.staged_dest[i];
+      std::uint64_t pay[W];
+      std::memcpy(pay, src.staged_pay.data() + i * W, W * sizeof(std::uint64_t));
       src.staged_dest[i] = std::uint64_t{kNeverDest} << 32;
+      RetryLanes& out = scratch.retry.acquire(retry_round);
+      out.staged_hdr.push(hdr);
+      std::memcpy(out.staged_pay.append_n(W), pay, W * sizeof(std::uint64_t));
+      out.staged_meta.push(meta);
+      out.staged_edge.push(edge);
+      out.staged_dest.push(dest);
+      out.attempt.push(static_cast<std::uint8_t>(attempt + 1));
     };
     for (std::size_t j = 0; j < retries_this_round; ++j) {
-      const RetryMessage<W>& rm = retry_due[j].msg;
-      const std::uint32_t attempt = retry_due[j].attempt;
-      retry_lane.staged_hdr.push(rm.hdr);
-      std::memcpy(retry_lane.staged_pay.append_n(W), rm.pay, W * sizeof(std::uint64_t));
-      retry_lane.staged_meta.push(rm.meta);
-      retry_lane.staged_edge.push(rm.directed_edge);
-      retry_lane.staged_dest.push(rm.dest);
-      const std::uint8_t fate = decide(retry_lane, j, attempt, result.faults);
-      if (recorder != nullptr) note(retry_lane, j, attempt, fate);
-      if ((fate & kFateRetransmit) != 0) retransmit(retry_lane, j, attempt);
+      RetryLanes& lanes = scratch.retry.pool[due];  // re-indexed: retransmit may grow the pool
+      const std::uint32_t attempt = lanes.attempt[j];
+      const std::uint8_t fate = decide(lanes, j, attempt, result.faults);
+      if (recorder != nullptr) note(lanes, j, attempt, fate);
+      if ((fate & kFateRetransmit) != 0) retransmit(lanes, j, attempt);
     }
     std::uint64_t fresh_this_round = 0;
     for (auto& ws : workers) {
@@ -1108,36 +1140,23 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
     }
     const std::uint64_t messages_this_round = retries_this_round + fresh_this_round;
 
-    // --- Delivery barrier: one owner-partitioned body. Lane sources are the
-    // retry lane, then the workers' staging lanes in shard order -- the order
-    // the fate commit walked. Owner w folds edge loads over its static slice of
-    // the directed-edge space (every attempt costs bandwidth, whatever its
-    // fate), then appends each parked copy whose consumer slot it owns to
-    // its own seg -- so gathers see one seg order regardless of
-    // thread count. Owner 0 additionally takes the tag == T stream (routed by
+    // --- Delivery barrier: one owner-partitioned body. Lane sources are this
+    // round's due-round lanes as they stand, then the workers' staging lanes
+    // in shard order -- the order the fate commit walked. Owner w folds edge
+    // loads over its static slice of the directed-edge space (every attempt
+    // costs bandwidth, whatever its fate), then appends each parked copy
+    // whose consumer slot it owns to its own seg -- so gathers see one seg
+    // order regardless of thread count. Owner 0 additionally takes the tag == T stream (routed by
     // its packed finish key) and the violation count: a copy whose consumer
     // already ran would sit unread in any inbox, so it is counted and dropped,
     // which is observationally identical. No atomics anywhere: every written
     // cell has exactly one owner. ---
-    auto acquire_seg = [&](WorkerState& ow, std::uint32_t dest) -> PendingSeg& {
-      std::uint32_t idx = ow.pend_round[dest];
-      if (idx == kNoBucket) {
-        if (!ow.pend_free.empty()) {
-          idx = ow.pend_free.back();
-          ow.pend_free.pop_back();
-        } else {
-          idx = static_cast<std::uint32_t>(ow.pend_pool.size());
-          ow.pend_pool.emplace_back();
-        }
-        ow.pend_round[dest] = idx;
-      }
-      return ow.pend_pool[idx];
-    };
+    const StagedLanes& due_lanes = due == kNoBucket ? kNoRetries : scratch.retry.pool[due];
     const std::uint64_t num_dir_edges = graph_.num_directed_edges();
     auto barrier_body = [&](std::uint32_t w) {
       auto& ow = workers[w];
       auto source = [&](std::uint32_t v) -> const StagedLanes& {
-        return v == 0 ? retry_lane : workers[v - 1];
+        return v == 0 ? due_lanes : workers[v - 1];
       };
       const auto elo = static_cast<std::uint32_t>(num_dir_edges * w / num_workers);
       const auto ehi = static_cast<std::uint32_t>(num_dir_edges * (w + 1) / num_workers);
@@ -1180,11 +1199,10 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
             if (dest == kNeverDest) continue;
             if (dest == kFinishDest) {
               for (std::uint32_t c = 0; w == 0 && c < copies; ++c) {
-                scratch.finish_key.push_back(static_cast<std::uint32_t>(ds));
-                scratch.finish_hdr.push_back(src.staged_hdr[i]);
-                scratch.finish_pay.insert(scratch.finish_pay.end(),
-                                          src.staged_pay.data() + i * W,
-                                          src.staged_pay.data() + (i + 1) * W);
+                scratch.finish.slot.push(static_cast<std::uint32_t>(ds));
+                scratch.finish.hdr.push(src.staged_hdr[i]);
+                std::memcpy(scratch.finish.pay.append_n(W), src.staged_pay.data() + i * W,
+                            W * sizeof(std::uint64_t));
               }
               continue;
             }
@@ -1196,7 +1214,7 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
           const auto slot = static_cast<std::uint32_t>(ds);
           const auto* bound = slot_bound.data() + std::size_t{dest} * (num_workers + 1);
           if (slot < bound[w] || slot >= bound[w + 1]) continue;
-          auto& seg = acquire_seg(ow, dest);
+          auto& seg = ow.pend.acquire(dest);
           for (std::uint32_t c = 0; c < copies; ++c) {
             seg.slot.push(slot);
             seg.hdr.push(src.staged_hdr[i]);
@@ -1208,13 +1226,24 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
     };
     for_each_owner(num_workers > 1 && messages_this_round >= kMinMessagesParallelBarrier,
                    barrier_body);
+    if (due != kNoBucket) scratch.retry.release(t);
+    // The round's executed events and consumed inbox messages are deltas of
+    // the workers' cumulative counters.
     std::uint32_t max_load = 0;
+    std::uint64_t delivered_now = 0;
+    std::uint64_t skipped_now = 0;
     for (auto& ws : workers) {
       max_load = std::max(max_load, ws.max_load_partial);
+      delivered_now += ws.delivered;
+      skipped_now += ws.skipped;
       ws.clear();
       ws.staged_fate.clear();
       ws.retransmit.clear();
     }
+    const std::uint64_t round_inbox = delivered_now - delivered_before;
+    const std::uint64_t round_events = bucket_size - (skipped_now - skipped_before);
+    delivered_before = delivered_now;
+    skipped_before = skipped_now;
     result.causality_violations += workers[0].violations;
     workers[0].violations = 0;
     result.total_messages += messages_this_round;
@@ -1243,22 +1272,19 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
     result.max_edge_load = std::max(result.max_edge_load, max_load);
 
     if (profiler != nullptr) {
-      profiler->end_round(t, messages_this_round, max_load, retries_this_round);
+      profiler->end_round(t, messages_this_round, max_load, retries_this_round, round_events,
+                          round_inbox);
     }
     if (recorder != nullptr) {
       recorder->record_barrier(t, messages_this_round, max_load);
     }
 
     if (telemetry != nullptr) {
-      std::uint64_t delivered_now = 0;
-      for (const auto& ws : workers) delivered_now += ws.delivered;
       telemetry->add_counter("executor.messages_sent", messages_this_round);
-      telemetry->add_counter("executor.messages_delivered",
-                             delivered_now - delivered_before);
+      telemetry->add_counter("executor.messages_delivered", round_inbox);
       telemetry->add_counter("executor.causality_violations",
                              result.causality_violations - violations_before);
       telemetry->record_value("executor.max_load_per_big_round", max_load);
-      delivered_before = delivered_now;
       round_span.arg("t", t);
       round_span.arg("events", static_cast<double>(bucket_size));
       round_span.arg("messages", static_cast<double>(messages_this_round));
@@ -1291,11 +1317,11 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
   // on_finish and is never marked completed, even if it crashed after its
   // last scheduled event. ---
   auto& finish_offset = scratch.finish_offset;
-  const std::size_t fcount = scratch.finish_key.size();
+  const std::size_t fcount = scratch.finish.slot.size();
   DASCHED_CHECK_MSG(fcount < std::size_t{kPlaced},
                     "finish arena exceeds the in-place permutation index range");
   finish_offset.assign(k * n + 1, 0);
-  for (const auto key : scratch.finish_key) {
+  for (const auto key : scratch.finish.slot) {
     ++finish_offset[std::size_t{key} + 1];
   }
   for (std::size_t i = 1; i <= k * n; ++i) finish_offset[i] += finish_offset[i - 1];
@@ -1305,13 +1331,13 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
     cursor.assign(finish_offset.begin(), finish_offset.end() - 1);
     for (std::size_t i = 0; i < fcount; ++i) {
       scratch.finish_target[i] =
-          static_cast<std::uint32_t>(cursor[scratch.finish_key[i]]++);
+          static_cast<std::uint32_t>(cursor[scratch.finish.slot[i]]++);
     }
   }
   {
     std::uint32_t* const target = scratch.finish_target.data();
-    std::uint32_t* const fh = scratch.finish_hdr.data();
-    std::uint64_t* const fpay = scratch.finish_pay.data();
+    std::uint32_t* const fh = scratch.finish.hdr.data();
+    std::uint64_t* const fpay = scratch.finish.pay.data();
     for (std::size_t i = 0; i < fcount; ++i) {
       if ((target[i] & kPlaced) != 0) continue;
       if (target[i] == static_cast<std::uint32_t>(i)) {
@@ -1348,8 +1374,8 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
       const std::size_t key = a * n + v;
       const std::size_t off = finish_offset[key];
       const auto cnt = static_cast<std::uint32_t>(finish_offset[key + 1] - off);
-      const InboxView in(scratch.finish_hdr.data() + off,
-                         scratch.finish_pay.data() + off * W, W, cnt);
+      const InboxView in(scratch.finish.hdr.data() + off,
+                         scratch.finish.pay.data() + off * W, W, cnt);
       delivered_at_finish += cnt;
       VirtualContext ctx;
       ctx.self_ = v;

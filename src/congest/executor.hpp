@@ -49,18 +49,19 @@
 // at the start of that big-round all of its messages are counting-sorted once
 // into contiguous lane slices per event -- each event's inbox is an InboxView
 // over those slices. All buffers (worker staging lanes, pending-round
-// buckets, the round arena lanes) live in an ExecScratch owned by the
-// Executor and are recycled across big-rounds and across runs, so a warmed-up
-// run performs zero heap allocations per message;
-// ExecutionResult::hot_path_allocs measures this (see docs/PERFORMANCE.md,
-// "Memory layout & allocation budget").
+// buckets, parked retransmissions keyed by due round, the tag == T finish
+// lanes, the round arena lanes) live in an ExecScratch owned by the Executor
+// and are recycled across big-rounds and across runs, so a warmed-up run --
+// clean or faulty with retries -- performs zero heap allocations per
+// message; ExecutionResult::hot_path_allocs measures this (see
+// docs/PERFORMANCE.md, "Memory layout & allocation budget").
 //
 // Fault injection: an optional `ExecConfig::faults` hook models an unreliable
 // network (message drops/duplicates, link outages, crash-stop nodes). Fault
 // decisions are pure functions of the plan seed and the message identity, so
 // each execute shard decides the fates of the messages it staged, in
 // parallel; one serial fate commit then applies the order-dependent effects
-// (retry-queue inserts, recorder fate notes, patterns) in shard order, so
+// (retransmissions, recorder fate notes, patterns) in shard order, so
 // faulty runs stay bit-identical across thread counts. The delivery barrier
 // then delivers each message's marked number of copies. With the hook null
 // the executor is byte-for-byte the reliable engine above. `ExecConfig::retry`
@@ -147,9 +148,9 @@ struct ExecConfig {
   /// Optional congestion profiler (borrowed; must outlive the run). Null --
   /// the default -- leaves the engine byte-for-byte unprofiled. When set, the
   /// executor sizes the profiler once per run (begin_run, with retry
-  /// headroom), bumps per-worker shard counters during event execution, and
-  /// records every touched (directed edge, big-round) load cell after each
-  /// delivery barrier in (big-round, edge) order -- so profiled runs stay
+  /// headroom), and after each delivery barrier, on the calling thread,
+  /// hands it the round's counts and every touched (directed edge,
+  /// big-round) load cell in (big-round, edge) order -- so profiled runs stay
   /// bit-identical across thread counts and allocation-free in steady state.
   /// The profiler only observes; ExecutionResults are unchanged
   /// (tests/test_profiler.cpp pins both).
@@ -247,8 +248,9 @@ struct ExecutionResult {
 std::uint64_t result_fingerprint(const ExecutionResult& result);
 
 /// Reusable execution buffers (worker staging, pending-round delivery
-/// buckets, the CSR inbox arena); owned by the Executor so repeated runs
-/// reuse warmed-up capacity. Defined in executor.cpp.
+/// buckets, parked retransmissions, the CSR inbox arena); owned by the
+/// Executor so repeated runs reuse warmed-up capacity. Defined in
+/// executor.cpp.
 struct ExecScratch;
 
 class Executor {

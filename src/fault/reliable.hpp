@@ -31,11 +31,7 @@
 // this out.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <type_traits>
-#include <utility>
-#include <vector>
 
 #include "congest/schedule_table.hpp"
 #include "util/check.hpp"
@@ -67,68 +63,5 @@ inline ScheduleTable stretch_for_retries(const ScheduleTable& schedule,
                                          RetryPolicy policy) {
   return schedule.scaled(policy.stretch_factor());
 }
-
-/// Per-big-round retransmission bookkeeping: messages awaiting a retry slot,
-/// bucketed by the absolute big-round in which they are due. Generic over the
-/// staged-message type M (owned by the executor); drained in FIFO order per
-/// round, which is deterministic because entries are scheduled by the
-/// executor's serial fate commit, in canonical order.
-template <typename M>
-class RetryQueue {
- public:
-  struct Entry {
-    M msg;
-    std::uint32_t attempt;  // 1-based attempt index this entry will make
-  };
-
-  void schedule(std::uint32_t round, M msg, std::uint32_t attempt) {
-    if (round >= buckets_.size()) buckets_.resize(std::size_t{round} + 1);
-    auto& bucket = buckets_[round];
-    if (bucket.capacity() == 0 && spare_.capacity() != 0) {
-      // Recycle a previously drained bucket's storage instead of allocating:
-      // in steady state retries cycle through a bounded set of future rounds,
-      // so the spare keeps the reliable layer off the allocator.
-      bucket = std::move(spare_);
-      spare_ = {};
-    }
-    bucket.push_back({std::move(msg), attempt});
-    ++pending_;
-    last_round_ = std::max(last_round_, round);
-  }
-
-  /// Drains and returns the entries due at `round` (empty if none).
-  std::vector<Entry> take(std::uint32_t round) {
-    if (round >= buckets_.size()) return {};
-    auto due = std::move(buckets_[round]);
-    buckets_[round].clear();
-    pending_ -= due.size();
-    return due;
-  }
-
-  /// Allocation-free drain: copies the entries due at `round` into `out`
-  /// (cleared first; capacity reused) and recycles the bucket's storage for
-  /// future schedule() calls. Requires M trivially copyable.
-  void drain_into(std::uint32_t round, std::vector<Entry>& out) {
-    static_assert(std::is_trivially_copyable_v<M>);
-    out.clear();
-    if (round >= buckets_.size()) return;
-    auto& bucket = buckets_[round];
-    out.insert(out.end(), bucket.begin(), bucket.end());
-    pending_ -= bucket.size();
-    bucket.clear();
-    if (bucket.capacity() > spare_.capacity()) std::swap(bucket, spare_);
-  }
-
-  std::uint64_t pending() const { return pending_; }
-  /// Highest round any entry was ever scheduled for (0 if none ever).
-  std::uint32_t last_round() const { return last_round_; }
-
- private:
-  // perf-ok: bucket storage is recycled through spare_, not reallocated.
-  std::vector<std::vector<Entry>> buckets_;
-  std::vector<Entry> spare_;  // recycled capacity from drained buckets
-  std::uint64_t pending_ = 0;
-  std::uint32_t last_round_ = 0;
-};
 
 }  // namespace dasched

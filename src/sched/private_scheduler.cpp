@@ -100,7 +100,7 @@ PrivateScheduleOutcome PrivateRandomnessScheduler::run(ScheduleProblem& problem)
   const ClusteringBuilder builder(ccfg);
   TimedSpan cluster_span(telemetry, "sched.private", "clustering");
   const Clustering clustering =
-      cfg_.central_clustering ? builder.build_central(g) : builder.build_distributed(g);
+      cfg_.central_precomputation ? builder.build_central(g) : builder.build_distributed(g);
   cluster_span.finish();
   out.precomputation_rounds += clustering.precomputation_rounds;
   out.num_layers = static_cast<std::uint32_t>(clustering.num_layers());
@@ -112,8 +112,8 @@ PrivateScheduleOutcome PrivateRandomnessScheduler::run(ScheduleProblem& problem)
   scfg.telemetry = telemetry;
   const RandomnessSharing sharing(scfg);
   TimedSpan sharing_span(telemetry, "sched.private", "rand_sharing");
-  const SharedSeeds seeds = cfg_.central_sharing ? sharing.run_central(g, clustering)
-                                                 : sharing.run_distributed(g, clustering);
+  const SharedSeeds seeds = cfg_.central_precomputation ? sharing.run_central(g, clustering)
+                                                        : sharing.run_distributed(g, clustering);
   sharing_span.finish();
   out.precomputation_rounds += seeds.rounds;
   for (const auto& layer : seeds.layers) {

@@ -53,12 +53,11 @@ struct PrivateSchedulerConfig {
   double alpha = 0.0;
   /// Phase (big-round) length for the fixed-phase measure; 0 derives ceil(log2 n).
   std::uint32_t phase_len = 0;
-  /// Use the central sharing oracle instead of the distributed protocol
-  /// (skips simulation cost in large sweeps; results identical when the
-  /// distributed protocol completes, which tests verify).
-  bool central_sharing = false;
-  /// Same for the clustering construction.
-  bool central_clustering = false;
+  /// Build the clustering and share the randomness with the central oracles
+  /// instead of the distributed protocols (skips simulation cost in large
+  /// sweeps; results identical when the distributed protocols complete,
+  /// which tests verify).
+  bool central_precomputation = false;
   std::uint32_t congestion_estimate = 0;  // 0 = exact
   /// Worker threads for the scheduled execution (ExecConfig::num_threads);
   /// 0/1 = serial. Results are bit-identical for every value.

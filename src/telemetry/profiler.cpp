@@ -10,10 +10,8 @@ namespace dasched {
 
 void ExecProfiler::begin_run(std::uint32_t num_directed_edges,
                              std::uint32_t num_big_rounds,
-                             std::uint32_t num_workers,
                              std::uint32_t round_headroom) {
   num_edges_ = num_directed_edges;
-  num_workers_ = num_workers;
   rounds_capacity_ = num_big_rounds + round_headroom;
   rounds_used_ = 0;
   total_messages_ = 0;
@@ -22,7 +20,6 @@ void ExecProfiler::begin_run(std::uint32_t num_directed_edges,
   total_retries_ = 0;
   run_max_load_ = 0;
 
-  shards_.assign(num_workers, WorkerShard{});
   edge_total_.assign(num_edges_, 0);
   edge_max_.assign(num_edges_, 0);
   edge_peak_round_.assign(num_edges_, 0);
@@ -39,20 +36,10 @@ void ExecProfiler::begin_run(std::uint32_t num_directed_edges,
 }
 
 void ExecProfiler::end_round(std::uint32_t big_round, std::uint64_t messages,
-                             std::uint32_t max_load, std::uint64_t retries) {
+                             std::uint32_t max_load, std::uint64_t retries,
+                             std::uint64_t events, std::uint64_t inbox) {
   DASCHED_CHECK_MSG(big_round < rounds_capacity_,
                     "profiler: big-round beyond the sized horizon headroom");
-  std::uint64_t events = 0;
-  std::uint64_t inbox = 0;
-  // Shard order == the order the staging buffers merge in; per-round values
-  // are sums over every shard, so the merged numbers are independent of how
-  // events were partitioned across workers.
-  for (auto& sh : shards_) {
-    events += sh.events;
-    inbox += sh.inbox;
-    sh.events = 0;
-    sh.inbox = 0;
-  }
   round_messages_[big_round] = messages;
   round_max_load_[big_round] = max_load;
   round_events_[big_round] = events;

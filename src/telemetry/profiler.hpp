@@ -18,10 +18,10 @@
 //     fixed 64-bucket log histograms. From the second profiled run of an
 //     Executor onwards, the big-round loop performs zero heap allocations
 //     with the profiler attached (tests/test_profiler.cpp measures this).
-//   * Per-worker shards: event/inbox counters are bumped by the executing
-//     shard (no sharing, no atomics) and merged in shard order after each
-//     delivery barrier. Merged values are sums over a round, so every
-//     snapshot is bit-identical across thread counts -- same guarantee as
+//   * Calling thread only: the executor hands each round's event and inbox
+//     counts (sums it already keeps per worker) to end_round(), so the
+//     profiler is never touched by a pool worker, and every snapshot is
+//     bit-identical across thread counts -- same guarantee as
 //     ExecutionResult itself.
 //   * The profiler only observes: attaching it never changes execution
 //     results (pinned by the golden-fingerprint tests), and a null
@@ -50,13 +50,6 @@ class Table;
 
 class ExecProfiler {
  public:
-  /// Per-worker hot-path counters; padded out so adjacent shards do not
-  /// false-share a cache line while workers bump them concurrently.
-  struct alignas(64) WorkerShard {
-    std::uint64_t events = 0;  // events executed by this shard this round
-    std::uint64_t inbox = 0;   // messages consumed from inboxes this round
-  };
-
   /// Aggregated view of one directed edge over the whole run.
   struct EdgeSummary {
     std::uint32_t edge = 0;
@@ -73,7 +66,7 @@ class ExecProfiler {
   /// runs stay allocation-free once warm). Called by the executor before the
   /// steady-state window opens.
   void begin_run(std::uint32_t num_directed_edges, std::uint32_t num_big_rounds,
-                 std::uint32_t num_workers, std::uint32_t round_headroom);
+                 std::uint32_t round_headroom);
 
   /// Hot path, after each delivery barrier: one touched (edge, big-round)
   /// cell, in (big_round, edge) order.
@@ -87,15 +80,11 @@ class ExecProfiler {
     hist_cell_load_.add(load);
   }
 
-  /// Hot path, worker shards: bumped during event execution with no
-  /// synchronization (each worker owns its shard), merged by end_round().
-  WorkerShard* shards() { return shards_.data(); }
-
-  /// Barrier epilogue (calling thread): folds the worker shards (in shard order -- the
-  /// same deterministic order the staging buffers merge in) into this round's
-  /// SoA slots and resets them for the next round.
-  void end_round(std::uint32_t big_round, std::uint64_t messages,
-                 std::uint32_t max_load, std::uint64_t retries);
+  /// Barrier epilogue (calling thread): records one round's messages sent,
+  /// max edge load, retransmissions, events executed and inbox messages
+  /// consumed into its SoA slots.
+  void end_round(std::uint32_t big_round, std::uint64_t messages, std::uint32_t max_load,
+                 std::uint64_t retries, std::uint64_t events, std::uint64_t inbox);
 
   /// Closes the run (total attempts recorded for the summary).
   void end_run();
@@ -160,7 +149,6 @@ class ExecProfiler {
   // All vectors below are fixed-size SoA accumulators or high-water-mark
   // arenas: sized in begin_run(), never grown inside the big-round loop.
   std::uint32_t num_edges_ = 0;
-  std::uint32_t num_workers_ = 0;
   std::uint32_t rounds_capacity_ = 0;
   std::uint32_t rounds_used_ = 0;
   std::uint64_t runs_ = 0;
@@ -170,8 +158,6 @@ class ExecProfiler {
   std::uint64_t total_retries_ = 0;
   std::uint32_t run_max_load_ = 0;
   std::size_t cells_high_water_ = 0;
-
-  std::vector<WorkerShard> shards_;
 
   // Per-directed-edge SoA (size num_edges_).
   std::vector<std::uint64_t> edge_total_;

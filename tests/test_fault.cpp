@@ -244,26 +244,6 @@ TEST(RetryPolicyDeathTest, ExecutorRejectsOversizedRetryBudgets) {
   (void)Executor(g, cfg);
 }
 
-TEST(RetryQueue, FifoPerRoundAndAccounting) {
-  RetryQueue<int> q;
-  EXPECT_EQ(q.pending(), 0u);
-  EXPECT_TRUE(q.take(3).empty());
-  q.schedule(2, 10, 1);
-  q.schedule(5, 20, 2);
-  q.schedule(2, 30, 1);
-  EXPECT_EQ(q.pending(), 3u);
-  EXPECT_EQ(q.last_round(), 5u);
-  const auto due = q.take(2);
-  ASSERT_EQ(due.size(), 2u);
-  EXPECT_EQ(due[0].msg, 10);
-  EXPECT_EQ(due[1].msg, 30);
-  EXPECT_EQ(due[1].attempt, 1u);
-  EXPECT_EQ(q.pending(), 1u);
-  EXPECT_TRUE(q.take(2).empty());  // drained
-  EXPECT_EQ(q.take(5).size(), 1u);
-  EXPECT_EQ(q.pending(), 0u);
-}
-
 // --- Contract 1: null injector == the pre-subsystem executor (golden). ---
 
 TEST(FaultExecutor, NullInjectorMatchesGoldenFingerprint) {

@@ -71,8 +71,7 @@ TEST(Gossip, RandomizedPatternsScheduleFaithfully) {
     PrivateSchedulerConfig cfg;
     cfg.seed = 9;
     cfg.clustering.num_layers = 14;
-    cfg.central_clustering = true;
-    cfg.central_sharing = true;
+    cfg.central_precomputation = true;
     const auto out = PrivateRandomnessScheduler(cfg).run(*p);
     EXPECT_EQ(out.uncovered_nodes, 0u);
     EXPECT_TRUE(p->verify(out.exec).ok());

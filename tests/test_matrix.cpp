@@ -102,8 +102,7 @@ TEST_P(SchedulerMatrix, SoloEquivalence) {
       PrivateSchedulerConfig cfg;
       cfg.seed = 22;
       cfg.clustering.num_layers = 14;
-      cfg.central_clustering = true;  // distributed==central verified elsewhere
-      cfg.central_sharing = true;
+      cfg.central_precomputation = true;  // distributed==central verified elsewhere
       const auto out = PrivateRandomnessScheduler(cfg).run(*problem);
       EXPECT_EQ(out.exec.causality_violations, 0u);
       if (out.uncovered_nodes == 0) {

@@ -268,8 +268,7 @@ TEST(ParallelExecutor, PrivateSchedulerEndToEnd) {
   const auto g = make_gnp_connected(100, 6.0 / 100, rng);
   PrivateSchedulerConfig base_cfg;
   base_cfg.seed = 21;
-  base_cfg.central_clustering = true;
-  base_cfg.central_sharing = true;
+  base_cfg.central_precomputation = true;
   auto p0 = make_mixed_workload(g, 6, 3, 13);
   const auto baseline = PrivateRandomnessScheduler(base_cfg).run(*p0);
 

@@ -179,8 +179,7 @@ TEST(SimulationValidator, PrivateSchedulerScheduleIsASimulation) {
   PrivateSchedulerConfig cfg;
   cfg.seed = 4;
   cfg.clustering.num_layers = 12;
-  cfg.central_clustering = true;
-  cfg.central_sharing = true;
+  cfg.central_precomputation = true;
   const auto out = PrivateRandomnessScheduler(cfg).run(*problem);
   ASSERT_EQ(out.exec.causality_violations, 0u);
 

@@ -77,8 +77,7 @@ TEST_P(PrivateSchedulerOnScenarios, CentralShortcutsAgreeWithDistributed) {
   const auto distributed = PrivateRandomnessScheduler(cfg).run(*p1);
 
   auto p2 = sc.workload(g);
-  cfg.central_clustering = true;
-  cfg.central_sharing = true;
+  cfg.central_precomputation = true;
   const auto central = PrivateRandomnessScheduler(cfg).run(*p2);
 
   // Identical randomness derivations => identical schedules and loads.
@@ -97,8 +96,7 @@ TEST_P(PrivateSchedulerOnScenarios, CorrectAcrossSeeds) {
   for (std::uint64_t seed : {3ULL, 4ULL, 5ULL}) {
     auto problem = sc.workload(g);
     auto cfg = test_config(seed);
-    cfg.central_clustering = true;  // keep runtime low; equivalence tested above
-    cfg.central_sharing = true;
+    cfg.central_precomputation = true;  // keep runtime low; equivalence tested above
     const auto out = PrivateRandomnessScheduler(cfg).run(*problem);
     if (out.uncovered_nodes == 0) {
       EXPECT_TRUE(problem->verify(out.exec).ok()) << sc.name << " seed " << seed;
@@ -169,7 +167,7 @@ TEST(PrivateScheduler, UniformFullDelaysAlsoCorrectButLonger) {
 
   auto p_block = make_broadcast_workload(g, 10, 3, 63);
   auto cfg = test_config(8);
-  cfg.central_clustering = cfg.central_sharing = true;
+  cfg.central_precomputation = true;
   const auto block = PrivateRandomnessScheduler(cfg).run(*p_block);
   ASSERT_EQ(block.uncovered_nodes, 0u);
   EXPECT_TRUE(p_block->verify(block.exec).ok());
@@ -204,7 +202,7 @@ TEST(PrivateScheduler, NoDedupLoadsDominateDedupLoads) {
   for (const auto x : nodedup) total_nodedup += x;
 
   // Run the real (dedup) schedule with the same clustering/seeds.
-  cfg.central_clustering = cfg.central_sharing = true;
+  cfg.central_precomputation = true;
   cfg.seed = 9;
   auto problem2 = make_broadcast_workload(g, 8, 3, 64);
   const auto out = PrivateRandomnessScheduler(cfg).run(*problem2);

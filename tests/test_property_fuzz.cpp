@@ -88,8 +88,7 @@ TEST_P(FuzzSeeds, PrivateSchedulerCorrectWhenCovered) {
   PrivateSchedulerConfig cfg;
   cfg.seed = seed;
   cfg.clustering.num_layers = 14;
-  cfg.central_clustering = true;  // distributed==central is tested elsewhere
-  cfg.central_sharing = true;
+  cfg.central_precomputation = true;  // distributed==central is tested elsewhere
   const auto out = PrivateRandomnessScheduler(cfg).run(*problem);
   EXPECT_EQ(out.exec.causality_violations, 0u) << "seed " << seed;
   if (out.uncovered_nodes == 0) {

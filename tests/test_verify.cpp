@@ -356,8 +356,7 @@ TEST(CleanSweep, PrivateSchedulerVerifiesOverSeeds) {
     auto problem = sweep_problem(g);
     PrivateSchedulerConfig cfg;
     cfg.seed = seed;
-    cfg.central_clustering = true;
-    cfg.central_sharing = true;
+    cfg.central_precomputation = true;
     const auto out = PrivateRandomnessScheduler(cfg).run(*problem);
     VerifyOptions opts;
     opts.phase_len = out.phase_len;
