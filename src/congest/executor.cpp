@@ -655,7 +655,19 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
   scratch.inbox_cursor.reserve(max_bucket_size);
   scratch.inbox_count.reserve(max_bucket_size);
   scratch.inbox_present.reserve(max_bucket_size / 64 + 1);
+  // The tag == T stream holds at most one message per directed edge per
+  // algorithm (an event sends once per neighbor), twice that with raw
+  // duplicates, so it is sized once here instead of doubling mid-run with
+  // both buffers live; the pages a run never writes are never touched.
   scratch.finish.clear();
+  {
+    const bool raw_duplicates = faults != nullptr && max_retries == 0;
+    const std::size_t finish_cap =
+        k * graph_.num_directed_edges() * (raw_duplicates ? 2 : 1);
+    scratch.finish.slot.reserve(finish_cap);
+    scratch.finish.hdr.reserve(finish_cap);
+    scratch.finish.pay.reserve(finish_cap * W);
+  }
   scratch.edge_count.assign(graph_.num_directed_edges(), 0);
   auto& edge_count = scratch.edge_count;
 

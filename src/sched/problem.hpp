@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "analysis/analyzer.hpp"
@@ -56,6 +57,11 @@ class ScheduleProblem {
   bool solo_done() const { return !solo_.empty(); }
   /// Algorithm `a`'s solo run. Requires solo_done().
   const SoloRunResult& solo(std::size_t a) const;
+  /// The shared solo results themselves, one per algorithm (empty before
+  /// run_solo() or adopt_solo()).
+  std::span<const std::shared_ptr<const SoloRunResult>> solo_results() const {
+    return solo_;
+  }
 
   /// max_i rounds(A_i). Available without solo runs.
   std::uint32_t dilation() const;

@@ -29,11 +29,21 @@
 //               entry surfaces here as an error finding attributed to the
 //               offending job, which is then re-profiled from scratch and
 //               requeued (and rejected kVerifyFailed if it fails again).
-//               The same options are installed as the executor's
-//               VerifyingAdmission gate, so nothing unverified ever runs.
-//   execute     The admitted cohort runs on the engine; per-job completion is
-//               checked against the solo ground truth, and the execution
-//               fingerprint is folded into the service fingerprint.
+//               The daemon owns one verify::VerifyingAdmission for its whole
+//               life: each cohort is proved through gate.verify(problem,
+//               table), and the same gate is installed in the daemon's one
+//               Executor. The gate remembers its last proof -- the table
+//               slot for slot, plus each algorithm's pointer and rounds and
+//               its solo run -- so the engine's admission check of the table
+//               just proved reuses that proof instead of running
+//               check_schedule a second time; a table or problem that
+//               differs in any of these is proved again (and rejected if
+//               bad), so nothing unverified ever runs.
+//   execute     The admitted cohort runs on the daemon's Executor (one per
+//               daemon: its pool and arenas stay warm across cohorts).
+//   collect     Per-job completion is checked against the solo ground truth,
+//               and the execution fingerprint is folded into the service
+//               fingerprint.
 //
 // Everything is driven by seeds and the simulated clock: a (graph, config,
 // stream) triple produces bit-identical ServiceResults -- outcomes, stats,
@@ -53,6 +63,7 @@
 #include "service/job_stream.hpp"
 #include "service/profile_cache.hpp"
 #include "telemetry/telemetry.hpp"
+#include "verify/schedule_verifier.hpp"
 
 namespace dasched::service {
 
@@ -148,14 +159,15 @@ struct ServiceStats {
   double profile_seconds = 0.0;
   /// The rest of the epoch split, timed per compose pass and per cohort
   /// (never per job); disjoint from profile_seconds and from each other, so
-  /// the four sum to at most wall_seconds. compose: fairness sort and the
+  /// the five sum to at most wall_seconds. compose: fairness sort and the
   /// load-grid fold, profiling excluded. gate: building each candidate
-  /// cohort's problem and schedule and the daemon's check_schedule runs.
-  /// execute: the engine run (its admission gate's re-verification
-  /// included) and the per-job completion check. Nondeterministic.
+  /// cohort's problem and schedule and proving it. execute: the engine run
+  /// (its admission check reuses the gate's proof). collect: the fingerprint
+  /// fold and the per-job completion check. Nondeterministic.
   double compose_seconds = 0.0;
   double gate_seconds = 0.0;
   double execute_seconds = 0.0;
+  double collect_seconds = 0.0;
 
   std::uint64_t rejected() const {
     return rejected_queue_full + rejected_congestion + rejected_verify;
@@ -198,6 +210,9 @@ class SchedulerDaemon {
  public:
   /// The graph is borrowed and must outlive the daemon.
   explicit SchedulerDaemon(const Graph& g, ServiceConfig cfg = {});
+  // The engine holds the gate's address.
+  SchedulerDaemon(const SchedulerDaemon&) = delete;
+  SchedulerDaemon& operator=(const SchedulerDaemon&) = delete;
 
   /// Runs the full stream to quiescence: every job ends admitted+executed or
   /// rejected with a reason. `stream` must be sorted by (arrival_tick,
@@ -253,6 +268,10 @@ class SchedulerDaemon {
   // compose sort iterates it).
   std::map<std::uint32_t, std::uint64_t> tenant_admitted_;
   std::uint64_t epoch_ = 0;  // compose-pass index (delay seed component)
+  // The verifier gate and the engine it guards, one each for the daemon's
+  // life; executor_ holds a pointer to gate_, so gate_ is declared first.
+  verify::VerifyingAdmission gate_;
+  Executor executor_;
   ServiceStats stats_;
   std::uint64_t fp_state_;  // running FNV-1a fold (util/fingerprint.hpp)
 };

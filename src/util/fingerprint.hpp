@@ -11,6 +11,9 @@
 // subsystems.
 #pragma once
 
+#include <array>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 
@@ -19,13 +22,26 @@ namespace dasched {
 inline constexpr std::uint64_t kFnvOffsetBasis = 14695981039346656037ULL;
 inline constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 
+/// kFnvPrime^i for i = 0..8 (mod 2^64).
+inline constexpr std::array<std::uint64_t, 9> kFnvPrimePowers = [] {
+  std::array<std::uint64_t, 9> powers{};
+  powers[0] = 1;
+  for (std::size_t i = 1; i < powers.size(); ++i) powers[i] = powers[i - 1] * kFnvPrime;
+  return powers;
+}();
+
 /// One FNV-1a step: folds the eight bytes of `x` (little-end first) into `h`.
+/// Folding a zero byte only multiplies by the prime (h ^ 0 == h), so the
+/// zero high bytes of a small word -- sizes, flags, loads, most outputs --
+/// fold in one multiply by a power of it: the same digest as eight
+/// byte steps, at a fraction of the serial multiply chain.
 constexpr std::uint64_t fnv1a_mix(std::uint64_t h, std::uint64_t x) {
-  for (int i = 0; i < 8; ++i) {
+  const int bytes = (std::bit_width(x) + 7) / 8;
+  for (int i = 0; i < bytes; ++i) {
     h ^= (x >> (8 * i)) & 0xff;
     h *= kFnvPrime;
   }
-  return h;
+  return h * kFnvPrimePowers[static_cast<std::size_t>(8 - bytes)];
 }
 
 /// Streaming accumulator over 64-bit words and byte strings. Order-sensitive:

@@ -8,13 +8,14 @@ namespace dasched {
 
 namespace {
 
-/// Sorts keys ascending. Radix, not a comparison sort: the verifier runs this
-/// count twice per service cohort over every scheduled message, and std::sort
-/// was about half of the verifier's time. LSD over 16-bit digits; a digit
-/// every key shares is skipped (typically two passes remain) and each pass
-/// counts only its digit's [min, max] span, so memory stays at most 2^16
-/// counters whatever the rounds -- a corrupt schedule is a legitimate input.
-void sort_keys(std::vector<std::uint64_t>& keys) {
+/// Sorts keys ascending, using `spare` as the second buffer. Radix, not a
+/// comparison sort: the verifier runs this count once per service cohort over
+/// every scheduled message, and std::sort was about half of the verifier's
+/// time. LSD over 16-bit digits; a digit every key shares is skipped
+/// (typically two passes remain) and each pass counts only its digit's
+/// [min, max] span, so memory stays at most 2^16 counters whatever the rounds
+/// -- a corrupt schedule is a legitimate input.
+void sort_keys(std::vector<std::uint64_t>& keys, std::vector<std::uint64_t>& sorted) {
   if (keys.size() < 2) return;
   constexpr int kDigitBits = 16;
   constexpr int kDigits = 64 / kDigitBits;
@@ -30,7 +31,6 @@ void sort_keys(std::vector<std::uint64_t>& keys) {
       hi[d] = std::max(hi[d], digit);
     }
   }
-  std::vector<std::uint64_t> sorted;
   std::vector<std::size_t> offset;
   for (int d = 0; d < kDigits; ++d) {
     if (lo[d] == hi[d]) continue;
@@ -53,8 +53,14 @@ void sort_keys(std::vector<std::uint64_t>& keys) {
 }  // namespace
 
 void count_cells(std::vector<std::uint64_t>& keys, std::vector<LoadCell>& out) {
+  std::vector<std::uint64_t> spare;
+  count_cells(keys, out, spare);
+}
+
+void count_cells(std::vector<std::uint64_t>& keys, std::vector<LoadCell>& out,
+                 std::vector<std::uint64_t>& spare) {
   out.clear();
-  sort_keys(keys);
+  sort_keys(keys, spare);
   for (std::size_t i = 0; i < keys.size();) {
     std::size_t j = i;
     while (j < keys.size() && keys[j] == keys[i]) ++j;

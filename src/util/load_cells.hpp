@@ -42,6 +42,12 @@ constexpr std::uint64_t cell_key(std::uint32_t round, std::uint32_t edge) {
 /// key's multiplicity. Sorts `keys` in place.
 void count_cells(std::vector<std::uint64_t>& keys, std::vector<LoadCell>& out);
 
+/// The same count with the radix sort's second key buffer owned by the caller
+/// (its contents are clobbered), so a caller that counts many surfaces -- the
+/// service's admission gate, once per cohort -- reuses its capacity.
+void count_cells(std::vector<std::uint64_t>& keys, std::vector<LoadCell>& out,
+                 std::vector<std::uint64_t>& spare);
+
 /// Max load of each round 0..last round of the sorted `cells` (0 for rounds
 /// without a cell); empty for an empty surface.
 std::vector<std::uint32_t> round_max_loads(std::span<const LoadCell> cells);

@@ -13,12 +13,13 @@ namespace {
 
 std::string format_msg(const std::ostringstream& os) { return os.str(); }
 
-}  // namespace
-
-Report check_schedule(const ScheduleProblem& problem, const ScheduleTable& schedule,
-                      const VerifyOptions& opts,
-                      std::vector<LoadCell>* static_loads) {
-  if (static_loads != nullptr) static_loads->clear();
+/// check_schedule over caller-owned buffers: `loads` (one packed key per
+/// scheduled transmission) and `spare` are scratch, `cells` receives the
+/// static load surface.
+Report prove_into(const ScheduleProblem& problem, const ScheduleTable& schedule,
+                  const VerifyOptions& opts, std::vector<std::uint64_t>& loads,
+                  std::vector<std::uint64_t>& spare, std::vector<LoadCell>& cells) {
+  cells.clear();
   DASCHED_CHECK_MSG(problem.solo_done(),
                     "check_schedule needs solo patterns: call problem.run_solo() first");
   TimedSpan span(opts.telemetry, "verify", "check_schedule");
@@ -166,10 +167,10 @@ Report check_schedule(const ScheduleProblem& problem, const ScheduleTable& sched
   // run iff its producer slot is scheduled (Lemma 4.4 discard rule). ---
   const std::uint32_t headroom =
       opts.retry_budget == 0 ? 1u : (1u << opts.retry_budget);
-  std::vector<std::uint64_t> loads;
   {
     std::uint64_t messages = 0;
     for (std::size_t a = 0; a < k; ++a) messages += problem.solo(a).pattern.total_messages();
+    loads.clear();
     loads.reserve(messages);
   }
   for (std::size_t a = 0; a < k; ++a) {
@@ -244,9 +245,7 @@ Report check_schedule(const ScheduleProblem& problem, const ScheduleTable& sched
   // --- Static per-edge per-big-round loads, sorted by (big_round, edge) --
   // the order ExecProfiler::cells() holds. Equal to the executor's measured
   // loads on a reliable network. ---
-  std::vector<LoadCell> local_cells;
-  std::vector<LoadCell>& cells = static_loads != nullptr ? *static_loads : local_cells;
-  count_cells(loads, cells);
+  count_cells(loads, cells, spare);
   for (const LoadCell& cell : cells) {
     report.measured.max_edge_load = std::max(report.measured.max_edge_load, cell.load);
     if (opts.congestion_budget > 0 && cell.load > opts.congestion_budget) {
@@ -325,8 +324,32 @@ Report check_schedule(const ScheduleProblem& problem, const ScheduleTable& sched
   return report;
 }
 
+}  // namespace
+
+Report check_schedule(const ScheduleProblem& problem, const ScheduleTable& schedule,
+                      const VerifyOptions& opts,
+                      std::vector<LoadCell>* static_loads) {
+  std::vector<std::uint64_t> loads;
+  std::vector<std::uint64_t> spare;
+  std::vector<LoadCell> local_cells;
+  return prove_into(problem, schedule, opts, loads, spare,
+                    static_loads != nullptr ? *static_loads : local_cells);
+}
+
+void VerifyingAdmission::bind(ScheduleProblem& problem) {
+  problem.run_solo();
+  problem_ = &problem;
+}
+
+const Report& VerifyingAdmission::verify(ScheduleProblem& problem,
+                                         const ScheduleTable& schedule) {
+  bind(problem);
+  return prove(schedule);
+}
+
 bool VerifyingAdmission::admit(std::span<const DistributedAlgorithm* const> algorithms,
                                const ScheduleTable& schedule) const {
+  DASCHED_CHECK_MSG(problem_ != nullptr, "admission gate: no problem bound");
   // The gate verifies the problem it was built for; a different algorithm set
   // is itself an admission failure (caught as a dimension mismatch unless the
   // counts coincide, so check identity first).
@@ -336,8 +359,32 @@ bool VerifyingAdmission::admit(std::span<const DistributedAlgorithm* const> algo
     DASCHED_CHECK_MSG(algorithms[a] == &problem_->algorithm(a),
                       "admission gate: algorithm set does not match the problem");
   }
-  last_ = check_schedule(*problem_, schedule, opts_);
-  return last_.ok();
+  return prove(schedule).ok();
+}
+
+const Report& VerifyingAdmission::prove(const ScheduleTable& schedule) const {
+  const ScheduleProblem& problem = *problem_;
+  const std::size_t k = problem.size();
+  bool same = proved_subjects_.size() == k && proved_graph_ == &problem.graph() &&
+              proved_table_ == schedule;
+  for (std::size_t a = 0; same && a < k; ++a) {
+    const Subject& s = proved_subjects_[a];
+    same = s.algorithm == &problem.algorithm(a) && s.rounds == problem.algorithm(a).rounds() &&
+           s.solo == problem.solo_results()[a];
+  }
+  if (same) {
+    if (opts_.telemetry != nullptr) opts_.telemetry->add_counter("verify.memo_hits", 1);
+    return last_;
+  }
+  last_ = prove_into(problem, schedule, opts_, loads_, spare_, cells_);
+  proved_graph_ = &problem.graph();
+  proved_subjects_.clear();
+  for (std::size_t a = 0; a < k; ++a) {
+    proved_subjects_.push_back(
+        {&problem.algorithm(a), problem.algorithm(a).rounds(), problem.solo_results()[a]});
+  }
+  proved_table_ = schedule;
+  return last_;
 }
 
 }  // namespace dasched::verify

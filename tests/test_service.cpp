@@ -63,16 +63,30 @@ TEST(Fingerprint, EmptyDigestIsOffsetBasis) {
 }
 
 TEST(Fingerprint, MixMatchesManualFnv1a) {
-  // One 64-bit word, hashed byte-wise little-end first: the exact loop the
-  // golden output hashes in test_fault.cpp were computed with.
-  const std::uint64_t x = 0x0123456789abcdefULL;
-  std::uint64_t h = kFnvOffsetBasis;
-  for (int i = 0; i < 8; ++i) {
-    h ^= (x >> (8 * i)) & 0xff;
-    h *= kFnvPrime;
+  // Each 64-bit word hashed byte-wise little-end first: the exact loop the
+  // golden output hashes in test_fault.cpp were computed with. The words
+  // cover zero, every significant-byte count and its boundaries, and zero
+  // bytes below a nonzero one, so the folded zero-byte tail is checked.
+  std::vector<std::uint64_t> words = {0, 1, 0xff, 0x0123456789abcdefULL, ~std::uint64_t{0},
+                                      0x8000000000000000ULL, 0x00ff0000000000ffULL};
+  for (int b = 1; b < 8; ++b) {
+    const std::uint64_t top = std::uint64_t{1} << (8 * b);
+    words.insert(words.end(), {top - 1, top, top + 1, top << 7});
   }
-  EXPECT_EQ(Fingerprint{}.mix(x).digest(), h);
-  EXPECT_EQ(fnv1a_mix(kFnvOffsetBasis, x), h);
+  std::uint64_t chained = kFnvOffsetBasis;
+  Fingerprint fp;
+  for (const std::uint64_t x : words) {
+    std::uint64_t h = kFnvOffsetBasis;
+    for (int i = 0; i < 8; ++i) {
+      h ^= (x >> (8 * i)) & 0xff;
+      h *= kFnvPrime;
+      chained ^= (x >> (8 * i)) & 0xff;
+      chained *= kFnvPrime;
+    }
+    EXPECT_EQ(fnv1a_mix(kFnvOffsetBasis, x), h) << std::hex << x;
+    fp.mix(x);
+  }
+  EXPECT_EQ(fp.digest(), chained);
 }
 
 TEST(Fingerprint, MixIsOrderSensitive) {
@@ -711,7 +725,9 @@ TEST(Daemon, StageSecondsSplitTheWallTime) {
   EXPECT_GE(s.compose_seconds, 0.0);
   EXPECT_GT(s.gate_seconds, 0.0);
   EXPECT_GT(s.execute_seconds, 0.0);
-  EXPECT_LE(s.profile_seconds + s.compose_seconds + s.gate_seconds + s.execute_seconds,
+  EXPECT_GT(s.collect_seconds, 0.0);
+  EXPECT_LE(s.profile_seconds + s.compose_seconds + s.gate_seconds + s.execute_seconds +
+                s.collect_seconds,
             s.wall_seconds);
 
   // Timed document only: the deterministic one is unchanged by the split.
@@ -722,10 +738,12 @@ TEST(Daemon, StageSecondsSplitTheWallTime) {
   ASSERT_NE(stages, nullptr);
   EXPECT_EQ(stages->get("gate")->number, s.gate_seconds);
   EXPECT_EQ(stages->get("execute")->number, s.execute_seconds);
+  EXPECT_EQ(stages->get("collect")->number, s.collect_seconds);
   EXPECT_EQ(result.to_json(false).find("stage_seconds"), std::string::npos);
   ServiceResult zeroed = result;
   zeroed.stats.compose_seconds = zeroed.stats.gate_seconds = 0.0;
   zeroed.stats.execute_seconds = zeroed.stats.profile_seconds = 0.0;
+  zeroed.stats.collect_seconds = 0.0;
   zeroed.stats.wall_seconds = 0.0;
   EXPECT_EQ(zeroed.to_json(false), result.to_json(false));
 }
@@ -797,6 +815,34 @@ BenchShape bench_shape() {
   cfg.duration = 600;
   shape.stream = service::generate_job_stream(cfg, shape.g.num_nodes());
   return shape;
+}
+
+TEST(Daemon, OneProofPerGateRun) {
+  // The engine's admission check reuses the daemon gate's proof, so each
+  // gate run costs exactly one check_schedule, on the perfbench stream and on
+  // a stream whose gate rejects a poisoned profile.
+  const auto shape = bench_shape();
+  MetricsRegistry reg;
+  ServiceConfig cfg;
+  cfg.telemetry = &reg;
+  SchedulerDaemon daemon(shape.g, cfg);
+  const ServiceResult result = daemon.serve(shape.stream);
+  ASSERT_NE(reg.span("verify/check_schedule"), nullptr);
+  EXPECT_EQ(reg.span("verify/check_schedule")->count, result.stats.gate_runs);
+  EXPECT_EQ(reg.counter("verify.memo_hits"), result.stats.executions);
+  EXPECT_EQ(result.stats.executions, 75u);
+
+  const Graph g = test_graph();
+  const auto stream = poisoned_stream(g);
+  MetricsRegistry poisoned_reg;
+  ServiceConfig poisoned_cfg;
+  poisoned_cfg.telemetry = &poisoned_reg;
+  SchedulerDaemon poisoned(g, poisoned_cfg);
+  poison_cache(poisoned, g, stream[0].spec);
+  const ServiceResult recovered = poisoned.serve(stream);
+  ASSERT_EQ(recovered.stats.gate_rejections, 1u);
+  EXPECT_EQ(poisoned_reg.span("verify/check_schedule")->count, recovered.stats.gate_runs);
+  EXPECT_EQ(poisoned_reg.counter("verify.memo_hits"), recovered.stats.executions);
 }
 
 TEST(ServiceGoldens, PerfbenchShape) {

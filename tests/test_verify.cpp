@@ -10,7 +10,10 @@
 //   * Retry stretch: the 2^R-stretched schedule of fault/reliable.hpp is
 //     statically proven to have retry headroom; the unstretched one is not.
 //   * VerifyingAdmission: an admitting gate leaves the execution identical
-//     to the ungated run; a rejecting gate aborts before any event runs.
+//     to the ungated run; a rejecting gate aborts before any event runs. Its
+//     memo reuses a proof only for an equal table over the same algorithms
+//     and solo runs: a table changed after the proof is rejected, and
+//     re-adopted solo runs are proved again.
 //   * Static load count: the verifier's load surface, max load and overrun
 //     findings, and util/load_cells' count_cells, equal a naive std::map
 //     count, for slots and edge ids past 2^16.
@@ -32,6 +35,7 @@
 #include "sched/shared_scheduler.hpp"
 #include "sched/workloads.hpp"
 #include "telemetry/json.hpp"
+#include "telemetry/metrics_registry.hpp"
 #include "telemetry/run_report.hpp"
 #include "util/load_cells.hpp"
 #include "verify/schedule_verifier.hpp"
@@ -605,6 +609,111 @@ TEST(VerifyingAdmissionDeathTest, RejectingGateAbortsBeforeExecution) {
   cfg.admission = &gate;
   EXPECT_DEATH((void)Executor(f.g, cfg).run(f.algos, f.valid),
                "rejected by the admission gate");
+}
+
+// --- The gate's memo: a proof is reused only for the table and problem it
+// proved; a changed table or re-adopted solo runs are proved again. Proofs
+// are counted as verify/check_schedule spans. ---
+
+std::uint64_t proofs(const MetricsRegistry& reg) {
+  const auto* span = reg.span("verify/check_schedule");
+  return span == nullptr ? 0 : span->count;
+}
+
+TEST(VerifyingAdmissionMemo, IdenticalTableIsNotProvedAgain) {
+  auto f = make_fixture();
+  MetricsRegistry reg;
+  VerifyOptions opts;
+  opts.telemetry = &reg;
+  verify::VerifyingAdmission gate(opts);
+  ASSERT_TRUE(gate.verify(*f.problem, f.valid).ok());
+  EXPECT_EQ(proofs(reg), 1u);
+
+  // The engine's admission check of the proved table reuses the proof, and so
+  // does an equal copy of it: the memo compares slots, not addresses.
+  ExecConfig cfg;
+  cfg.admission = &gate;
+  Executor executor(f.g, cfg);
+  const auto gated = executor.run(f.algos, f.valid);
+  const ScheduleTable copy = f.valid;
+  EXPECT_TRUE(gate.admit(f.algos, copy));
+  EXPECT_EQ(proofs(reg), 1u);
+  EXPECT_EQ(reg.counter("verify.memo_hits"), 2u);
+  EXPECT_TRUE(f.problem->verify(gated).ok());
+
+  // A different (still valid) table is proved.
+  std::vector<std::uint32_t> delays(f.algos.size(), 0);
+  for (std::size_t a = 1; a < f.algos.size(); ++a) {
+    delays[a] = delays[a - 1] + f.problem->algorithm(a - 1).rounds() + 1;
+  }
+  const auto spaced = ScheduleTable::from_delays(f.algos, f.g.num_nodes(), delays);
+  EXPECT_TRUE(gate.admit(f.algos, spaced));
+  EXPECT_EQ(proofs(reg), 2u);
+  EXPECT_EQ(gate.last_report().measured.big_rounds,
+            check_schedule(*f.problem, spaced).measured.big_rounds);
+}
+
+TEST(VerifyingAdmissionMemoDeathTest, TableChangedAfterTheProofIsRejected) {
+  auto f = make_fixture();
+  verify::VerifyingAdmission gate;
+  ASSERT_TRUE(gate.verify(*f.problem, f.valid).ok());
+
+  // Move one producer slot of algorithm 1 onto its consumer's big-round: the
+  // message is then consumed in the big-round that sends it.
+  const auto& pattern = f.problem->solo(1).pattern;
+  std::uint32_t round = 0;
+  std::uint32_t edge = 0;
+  for (std::uint32_t r = 1; r < f.problem->algorithm(1).rounds() && round == 0; ++r) {
+    const auto edges = pattern.edges_in_round(r);
+    if (!edges.empty()) {
+      round = r;
+      edge = edges.front();
+    }
+  }
+  ASSERT_GT(round, 0u) << "fixture: algorithm 1 must deliver at least one message";
+  const NodeId sender = sender_of(f.g, edge);
+  const NodeId receiver = receiver_of(f.g, edge);
+  f.valid.set(1, sender, round, f.valid.at(1, receiver, round + 1));
+  ASSERT_TRUE(check_schedule(*f.problem, f.valid).has(verify::kCodeCausality));
+
+  ExecConfig cfg;
+  cfg.admission = &gate;
+  EXPECT_DEATH((void)Executor(f.g, cfg).run(f.algos, f.valid),
+               "rejected by the admission gate");
+}
+
+TEST(VerifyingAdmissionMemoDeathTest, UnboundGateDies) {
+  const auto f = make_fixture();
+  const verify::VerifyingAdmission gate;
+  EXPECT_DEATH((void)gate.admit(f.algos, f.valid), "no problem bound");
+}
+
+TEST(VerifyingAdmissionMemo, ReadoptedSoloRunsAreProvedAgain) {
+  auto f = make_fixture();
+  MetricsRegistry reg;
+  VerifyOptions opts;
+  opts.telemetry = &reg;
+  verify::VerifyingAdmission gate(opts);
+  const Report first = gate.verify(*f.problem, f.valid);
+  ASSERT_TRUE(first.ok());
+
+  // The same workload re-adopting equal copies of the solo runs, on the same
+  // table: new solo pointers, so the gate proves again (to the same result).
+  auto again = make_broadcast_workload(f.g, 4, 3, 21);
+  std::vector<std::shared_ptr<const SoloRunResult>> copies;
+  for (std::size_t a = 0; a < f.problem->size(); ++a) {
+    copies.push_back(std::make_shared<const SoloRunResult>(f.problem->solo(a)));
+  }
+  again->adopt_solo(copies);
+  const Report& second = gate.verify(*again, f.valid);
+  EXPECT_EQ(proofs(reg), 2u);
+  EXPECT_TRUE(second.ok());
+  EXPECT_EQ(second.measured.checked_messages, first.measured.checked_messages);
+
+  // Back to the first problem: its solo runs are no longer the remembered
+  // ones, so it is proved again as well.
+  EXPECT_TRUE(gate.verify(*f.problem, f.valid).ok());
+  EXPECT_EQ(proofs(reg), 3u);
 }
 
 // --- Findings survive the RunReport JSON round-trip. ---
