@@ -14,6 +14,7 @@
 #include "graph/generators.hpp"
 #include "sched/clustering.hpp"
 #include "sched/rand_sharing.hpp"
+#include "sched/workloads.hpp"
 #include "util/fingerprint.hpp"
 
 namespace dasched::testing_cases {
@@ -63,6 +64,55 @@ inline std::vector<PrecomputeCase> precompute_cases() {
                               6, 6, /*words=*/12, /*slack=*/0));
   }
   return cases;
+}
+
+/// perfbench's seed derivation (splitmix64 of seed and salt), so the
+/// das_batch problems below are the benchmark's own.
+inline std::uint64_t das_batch_seed(std::uint64_t seed, std::uint64_t salt) {
+  std::uint64_t z = seed * 0x9e3779b97f4a7c15ull + salt + 0x632be59bd9b4e019ull;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
+/// The das_batch workload's problem i (of 8) at benchmark seed `seed`: its
+/// G(128, 6/n) graph and problem seed.
+struct DasBatchProblem {
+  Graph graph;
+  std::uint64_t seed;
+};
+
+inline DasBatchProblem das_batch_problem(std::uint64_t seed, std::size_t i) {
+  Rng rng(das_batch_seed(seed, 10 + i));
+  return {make_gnp_connected(128, 6.0 / 128, rng), das_batch_seed(seed, 20 + i)};
+}
+
+/// The precomputation the Thm 4.1 scheduler runs for das_batch problem i:
+/// the problem's dilation, default layer and word counts.
+inline PrecomputeCase das_batch_case(std::uint64_t seed, std::size_t i) {
+  auto p = das_batch_problem(seed, i);
+  const std::uint32_t dilation = make_mixed_workload(p.graph, 24, 3, p.seed)->dilation();
+  return make_case("das_batch_s" + std::to_string(seed) + "_" + std::to_string(i),
+                   std::move(p.graph), dilation, p.seed, 0);
+}
+
+/// What the two passes compute, without the rounds they spend: every layer's
+/// centers, center labels and h', and every node's words, sharing center
+/// label and completion flag. A change of round count leaves it unchanged.
+inline std::uint64_t content_digest(const Clustering& c, const SharedSeeds& s) {
+  Fingerprint fp;
+  fp.mix(c.layers.size()).mix(s.layers.size());
+  for (std::size_t l = 0; l < c.layers.size(); ++l) {
+    const auto& cl = c.layers[l];
+    const auto& sl = s.layers[l];
+    for (std::size_t v = 0; v < cl.center.size(); ++v) {
+      fp.mix(cl.center[v]).mix(cl.label[v]).mix(cl.h_prime[v]);
+      fp.mix(sl.center_label[v]).mix(sl.complete[v]).mix(sl.words[v].size());
+      for (const auto w : sl.words[v]) fp.mix(w);
+    }
+  }
+  fp.mix(c.hop_cap).mix(c.radius_query_cap).mix(s.words_per_seed);
+  return fp.digest();
 }
 
 inline std::uint64_t clustering_digest(const Clustering& c) {
