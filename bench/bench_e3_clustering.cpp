@@ -1,18 +1,21 @@
 // E3 -- Lemma 4.2: ball-carving clustering with private randomness.
 //
 // For each network size, reports the lemma's four properties as measured on
-// the *distributed* protocol:
+// the *distributed* protocol (the clustering folded into Lemma 4.3's sharing
+// run, one CONGEST run for all layers):
 //   (1) disjointness holds by construction (every node joins one cluster),
 //   (2) weak diameter: max node-to-center distance <= hop cap H = O(D log n),
 //   (3) coverage: the empirical per-layer probability that a node's
 //       dilation-ball lies inside one cluster (the paper: constant), and the
 //       resulting #covering layers out of Theta(log n),
-//   (4) pre-computation rounds, against the O(dilation log^2 n) budget.
+//   (4) the whole pre-computation's rounds (clustering and sharing), against
+//       the O(dilation log^2 n) budget.
 #include "bench_common.hpp"
 
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "sched/clustering.hpp"
+#include "sched/rand_sharing.hpp"
 #include "util/stats.hpp"
 
 namespace dasched {
@@ -34,8 +37,10 @@ void print_tables() {
       ClusteringConfig cfg;
       cfg.seed = n;
       cfg.dilation = dilation;
-      const ClusteringBuilder builder(cfg);
-      const auto clustering = builder.build_distributed(g);
+      const auto pre =
+          RandomnessSharing({.seed = cfg.seed}).run_distributed(g, ClusteringBuilder(cfg));
+      const Clustering& clustering = pre.clustering;
+      const std::uint64_t rounds = clustering.precomputation_rounds + pre.seeds.rounds;
 
       StatAccumulator cov;
       std::uint32_t min_cov = ~0u;
@@ -56,8 +61,7 @@ void print_tables() {
       table.add_row({Table::fmt(std::uint64_t{n}),
                      Table::fmt(std::uint64_t{clustering.num_layers()}),
                      Table::fmt(std::uint64_t{clustering.hop_cap}),
-                     Table::fmt(clustering.precomputation_rounds),
-                     Table::fmt(clustering.precomputation_rounds / (dilation * ln * ln), 2),
+                     Table::fmt(rounds), Table::fmt(rounds / (dilation * ln * ln), 2),
                      Table::fmt(cov.mean(), 3), Table::fmt(std::uint64_t{min_cov}),
                      Table::fmt(std::uint64_t{max_dist})});
     }
@@ -90,20 +94,6 @@ void print_tables() {
     bench::emit(table);
   }
 }
-
-void bm_clustering_distributed(benchmark::State& state) {
-  Rng rng(7);
-  const auto g = make_gnp_connected(static_cast<NodeId>(state.range(0)), 0.04, rng);
-  ClusteringConfig cfg;
-  cfg.dilation = 4;
-  cfg.num_layers = 8;
-  const ClusteringBuilder builder(cfg);
-  for (auto _ : state) {
-    const auto c = builder.build_distributed(g);
-    benchmark::DoNotOptimize(c.precomputation_rounds);
-  }
-}
-BENCHMARK(bm_clustering_distributed)->Arg(128)->Arg(256)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace dasched

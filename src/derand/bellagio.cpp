@@ -13,27 +13,29 @@ BellagioResult run_bellagio(const Graph& g, std::uint32_t algorithm_rounds,
   const NodeId n = g.num_nodes();
   BellagioResult result;
 
-  // --- Lemma 4.2 clustering at radius scale Theta(T). ---
+  // --- Lemma 4.2 clustering at radius scale Theta(T) and Lemma 4.3 seed
+  // sharing, one CONGEST run. ---
   ClusteringConfig ccfg;
   ccfg.seed = cfg.seed;
   ccfg.dilation = algorithm_rounds;
   ccfg.radius_factor = cfg.radius_factor;
   if (cfg.num_layers > 0) ccfg.num_layers = cfg.num_layers;
   const ClusteringBuilder builder(ccfg);
-  const Clustering clustering =
-      cfg.central_precomputation ? builder.build_central(g) : builder.build_distributed(g);
-  result.precomputation_rounds += clustering.precomputation_rounds;
-  result.num_layers = static_cast<std::uint32_t>(clustering.num_layers());
-
-  // --- Lemma 4.3 seed sharing. ---
   RandSharingConfig scfg;
   scfg.seed = cfg.seed;
   if (cfg.seed_words > 0) scfg.words_per_seed = cfg.seed_words;
   const RandomnessSharing sharing(scfg);
-  const SharedSeeds seeds = cfg.central_precomputation
-                                ? sharing.run_central(g, clustering)
-                                : sharing.run_distributed(g, clustering);
-  result.precomputation_rounds += seeds.rounds;
+  Precomputation pre;
+  if (cfg.central_precomputation) {
+    pre.clustering = builder.build_central(g);
+    pre.seeds = sharing.run_central(g, pre.clustering);
+  } else {
+    pre = sharing.run_distributed(g, builder);
+  }
+  const Clustering& clustering = pre.clustering;
+  const SharedSeeds& seeds = pre.seeds;
+  result.precomputation_rounds = clustering.precomputation_rounds + seeds.rounds;
+  result.num_layers = static_cast<std::uint32_t>(clustering.num_layers());
 
   // --- One truncated copy per layer, run back to back. ---
   std::vector<std::unique_ptr<DistributedAlgorithm>> copies;

@@ -12,13 +12,15 @@
 //       (equivalently its distance to the nearest cluster-boundary node,
 //       capped at the query radius).
 //
-// The distributed implementation is the paper's: every u injects a message
-// carrying (l(u), fake initial hop-count H - r(u)); at round i nodes forward
-// the smallest-labelled "ripe" message, so m_u reaches exactly B(u, r(u)) and
-// the smallest label always survives blocking. Boundary detection plus a
-// BFS-style boundary flood then yields h'. One layer costs H + O(dilation)
-// rounds; all Theta(log n) layers cost O(dilation log^2 n) -- the paper's
-// pre-computation bound.
+// The distributed implementation is the paper's min-label flood, folded into
+// Lemma 4.3's sharing run (sched/rand_sharing.hpp), which floods every center's
+// tokens with the same fake initial hop-count H - r(u) and therefore already
+// learns each node's center label. Its tail adds the rest of this lemma:
+// ceil(L/4) announce rounds, each carrying 4 layers' center labels, mark the
+// boundary nodes of every layer (a neighbour holds another label), and a
+// D-round BFS from all boundary nodes, one layer bitmask per message, yields
+// h'. The tail costs ceil(L/4) + dilation rounds and is counted as
+// precomputation_rounds here; the token phase is counted by SharedSeeds.
 //
 // A central (non-distributed) construction with the *same* randomness is
 // provided as a test oracle: both must agree exactly.
@@ -48,8 +50,8 @@ struct ClusteringConfig {
   /// Number of layers; 0 derives layer_factor * ln(n).
   std::uint32_t num_layers = 0;
   double layer_factor = 2.0;
-  /// Optional telemetry sink (borrowed): clustering/build span, per-layer
-  /// clustering/layer spans, clustering.rounds counter, and
+  /// Optional telemetry sink (borrowed): the clustering/build_central span,
+  /// the clustering.rounds counter of the distributed run's tail, and the
   /// clustering.clusters_per_layer / clustering.h_prime histograms.
   TelemetrySink* telemetry = nullptr;
 };
@@ -58,13 +60,17 @@ struct ClusterLayer {
   std::vector<NodeId> center;         // per node: id of its cluster center
   std::vector<std::uint64_t> label;   // per node: label of its center
   std::vector<std::uint32_t> h_prime; // per node: contained radius, capped
+
+  /// Records the layer's cluster count and per-node h' histograms.
+  void record_metrics(TelemetrySink* telemetry) const;
 };
 
 struct Clustering {
   std::vector<ClusterLayer> layers;
   std::uint32_t hop_cap = 0;        // H = max radius + 1
   std::uint32_t radius_query_cap = 0;  // h' cap (== config dilation)
-  std::uint64_t precomputation_rounds = 0;  // CONGEST rounds actually spent
+  /// CONGEST rounds of the distributed run's announce and boundary tail.
+  std::uint64_t precomputation_rounds = 0;
   /// Radius distribution parameters, kept so downstream protocols (Lemma 4.3
   /// sharing) can replay the identical per-node draws.
   double radius_scale = 1.0;
@@ -87,21 +93,25 @@ class ClusteringBuilder {
  public:
   explicit ClusteringBuilder(ClusteringConfig cfg);
 
-  /// Runs the Lemma 4.2 message-passing programs in the CONGEST simulator.
-  Clustering build_distributed(const Graph& g) const;
+  const ClusteringConfig& config() const { return cfg_; }
 
-  /// Same clusters computed centrally from the same per-node random draws
-  /// (test oracle; precomputation_rounds is 0).
+  /// The layer-independent parameters (H, h' cap, radius distribution) with
+  /// no layers yet. The distributed run (RandomnessSharing::run_distributed)
+  /// and build_central both start from it.
+  Clustering frame(const Graph& g) const;
+
+  /// The clusters computed centrally from the per-node random draws the
+  /// distributed run makes (test oracle; precomputation_rounds is 0).
   Clustering build_central(const Graph& g) const;
 
-  /// Per-layer base seed -- the clustering and randomness-sharing programs of
-  /// a layer share it so their per-node draws coincide.
+  /// Per-layer base seed: node v draws layer l's radius, label and seed
+  /// words from Rng(seed_combine(layer_seed(seed, l), v)).
   static std::uint64_t layer_seed(std::uint64_t seed, std::uint32_t layer) {
     return seed_combine(seed, layer, 0xC1u);
   }
 
   /// The (radius, label) draw every node performs first, shared by the
-  /// distributed program and the central oracle. Label embeds the node id in
+  /// distributed run and the central oracles. Label embeds the node id in
   /// the low 32 bits so labels are distinct deterministically.
   static void draw_node_params(Rng& rng, const TruncatedExponentialRadius& dist,
                                NodeId node, std::uint32_t* radius, std::uint64_t* label);

@@ -92,30 +92,36 @@ PrivateScheduleOutcome PrivateRandomnessScheduler::run(ScheduleProblem& problem)
 
   PrivateScheduleOutcome out;
 
-  // --- 1. Clustering (Lemma 4.2). ---
+  // --- 1-2. Clustering and randomness sharing (Lemmas 4.2 + 4.3). ---
+  // The distributed clustering is the tail of the sharing run, so only the
+  // central oracle spends time inside the clustering span.
   ClusteringConfig ccfg = cfg_.clustering;
   ccfg.seed = cfg_.seed;
   ccfg.dilation = dilation;
   ccfg.telemetry = telemetry;
   const ClusteringBuilder builder(ccfg);
-  TimedSpan cluster_span(telemetry, "sched.private", "clustering");
-  const Clustering clustering =
-      cfg_.central_precomputation ? builder.build_central(g) : builder.build_distributed(g);
-  cluster_span.finish();
-  out.precomputation_rounds += clustering.precomputation_rounds;
-  out.num_layers = static_cast<std::uint32_t>(clustering.num_layers());
-  out.hop_cap = clustering.hop_cap;
-
-  // --- 2. Randomness sharing (Lemma 4.3). ---
   RandSharingConfig scfg = cfg_.sharing;
   scfg.seed = cfg_.seed;
   scfg.telemetry = telemetry;
   const RandomnessSharing sharing(scfg);
-  TimedSpan sharing_span(telemetry, "sched.private", "rand_sharing");
-  const SharedSeeds seeds = cfg_.central_precomputation ? sharing.run_central(g, clustering)
-                                                        : sharing.run_distributed(g, clustering);
-  sharing_span.finish();
-  out.precomputation_rounds += seeds.rounds;
+  Precomputation pre;
+  {
+    TimedSpan cluster_span(telemetry, "sched.private", "clustering");
+    if (cfg_.central_precomputation) pre.clustering = builder.build_central(g);
+  }
+  {
+    TimedSpan sharing_span(telemetry, "sched.private", "rand_sharing");
+    if (cfg_.central_precomputation) {
+      pre.seeds = sharing.run_central(g, pre.clustering);
+    } else {
+      pre = sharing.run_distributed(g, builder);
+    }
+  }
+  const Clustering& clustering = pre.clustering;
+  const SharedSeeds& seeds = pre.seeds;
+  out.precomputation_rounds = clustering.precomputation_rounds + seeds.rounds;
+  out.num_layers = static_cast<std::uint32_t>(clustering.num_layers());
+  out.hop_cap = clustering.hop_cap;
   for (const auto& layer : seeds.layers) {
     for (const auto c : layer.complete) {
       if (!c) ++out.incomplete_seed_nodes;

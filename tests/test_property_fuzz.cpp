@@ -103,7 +103,8 @@ TEST_P(FuzzSeeds, ClusteringInvariantsFromFirstPrinciples) {
   cfg.seed = seed;
   cfg.dilation = 3;
   cfg.num_layers = 3;
-  const auto clustering = ClusteringBuilder(cfg).build_distributed(g);
+  const auto clustering =
+      RandomnessSharing({.seed = seed}).run_distributed(g, ClusteringBuilder(cfg)).clustering;
   const auto dist = clustering.radius_distribution_for_replay();
 
   for (std::uint32_t l = 0; l < clustering.num_layers(); ++l) {
