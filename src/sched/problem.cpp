@@ -27,6 +27,7 @@ void ScheduleProblem::run_solo() {
   for (const auto& a : algorithms_) {
     solo_.push_back(std::make_shared<const SoloRunResult>(solo_run(*graph_, *a)));
   }
+  congestion_ = sum_congestion();
 }
 
 void ScheduleProblem::adopt_solo(std::vector<std::shared_ptr<const SoloRunResult>> solo) {
@@ -36,6 +37,7 @@ void ScheduleProblem::adopt_solo(std::vector<std::shared_ptr<const SoloRunResult
   DASCHED_CHECK_MSG(!solo.empty(), "adopt_solo: empty result set");
   for (const auto& s : solo) DASCHED_CHECK_MSG(s != nullptr, "adopt_solo: null solo result");
   solo_ = std::move(solo);
+  congestion_ = sum_congestion();
 }
 
 const SoloRunResult& ScheduleProblem::solo(std::size_t a) const {
@@ -51,6 +53,10 @@ std::uint32_t ScheduleProblem::dilation() const {
 
 std::uint32_t ScheduleProblem::congestion() const {
   DASCHED_CHECK_MSG(solo_done(), "call run_solo() first");
+  return congestion_;
+}
+
+std::uint32_t ScheduleProblem::sum_congestion() const {
   std::vector<std::uint32_t> loads(graph_->num_directed_edges(), 0);
   for (const auto& s : solo_) {
     for (std::uint32_t d = 0; d < loads.size(); ++d) loads[d] += s->pattern.edge_load(d);

@@ -66,7 +66,9 @@ class ScheduleProblem {
   /// max_i rounds(A_i). Available without solo runs.
   std::uint32_t dilation() const;
 
-  /// max_e sum_i c_i(e) over directed edges. Requires run_solo().
+  /// max_e sum_i c_i(e) over directed edges. Requires run_solo(). Summed
+  /// once when the solo results are set (they are never replaced), so a
+  /// call is a load.
   std::uint32_t congestion() const;
 
   /// Static certificates for every algorithm (analysis/analyzer.hpp), derived
@@ -98,9 +100,12 @@ class ScheduleProblem {
   Verification verify(const ExecutionResult& exec) const;
 
  private:
+  std::uint32_t sum_congestion() const;
+
   const Graph* graph_;
   std::vector<std::unique_ptr<DistributedAlgorithm>> algorithms_;
   std::vector<std::shared_ptr<const SoloRunResult>> solo_;
+  std::uint32_t congestion_ = 0;  // sum_congestion() of solo_
 };
 
 }  // namespace dasched

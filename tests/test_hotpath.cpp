@@ -14,6 +14,8 @@
 //     due-round lanes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "congest/executor.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
@@ -204,6 +206,38 @@ TEST(HotPathAllocations, CountersAreLinkedIntoThisBinary) {
   void* p = ::operator new(64);
   ::operator delete(p);
   EXPECT_GT(alloc_count(), before);
+}
+
+// ScheduleProblem::congestion() is summed once when the solo results are set,
+// by run_solo or adopt_solo; every call after that returns the same value as
+// a fresh per-edge sum and allocates nothing.
+TEST(HotPathAllocations, CongestionIsSummedOnceWhenSoloResultsAreSet) {
+  ASSERT_TRUE(alloc_counting_linked());
+  Rng rng(5);
+  const auto g = make_gnp_connected(60, 0.1, rng);
+  auto problem = make_mixed_workload(g, 8, 3, 5);
+  problem->run_solo();
+  std::vector<std::uint32_t> loads(g.num_directed_edges(), 0);
+  for (std::size_t a = 0; a < problem->size(); ++a) {
+    for (std::uint32_t d = 0; d < loads.size(); ++d) {
+      loads[d] += problem->solo(a).pattern.edge_load(d);
+    }
+  }
+  const std::uint32_t expected = *std::max_element(loads.begin(), loads.end());
+  ASSERT_GT(expected, 0u);
+
+  std::uint64_t before = alloc_count();
+  const std::uint32_t first = problem->congestion();
+  const std::uint32_t second = problem->congestion();
+  EXPECT_EQ(alloc_count(), before);
+  EXPECT_EQ(first, expected);
+  EXPECT_EQ(second, expected);
+
+  auto adopted = make_mixed_workload(g, 8, 3, 5);
+  adopted->adopt_solo({problem->solo_results().begin(), problem->solo_results().end()});
+  before = alloc_count();
+  EXPECT_EQ(adopted->congestion(), expected);
+  EXPECT_EQ(alloc_count(), before);
 }
 
 TEST(HotPathAllocations, SteadyStateMessagePathIsAllocationFree) {
