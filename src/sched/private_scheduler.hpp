@@ -1,8 +1,9 @@
 // Theorem 4.1 / Theorem 1.3: scheduling with only private randomness.
 //
 // Pipeline (Section 4.2):
-//   1. Ball-carving clustering, Theta(log n) layers (Lemma 4.2)     -- O(dilation log^2 n) rounds
-//   2. Share Theta(log^2 n) seed bits inside every cluster (Lemma 4.3)
+//   1. Ball-carving clustering, Theta(log n) layers (Lemma 4.2), and
+//   2. sharing Theta(log^2 n) seed bits inside every cluster (Lemma 4.3),
+//      both in one CONGEST run over all layers     -- O(dilation log^2 n) rounds
 //   3. Expand each cluster seed into a Theta(log n)-wise independent family
 //      (Reed-Solomon over GF(p)) and draw, per clustering layer and per
 //      algorithm, a start delay from the paper's nonuniform *block*
