@@ -19,6 +19,10 @@
 // reliable layer, suppressed with one); a dropped attempt a < max_retries is
 // re-sent 2^a big-rounds later while its sender is alive, and is lost
 // otherwise. A node that crashes within the run never finishes.
+//
+// On request the oracle also reports each algorithm's communication pattern
+// (Section 2): the (virtual round, directed edge) cells its events sent on,
+// counted over fresh sends only, so retransmissions are not part of it.
 #pragma once
 
 #include <algorithm>
@@ -34,6 +38,7 @@
 #include "fault/reliable.hpp"
 #include "graph/graph.hpp"
 #include "util/check.hpp"
+#include "util/load_cells.hpp"
 #include "util/rng.hpp"
 
 namespace dasched {
@@ -45,9 +50,13 @@ class ReferenceExecutor {
       : g_(g), faults_(faults), retry_(retry) {}
 
   /// Fills outputs, completed, causality_violations, total_messages,
-  /// num_big_rounds, max_load_per_big_round, max_edge_load and faults.
+  /// num_big_rounds, max_load_per_big_round, max_edge_load and faults. If
+  /// `patterns` is set, (*patterns)[a] becomes algorithm a's pattern: one cell
+  /// per (virtual round, directed edge) it sent on, sorted, its load the
+  /// number of fresh sends there.
   ExecutionResult run(std::span<const DistributedAlgorithm* const> algos,
-                      const ScheduleTable& schedule) const {
+                      const ScheduleTable& schedule,
+                      std::vector<std::vector<LoadCell>>* patterns = nullptr) const {
     const std::size_t k = algos.size();
     const NodeId n = g_.num_nodes();
     const std::uint32_t max_retries = faults_ != nullptr ? retry_.max_retries : 0;
@@ -74,6 +83,7 @@ class ReferenceExecutor {
     }
 
     std::map<std::uint32_t, std::vector<Transmission>> retries;  // due round -> FIFO
+    std::vector<std::vector<std::uint64_t>> sent_keys(k);  // cell_key(tag, edge) per send
     for (std::uint32_t t = 0; t < horizon; ++t) {
       std::vector<Transmission> sent;
       if (const auto due = retries.find(t); due != retries.end()) {
@@ -101,6 +111,7 @@ class ReferenceExecutor {
         ++load[tx.msg.edge];
         ++out.total_messages;
         const Message& m = tx.msg;
+        if (tx.attempt == 0) sent_keys[m.alg].push_back(cell_key(m.tag, m.edge));
         std::uint32_t copies = 1;
         if (faults_ != nullptr) {
           ++fs.attempts;
@@ -160,6 +171,10 @@ class ReferenceExecutor {
         out.completed[a][v] = 1;
         out.outputs[a][v] = programs[a][v]->output();
       }
+    }
+    if (patterns != nullptr) {
+      patterns->assign(k, {});
+      for (std::size_t a = 0; a < k; ++a) count_cells(sent_keys[a], (*patterns)[a]);
     }
     return out;
   }

@@ -7,13 +7,23 @@
 // delivery barrier's owners on the pool. The large G(n, p) family is sized
 // so that, under every fault plan, its rounds carry at least 256 fresh
 // messages at threads >= 2 -- fates are decided on the pool's execute
-// shards -- and the test asserts it.
+// shards -- and the test asserts it. Solo profiles (patterns and outputs)
+// of every algorithm family are held to the oracle too.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <tuple>
 
+#include "algos/aggregate.hpp"
+#include "algos/bfs.hpp"
+#include "algos/broadcast.hpp"
+#include "algos/distinct_elements.hpp"
+#include "algos/gossip.hpp"
+#include "algos/mis.hpp"
+#include "algos/mst.hpp"
+#include "algos/path_routing.hpp"
 #include "congest/executor.hpp"
+#include "congest/simulator.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/reliable.hpp"
@@ -75,7 +85,7 @@ class FloodAlgorithm final : public DistributedAlgorithm {
   std::uint32_t rounds_;
 };
 
-enum class Family { kPath, kStar, kClique, kGnp, kDisconnected, kGnpLarge };
+enum class Family { kPath, kStar, kClique, kGnp, kDisconnected, kGnpLarge, kGrid };
 enum class Plan { kClean, kDropDup, kRetry, kOutage, kCrash };
 
 Graph make_graph(Family family) {
@@ -86,6 +96,7 @@ Graph make_graph(Family family) {
     case Family::kClique: return make_complete(24);
     case Family::kGnp: return make_gnp_connected(120, 0.06, rng);
     case Family::kGnpLarge: return make_gnp_connected(400, 0.03, rng);
+    case Family::kGrid: return make_grid(8, 8);
     case Family::kDisconnected: {
       // Two dense components, a path fragment, and isolated nodes.
       std::vector<std::pair<NodeId, NodeId>> edges;
@@ -220,6 +231,52 @@ INSTANTIATE_TEST_SUITE_P(
                                          Plan::kOutage, Plan::kCrash),
                        ::testing::Values(1u, 5u)),
     tuple_name);
+
+/// One or more algorithms of each of the 8 families on `g`.
+std::vector<std::unique_ptr<DistributedAlgorithm>> every_family(const Graph& g) {
+  const NodeId n = g.num_nodes();
+  std::vector<std::unique_ptr<DistributedAlgorithm>> algos;
+  algos.push_back(std::make_unique<AggregateAlgorithm>(0, 3, 41));
+  algos.push_back(std::make_unique<BfsAlgorithm>(n / 2, 6, 42));
+  algos.push_back(std::make_unique<BroadcastAlgorithm>(n - 1, 5, 0xbeef, 43));
+  DistinctElementsParams params;
+  params.radius = 2;
+  params.iterations = 4;
+  std::vector<std::uint64_t> values(n);
+  for (NodeId v = 0; v < n; ++v) values[v] = splitmix64(v) % 17;
+  algos.push_back(std::make_unique<DistinctElementsAlgorithm>(
+      g, params, values, std::vector<std::vector<std::uint64_t>>(n, {44}), 44));
+  algos.push_back(std::make_unique<GossipAlgorithm>(0, 8, 0xfeed, 45));
+  algos.push_back(
+      std::make_unique<LubyMisAlgorithm>(4, std::vector<std::vector<std::uint64_t>>{}, 46));
+  algos.push_back(std::make_unique<PipelineMstAlgorithm>(g, make_mst_weights(g, 47), 2, 47));
+  Rng rng(48);
+  for (auto& packet : make_random_routing_instance(g, 3, rng, 48)) {
+    algos.push_back(std::move(packet));
+  }
+  return algos;
+}
+
+// A solo profile is the algorithm's communication pattern and its outputs;
+// both must equal the oracle's lockstep run, cell for cell.
+TEST(OracleSoloProfile, EveryFamilyMatchesTheReference) {
+  for (const Family family : {Family::kPath, Family::kStar, Family::kGrid, Family::kGnp}) {
+    const Graph g = make_graph(family);
+    for (const auto& algo : every_family(g)) {
+      SCOPED_TRACE(algo->name() + " on family " + std::to_string(static_cast<int>(family)));
+      const DistributedAlgorithm* algos[] = {algo.get()};
+      std::vector<std::vector<LoadCell>> patterns;
+      const auto want = ReferenceExecutor(g).run(
+          algos, ScheduleTable::lockstep(algos, g.num_nodes()), &patterns);
+      ASSERT_EQ(want.causality_violations, 0u);
+      ASSERT_FALSE(patterns[0].empty());
+      const auto got = solo_run(g, *algo);
+      const auto cells = got.pattern.cells();
+      EXPECT_EQ(std::vector<LoadCell>(cells.begin(), cells.end()), patterns[0]);
+      EXPECT_EQ(got.outputs, want.outputs[0]);
+    }
+  }
+}
 
 // The oracle is only worth trusting if it can tell a broken run apart: a
 // skewed schedule produces violations and differs from the causal one.
