@@ -148,7 +148,7 @@ void bm_distinct_elements(benchmark::State& state) {
   for (auto _ : state) {
     DistinctElementsAlgorithm algo(g, params, values, global, 3);
     const auto out = solo_run(g, algo);
-    benchmark::DoNotOptimize(out.total_messages);
+    benchmark::DoNotOptimize(out.pattern.total_messages());
   }
 }
 BENCHMARK(bm_distinct_elements)->Unit(benchmark::kMillisecond);

@@ -246,21 +246,21 @@ bool corrupt_schedule(const Options& opt, const ScheduleProblem& problem,
     // the discard is not causally closed (Lemma 4.4).
     DASCHED_CHECK_MSG(problem.solo_done(), "corrupt_schedule needs solo patterns");
     for (std::size_t a = 0; a < table->num_algorithms(); ++a) {
-      const auto& pattern = problem.solo(a).pattern;
+      const auto cells = problem.solo(a).pattern.cells();
       const std::uint32_t rounds = table->rounds(a);
-      for (std::uint32_t r = pattern.last_message_round(); r >= 1; --r) {
-        if (r >= rounds) continue;  // round-`rounds` messages feed on_finish
-        const auto edges = pattern.edges_in_round(r);
-        if (edges.empty()) continue;
-        const std::uint32_t d = edges[0];
-        const auto [lo, hi] = problem.graph().endpoints(d / 2);
-        const NodeId sender = (d % 2 == 0) ? lo : hi;
-        const auto slots = table->row_mut(a, sender);
-        for (std::uint32_t rr = r; rr <= rounds; ++rr) {
-          slots[rr - 1] = kNeverScheduled;
-        }
-        return true;
+      // The last message with a consumer round (round-`rounds` messages feed
+      // on_finish).
+      const auto last = std::find_if(cells.rbegin(), cells.rend(), [&](const LoadCell& cell) {
+        return cell.big_round < rounds;
+      });
+      if (last == cells.rend()) continue;
+      const auto [lo, hi] = problem.graph().endpoints(last->edge / 2);
+      const NodeId sender = (last->edge % 2 == 0) ? lo : hi;
+      const auto slots = table->row_mut(a, sender);
+      for (std::uint32_t rr = last->big_round; rr <= rounds; ++rr) {
+        slots[rr - 1] = kNeverScheduled;
       }
+      return true;
     }
     return false;
   }

@@ -1,8 +1,10 @@
 #include "analysis/analyzer.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "graph/algorithms.hpp"
+#include "util/load_cells.hpp"
 #include "util/rng.hpp"
 
 namespace dasched::analysis {
@@ -11,8 +13,13 @@ namespace {
 
 constexpr std::uint64_t kNoOutput = ~std::uint64_t{0};
 
-/// Finalizes an exact certificate from a fully recorded surface.
-void seal_exact(PatternCertificate& cert, CommunicationPattern pattern) {
+/// Finalizes an exact certificate from every message it derived, as
+/// cell_key(round, directed edge) values (sorted in place).
+void seal_exact(PatternCertificate& cert, const Graph& g, std::vector<std::uint64_t>& keys) {
+  std::vector<LoadCell> cells;
+  cells.reserve(keys.size());
+  count_cells(keys, cells);
+  CommunicationPattern pattern(g.num_directed_edges(), std::move(cells));
   cert.kind = CertificateKind::kExact;
   cert.congestion = pattern.max_edge_load();
   cert.per_cell_bound = 1;
@@ -30,12 +37,13 @@ void analyze_flood(const Graph& g, const StaticFootprint& fp, std::uint32_t T,
   DASCHED_CHECK(fp.source < g.num_nodes());
   const auto dist = bfs_distances(g, fp.source);
 
-  CommunicationPattern pattern(g.num_directed_edges());
+  std::vector<std::uint64_t> keys;
+  keys.reserve(g.num_directed_edges());
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     if (dist[v] == kUnreachable || dist[v] + 1 > T) continue;
-    for (const std::uint32_t d : g.directed_ids(v)) pattern.record(dist[v] + 1, d);
+    for (const std::uint32_t d : g.directed_ids(v)) keys.push_back(cell_key(dist[v] + 1, d));
   }
-  seal_exact(cert, std::move(pattern));
+  seal_exact(cert, g, keys);
 
   cert.has_outputs = true;
   cert.outputs.resize(g.num_nodes());
@@ -77,14 +85,15 @@ void analyze_aggregate(const Graph& g, const StaticFootprint& fp, std::uint64_t 
   DASCHED_CHECK(h >= 1);
   const auto dist = bfs_distances_capped(g, fp.source, h);
 
-  CommunicationPattern pattern(g.num_directed_edges());
+  std::vector<std::uint64_t> keys;
+  keys.reserve(2 * std::size_t{g.num_directed_edges()} + g.num_nodes());
   std::vector<NodeId> parent(g.num_nodes(), kInvalidNode);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     const std::uint32_t q = dist[v];
     if (q == kUnreachable) continue;
     if (q + 1 <= h) {
-      for (const std::uint32_t d : g.directed_ids(v)) pattern.record(q + 1, d);
-      for (const std::uint32_t d : g.directed_ids(v)) pattern.record(2 * h + 2 + q, d);
+      for (const std::uint32_t d : g.directed_ids(v)) keys.push_back(cell_key(q + 1, d));
+      for (const std::uint32_t d : g.directed_ids(v)) keys.push_back(cell_key(2 * h + 2 + q, d));
     }
     if (q >= 1) {
       for (const auto& nb : g.neighbors(v)) {
@@ -94,10 +103,10 @@ void analyze_aggregate(const Graph& g, const StaticFootprint& fp, std::uint64_t 
         }
       }
       DASCHED_CHECK(parent[v] != kInvalidNode);
-      pattern.record(2 * h + 1 - q, g.directed_id(g.find_edge(v, parent[v]), v));
+      keys.push_back(cell_key(2 * h + 1 - q, g.directed_id(g.find_edge(v, parent[v]), v)));
     }
   }
-  seal_exact(cert, std::move(pattern));
+  seal_exact(cert, g, keys);
 
   // Subtree sums: fold depths h..1 into their parents, then the root's sum is
   // the global aggregate the result flood distributes.
@@ -139,21 +148,21 @@ void analyze_gossip(const Graph& g, const StaticFootprint& fp, std::uint32_t T,
   rng.reserve(g.num_nodes());
   for (NodeId v = 0; v < g.num_nodes(); ++v) rng.emplace_back(seed_combine(base_seed, v));
 
-  CommunicationPattern pattern(g.num_directed_edges());
+  std::vector<std::uint64_t> keys;
   std::vector<NodeId> newly_informed;
   for (std::uint32_t r = 1; r <= T; ++r) {
     newly_informed.clear();
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
       if (informed_round[v] >= r || g.degree(v) == 0) continue;
       const auto pick = rng[v].next_below(g.degree(v));
-      pattern.record(r, g.directed_ids(v)[pick]);
+      keys.push_back(cell_key(r, g.directed_ids(v)[pick]));
       const NodeId to = g.neighbors(v)[pick].neighbor;
       if (informed_round[to] == uninformed) newly_informed.push_back(to);
     }
     // Recipients of round-r messages absorb them in round r+1 (or on_finish).
     for (const NodeId v : newly_informed) informed_round[v] = r;
   }
-  seal_exact(cert, std::move(pattern));
+  seal_exact(cert, g, keys);
 
   cert.has_outputs = true;
   cert.outputs.resize(g.num_nodes());
@@ -167,13 +176,13 @@ void analyze_gossip(const Graph& g, const StaticFootprint& fp, std::uint32_t T,
 /// kFixedPath: round r carries exactly path[r-1] -> path[r].
 void analyze_path(const Graph& g, const StaticFootprint& fp, PatternCertificate& cert) {
   DASCHED_CHECK_MSG(fp.path.size() >= 2, "fixed-path footprint needs >= 1 edge");
-  CommunicationPattern pattern(g.num_directed_edges());
+  std::vector<std::uint64_t> keys;
   for (std::size_t i = 0; i + 1 < fp.path.size(); ++i) {
     const EdgeId e = g.find_edge(fp.path[i], fp.path[i + 1]);
     DASCHED_CHECK_MSG(e != kInvalidEdge, "fixed-path footprint hops a non-edge");
-    pattern.record(static_cast<std::uint32_t>(i + 1), g.directed_id(e, fp.path[i]));
+    keys.push_back(cell_key(static_cast<std::uint32_t>(i + 1), g.directed_id(e, fp.path[i])));
   }
-  seal_exact(cert, std::move(pattern));
+  seal_exact(cert, g, keys);
 
   cert.has_outputs = true;
   cert.outputs.resize(g.num_nodes());

@@ -69,7 +69,6 @@ struct PatternCertificate {
     SoloRunResult solo;
     solo.outputs = outputs;
     solo.pattern = pattern;
-    solo.total_messages = total_messages;
     return solo;
   }
 };

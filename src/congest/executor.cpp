@@ -57,8 +57,8 @@ struct ExecEvent {
 };
 
 /// Logical identity of a staged message, parallel to the staged header lane.
-/// Filled only when fates or the fate commit consume identities (patterns,
-/// flight recorder, fault injection); the clean unobserved path never writes
+/// Filled only when fates or the fate commit consume identities (flight
+/// recorder, fault injection); the clean unobserved path never writes
 /// or reads it -- routing needs only the precomputed staged_dest lane.
 struct StagedMeta {
   std::uint32_t alg;
@@ -640,9 +640,6 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
   ExecutionResult result;
   result.outputs.assign(k, {});
   result.completed.assign(k, {});
-  if (cfg_.record_patterns) {
-    result.patterns.assign(k, CommunicationPattern(graph_.num_directed_edges()));
-  }
   result.num_big_rounds = num_big_rounds;
   // Retransmissions extend the horizon into the reserved headroom, inside
   // the loop, without reallocating.
@@ -694,8 +691,7 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
   }
   // Identity lanes are needed only when fates or the fate commit consume
   // message identities; the clean unobserved path skips the lane.
-  const bool need_meta = faults != nullptr || cfg_.recorder != nullptr ||
-                         cfg_.record_patterns;
+  const bool need_meta = faults != nullptr || cfg_.recorder != nullptr;
   // Per-cell observers read the owners' touched lists after each barrier.
   const bool cells_observed = cfg_.profiler != nullptr || cfg_.telemetry != nullptr;
   std::vector<WorkerState>& workers = scratch.workers;
@@ -1075,10 +1071,10 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
     // this round's due retransmissions (small: decided here, in the lanes
     // they were parked in), then the workers' staged lanes in shard order,
     // whose fates the shards decided. It does everything whose order is
-    // observable: pattern records, flight recorder fate notes (read back
-    // from the fate bytes), and retransmissions, each of which appends the
-    // dropped message to its due round's lanes and marks the entry dropped
-    // (kNeverDest, 0 copies). ---
+    // observable: flight recorder fate notes (read back from the fate
+    // bytes) and retransmissions, each of which appends the dropped message
+    // to its due round's lanes and marks the entry dropped (kNeverDest, 0
+    // copies). ---
     const std::uint32_t due = scratch.retry.find(t);
     const std::uint64_t retries_this_round =
         due == kNoBucket ? 0 : scratch.retry.pool[due].staged_hdr.size();
@@ -1134,18 +1130,11 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
       scratch.staged_high_water =
           std::max(scratch.staged_high_water, ws.staged_hdr.size());
       fresh_this_round += ws.staged_hdr.size();
-      if (cfg_.record_patterns || recorder != nullptr) {
+      if (recorder != nullptr) {
         for (std::size_t i = 0; i < ws.staged_hdr.size(); ++i) {
-          if (cfg_.record_patterns) {
-            // Patterns describe what the algorithm sent; retries are excluded.
-            result.patterns[ws.staged_meta[i].alg].record(ws.staged_meta[i].tag,
-                                                          ws.staged_edge[i]);
-          }
-          if (recorder != nullptr) {
-            note(ws, i, 0,
-                 faults != nullptr ? ws.staged_fate[i]
-                                   : static_cast<std::uint8_t>(FlightRecorder::Kind::kDeliver));
-          }
+          note(ws, i, 0,
+               faults != nullptr ? ws.staged_fate[i]
+                                 : static_cast<std::uint8_t>(FlightRecorder::Kind::kDeliver));
         }
       }
       for (const auto i : ws.retransmit) retransmit(ws, i, 0);

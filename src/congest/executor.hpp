@@ -61,7 +61,7 @@
 // decisions are pure functions of the plan seed and the message identity, so
 // each execute shard decides the fates of the messages it staged, in
 // parallel; one serial fate commit then applies the order-dependent effects
-// (retransmissions, recorder fate notes, patterns) in shard order, so
+// (retransmissions and recorder fate notes) in shard order, so
 // faulty runs stay bit-identical across thread counts. The delivery barrier
 // then delivers each message's marked number of copies. With the hook null
 // the executor is byte-for-byte the reliable engine above. `ExecConfig::retry`
@@ -78,7 +78,6 @@
 
 #include "congest/admission.hpp"
 #include "congest/message.hpp"
-#include "congest/pattern.hpp"
 #include "congest/program.hpp"
 #include "congest/schedule_table.hpp"
 #include "fault/fault_injector.hpp"
@@ -93,8 +92,6 @@ namespace dasched {
 
 struct ExecConfig {
   std::uint32_t max_payload_words = kDefaultMaxPayloadWords;
-  /// Record per-algorithm communication patterns (indexed by virtual round).
-  bool record_patterns = false;
   /// Enforce the raw CONGEST bound of one message per directed edge per
   /// big-round -- used by solo_run where big-round == round.
   bool enforce_unit_capacity = false;
@@ -178,9 +175,6 @@ struct ExecutionResult {
   /// max over directed edges of the message load, per big-round.
   std::vector<std::uint32_t> max_load_per_big_round;  // perf-ok: one entry per big-round
   std::uint32_t max_edge_load = 0;
-
-  /// Per-algorithm patterns (virtual-round indexed); only if record_patterns.
-  std::vector<CommunicationPattern> patterns;  // perf-ok: opt-in recording, per run
 
   /// Heap allocations observed during the big-round loop (event execution
   /// plus delivery barriers) -- the steady-state message path. Non-zero only

@@ -1,20 +1,26 @@
 #include "congest/pattern.hpp"
 
 #include <algorithm>
+#include <utility>
 
-#include "congest/executor.hpp"
-
+#include "congest/schedule_table.hpp"
 #include "util/check.hpp"
 
 namespace dasched {
 
-void CommunicationPattern::record(std::uint32_t round, std::uint32_t directed_edge) {
-  DASCHED_CHECK(round >= 1);
-  DASCHED_CHECK(directed_edge < edge_load_.size());
-  if (round > by_round_.size()) by_round_.resize(round);
-  by_round_[round - 1].push_back(directed_edge);
-  ++edge_load_[directed_edge];
-  ++total_;
+CommunicationPattern::CommunicationPattern(std::uint32_t num_directed_edges,
+                                           std::vector<LoadCell> cells)
+    : cells_(std::move(cells)), edge_load_(num_directed_edges, 0) {
+  for (std::size_t i = 0; i < cells_.size(); ++i) {
+    const LoadCell& cell = cells_[i];
+    DASCHED_CHECK(cell.big_round >= 1);
+    DASCHED_CHECK(cell.edge < num_directed_edges);
+    DASCHED_CHECK(cell.load >= 1);
+    DASCHED_CHECK_MSG(i == 0 || cells_[i - 1] < cell,
+                      "pattern cells must be sorted by (round, edge), each once");
+    edge_load_[cell.edge] += cell.load;
+    total_ += cell.load;
+  }
 }
 
 std::uint32_t CommunicationPattern::max_edge_load() const {
@@ -23,43 +29,23 @@ std::uint32_t CommunicationPattern::max_edge_load() const {
   return max_load;
 }
 
-std::span<const std::uint32_t> CommunicationPattern::edges_in_round(
-    std::uint32_t round) const {
-  DASCHED_CHECK(round >= 1);
-  if (round > by_round_.size()) return {};
-  return by_round_[round - 1];
-}
-
-std::vector<LoadCell> CommunicationPattern::cells() const {
-  std::vector<std::uint64_t> keys;
-  keys.reserve(total_);
-  for (std::uint32_t r = 1; r <= by_round_.size(); ++r) {
-    for (const auto d : by_round_[r - 1]) keys.push_back(cell_key(r, d));
-  }
-  std::vector<LoadCell> out;
-  count_cells(keys, out);
-  return out;
-}
-
 std::uint64_t simulation_violations(const Graph& g, const CommunicationPattern& pattern,
                                     const NodeRoundTime& time) {
   std::uint64_t violations = 0;
-  for (std::uint32_t r = 1; r <= pattern.last_message_round(); ++r) {
-    for (const auto d : pattern.edges_in_round(r)) {
-      const EdgeId e = d / 2;
-      const auto [lo, hi] = g.endpoints(e);
-      const NodeId sender = (d % 2 == 0) ? lo : hi;
-      const NodeId receiver = (d % 2 == 0) ? hi : lo;
-      const std::uint32_t sent = time(sender, r);
-      const std::uint32_t consumed = time(receiver, r + 1);
-      if (sent == kNeverScheduled) {
-        // The sender never transmits a message the pattern requires: if the
-        // receiver still executes the consuming round, causality is broken.
-        if (consumed != kNeverScheduled) ++violations;
-        continue;
-      }
-      if (consumed != kNeverScheduled && consumed <= sent) ++violations;
+  for (const LoadCell& cell : pattern.cells()) {
+    const std::uint32_t r = cell.big_round;
+    const auto [lo, hi] = g.endpoints(cell.edge / 2);
+    const NodeId sender = (cell.edge % 2 == 0) ? lo : hi;
+    const NodeId receiver = (cell.edge % 2 == 0) ? hi : lo;
+    const std::uint32_t sent = time(sender, r);
+    const std::uint32_t consumed = time(receiver, r + 1);
+    if (sent == kNeverScheduled) {
+      // The sender never transmits a message the pattern requires: if the
+      // receiver still executes the consuming round, causality is broken.
+      if (consumed != kNeverScheduled) violations += cell.load;
+      continue;
     }
+    if (consumed != kNeverScheduled && consumed <= sent) violations += cell.load;
   }
   return violations;
 }

@@ -21,16 +21,15 @@ namespace dasched {
 class CommunicationPattern {
  public:
   CommunicationPattern() = default;
-  explicit CommunicationPattern(std::uint32_t num_directed_edges)
-      : edge_load_(num_directed_edges, 0) {}
-
-  /// Records a message sent in virtual round `round` (1-based) over directed
-  /// edge `directed_edge`.
-  void record(std::uint32_t round, std::uint32_t directed_edge);
+  /// The pattern whose load surface is `cells`: sorted by (round, edge),
+  /// each (round, edge) at most once, rounds 1-based (virtual rounds), loads
+  /// >= 1 and edges < `num_directed_edges`. Checked; no cells is the empty
+  /// pattern.
+  CommunicationPattern(std::uint32_t num_directed_edges, std::vector<LoadCell> cells);
 
   /// Largest round containing a message (0 if the pattern is empty).
   std::uint32_t last_message_round() const {
-    return static_cast<std::uint32_t>(by_round_.size());
+    return cells_.empty() ? 0 : cells_.back().big_round;
   }
 
   std::uint64_t total_messages() const { return total_; }
@@ -46,18 +45,12 @@ class CommunicationPattern {
     return static_cast<std::uint32_t>(edge_load_.size());
   }
 
-  /// Directed edges used in round r (1-based), in record order; empty span
-  /// past the last round.
-  std::span<const std::uint32_t> edges_in_round(std::uint32_t round) const;
-
   /// The pattern's load surface: one cell per (round, directed edge) pair
   /// that carries a message, sorted by (round, edge).
-  std::vector<LoadCell> cells() const;
+  std::span<const LoadCell> cells() const { return cells_; }
 
  private:
-  // Rows keep record order (the greedy baseline and edges[0] picks read it);
-  // cells() is the sorted surface.
-  std::vector<std::vector<std::uint32_t>> by_round_;  // perf-ok: index r-1 -> edges, opt-in recording
+  std::vector<LoadCell> cells_;           // perf-ok: built once per profile
   std::vector<std::uint32_t> edge_load_;  // perf-ok: per directed edge, sized once
   std::uint64_t total_ = 0;
 };

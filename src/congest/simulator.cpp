@@ -6,11 +6,11 @@ namespace dasched {
 
 namespace {
 
-ExecConfig solo_config(bool record_patterns, TelemetrySink* telemetry) {
+ExecConfig solo_config(TelemetrySink* telemetry, ExecProfiler* profiler) {
   ExecConfig cfg;
-  cfg.record_patterns = record_patterns;
   cfg.enforce_unit_capacity = true;
   cfg.telemetry = telemetry;
+  cfg.profiler = profiler;
   return cfg;
 }
 
@@ -27,25 +27,34 @@ ExecutionResult run_lockstep(Executor& executor, const DistributedAlgorithm& alg
 
 }  // namespace
 
-SoloRunResult solo_run(const Graph& g, const DistributedAlgorithm& algorithm,
-                       TelemetrySink* telemetry) {
-  Executor executor(g, solo_config(true, telemetry));
+SoloRunner::SoloRunner(const Graph& g, TelemetrySink* telemetry)
+    : graph_(g), telemetry_(telemetry), executor_(g, solo_config(telemetry, &profiler_)) {}
 
-  TimedSpan span(telemetry, "simulator", "run");
-  if (telemetry != nullptr) {
-    telemetry->add_counter("simulator.runs", 1);
+SoloRunResult SoloRunner::run(const DistributedAlgorithm& algorithm) {
+  TimedSpan span(telemetry_, "simulator", "run");
+  if (telemetry_ != nullptr) {
+    telemetry_->add_counter("simulator.runs", 1);
     span.arg("rounds", algorithm.rounds());
   }
 
-  auto exec = run_lockstep(executor, algorithm, g.num_nodes());
-  return {std::move(exec.outputs[0]), std::move(exec.patterns[0]), exec.total_messages};
+  auto exec = run_lockstep(executor_, algorithm, graph_.num_nodes());
+  // Big-round t ran virtual round t + 1, and unit capacity keeps every
+  // measured load at 1: the measured surface is the pattern.
+  std::vector<LoadCell> cells(profiler_.cells().begin(), profiler_.cells().end());
+  for (LoadCell& cell : cells) ++cell.big_round;
+  return {std::move(exec.outputs[0]),
+          CommunicationPattern(graph_.num_directed_edges(), std::move(cells))};
 }
 
-SoloRunner::SoloRunner(const Graph& g) : graph_(g), executor_(g, solo_config(false, nullptr)) {}
+SoloRunResult solo_run(const Graph& g, const DistributedAlgorithm& algorithm,
+                       TelemetrySink* telemetry) {
+  return SoloRunner(g, telemetry).run(algorithm);
+}
 
-std::vector<std::vector<std::uint64_t>> SoloRunner::outputs(
-    const DistributedAlgorithm& algorithm) {
-  return std::move(run_lockstep(executor_, algorithm, graph_.num_nodes()).outputs[0]);
+std::vector<std::vector<std::uint64_t>> solo_outputs(const Graph& g,
+                                                     const DistributedAlgorithm& algorithm) {
+  Executor executor(g, solo_config(nullptr, nullptr));
+  return std::move(run_lockstep(executor, algorithm, g.num_nodes()).outputs[0]);
 }
 
 }  // namespace dasched

@@ -5,6 +5,8 @@
 // bound is *enforced* (an algorithm that violates it is not a valid CONGEST
 // algorithm). The solo run yields the algorithm's communication pattern
 // (Section 2) and per-node outputs, which schedulers use as ground truth.
+// The pattern is the run's measured load surface (ExecProfiler cells), its
+// big-rounds renumbered as virtual rounds.
 #pragma once
 
 #include <cstdint>
@@ -14,37 +16,41 @@
 #include "congest/pattern.hpp"
 #include "congest/program.hpp"
 #include "graph/graph.hpp"
+#include "telemetry/profiler.hpp"
 
 namespace dasched {
 
 struct SoloRunResult {
   std::vector<std::vector<std::uint64_t>> outputs;  // perf-ok: per node, filled once per run
   CommunicationPattern pattern;
-  std::uint64_t total_messages = 0;
 };
 
-/// One solo run of `algorithm` on `g` with pattern recording, on a fresh
-/// Executor. `telemetry` (optional, borrowed) instruments the run: a
-/// simulator/run span, the simulator.runs counter and the executor's own
-/// metrics (see executor.hpp).
-SoloRunResult solo_run(const Graph& g, const DistributedAlgorithm& algorithm,
-                       TelemetrySink* telemetry = nullptr);
-
-/// Solo runs for callers that read only outputs and run many algorithms on
-/// one graph -- the Thm 4.1 precomputation passes, one run per clustering or
-/// sharing layer. Same lockstep schedule, unit-capacity bound and checks as
-/// solo_run, but no pattern recording, and one Executor serves every run so
-/// its arenas stay warm across layers.
+/// Solo runs of many algorithms on one graph: one profiled Executor serves
+/// every run, so its arenas and the profiler's stay warm. `telemetry`
+/// (optional, borrowed) instruments each run: a simulator/run span, the
+/// simulator.runs counter and the executor's own metrics (see executor.hpp).
 class SoloRunner {
  public:
-  explicit SoloRunner(const Graph& g);
+  explicit SoloRunner(const Graph& g, TelemetrySink* telemetry = nullptr);
 
-  /// outputs[node] of a solo run of `algorithm`.
-  std::vector<std::vector<std::uint64_t>> outputs(const DistributedAlgorithm& algorithm);
+  /// Outputs and communication pattern of a solo run of `algorithm`.
+  SoloRunResult run(const DistributedAlgorithm& algorithm);
 
  private:
   const Graph& graph_;
+  TelemetrySink* telemetry_;
+  ExecProfiler profiler_;
   Executor executor_;
 };
+
+/// One solo run of `algorithm` on `g`: a one-off SoloRunner.
+SoloRunResult solo_run(const Graph& g, const DistributedAlgorithm& algorithm,
+                       TelemetrySink* telemetry = nullptr);
+
+/// outputs[node] of a solo run of `algorithm`, for callers that read no
+/// pattern (the Thm 4.1 precomputation): the same lockstep schedule,
+/// unit-capacity bound and checks as solo_run, on an unobserved Executor.
+std::vector<std::vector<std::uint64_t>> solo_outputs(const Graph& g,
+                                                     const DistributedAlgorithm& algorithm);
 
 }  // namespace dasched

@@ -27,11 +27,8 @@ LoadProfile delay_load_profile(const ScheduleProblem& problem,
   DASCHED_CHECK(delays.size() == problem.size());
   std::vector<std::uint64_t> keys;
   for (std::size_t a = 0; a < problem.size(); ++a) {
-    const auto& pattern = problem.solo(a).pattern;
-    for (std::uint32_t r = 1; r <= pattern.last_message_round(); ++r) {
-      for (const auto d : pattern.edges_in_round(r)) {
-        keys.push_back(cell_key(delays[a] + r - 1, d));
-      }
+    for (const LoadCell& cell : problem.solo(a).pattern.cells()) {
+      keys.insert(keys.end(), cell.load, cell_key(delays[a] + cell.big_round - 1, cell.edge));
     }
   }
   LoadProfile profile;

@@ -129,7 +129,7 @@ GlobalSharingOutcome GlobalSharingScheduler::run(ScheduleProblem& problem) const
 
   GlobalSharingOutcome out;
   MinIdSeedBroadcast protocol(std::max(1u, diameter), words, cfg_.seed);
-  const auto run = solo_run(g, protocol);
+  const auto outputs = solo_outputs(g, protocol);
   out.precomputation_rounds = protocol.rounds();
 
   // Every node folds the received words into the shared scheduler seed; if
@@ -137,10 +137,10 @@ GlobalSharingOutcome GlobalSharingScheduler::run(ScheduleProblem& problem) const
   out.sharing_complete = true;
   std::uint64_t folded = 0;
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (run.outputs[v][0] != 1) out.sharing_complete = false;
+    if (outputs[v][0] != 1) out.sharing_complete = false;
     std::uint64_t f = 0x9e3779b97f4a7c15ULL;
-    for (std::size_t j = 2; j < run.outputs[v].size(); ++j) {
-      f = seed_combine(f, run.outputs[v][j]);
+    for (std::size_t j = 2; j < outputs[v].size(); ++j) {
+      f = seed_combine(f, outputs[v][j]);
     }
     if (v == 0) {
       folded = f;

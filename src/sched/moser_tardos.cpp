@@ -25,11 +25,9 @@ MoserTardosOutcome MoserTardosScheduler::run(ScheduleProblem& problem) const {
   };
   std::vector<Msg> messages;
   for (std::size_t a = 0; a < k; ++a) {
-    const auto& pattern = problem.solo(a).pattern;
-    for (std::uint32_t r = 1; r <= pattern.last_message_round(); ++r) {
-      for (const auto d : pattern.edges_in_round(r)) {
-        messages.push_back({static_cast<std::uint32_t>(a), r, d});
-      }
+    for (const LoadCell& cell : problem.solo(a).pattern.cells()) {
+      messages.insert(messages.end(), cell.load,
+                      {static_cast<std::uint32_t>(a), cell.big_round, cell.edge});
     }
   }
 

@@ -243,16 +243,14 @@ std::vector<std::uint32_t> PrivateRandomnessScheduler::no_dedup_loads(
 
   std::vector<std::uint64_t> keys;
   for (std::size_t a = 0; a < problem.size(); ++a) {
-    const auto& pattern = problem.solo(a).pattern;
-    for (std::uint32_t r = 1; r <= pattern.last_message_round(); ++r) {
-      for (const auto d : pattern.edges_in_round(r)) {
-        const EdgeId e = d / 2;
-        const auto [lo, hi] = g.endpoints(e);
-        const NodeId sender = (d % 2 == 0) ? lo : hi;
-        for (std::uint32_t l = 0; l < layers; ++l) {
-          if (clustering.layers[l].h_prime[sender] >= r - 1) {
-            keys.push_back(cell_key(delay[l][sender][a] + (r - 1), d));
-          }
+    for (const LoadCell& cell : problem.solo(a).pattern.cells()) {
+      const std::uint32_t r = cell.big_round;
+      const auto [lo, hi] = g.endpoints(cell.edge / 2);
+      const NodeId sender = (cell.edge % 2 == 0) ? lo : hi;
+      for (std::uint32_t l = 0; l < layers; ++l) {
+        if (clustering.layers[l].h_prime[sender] >= r - 1) {
+          keys.insert(keys.end(), cell.load,
+                      cell_key(delay[l][sender][a] + (r - 1), cell.edge));
         }
       }
     }

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "congest/pattern.hpp"
+#include "congest/simulator.hpp"
 #include "util/check.hpp"
 
 namespace dasched {
@@ -24,8 +24,9 @@ std::vector<const DistributedAlgorithm*> ScheduleProblem::algorithm_ptrs() const
 void ScheduleProblem::run_solo() {
   if (solo_done()) return;
   solo_.reserve(algorithms_.size());
+  SoloRunner runner(*graph_);
   for (const auto& a : algorithms_) {
-    solo_.push_back(std::make_shared<const SoloRunResult>(solo_run(*graph_, *a)));
+    solo_.push_back(std::make_shared<const SoloRunResult>(runner.run(*a)));
   }
   congestion_ = sum_congestion();
 }
@@ -100,7 +101,7 @@ std::uint32_t ScheduleProblem::trivial_lower_bound() const {
 std::uint64_t ScheduleProblem::total_messages() const {
   DASCHED_CHECK_MSG(solo_done(), "call run_solo() first");
   std::uint64_t total = 0;
-  for (const auto& s : solo_) total += s->total_messages;
+  for (const auto& s : solo_) total += s->pattern.total_messages();
   return total;
 }
 

@@ -380,7 +380,7 @@ Precomputation RandomnessSharing::run_distributed(const Graph& g,
   const PrecomputeAlgorithm algo(cfg_.seed, clustering.radius_distribution_for_replay(),
                                  clustering.hop_cap, layers, s, cfg_.slack_rounds,
                                  clustering.radius_query_cap);
-  const auto outputs = SoloRunner(g).outputs(algo);
+  const auto outputs = solo_outputs(g, algo);
   seeds.rounds = algo.token_rounds();
   clustering.precomputation_rounds = algo.rounds() - algo.token_rounds();
   run_span.arg("rounds", algo.rounds());

@@ -139,7 +139,7 @@ SchedulerDaemon::Admitted SchedulerDaemon::acquire_profile(Pending pending) {
 
   adm.profile.rounds = algorithm->rounds();
   adm.profile.max_edge_load = solo.pattern.max_edge_load();
-  adm.profile.total_messages = solo.total_messages;
+  adm.profile.total_messages = solo.pattern.total_messages();
   adm.profile.solo = std::make_shared<const SoloRunResult>(std::move(solo));
   cache_.insert(adm.key, adm.profile);
   adm.cache_hit = false;
@@ -201,19 +201,12 @@ void SchedulerDaemon::compose_and_execute(std::uint64_t tick, ServiceResult& res
         range);
 
     // Trial fold: would any (big-round, edge) cell exceed the phase budget?
-    const std::uint32_t last_round = pattern.last_message_round();
-    const std::size_t need_rows = delay + last_round;
-    bool overflow = false;
-    for (std::uint32_t r = 1; r <= last_round && !overflow; ++r) {
-      const std::size_t t = delay + r - 1;
-      if (t >= grid.size()) continue;  // untouched rows hold zero load
-      for (const std::uint32_t d : pattern.edges_in_round(r)) {
-        if (grid[t][d] + 1 > budget_) {
-          overflow = true;
-          break;
-        }
-      }
-    }
+    // Untouched rows hold zero load.
+    const std::size_t need_rows = delay + pattern.last_message_round();
+    const bool overflow = std::ranges::any_of(pattern.cells(), [&](const LoadCell& cell) {
+      const std::size_t t = delay + cell.big_round - 1;
+      return t < grid.size() && grid[t][cell.edge] + cell.load > budget_;
+    });
 
     if (overflow) {
       ++stats_.deferrals;
@@ -234,8 +227,8 @@ void SchedulerDaemon::compose_and_execute(std::uint64_t tick, ServiceResult& res
     // Commit the fold.
     if (grid.size() < need_rows)
       grid.resize(need_rows, std::vector<std::uint32_t>(graph_.num_directed_edges(), 0));
-    for (std::uint32_t r = 1; r <= last_round; ++r) {
-      for (const std::uint32_t d : pattern.edges_in_round(r)) ++grid[delay + r - 1][d];
+    for (const LoadCell& cell : pattern.cells()) {
+      grid[delay + cell.big_round - 1][cell.edge] += cell.load;
     }
     for (std::uint32_t d = 0; d < graph_.num_directed_edges(); ++d) {
       edge_acc[d] += pattern.edge_load(d);

@@ -94,8 +94,8 @@ bool check_certificate(const analysis::PatternCertificate& cert, const SoloRunRe
       bound_violation("last message round", solo.pattern.last_message_round(),
                       cert.last_message_round, at(alg_index));
     }
-    if (solo.total_messages > cert.total_messages) {
-      bound_violation("total messages", solo.total_messages, cert.total_messages,
+    if (solo.pattern.total_messages() > cert.total_messages) {
+      bound_violation("total messages", solo.pattern.total_messages(), cert.total_messages,
                       at(alg_index));
     }
     for (std::uint32_t d = 0; d < num_directed; ++d) {
@@ -117,7 +117,7 @@ bool check_certificate(const analysis::PatternCertificate& cert, const SoloRunRe
   {
     std::ostringstream os;
     os << to_string(cert.kind) << " certificate for " << cert.algorithm << ": "
-       << cells_compared << " cells checked, " << solo.total_messages
+       << cells_compared << " cells checked, " << solo.pattern.total_messages()
        << " executed messages vs " << cert.total_messages << " certified";
     report.add({Severity::kInfo, kCodeCertificateSummary, at(alg_index), os.str(),
                 {{"cells_compared", static_cast<double>(cells_compared)},

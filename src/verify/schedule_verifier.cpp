@@ -173,41 +173,25 @@ Report prove_into(const ScheduleProblem& problem, const ScheduleTable& schedule,
     loads.clear();
     loads.reserve(messages);
   }
+  // A cell of load L stands for L messages: its counts are weighted by L,
+  // and its findings (which would repeat) are reported once.
   for (std::size_t a = 0; a < k; ++a) {
-    const auto& pattern = problem.solo(a).pattern;
     const std::uint32_t rounds = problem.algorithm(a).rounds();
-    for (std::uint32_t r = 1; r <= pattern.last_message_round(); ++r) {
-      for (const auto d : pattern.edges_in_round(r)) {
-        const EdgeId e = d / 2;
-        const auto [lo, hi] = g.endpoints(e);
-        const NodeId sender = (d % 2 == 0) ? lo : hi;
-        const NodeId receiver = (d % 2 == 0) ? hi : lo;
-        const std::uint32_t producer_slot = schedule.at(a, sender, r);
-        // The consumer executes virtual round r + 1; for r == rounds the
-        // consumer is on_finish, which always runs after the whole schedule.
-        const std::uint32_t consumer_slot =
-            r + 1 <= rounds ? schedule.at(a, receiver, r + 1) : kNeverScheduled;
-        if (producer_slot == kNeverScheduled) {
-          // Truncated producer: the message is discarded. Legal only if the
-          // consumer round is truncated too (causally closed discards).
-          if (consumer_slot != kNeverScheduled) {
-            Location loc;
-            loc.alg = static_cast<std::int64_t>(a);
-            loc.node = receiver;
-            loc.vround = r + 1;
-            loc.big_round = consumer_slot;
-            loc.edge = d;
-            std::ostringstream os;
-            os << "consumer round is scheduled but its producer (node " << sender
-               << ", round " << r << ") is truncated: discards are not causally closed";
-            report.add({Severity::kError, kCodeMissingProducer, loc, format_msg(os), {}});
-          }
-          continue;
-        }
-        loads.push_back(cell_key(producer_slot, d));
-        if (consumer_slot == kNeverScheduled) continue;  // discard rule: no constraint
-        ++report.measured.checked_messages;
-        if (consumer_slot <= producer_slot) {
+    for (const LoadCell& cell : problem.solo(a).pattern.cells()) {
+      const std::uint32_t r = cell.big_round;
+      const std::uint32_t d = cell.edge;
+      const auto [lo, hi] = g.endpoints(d / 2);
+      const NodeId sender = (d % 2 == 0) ? lo : hi;
+      const NodeId receiver = (d % 2 == 0) ? hi : lo;
+      const std::uint32_t producer_slot = schedule.at(a, sender, r);
+      // The consumer executes virtual round r + 1; for r == rounds the
+      // consumer is on_finish, which always runs after the whole schedule.
+      const std::uint32_t consumer_slot =
+          r + 1 <= rounds ? schedule.at(a, receiver, r + 1) : kNeverScheduled;
+      if (producer_slot == kNeverScheduled) {
+        // Truncated producer: the message is discarded. Legal only if the
+        // consumer round is truncated too (causally closed discards).
+        if (consumer_slot != kNeverScheduled) {
           Location loc;
           loc.alg = static_cast<std::int64_t>(a);
           loc.node = receiver;
@@ -215,29 +199,45 @@ Report prove_into(const ScheduleProblem& problem, const ScheduleTable& schedule,
           loc.big_round = consumer_slot;
           loc.edge = d;
           std::ostringstream os;
-          os << "consumer big-round " << consumer_slot
-             << " is not strictly after producer big-round " << producer_slot;
-          report.add({Severity::kError, kCodeCausality, loc, format_msg(os),
-                      {{"producer_slot", static_cast<double>(producer_slot)},
-                       {"consumer_slot", static_cast<double>(consumer_slot)}}});
-        } else if (consumer_slot - producer_slot < headroom) {
-          // Static re-proof of the 2^R stretch lemma (fault/reliable.hpp):
-          // the last retransmission lands at producer + 2^R - 1, so the
-          // consumer needs a gap of at least 2^R big-rounds.
-          Location loc;
-          loc.alg = static_cast<std::int64_t>(a);
-          loc.node = receiver;
-          loc.vround = r + 1;
-          loc.big_round = consumer_slot;
-          loc.edge = d;
-          std::ostringstream os;
-          os << "gap of " << (consumer_slot - producer_slot) << " big-rounds < 2^"
-             << opts.retry_budget << ": a final retransmission at "
-             << (producer_slot + headroom - 1) << " could land after the consumer";
-          report.add({Severity::kError, kCodeRetryHeadroom, loc, format_msg(os),
-                      {{"gap", static_cast<double>(consumer_slot - producer_slot)},
-                       {"required", static_cast<double>(headroom)}}});
+          os << "consumer round is scheduled but its producer (node " << sender
+             << ", round " << r << ") is truncated: discards are not causally closed";
+          report.add({Severity::kError, kCodeMissingProducer, loc, format_msg(os), {}});
         }
+        continue;
+      }
+      loads.insert(loads.end(), cell.load, cell_key(producer_slot, d));
+      if (consumer_slot == kNeverScheduled) continue;  // discard rule: no constraint
+      report.measured.checked_messages += cell.load;
+      if (consumer_slot <= producer_slot) {
+        Location loc;
+        loc.alg = static_cast<std::int64_t>(a);
+        loc.node = receiver;
+        loc.vround = r + 1;
+        loc.big_round = consumer_slot;
+        loc.edge = d;
+        std::ostringstream os;
+        os << "consumer big-round " << consumer_slot
+           << " is not strictly after producer big-round " << producer_slot;
+        report.add({Severity::kError, kCodeCausality, loc, format_msg(os),
+                    {{"producer_slot", static_cast<double>(producer_slot)},
+                     {"consumer_slot", static_cast<double>(consumer_slot)}}});
+      } else if (consumer_slot - producer_slot < headroom) {
+        // Static re-proof of the 2^R stretch lemma (fault/reliable.hpp):
+        // the last retransmission lands at producer + 2^R - 1, so the
+        // consumer needs a gap of at least 2^R big-rounds.
+        Location loc;
+        loc.alg = static_cast<std::int64_t>(a);
+        loc.node = receiver;
+        loc.vround = r + 1;
+        loc.big_round = consumer_slot;
+        loc.edge = d;
+        std::ostringstream os;
+        os << "gap of " << (consumer_slot - producer_slot) << " big-rounds < 2^"
+           << opts.retry_budget << ": a final retransmission at "
+           << (producer_slot + headroom - 1) << " could land after the consumer";
+        report.add({Severity::kError, kCodeRetryHeadroom, loc, format_msg(os),
+                    {{"gap", static_cast<double>(consumer_slot - producer_slot)},
+                     {"required", static_cast<double>(headroom)}}});
       }
     }
   }

@@ -117,7 +117,7 @@ TEST(PathRouting, DeliversAlongPath) {
   // Intermediate nodes output nothing.
   EXPECT_TRUE(result.outputs[7].empty());
   // Exactly one message per path edge.
-  EXPECT_EQ(result.total_messages, 6u);
+  EXPECT_EQ(result.pattern.total_messages(), 6u);
   EXPECT_EQ(result.pattern.max_edge_load(), 1u);
   EXPECT_EQ(result.pattern.last_message_round(), 6u);
 }

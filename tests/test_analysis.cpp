@@ -27,6 +27,7 @@
 #include "sched/problem.hpp"
 #include "sched/workloads.hpp"
 #include "util/fingerprint.hpp"
+#include "util/load_cells.hpp"
 #include "util/rng.hpp"
 #include "verify/certificate_check.hpp"
 
@@ -47,6 +48,17 @@ std::vector<std::pair<std::string, Graph>> graph_suite() {
   return suite;
 }
 
+/// `pattern` plus one message per cell_key in `keys` (in any order).
+CommunicationPattern with_messages(const CommunicationPattern& pattern,
+                                   std::vector<std::uint64_t> keys) {
+  for (const LoadCell& cell : pattern.cells()) {
+    keys.insert(keys.end(), cell.load, cell_key(cell.big_round, cell.edge));
+  }
+  std::vector<LoadCell> cells;
+  count_cells(keys, cells);
+  return CommunicationPattern(pattern.num_directed_edges(), std::move(cells));
+}
+
 /// Certificates either exactly match or soundly bound the solo run; the
 /// cross-check must come back clean either way.
 void expect_certified(const Graph& g, const DistributedAlgorithm& alg,
@@ -64,14 +76,14 @@ void expect_certified(const Graph& g, const DistributedAlgorithm& alg,
 
   if (expected_kind == analysis::CertificateKind::kExact) {
     // Belt and braces beyond the cross-check: headline scalars are exact.
-    EXPECT_EQ(cert.total_messages, solo.total_messages);
+    EXPECT_EQ(cert.total_messages, solo.pattern.total_messages());
     EXPECT_EQ(cert.last_message_round, solo.pattern.last_message_round());
     EXPECT_EQ(cert.congestion, solo.pattern.max_edge_load());
     ASSERT_TRUE(cert.has_outputs);
     EXPECT_EQ(cert.outputs, solo.outputs);
   } else {
     EXPECT_GE(cert.congestion, solo.pattern.max_edge_load());
-    EXPECT_GE(cert.total_messages, solo.total_messages);
+    EXPECT_GE(cert.total_messages, solo.pattern.total_messages());
     EXPECT_FALSE(cert.has_outputs);
   }
 }
@@ -165,7 +177,7 @@ TEST(Analysis, ToSoloRoundTripsAsAdoptedProfile) {
   const SoloRunResult synth = cert.to_solo();
   const SoloRunResult executed = solo_run(g, alg);
   EXPECT_EQ(synth.outputs, executed.outputs);
-  EXPECT_EQ(synth.total_messages, executed.total_messages);
+  EXPECT_EQ(synth.pattern.total_messages(), executed.pattern.total_messages());
   EXPECT_EQ(synth.pattern.last_message_round(), executed.pattern.last_message_round());
   for (std::uint32_t d = 0; d < g.num_directed_edges(); ++d) {
     EXPECT_EQ(synth.pattern.edge_load(d), executed.pattern.edge_load(d));
@@ -190,7 +202,7 @@ TEST(Analysis, CorruptedExactCertificateFiresCellAndOutputFindings) {
   const auto solo = solo_run(g, alg);
 
   // Shift one cell: drop nothing, add a phantom message in a quiet round.
-  cert.pattern.record(cert.rounds, 0);
+  cert.pattern = with_messages(cert.pattern, {cell_key(cert.rounds, 0)});
   cert.outputs[1][0] ^= 1;
   const auto report = verify::check_certificate(cert, solo);
   EXPECT_FALSE(report.ok());
@@ -291,24 +303,28 @@ TEST(CertificateCheckGolden, ReportsMatchPinnedDigests) {
     check("envelope_mis_gnp", analysis::analyze(gnp, alg), solo_run(gnp, alg));
   }
   {
-    // Phantom cells recorded in descending edge order inside busy rounds,
+    // Phantom cells added in descending edge order inside busy rounds,
     // on top of cells the run also uses, plus one flipped output.
     const BfsAlgorithm alg(7, 5, 3);
     auto cert = analysis::analyze(grid, alg);
+    std::vector<std::uint64_t> phantom;
     for (std::uint32_t d = grid.num_directed_edges(); d-- > 0;) {
-      if (d % 3 == 0) cert.pattern.record(2, d);
-      if (d % 5 == 1) cert.pattern.record(3, d);
+      if (d % 3 == 0) phantom.push_back(cell_key(2, d));
+      if (d % 5 == 1) phantom.push_back(cell_key(3, d));
     }
+    cert.pattern = with_messages(cert.pattern, std::move(phantom));
     cert.outputs[2][0] ^= 1;
     check("corrupt_exact_bfs_grid", cert, solo_run(grid, alg));
   }
   {
     const GossipAlgorithm alg(0, 6, 0xfeed, 42);
     auto cert = analysis::analyze(gnp, alg);
+    std::vector<std::uint64_t> phantom;
     for (std::uint32_t d = gnp.num_directed_edges(); d-- > 0;) {
-      if (d % 4 == 3) cert.pattern.record(4, d);
+      if (d % 4 == 3) phantom.push_back(cell_key(4, d));
     }
-    cert.pattern.record(cert.rounds, 0);
+    phantom.push_back(cell_key(cert.rounds, 0));
+    cert.pattern = with_messages(cert.pattern, std::move(phantom));
     check("corrupt_exact_gossip_gnp", cert, solo_run(gnp, alg));
   }
   {
@@ -316,9 +332,8 @@ TEST(CertificateCheckGolden, ReportsMatchPinnedDigests) {
     // cells: one-sided cells on both sides of the join.
     const GossipAlgorithm alg(0, 6, 0xfeed, 42);
     auto cert = analysis::analyze(gnp, alg);
-    cert.pattern = CommunicationPattern(gnp.num_directed_edges());
-    cert.pattern.record(2, 5);
-    cert.pattern.record(2, 1);
+    cert.pattern = with_messages(CommunicationPattern(gnp.num_directed_edges(), {}),
+                                 {cell_key(2, 5), cell_key(2, 1)});
     check("corrupt_exact_empty_gossip_gnp", cert, solo_run(gnp, alg));
   }
   {

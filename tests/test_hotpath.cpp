@@ -16,6 +16,8 @@
 
 #include <algorithm>
 
+#include "algos/bfs.hpp"
+#include "analysis/analyzer.hpp"
 #include "congest/executor.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
@@ -238,6 +240,25 @@ TEST(HotPathAllocations, CongestionIsSummedOnceWhenSoloResultsAreSet) {
   before = alloc_count();
   EXPECT_EQ(adopted->congestion(), expected);
   EXPECT_EQ(alloc_count(), before);
+}
+
+// Adopting an exact certificate as a solo profile copies the node outputs and
+// the pattern's fixed vectors (its cells and per-edge loads), not one vector
+// per round: n outputs plus the outer outputs vector and the two pattern
+// vectors, with one to spare.
+TEST(HotPathAllocations, ExactCertificateToSoloCopiesNoPerRoundVectors) {
+  ASSERT_TRUE(alloc_counting_linked());
+  const auto g = make_grid(6, 6);
+  const BfsAlgorithm alg(0, 12, 3);
+  const auto cert = analysis::analyze(g, alg);
+  ASSERT_TRUE(cert.exact() && cert.has_outputs);
+  ASSERT_GT(cert.pattern.last_message_round(), 4u);
+  const std::uint64_t before = alloc_count();
+  const SoloRunResult solo = cert.to_solo();
+  const std::uint64_t allocations = alloc_count() - before;
+  EXPECT_LE(allocations, std::uint64_t{g.num_nodes()} + 4);
+  EXPECT_EQ(solo.outputs, cert.outputs);
+  EXPECT_TRUE(std::ranges::equal(solo.pattern.cells(), cert.pattern.cells()));
 }
 
 TEST(HotPathAllocations, SteadyStateMessagePathIsAllocationFree) {

@@ -1,8 +1,9 @@
-// Communication-pattern tests (Section 2): time-expanded footprint recording,
-// its load surface, congestion combination (ScheduleProblem::congestion), and
+// Communication-pattern tests (Section 2): time-expanded footprints built from
+// counted messages, their load surface, congestion combination (ScheduleProblem::congestion), and
 // the simulation-mapping validator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "algos/bfs.hpp"
@@ -13,9 +14,25 @@
 #include "sched/private_scheduler.hpp"
 #include "sched/problem.hpp"
 #include "sched/workloads.hpp"
+#include "util/load_cells.hpp"
 
 namespace dasched {
 namespace {
+
+/// The pattern of the messages `keys` (cell_key(round, directed edge) values,
+/// in any order, repeats counted).
+CommunicationPattern pattern_of(std::uint32_t num_directed_edges,
+                                std::vector<std::uint64_t> keys) {
+  std::vector<LoadCell> cells;
+  count_cells(keys, cells);
+  return CommunicationPattern(num_directed_edges, std::move(cells));
+}
+
+/// Cells of `p` in round `r`.
+std::size_t cells_in_round(const CommunicationPattern& p, std::uint32_t r) {
+  return static_cast<std::size_t>(std::ranges::count_if(
+      p.cells(), [r](const LoadCell& cell) { return cell.big_round == r; }));
+}
 
 /// congestion() of a problem on `g` whose solo patterns are `patterns` (the
 /// algorithms are placeholders and never run).
@@ -24,47 +41,48 @@ std::uint32_t congestion_of(const Graph& g, std::vector<CommunicationPattern> pa
   std::vector<std::shared_ptr<const SoloRunResult>> solo;
   for (auto& pattern : patterns) {
     problem.add(std::make_unique<BroadcastAlgorithm>(0, 1, 0, 1));
-    const std::uint64_t total = pattern.total_messages();
-    solo.push_back(
-        std::make_shared<const SoloRunResult>(SoloRunResult{{}, std::move(pattern), total}));
+    solo.push_back(std::make_shared<const SoloRunResult>(SoloRunResult{{}, std::move(pattern)}));
   }
   problem.adopt_solo(std::move(solo));
   return problem.congestion();
 }
 
 TEST(Pattern, RecordAndQuery) {
-  CommunicationPattern p(6);
-  p.record(1, 0);
-  p.record(1, 2);
-  p.record(3, 0);
+  const auto p = pattern_of(6, {cell_key(1, 0), cell_key(1, 2), cell_key(3, 0)});
   EXPECT_EQ(p.last_message_round(), 3u);
   EXPECT_EQ(p.total_messages(), 3u);
   EXPECT_EQ(p.edge_load(0), 2u);
   EXPECT_EQ(p.edge_load(2), 1u);
   EXPECT_EQ(p.edge_load(5), 0u);
   EXPECT_EQ(p.max_edge_load(), 2u);
-  ASSERT_EQ(p.edges_in_round(1).size(), 2u);
-  EXPECT_TRUE(p.edges_in_round(2).empty());
-  EXPECT_TRUE(p.edges_in_round(9).empty());
+  EXPECT_EQ(cells_in_round(p, 1), 2u);
+  EXPECT_EQ(cells_in_round(p, 2), 0u);
+  EXPECT_EQ(cells_in_round(p, 9), 0u);
 }
 
 TEST(Pattern, CellsCountRecordsInRoundEdgeOrder) {
-  CommunicationPattern p(6);
-  p.record(3, 0);
-  p.record(1, 5);
-  p.record(1, 2);
-  p.record(1, 5);
-  EXPECT_EQ(p.cells(), (std::vector<LoadCell>{{1, 2, 1}, {1, 5, 2}, {3, 0, 1}}));
-  EXPECT_TRUE(CommunicationPattern(6).cells().empty());
+  const auto p = pattern_of(6, {cell_key(3, 0), cell_key(1, 5), cell_key(1, 2), cell_key(1, 5)});
+  EXPECT_TRUE(std::ranges::equal(p.cells(),
+                                 std::vector<LoadCell>{{1, 2, 1}, {1, 5, 2}, {3, 0, 1}}));
+  EXPECT_EQ(p.total_messages(), 4u);
+  EXPECT_EQ(p.edge_load(5), 2u);
+  EXPECT_TRUE(CommunicationPattern(6, {}).cells().empty());
+}
+
+TEST(PatternDeathTest, ConstructorRejectsMalformedCells) {
+  const auto build = [](std::vector<LoadCell> cells) {
+    return CommunicationPattern(6, std::move(cells));
+  };
+  EXPECT_DEATH((void)build({{2, 1, 1}, {1, 3, 1}}), "sorted");
+  EXPECT_DEATH((void)build({{1, 3, 1}, {1, 3, 1}}), "sorted");
+  EXPECT_DEATH((void)build({{0, 1, 1}}), "big_round >= 1");
+  EXPECT_DEATH((void)build({{1, 6, 1}}), "num_directed_edges");
+  EXPECT_DEATH((void)build({{1, 2, 0}}), "load >= 1");
 }
 
 TEST(Pattern, CombinedCongestionSumsPerEdge) {
-  CommunicationPattern a(4);
-  CommunicationPattern b(4);
-  a.record(1, 1);
-  a.record(2, 1);
-  b.record(5, 1);
-  b.record(1, 3);
+  const auto a = pattern_of(4, {cell_key(1, 1), cell_key(2, 1)});
+  const auto b = pattern_of(4, {cell_key(5, 1), cell_key(1, 3)});
   EXPECT_EQ(congestion_of(make_path(3), {a, b}), 3u);
   EXPECT_EQ(congestion_of(make_path(3), {b}), 1u);
 }
@@ -72,23 +90,22 @@ TEST(Pattern, CombinedCongestionSumsPerEdge) {
 TEST(Pattern, EmptyPatternHasZeroEverything) {
   // A node program that never sends (or a zero-round algorithm) still has a
   // well-formed footprint: all queries return the additive identities.
-  const CommunicationPattern p(5);
+  const CommunicationPattern p(5, {});
   EXPECT_EQ(p.last_message_round(), 0u);
   EXPECT_EQ(p.total_messages(), 0u);
   EXPECT_EQ(p.max_edge_load(), 0u);
   for (std::uint32_t d = 0; d < 5; ++d) EXPECT_EQ(p.edge_load(d), 0u);
-  EXPECT_TRUE(p.edges_in_round(1).empty());
-  EXPECT_TRUE(p.edges_in_round(100).empty());
+  EXPECT_TRUE(p.cells().empty());
+  EXPECT_TRUE(CommunicationPattern().cells().empty());
 }
 
 TEST(Pattern, QueriesPastTheLastMessageRoundAreEmptyNotFatal) {
-  CommunicationPattern p(3);
-  p.record(2, 1);
+  const auto p = pattern_of(3, {cell_key(2, 1)});
   EXPECT_EQ(p.last_message_round(), 2u);
-  // Certificate cross-checks iterate the union of both sides' rounds, so
-  // reads far past last_message_round must be cheap no-ops.
-  EXPECT_TRUE(p.edges_in_round(3).empty());
-  EXPECT_TRUE(p.edges_in_round(1u << 20).empty());
+  // Rounds before the first message and past the last one hold no cells.
+  EXPECT_EQ(cells_in_round(p, 1), 0u);
+  EXPECT_EQ(cells_in_round(p, 3), 0u);
+  EXPECT_EQ(cells_in_round(p, 1u << 20), 0u);
   EXPECT_EQ(p.total_messages(), 1u);
 }
 
@@ -96,18 +113,18 @@ TEST(Pattern, SingleEdgeGraphFootprint) {
   // The smallest nontrivial topology: one undirected edge, two directed ids.
   const Graph g = make_path(2);
   ASSERT_EQ(g.num_directed_edges(), 2u);
-  CommunicationPattern p(g.num_directed_edges());
-  p.record(1, 0);
-  p.record(1, 1);
-  p.record(2, 0);
+  const auto p =
+      pattern_of(g.num_directed_edges(), {cell_key(1, 0), cell_key(1, 1), cell_key(2, 0)});
   EXPECT_EQ(p.max_edge_load(), 2u);
   EXPECT_EQ(p.total_messages(), 3u);
-  ASSERT_EQ(p.edges_in_round(1).size(), 2u);
+  EXPECT_EQ(cells_in_round(p, 1), 2u);
   EXPECT_EQ(congestion_of(g, {p}), 2u);
 }
 
 TEST(Pattern, CombinedCongestionOfNothingIsZero) {
-  EXPECT_EQ(congestion_of(make_path(3), {CommunicationPattern(4), CommunicationPattern(4)}), 0u);
+  EXPECT_EQ(
+      congestion_of(make_path(3), {CommunicationPattern(4, {}), CommunicationPattern(4, {})}),
+      0u);
 }
 
 TEST(Pattern, BfsPatternIsUnknowableButRecordable) {
@@ -117,14 +134,12 @@ TEST(Pattern, BfsPatternIsUnknowableButRecordable) {
   const auto g = make_path(6);
   BfsAlgorithm algo(0, 5, 1);
   const auto result = solo_run(g, algo);
-  for (std::uint32_t r = 1; r <= 5; ++r) {
+  EXPECT_EQ(result.pattern.last_message_round(), 5u);
+  for (const LoadCell& cell : result.pattern.cells()) {
     // In round r, node r-1 floods both directions (except ends).
-    for (const auto d : result.pattern.edges_in_round(r)) {
-      const EdgeId e = d / 2;
-      const auto [lo, hi] = g.endpoints(e);
-      const NodeId sender = (d % 2 == 0) ? lo : hi;
-      EXPECT_EQ(sender, r - 1);
-    }
+    const auto [lo, hi] = g.endpoints(cell.edge / 2);
+    const NodeId sender = (cell.edge % 2 == 0) ? lo : hi;
+    EXPECT_EQ(sender, cell.big_round - 1);
   }
 }
 

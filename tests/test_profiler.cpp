@@ -16,6 +16,7 @@
 //     post-mortem dump before the engine aborts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <fstream>
@@ -439,17 +440,14 @@ TEST(FlightRecorderDeathTest, AdmissionRejectionWritesPostMortemDump) {
   // gate); instead invert causality for one receiving node of algorithm 1 so
   // the verifier rejects the table.
   ScheduleTable wrong = in.schedule;
-  const auto& pattern = in.problem->solo(1).pattern;
-  std::int64_t victim = -1;
-  for (std::uint32_t r = 1; r < in.problem->algorithm(1).rounds() && victim < 0; ++r) {
-    const auto edges = pattern.edges_in_round(r);
-    if (!edges.empty()) {
-      const auto [lo, hi] = in.g.endpoints(edges.front() / 2);
-      victim = edges.front() % 2 == 0 ? hi : lo;
-    }
-  }
-  ASSERT_GE(victim, 0);
-  const auto row = wrong.row_mut(1, static_cast<NodeId>(victim));
+  const auto cells = in.problem->solo(1).pattern.cells();
+  const std::uint32_t rounds = in.problem->algorithm(1).rounds();
+  const auto first = std::ranges::find_if(
+      cells, [rounds](const LoadCell& cell) { return cell.big_round < rounds; });
+  ASSERT_NE(first, cells.end());
+  const auto [lo, hi] = in.g.endpoints(first->edge / 2);
+  const NodeId victim = first->edge % 2 == 0 ? hi : lo;
+  const auto row = wrong.row_mut(1, victim);
   for (std::uint32_t r = 1; r <= row.size(); ++r) row[r - 1] = r - 1;
 
   const std::string path = testing::TempDir() + "dasched_admission_dump.json";

@@ -656,7 +656,7 @@ void poison_cache(SchedulerDaemon& daemon, const Graph& g, const JobSpec& victim
   JobProfile poison;
   poison.rounds = victim.rounds();
   poison.max_edge_load = wrong->pattern.max_edge_load();
-  poison.total_messages = wrong->total_messages;
+  poison.total_messages = wrong->pattern.total_messages();
   poison.solo = wrong;
   daemon.mutable_cache().insert(
       ProfileKey{victim.fingerprint(), graph_fingerprint(g)}, poison);

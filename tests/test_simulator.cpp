@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "algos/broadcast.hpp"
 #include "algos/path_routing.hpp"
 #include "congest/executor.hpp"
@@ -59,7 +61,7 @@ TEST(Simulator, PingPongCountsRounds) {
   // Rounds 1..6 alternate sends; each send increments the counter once.
   EXPECT_EQ(result.outputs[0].at(0), 6u);  // node 0 absorbed node 1's round-6 reply? see below
   EXPECT_EQ(result.outputs[1].at(0), 5u);
-  EXPECT_EQ(result.total_messages, 6u);
+  EXPECT_EQ(result.pattern.total_messages(), 6u);
   EXPECT_EQ(result.pattern.last_message_round(), 6u);
   EXPECT_EQ(result.pattern.max_edge_load(), 3u);  // 3 messages each direction
 }
@@ -79,7 +81,8 @@ TEST(Simulator, BroadcastPatternOnPath) {
 
 TEST(SoloRunner, ReusedEngineMatchesSimulatorOutputs) {
   // One SoloRunner serves algorithms of different rounds and widths in
-  // sequence; every run must reproduce solo_run's outputs.
+  // sequence; every run must reproduce solo_run's outputs and pattern, and
+  // solo_outputs' outputs.
   const auto g = make_cycle(9);
   BroadcastAlgorithm a(0, 6, 31, 41);
   PingPong b(5, 3);
@@ -87,7 +90,12 @@ TEST(SoloRunner, ReusedEngineMatchesSimulatorOutputs) {
   const DistributedAlgorithm* algos[] = {&a, &b, &c, &a};
   SoloRunner runner(g);
   for (const auto* algo : algos) {
-    EXPECT_EQ(runner.outputs(*algo), solo_run(g, *algo).outputs) << algo->name();
+    const auto reused = runner.run(*algo);
+    const auto fresh = solo_run(g, *algo);
+    EXPECT_EQ(reused.outputs, fresh.outputs) << algo->name();
+    EXPECT_TRUE(std::ranges::equal(reused.pattern.cells(), fresh.pattern.cells()))
+        << algo->name();
+    EXPECT_EQ(solo_outputs(g, *algo), fresh.outputs) << algo->name();
   }
 }
 
@@ -225,27 +233,6 @@ TEST(Executor, LoadAccountingMatchesHandCount) {
   const auto fixed = exec.fixed_phase(2);
   EXPECT_EQ(fixed.physical_rounds, 8u);
   EXPECT_EQ(fixed.overflowing_phases, 0u);
-}
-
-TEST(Executor, RecordsPatternsIdenticalToSimulator) {
-  const auto g = make_grid(3, 3);
-  BroadcastAlgorithm algo(4, 4, 5, 9);
-  const auto solo = solo_run(g, algo);
-
-  ExecConfig cfg;
-  cfg.record_patterns = true;
-  Executor executor(g, cfg);
-  const DistributedAlgorithm* algos[] = {&algo};
-  const auto schedule = ScheduleTable::from_fn(
-      algos, g.num_nodes(), [](std::size_t, NodeId, std::uint32_t r) { return 5 * r; });
-  const auto exec = executor.run(algos, schedule);
-
-  ASSERT_EQ(exec.patterns.size(), 1u);
-  EXPECT_EQ(exec.patterns[0].total_messages(), solo.pattern.total_messages());
-  EXPECT_EQ(exec.patterns[0].max_edge_load(), solo.pattern.max_edge_load());
-  for (std::uint32_t d = 0; d < g.num_directed_edges(); ++d) {
-    EXPECT_EQ(exec.patterns[0].edge_load(d), solo.pattern.edge_load(d));
-  }
 }
 
 }  // namespace

@@ -16,7 +16,7 @@
 //     and 4 threads, and the flight recorder's post-mortem dump),
 //   * retries on faulty runs landing in their consumer's owner
 //     deterministically across thread counts,
-//   * every observer (profiler, flight recorder, telemetry, patterns) on
+//   * every observer (profiler, flight recorder, telemetry) on
 //     faulty runs whose rounds put the owners on the pool: identical
 //     observations at every thread count,
 //   * zero steady-state allocations through the pooled path, observed or not.
@@ -194,7 +194,6 @@ TEST(TiledBarrier, OwnerBoundariesAreInvisibleInResults) {
           cfg.profiler = &profiler;
           cfg.recorder = &recorder;
           cfg.telemetry = &metrics;
-          cfg.record_patterns = true;
         }
         const auto r = Executor(g, cfg).run(algos, schedule);
         SweepRun out{result_fingerprint(r), r.faults, {}, {}};
@@ -398,7 +397,7 @@ TEST(TiledBarrier, RetriesCrossTileBoundariesDeterministically) {
 // be identical at every thread count: the profiler's cells and their
 // (round, edge) order, the flight recorder's barrier ring (every fate,
 // delivery and round summary -- the worker rings are per worker by design),
-// the recorded patterns, FaultStats, and the executor.* telemetry apart from
+// FaultStats, and the executor.* telemetry apart from
 // the executor.parallel.* dispatch counts. ---
 
 struct Observation {
@@ -406,7 +405,6 @@ struct Observation {
   std::vector<LoadCell> cells;
   std::string profile_json;
   std::string barrier_ring;
-  std::vector<std::vector<std::uint32_t>> pattern_edges;  // per (alg, round)
   std::map<std::string, std::uint64_t, std::less<>> counters;
   std::size_t edge_load_samples = 0;
   double edge_load_sum = 0;
@@ -446,7 +444,6 @@ Observation observe(const ObservedInstance& in, const FaultInjector& injector,
   cfg.profiler = &profiler;
   cfg.recorder = &recorder;
   cfg.telemetry = &metrics;
-  cfg.record_patterns = true;
   Observation o;
   o.result = Executor(in.base.g, cfg).run(in.algos, stretch_for_retries(in.schedule, retry));
   o.cells = profiler.cells();
@@ -455,12 +452,6 @@ Observation observe(const ObservedInstance& in, const FaultInjector& injector,
   const auto ring = dump.find("\"ring\":\"barrier\"");
   EXPECT_NE(ring, std::string::npos);
   o.barrier_ring = dump.substr(ring);
-  for (const auto& pattern : o.result.patterns) {
-    for (std::uint32_t r = 1; r <= pattern.last_message_round(); ++r) {
-      const auto edges = pattern.edges_in_round(r);
-      o.pattern_edges.emplace_back(edges.begin(), edges.end());
-    }
-  }
   for (const auto& [name, value] : metrics.counters()) {
     if (name.rfind("executor.parallel.", 0) != 0) o.counters.emplace(name, value);
   }
@@ -511,7 +502,6 @@ TEST(TiledBarrier, ObserversAreThreadCountInvariantAtPooledScale) {
       EXPECT_TRUE(serial.cells == o.cells);
       EXPECT_EQ(serial.profile_json, o.profile_json);
       EXPECT_EQ(serial.barrier_ring, o.barrier_ring);
-      EXPECT_EQ(serial.pattern_edges, o.pattern_edges);
       EXPECT_EQ(serial.counters, o.counters);
       EXPECT_EQ(serial.edge_load_samples, o.edge_load_samples);
       EXPECT_EQ(serial.edge_load_sum, o.edge_load_sum);

@@ -83,6 +83,16 @@ NodeId receiver_of(const Graph& g, std::uint32_t directed) {
   return directed % 2 == 0 ? hi : lo;
 }
 
+/// Algorithm a's first solo message that a later round consumes (round <
+/// rounds(a); round-rounds(a) messages feed on_finish), or null.
+const LoadCell* first_consumed(const ScheduleProblem& problem, std::size_t a) {
+  const auto cells = problem.solo(a).pattern.cells();
+  const auto rounds = problem.algorithm(a).rounds();
+  const auto it = std::ranges::find_if(
+      cells, [rounds](const LoadCell& cell) { return cell.big_round < rounds; });
+  return it == cells.end() ? nullptr : &*it;
+}
+
 std::vector<std::string> codes(const Report& r) { return r.error_codes(); }
 
 std::string table_str(const Report& r) {
@@ -116,7 +126,9 @@ TEST(CheckSchedule, GapIsFlagged) {
   std::uint32_t hit_round = 0;
   for (std::uint32_t r = 1; r < rounds && hit_node < 0; ++r) {
     std::vector<bool> sends(f.g.num_nodes(), false);
-    for (const auto d : pattern.edges_in_round(r)) sends[sender_of(f.g, d)] = true;
+    for (const LoadCell& cell : pattern.cells()) {
+      if (cell.big_round == r) sends[sender_of(f.g, cell.edge)] = true;
+    }
     for (NodeId v = 0; v < f.g.num_nodes(); ++v) {
       if (!sends[v]) {
         hit_node = v;
@@ -139,7 +151,9 @@ TEST(CheckSchedule, OrderInversionIsFlagged) {
   // constraint.
   const auto& pattern = f.problem->solo(0).pattern;
   std::vector<bool> receives_r1(f.g.num_nodes(), false);
-  for (const auto d : pattern.edges_in_round(1)) receives_r1[receiver_of(f.g, d)] = true;
+  for (const LoadCell& cell : pattern.cells()) {
+    if (cell.big_round == 1) receives_r1[receiver_of(f.g, cell.edge)] = true;
+  }
   std::int64_t victim = -1;
   for (NodeId v = 0; v < f.g.num_nodes(); ++v) {
     if (!receives_r1[v]) {
@@ -168,15 +182,10 @@ TEST(CheckSchedule, CausalityInversionIsFlagged) {
   // Algorithm 1 starts at offset rounds(0) >= 1. Rewriting one receiving
   // node's row to lockstep (big-round r - 1) puts every inbound consumer slot
   // at or before its producer slot while the row itself stays well-formed.
-  const auto& pattern = f.problem->solo(1).pattern;
-  const std::uint32_t rounds = f.problem->algorithm(1).rounds();
-  std::int64_t victim = -1;
-  for (std::uint32_t r = 1; r < rounds && victim < 0; ++r) {
-    const auto edges = pattern.edges_in_round(r);
-    if (!edges.empty()) victim = receiver_of(f.g, edges.front());
-  }
-  ASSERT_GE(victim, 0) << "fixture: algorithm 1 must deliver at least one message";
-  const auto row = f.valid.row_mut(1, static_cast<NodeId>(victim));
+  const auto* first = first_consumed(*f.problem, 1);
+  ASSERT_NE(first, nullptr) << "fixture: algorithm 1 must deliver at least one message";
+  const auto victim = receiver_of(f.g, first->edge);
+  const auto row = f.valid.row_mut(1, victim);
   for (std::uint32_t r = 1; r <= row.size(); ++r) row[r - 1] = r - 1;
   const auto report = check_schedule(*f.problem, f.valid, {});
   EXPECT_EQ(codes(report), std::vector<std::string>{verify::kCodeCausality})
@@ -187,18 +196,11 @@ TEST(CheckSchedule, MissingProducerIsFlagged) {
   auto f = make_fixture();
   // Truncate the whole row of a node that sends: its messages survive in the
   // consumers' schedules, so the discard set is not causally closed.
-  const auto& pattern = f.problem->solo(0).pattern;
-  std::uint32_t sends_round = 0;
-  std::int64_t victim = -1;
-  for (std::uint32_t r = 1; r < f.problem->algorithm(0).rounds() && victim < 0; ++r) {
-    const auto edges = pattern.edges_in_round(r);
-    if (!edges.empty()) {
-      victim = sender_of(f.g, edges.front());
-      sends_round = r;
-    }
-  }
-  ASSERT_GE(victim, 0);
-  const auto row = f.valid.row_mut(0, static_cast<NodeId>(victim));
+  const auto* first = first_consumed(*f.problem, 0);
+  ASSERT_NE(first, nullptr);
+  const std::uint32_t sends_round = first->big_round;
+  const auto victim = sender_of(f.g, first->edge);
+  const auto row = f.valid.row_mut(0, victim);
   for (auto& slot : row) slot = kNeverScheduled;
   const auto report = check_schedule(*f.problem, f.valid, {});
   EXPECT_EQ(codes(report), std::vector<std::string>{verify::kCodeMissingProducer})
@@ -213,16 +215,16 @@ TEST(CheckSchedule, CongestionOverrunIsFlagged) {
   // Lockstep co-schedules all four broadcasts; their frontiers collide on
   // some directed edge in some round (asserted, deterministic seeds), which
   // overruns a unit phase budget.
-  bool collision = false;
-  for (std::uint32_t r = 1; r <= f.problem->dilation() && !collision; ++r) {
-    std::vector<std::uint8_t> used(f.g.num_directed_edges(), 0);
-    for (std::size_t a = 0; a < f.problem->size(); ++a) {
-      for (const auto d : f.problem->solo(a).pattern.edges_in_round(r)) {
-        if (used[d]) collision = true;
-        used[d] = 1;
-      }
+  std::vector<std::uint64_t> keys;
+  for (std::size_t a = 0; a < f.problem->size(); ++a) {
+    for (const LoadCell& cell : f.problem->solo(a).pattern.cells()) {
+      keys.push_back(cell_key(cell.big_round, cell.edge));
     }
   }
+  std::vector<LoadCell> cells;
+  count_cells(keys, cells);
+  const bool collision =
+      std::ranges::any_of(cells, [](const LoadCell& cell) { return cell.load > 1; });
   ASSERT_TRUE(collision) << "fixture: lockstep broadcasts must collide somewhere";
   const auto lockstep = ScheduleTable::lockstep(f.algos, f.g.num_nodes());
   VerifyOptions opts;
@@ -411,14 +413,12 @@ LoadMap reference_loads(const ScheduleProblem& problem, const ScheduleTable& tab
                         std::vector<std::uint64_t>* keys = nullptr) {
   LoadMap loads;
   for (std::size_t a = 0; a < problem.size(); ++a) {
-    const auto& pattern = problem.solo(a).pattern;
-    for (std::uint32_t r = 1; r <= pattern.last_message_round(); ++r) {
-      for (const auto d : pattern.edges_in_round(r)) {
-        const std::uint32_t slot = table.at(a, sender_of(problem.graph(), d), r);
-        if (slot == kNeverScheduled) continue;
-        ++loads[{slot, d}];
-        if (keys != nullptr) keys->push_back(cell_key(slot, d));
-      }
+    for (const LoadCell& cell : problem.solo(a).pattern.cells()) {
+      const std::uint32_t d = cell.edge;
+      const std::uint32_t slot = table.at(a, sender_of(problem.graph(), d), cell.big_round);
+      if (slot == kNeverScheduled) continue;
+      loads[{slot, d}] += cell.load;
+      if (keys != nullptr) keys->insert(keys->end(), cell.load, cell_key(slot, d));
     }
   }
   return loads;
@@ -594,14 +594,10 @@ TEST(VerifyingAdmission, AdmittingGateLeavesExecutionIdentical) {
 TEST(VerifyingAdmissionDeathTest, RejectingGateAbortsBeforeExecution) {
   auto f = make_fixture();
   // Invert causality for one receiving node of algorithm 1 (as above).
-  const auto& pattern = f.problem->solo(1).pattern;
-  std::int64_t victim = -1;
-  for (std::uint32_t r = 1; r < f.problem->algorithm(1).rounds() && victim < 0; ++r) {
-    const auto edges = pattern.edges_in_round(r);
-    if (!edges.empty()) victim = receiver_of(f.g, edges.front());
-  }
-  ASSERT_GE(victim, 0);
-  const auto row = f.valid.row_mut(1, static_cast<NodeId>(victim));
+  const auto* first = first_consumed(*f.problem, 1);
+  ASSERT_NE(first, nullptr);
+  const auto victim = receiver_of(f.g, first->edge);
+  const auto row = f.valid.row_mut(1, victim);
   for (std::uint32_t r = 1; r <= row.size(); ++r) row[r - 1] = r - 1;
 
   verify::VerifyingAdmission gate(*f.problem);
@@ -660,17 +656,10 @@ TEST(VerifyingAdmissionMemoDeathTest, TableChangedAfterTheProofIsRejected) {
 
   // Move one producer slot of algorithm 1 onto its consumer's big-round: the
   // message is then consumed in the big-round that sends it.
-  const auto& pattern = f.problem->solo(1).pattern;
-  std::uint32_t round = 0;
-  std::uint32_t edge = 0;
-  for (std::uint32_t r = 1; r < f.problem->algorithm(1).rounds() && round == 0; ++r) {
-    const auto edges = pattern.edges_in_round(r);
-    if (!edges.empty()) {
-      round = r;
-      edge = edges.front();
-    }
-  }
-  ASSERT_GT(round, 0u) << "fixture: algorithm 1 must deliver at least one message";
+  const auto* first = first_consumed(*f.problem, 1);
+  ASSERT_NE(first, nullptr) << "fixture: algorithm 1 must deliver at least one message";
+  const std::uint32_t round = first->big_round;
+  const std::uint32_t edge = first->edge;
   const NodeId sender = sender_of(f.g, edge);
   const NodeId receiver = receiver_of(f.g, edge);
   f.valid.set(1, sender, round, f.valid.at(1, receiver, round + 1));
