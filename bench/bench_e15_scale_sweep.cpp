@@ -54,7 +54,9 @@ class FloodProgram final : public NodeProgram {
 
   void on_finish(VirtualContext& ctx) override { absorb(ctx); }
 
-  std::vector<std::uint64_t> output() const override { return {acc_}; }
+  void write_output(std::vector<std::uint64_t>& words) const override {
+    words.push_back(acc_);
+  }
 
  private:
   void absorb(VirtualContext& ctx) {
@@ -82,8 +84,8 @@ class FloodAlgorithm final : public DistributedAlgorithm {
     return f;
   }
   std::uint32_t rounds() const override { return rounds_; }
-  std::unique_ptr<NodeProgram> make_program(NodeId node) const override {
-    return std::make_unique<FloodProgram>(node);
+  NodeProgram& construct_program(NodeId node, ProgramArena& arena) const override {
+    return arena.make<FloodProgram>(node);
   }
 
  private:

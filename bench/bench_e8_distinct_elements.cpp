@@ -39,7 +39,7 @@ void print_tables() {
     params.iterations = 64;
     const auto exact = exact_distinct_counts(g, values, params.radius);
 
-    auto accuracy = [&](const std::vector<std::vector<std::uint64_t>>& outputs) {
+    auto accuracy = [&](const NodeOutputs& outputs) {
       std::uint32_t within = 0;
       const double tol = params.rho * params.rho;
       for (NodeId v = 0; v < n; ++v) {

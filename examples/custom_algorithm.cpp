@@ -9,6 +9,11 @@
 // state machine driven by (input baked in at construction, ctx.rng(), and
 // the inbox). Follow it and every scheduler in this library can run your
 // algorithm as a black box and guarantee solo-equivalent outputs.
+//
+// Two hooks connect it to the engine: the algorithm's construct_program
+// builds each node's program in the executor's arena (arena.make<P>), and
+// the program's write_output appends its output words to the algorithm's
+// flat output table once the run is over.
 #include <algorithm>
 #include <cstdio>
 #include <iostream>
@@ -45,8 +50,8 @@ class LocalLeaderProgram final : public NodeProgram {
 
   void on_finish(VirtualContext& ctx) override { absorb(ctx); }
 
-  std::vector<std::uint64_t> output() const override {
-    return {best_priority_, best_id_, best_id_ == self_ ? 1ULL : 0ULL};
+  void write_output(std::vector<std::uint64_t>& words) const override {
+    words.insert(words.end(), {best_priority_, best_id_, best_id_ == self_ ? 1ULL : 0ULL});
   }
 
  private:
@@ -76,10 +81,9 @@ class LocalLeaderAlgorithm final : public DistributedAlgorithm {
 
   std::string name() const override { return "local-leader"; }
   std::uint32_t rounds() const override { return radius_; }
-  std::unique_ptr<NodeProgram> make_program(NodeId node) const override {
+  NodeProgram& construct_program(NodeId node, ProgramArena& arena) const override {
     // Priorities are part of the input: deterministic per (instance, node).
-    return std::make_unique<LocalLeaderProgram>(node,
-                                                splitmix64(priority_seed_ ^ node));
+    return arena.make<LocalLeaderProgram>(node, splitmix64(priority_seed_ ^ node));
   }
 
  private:

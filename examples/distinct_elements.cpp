@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
   params.iterations = 64;
   const auto exact = exact_distinct_counts(g, values, radius);
 
-  auto accuracy = [&](const std::vector<std::vector<std::uint64_t>>& outputs) {
+  auto accuracy = [&](const NodeOutputs& outputs) {
     std::uint32_t within = 0;
     for (NodeId v = 0; v < n; ++v) {
       const double est = static_cast<double>(outputs[v][1]);

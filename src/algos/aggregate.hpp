@@ -30,7 +30,7 @@ class AggregateAlgorithm final : public DistributedAlgorithm {
 
   std::string name() const override { return "aggregate"; }
   std::uint32_t rounds() const override { return 3 * radius_ + 1; }
-  std::unique_ptr<NodeProgram> make_program(NodeId node) const override;
+  NodeProgram& construct_program(NodeId node, ProgramArena& arena) const override;
   StaticFootprint static_footprint() const override {
     return StaticFootprint::three_phase_aggregate(root_, radius_);
   }

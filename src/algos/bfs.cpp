@@ -26,9 +26,12 @@ class BfsProgram final : public NodeProgram {
 
   void on_finish(VirtualContext& ctx) override { absorb(ctx); }
 
-  std::vector<std::uint64_t> output() const override {
-    if (!reached_) return {0, ~std::uint64_t{0}, ~std::uint64_t{0}};
-    return {1, distance_, parent_};
+  void write_output(std::vector<std::uint64_t>& words) const override {
+    if (!reached_) {
+      words.insert(words.end(), {0, ~std::uint64_t{0}, ~std::uint64_t{0}});
+    } else {
+      words.insert(words.end(), {1, distance_, parent_});
+    }
   }
 
  private:
@@ -49,8 +52,8 @@ class BfsProgram final : public NodeProgram {
 
 }  // namespace
 
-std::unique_ptr<NodeProgram> BfsAlgorithm::make_program(NodeId node) const {
-  return std::make_unique<BfsProgram>(node, node == source_);
+NodeProgram& BfsAlgorithm::construct_program(NodeId node, ProgramArena& arena) const {
+  return arena.make<BfsProgram>(node, node == source_);
 }
 
 }  // namespace dasched

@@ -27,7 +27,7 @@ class BfsAlgorithm final : public DistributedAlgorithm {
 
   std::string name() const override { return "bfs"; }
   std::uint32_t rounds() const override { return max_hops_; }
-  std::unique_ptr<NodeProgram> make_program(NodeId node) const override;
+  NodeProgram& construct_program(NodeId node, ProgramArena& arena) const override;
   StaticFootprint static_footprint() const override {
     return StaticFootprint::flood(source_, StaticFootprint::Outputs::kBfs);
   }

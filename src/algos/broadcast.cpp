@@ -26,9 +26,9 @@ class BroadcastProgram final : public NodeProgram {
 
   void on_finish(VirtualContext& ctx) override { absorb(ctx); }
 
-  std::vector<std::uint64_t> output() const override {
-    return {received_ ? 1ULL : 0ULL, value_,
-            received_ ? std::uint64_t{distance_} : ~std::uint64_t{0}};
+  void write_output(std::vector<std::uint64_t>& words) const override {
+    words.insert(words.end(), {received_ ? 1ULL : 0ULL, value_,
+                               received_ ? std::uint64_t{distance_} : ~std::uint64_t{0}});
   }
 
  private:
@@ -50,8 +50,8 @@ class BroadcastProgram final : public NodeProgram {
 
 }  // namespace
 
-std::unique_ptr<NodeProgram> BroadcastAlgorithm::make_program(NodeId node) const {
-  return std::make_unique<BroadcastProgram>(node == source_, value_);
+NodeProgram& BroadcastAlgorithm::construct_program(NodeId node, ProgramArena& arena) const {
+  return arena.make<BroadcastProgram>(node == source_, value_);
 }
 
 }  // namespace dasched

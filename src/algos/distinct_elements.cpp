@@ -89,7 +89,7 @@ class DistinctElementsProgram final : public NodeProgram {
 
   void on_finish(VirtualContext& ctx) override { absorb(ctx); }
 
-  std::vector<std::uint64_t> output() const override {
+  void write_output(std::vector<std::uint64_t>& words) const override {
     const auto& p = algo_.params();
     // Majority per threshold; the estimate index is the last threshold whose
     // majority of OR-indicators is 1 (monotone w.h.p.).
@@ -104,7 +104,7 @@ class DistinctElementsProgram final : public NodeProgram {
     }
     const auto estimate =
         static_cast<std::uint64_t>(std::llround(std::pow(p.rho, j_hat)));
-    return {j_hat, estimate};
+    words.insert(words.end(), {j_hat, estimate});
   }
 
  private:
@@ -126,8 +126,8 @@ class DistinctElementsProgram final : public NodeProgram {
 
 }  // namespace
 
-std::unique_ptr<NodeProgram> DistinctElementsAlgorithm::make_program(NodeId node) const {
-  return std::make_unique<DistinctElementsProgram>(
+NodeProgram& DistinctElementsAlgorithm::construct_program(NodeId node, ProgramArena& arena) const {
+  return arena.make<DistinctElementsProgram>(
       *this, node, fold_seed(node_seeds_[node]), values_[node]);
 }
 

@@ -50,7 +50,7 @@ class DistinctElementsAlgorithm final : public DistributedAlgorithm {
 
   std::string name() const override { return "distinct-elements"; }
   std::uint32_t rounds() const override { return total_rounds_; }
-  std::unique_ptr<NodeProgram> make_program(NodeId node) const override;
+  NodeProgram& construct_program(NodeId node, ProgramArena& arena) const override;
   /// Deliberately opaque -- and the fallback is tight here: the OR-flood has
   /// every node sending on every incident edge in every round, which is
   /// exactly the whole-bandwidth surface the analyzer assumes. Payload width

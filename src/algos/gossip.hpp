@@ -32,7 +32,7 @@ class GossipAlgorithm final : public DistributedAlgorithm {
 
   std::string name() const override { return "push-gossip"; }
   std::uint32_t rounds() const override { return rounds_; }
-  std::unique_ptr<NodeProgram> make_program(NodeId node) const override;
+  NodeProgram& construct_program(NodeId node, ProgramArena& arena) const override;
   /// Exact despite the coin flips: per-node randomness is fixed at start from
   /// (base seed, node), so the analyzer replays the pushes centrally.
   StaticFootprint static_footprint() const override {

@@ -39,8 +39,8 @@ class LubyMisProgram final : public NodeProgram {
 
   void on_finish(VirtualContext& ctx) override { absorb(ctx); }
 
-  std::vector<std::uint64_t> output() const override {
-    return {decided_ ? 1ULL : 0ULL, in_mis_ ? 1ULL : 0ULL};
+  void write_output(std::vector<std::uint64_t>& words) const override {
+    words.insert(words.end(), {decided_ ? 1ULL : 0ULL, in_mis_ ? 1ULL : 0ULL});
   }
 
  private:
@@ -67,7 +67,7 @@ class LubyMisProgram final : public NodeProgram {
 
 }  // namespace
 
-std::unique_ptr<NodeProgram> LubyMisAlgorithm::make_program(NodeId node) const {
+NodeProgram& LubyMisAlgorithm::construct_program(NodeId node, ProgramArena& arena) const {
   const bool seeded = !node_seeds_.empty();
   std::uint64_t seed = 0;
   if (seeded) {
@@ -75,7 +75,7 @@ std::unique_ptr<NodeProgram> LubyMisAlgorithm::make_program(NodeId node) const {
     seed = 0x9e3779b97f4a7c15ULL;
     for (const auto w : node_seeds_[node]) seed = seed_combine(seed, w);
   }
-  return std::make_unique<LubyMisProgram>(node, seed, seeded);
+  return arena.make<LubyMisProgram>(node, seed, seeded);
 }
 
 std::pair<std::uint64_t, std::uint64_t> check_mis(const Graph& g,

@@ -42,7 +42,7 @@ class LubyMisAlgorithm final : public DistributedAlgorithm {
 
   std::string name() const override { return "luby-mis"; }
   std::uint32_t rounds() const override { return 2 * phases_; }
-  std::unique_ptr<NodeProgram> make_program(NodeId node) const override;
+  NodeProgram& construct_program(NodeId node, ProgramArena& arena) const override;
   /// Sound upper-bound envelope: a directed edge carries at most one priority
   /// announcement per phase (only undecided nodes send in round A) and at
   /// most one join announcement ever (a node joins once, then is silent), so

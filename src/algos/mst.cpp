@@ -351,13 +351,12 @@ class PipelineMstProgram final : public NodeProgram {
 
   void on_finish(VirtualContext& ctx) override { absorb_upcast(ctx, ~0u); }
 
-  std::vector<std::uint64_t> output() const override {
-    std::vector<std::uint64_t> out;
+  void write_output(std::vector<std::uint64_t>& words) const override {
+    const std::size_t first = words.size();
     for (std::size_t i = 0; i < incident_.size(); ++i) {
-      if (is_frag_edge_[i] || is_mst_edge_[i]) out.push_back(incident_[i].edge);
+      if (is_frag_edge_[i] || is_mst_edge_[i]) words.push_back(incident_[i].edge);
     }
-    std::sort(out.begin(), out.end());
-    return out;
+    std::sort(words.begin() + static_cast<std::ptrdiff_t>(first), words.end());
   }
 
  private:
@@ -768,8 +767,8 @@ PipelineMstAlgorithm::PipelineMstAlgorithm(const Graph& g,
       target_fragments_(target_fragments),
       plan_(plan_mst(g, weights_, target_fragments)) {}
 
-std::unique_ptr<NodeProgram> PipelineMstAlgorithm::make_program(NodeId node) const {
-  return std::make_unique<PipelineMstProgram>(*this, node);
+NodeProgram& PipelineMstAlgorithm::construct_program(NodeId node, ProgramArena& arena) const {
+  return arena.make<PipelineMstProgram>(*this, node);
 }
 
 }  // namespace dasched

@@ -76,7 +76,7 @@ class PipelineMstAlgorithm final : public DistributedAlgorithm {
 
   std::string name() const override { return "pipeline-mst"; }
   std::uint32_t rounds() const override { return plan_.total_rounds; }
-  std::unique_ptr<NodeProgram> make_program(NodeId node) const override;
+  NodeProgram& construct_program(NodeId node, ProgramArena& arena) const override;
   /// Deliberately opaque: the pattern depends on the data-driven fragment
   /// evolution (which edges are MWOEs, where fragments merge), so the
   /// analyzer falls back to the conservative whole-bandwidth bound. The

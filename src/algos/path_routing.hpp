@@ -29,7 +29,7 @@ class PathRoutingAlgorithm final : public DistributedAlgorithm {
   std::uint32_t rounds() const override {
     return static_cast<std::uint32_t>(path_.size()) - 1;
   }
-  std::unique_ptr<NodeProgram> make_program(NodeId node) const override;
+  NodeProgram& construct_program(NodeId node, ProgramArena& arena) const override;
   StaticFootprint static_footprint() const override {
     return StaticFootprint::fixed_path(path_, packet_value_);
   }

@@ -46,17 +46,20 @@ void analyze_flood(const Graph& g, const StaticFootprint& fp, std::uint32_t T,
   seal_exact(cert, g, keys);
 
   cert.has_outputs = true;
-  cert.outputs.resize(g.num_nodes());
+  cert.outputs.reserve(g.num_nodes(), 3 * std::size_t{g.num_nodes()});
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     const bool reached = dist[v] != kUnreachable && dist[v] <= T;
     if (fp.outputs == StaticFootprint::Outputs::kBroadcast) {
-      cert.outputs[v] = reached ? std::vector<std::uint64_t>{1, fp.payload, dist[v]}
-                                : std::vector<std::uint64_t>{0, 0, kNoOutput};
+      if (reached) {
+        cert.outputs.push_back({1, fp.payload, dist[v]});
+      } else {
+        cert.outputs.push_back({0, 0, kNoOutput});
+      }
       continue;
     }
     // kBfs: parent is the min-id neighbor one layer closer (self at the root).
     if (!reached) {
-      cert.outputs[v] = {0, kNoOutput, kNoOutput};
+      cert.outputs.push_back({0, kNoOutput, kNoOutput});
       continue;
     }
     NodeId parent = v;
@@ -70,7 +73,7 @@ void analyze_flood(const Graph& g, const StaticFootprint& fp, std::uint32_t T,
       }
       DASCHED_CHECK(parent != kInvalidNode);
     }
-    cert.outputs[v] = {1, dist[v], parent};
+    cert.outputs.push_back({1, dist[v], parent});
   }
 }
 
@@ -124,12 +127,12 @@ void analyze_aggregate(const Graph& g, const StaticFootprint& fp, std::uint64_t 
   const std::uint64_t global = subtree[fp.source];
 
   cert.has_outputs = true;
-  cert.outputs.resize(g.num_nodes());
+  cert.outputs.reserve(g.num_nodes(), 4 * std::size_t{g.num_nodes()});
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     if (dist[v] == kUnreachable) {
-      cert.outputs[v] = {0, kNoOutput, local(v), 0};
+      cert.outputs.push_back({0, kNoOutput, local(v), 0});
     } else {
-      cert.outputs[v] = {1, dist[v], subtree[v], global};
+      cert.outputs.push_back({1, dist[v], subtree[v], global});
     }
   }
 }
@@ -165,11 +168,13 @@ void analyze_gossip(const Graph& g, const StaticFootprint& fp, std::uint32_t T,
   seal_exact(cert, g, keys);
 
   cert.has_outputs = true;
-  cert.outputs.resize(g.num_nodes());
+  cert.outputs.reserve(g.num_nodes(), 3 * std::size_t{g.num_nodes()});
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    cert.outputs[v] = informed_round[v] != uninformed
-                          ? std::vector<std::uint64_t>{1, fp.payload, informed_round[v]}
-                          : std::vector<std::uint64_t>{0, 0, kNoOutput};
+    if (informed_round[v] != uninformed) {
+      cert.outputs.push_back({1, fp.payload, informed_round[v]});
+    } else {
+      cert.outputs.push_back({0, 0, kNoOutput});
+    }
   }
 }
 
@@ -185,8 +190,14 @@ void analyze_path(const Graph& g, const StaticFootprint& fp, PatternCertificate&
   seal_exact(cert, g, keys);
 
   cert.has_outputs = true;
-  cert.outputs.resize(g.num_nodes());
-  cert.outputs[fp.path.back()] = {1, fp.payload};
+  cert.outputs.reserve(g.num_nodes(), 2);
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (v == fp.path.back()) {
+      cert.outputs.push_back({1, fp.payload});
+    } else {
+      cert.outputs.push_back(OutputView{});
+    }
+  }
 }
 
 }  // namespace

@@ -20,7 +20,7 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
+#include <utility>
 
 #include "congest/pattern.hpp"
 #include "congest/simulator.hpp"
@@ -54,7 +54,7 @@ struct PatternCertificate {
   CommunicationPattern pattern;
   /// Per-node outputs; populated iff has_outputs (kExact shapes only).
   bool has_outputs = false;
-  std::vector<std::vector<std::uint64_t>> outputs;  // perf-ok: filled once per analysis
+  NodeOutputs outputs;
 
   bool exact() const { return kind == CertificateKind::kExact; }
 
@@ -62,14 +62,21 @@ struct PatternCertificate {
   /// the scheduling stack consumes (ScheduleProblem::adopt_solo, the service
   /// profile cache) -- the "admission without execution" path. The caller
   /// still routes the result through the verifier gate, same as any adopted
-  /// profile.
-  SoloRunResult to_solo() const {
+  /// profile. The lvalue overload copies the output table and the pattern;
+  /// the rvalue one moves them out and allocates nothing.
+  SoloRunResult to_solo() const& {
+    check_solo();
+    return {outputs, pattern};
+  }
+  SoloRunResult to_solo() && {
+    check_solo();
+    return {std::move(outputs), std::move(pattern)};
+  }
+
+ private:
+  void check_solo() const {
     DASCHED_CHECK_MSG(exact() && has_outputs,
                       "to_solo needs an exact certificate with outputs");
-    SoloRunResult solo;
-    solo.outputs = outputs;
-    solo.pattern = pattern;
-    return solo;
   }
 };
 

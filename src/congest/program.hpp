@@ -17,15 +17,53 @@
 // T with the round-T messages; this is where outputs are finalized. Thus a
 // node's output depends on initial states within its T-hop ball -- the
 // "dilation-neighborhood" of the paper.
+//
+// Writing an algorithm
+// --------------------
+// An algorithm is a DistributedAlgorithm subclass plus a NodeProgram
+// subclass. The executor builds one program per (algorithm, node) for every
+// run, in a ProgramArena it owns and reuses across runs:
+//
+//   class EchoProgram final : public NodeProgram {
+//    public:
+//     explicit EchoProgram(std::uint64_t value) : value_(value) {}
+//     void on_round(VirtualContext& ctx) override {
+//       for (const auto& h : ctx.neighbors()) ctx.send(h.neighbor, {value_});
+//     }
+//     void write_output(std::vector<std::uint64_t>& words) const override {
+//       words.push_back(value_);
+//     }
+//    private:
+//     std::uint64_t value_;
+//   };
+//
+//   NodeProgram& EchoAlgorithm::construct_program(NodeId node,
+//                                                 ProgramArena& arena) const {
+//     return arena.make<EchoProgram>(std::uint64_t{node});
+//   }
+//
+// construct_program builds the node's program in place with arena.make<P>;
+// the program lives until the run has collected its outputs. After on_finish,
+// write_output appends the node's output words to the algorithm's flat output
+// table (congest/node_outputs.hpp); a node that appends nothing has an empty
+// output. A program may own heap members -- the arena runs its destructor --
+// but one that allocates nothing keeps a warm run free of allocations.
+//
+// make_program and output() are the older heap-allocating pair. The base
+// construct_program adopts make_program's result and the base write_output
+// appends output(), so an algorithm that still overrides them runs
+// unchanged; new algorithms override construct_program and write_output.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "congest/footprint.hpp"
 #include "congest/message.hpp"
+#include "congest/program_arena.hpp"
 #include "graph/graph.hpp"
 #include "util/rng.hpp"
 
@@ -78,19 +116,27 @@ class VirtualContext {
 };
 
 /// Per-node program: override on_round (rounds 1..T) and optionally
-/// on_finish (receives the round-T inbox; may not send). output() is read
-/// after on_finish.
+/// on_finish (receives the round-T inbox; may not send). write_output is
+/// called once, after on_finish, on nodes that completed.
 class NodeProgram {
  public:
   virtual ~NodeProgram() = default;
   virtual void on_round(VirtualContext& ctx) = 0;
   virtual void on_finish(VirtualContext& ctx) { (void)ctx; }
+  /// Appends this node's output words to `words`, the algorithm's flat
+  /// output table. The default appends output().
+  virtual void write_output(std::vector<std::uint64_t>& words) const {
+    const auto out = output();
+    words.insert(words.end(), out.begin(), out.end());
+  }
+  /// Compatibility adapter read by the default write_output; new programs
+  /// override write_output instead.
   virtual std::vector<std::uint64_t> output() const { return {}; }
 };
 
 /// An algorithm instance: a program factory plus its round budget T and the
 /// base seed from which per-node private randomness is derived. Concrete
-/// algorithms bake node inputs into the programs they create.
+/// algorithms bake node inputs into the programs they construct.
 class DistributedAlgorithm {
  public:
   virtual ~DistributedAlgorithm() = default;
@@ -101,7 +147,20 @@ class DistributedAlgorithm {
   /// contribution to `dilation`.
   virtual std::uint32_t rounds() const = 0;
 
-  virtual std::unique_ptr<NodeProgram> make_program(NodeId node) const = 0;
+  /// Builds node `node`'s program in `arena` (arena.make<P>(...)) and
+  /// returns it. The executor calls this once per node per run. The default
+  /// adopts make_program(node).
+  virtual NodeProgram& construct_program(NodeId node, ProgramArena& arena) const {
+    return arena.adopt(make_program(node));
+  }
+
+  /// Compatibility adapter for the default construct_program: a heap-built
+  /// program. Overriding neither hook is a contract failure.
+  virtual std::unique_ptr<NodeProgram> make_program(NodeId node) const {
+    (void)node;
+    DASCHED_CHECK_MSG(false, "algorithm overrides neither construct_program nor make_program");
+    return nullptr;
+  }
 
   /// Base seed; the executor derives node v's Rng as
   /// Rng(seed_combine(base_seed(), v)), making solo and scheduled executions

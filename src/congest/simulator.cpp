@@ -51,8 +51,7 @@ SoloRunResult solo_run(const Graph& g, const DistributedAlgorithm& algorithm,
   return SoloRunner(g, telemetry).run(algorithm);
 }
 
-std::vector<std::vector<std::uint64_t>> solo_outputs(const Graph& g,
-                                                     const DistributedAlgorithm& algorithm) {
+NodeOutputs solo_outputs(const Graph& g, const DistributedAlgorithm& algorithm) {
   Executor executor(g, solo_config(nullptr, nullptr));
   return std::move(run_lockstep(executor, algorithm, g.num_nodes()).outputs[0]);
 }

@@ -21,7 +21,7 @@
 namespace dasched {
 
 struct SoloRunResult {
-  std::vector<std::vector<std::uint64_t>> outputs;  // perf-ok: per node, filled once per run
+  NodeOutputs outputs;
   CommunicationPattern pattern;
 };
 
@@ -50,7 +50,6 @@ SoloRunResult solo_run(const Graph& g, const DistributedAlgorithm& algorithm,
 /// outputs[node] of a solo run of `algorithm`, for callers that read no
 /// pattern (the Thm 4.1 precomputation): the same lockstep schedule,
 /// unit-capacity bound and checks as solo_run, on an unobserved Executor.
-std::vector<std::vector<std::uint64_t>> solo_outputs(const Graph& g,
-                                                     const DistributedAlgorithm& algorithm);
+NodeOutputs solo_outputs(const Graph& g, const DistributedAlgorithm& algorithm);
 
 }  // namespace dasched

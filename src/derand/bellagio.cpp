@@ -61,16 +61,17 @@ BellagioResult run_bellagio(const Graph& g, std::uint32_t algorithm_rounds,
   result.execution_rounds = static_cast<std::uint64_t>(result.num_layers) * t;
 
   // --- Each node adopts the output of a fully-containing layer. ---
-  result.outputs.assign(n, {});
   result.valid.assign(n, 0);
   for (NodeId v = 0; v < n; ++v) {
+    OutputView adopted;
     for (std::size_t l = 0; l < clustering.num_layers(); ++l) {
       if (clustering.layers[l].h_prime[v] >= algorithm_rounds && exec.completed[l][v]) {
-        result.outputs[v] = exec.outputs[l][v];
+        adopted = exec.outputs[l][v];
         result.valid[v] = 1;
         break;
       }
     }
+    result.outputs.push_back(adopted);
     if (!result.valid[v]) ++result.uncovered_nodes;
   }
   return result;

@@ -47,7 +47,7 @@ struct BellagioConfig {
 struct BellagioResult {
   /// outputs[v]: the output node v adopts (from its first fully-containing
   /// layer); empty if the node had no valid layer (valid[v] == 0).
-  std::vector<std::vector<std::uint64_t>> outputs;
+  NodeOutputs outputs;
   std::vector<std::uint8_t> valid;
   std::uint64_t precomputation_rounds = 0;  // Lemmas 4.2 + 4.3
   std::uint64_t execution_rounds = 0;       // num_layers * T

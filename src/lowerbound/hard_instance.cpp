@@ -77,10 +77,12 @@ class HardInstanceProgram final : public NodeProgram {
     }
   }
 
-  std::vector<std::uint64_t> output() const override {
-    if (role_.is_spine) return {state_, got_state_ ? 1ULL : 0ULL};
-    if (is_member_) return {received_, got_state_ ? 1ULL : 0ULL};
-    return {};
+  void write_output(std::vector<std::uint64_t>& words) const override {
+    if (role_.is_spine) {
+      words.insert(words.end(), {state_, got_state_ ? 1ULL : 0ULL});
+    } else if (is_member_) {
+      words.insert(words.end(), {received_, got_state_ ? 1ULL : 0ULL});
+    }
   }
 
  private:
@@ -122,8 +124,8 @@ std::uint64_t HardInstanceAlgorithm::expected_spine_state(NodeId p) const {
   return state;
 }
 
-std::unique_ptr<NodeProgram> HardInstanceAlgorithm::make_program(NodeId node) const {
-  return std::make_unique<HardInstanceProgram>(*this, node);
+NodeProgram& HardInstanceAlgorithm::construct_program(NodeId node, ProgramArena& arena) const {
+  return arena.make<HardInstanceProgram>(*this, node);
 }
 
 std::unique_ptr<ScheduleProblem> make_hard_instance(const Graph& g,

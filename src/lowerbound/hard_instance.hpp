@@ -44,7 +44,7 @@ class HardInstanceAlgorithm final : public DistributedAlgorithm {
 
   std::string name() const override { return "hard-instance"; }
   std::uint32_t rounds() const override { return 2 * layers_; }
-  std::unique_ptr<NodeProgram> make_program(NodeId node) const override;
+  NodeProgram& construct_program(NodeId node, ProgramArena& arena) const override;
 
   /// Spine/member exchanges are single-word state values.
   StaticFootprint static_footprint() const override {

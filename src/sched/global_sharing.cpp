@@ -37,7 +37,7 @@ class MinIdSeedBroadcast final : public DistributedAlgorithm {
     return f;
   }
   std::uint32_t rounds() const override { return 2 * diameter_ + words_ + 3; }
-  std::unique_ptr<NodeProgram> make_program(NodeId node) const override;
+  NodeProgram& construct_program(NodeId node, ProgramArena& arena) const override;
 
   std::uint32_t diameter() const { return diameter_; }
   std::uint32_t words() const { return words_; }
@@ -79,13 +79,12 @@ class MinIdSeedProgram final : public NodeProgram {
 
   void on_finish(VirtualContext& ctx) override { absorb(ctx); }
 
-  std::vector<std::uint64_t> output() const override {
-    std::vector<std::uint64_t> out = {words_.size() == algo_.words() ? 1ULL : 0ULL, best_};
+  void write_output(std::vector<std::uint64_t>& words) const override {
+    words.insert(words.end(), {words_.size() == algo_.words() ? 1ULL : 0ULL, best_});
     for (std::uint32_t j = 0; j < algo_.words(); ++j) {
       const auto it = words_.find(j);
-      out.push_back(it == words_.end() ? 0 : it->second);
+      words.push_back(it == words_.end() ? 0 : it->second);
     }
-    return out;
   }
 
  private:
@@ -111,8 +110,8 @@ class MinIdSeedProgram final : public NodeProgram {
   std::deque<std::pair<std::uint32_t, std::uint64_t>> queue_;
 };
 
-std::unique_ptr<NodeProgram> MinIdSeedBroadcast::make_program(NodeId node) const {
-  return std::make_unique<MinIdSeedProgram>(*this, node);
+NodeProgram& MinIdSeedBroadcast::construct_program(NodeId node, ProgramArena& arena) const {
+  return arena.make<MinIdSeedProgram>(*this, node);
 }
 
 }  // namespace

@@ -75,7 +75,7 @@ class PrecomputeAlgorithm final : public DistributedAlgorithm {
   std::uint32_t rounds() const override {
     return token_rounds_ + announce_rounds_ + query_cap_;
   }
-  std::unique_ptr<NodeProgram> make_program(NodeId node) const override;
+  NodeProgram& construct_program(NodeId node, ProgramArena& arena) const override;
 
   const TruncatedExponentialRadius& dist() const { return dist_; }
   std::uint32_t hop_cap() const { return hop_cap_; }
@@ -127,11 +127,12 @@ class PrecomputeProgram final : public NodeProgram {
 
   void on_finish(VirtualContext& ctx) override { absorb(ctx); }
 
-  std::vector<std::uint64_t> output() const override {
+  void write_output(std::vector<std::uint64_t>& words) const override {
     const std::uint32_t s = algo_.words();
-    std::vector<std::uint64_t> out(std::size_t{algo_.layers()} * (3 + s), 0);
+    const std::size_t first = words.size();
+    words.resize(first + std::size_t{algo_.layers()} * (3 + s), 0);
     for (std::uint32_t l = 0; l < algo_.layers(); ++l) {
-      std::uint64_t* o = out.data() + std::size_t{l} * (3 + s);
+      std::uint64_t* o = words.data() + first + std::size_t{l} * (3 + s);
       o[0] = min_label_[l];
       o[1] = (boundary_ >> l & 1) != 0 ? 0 : h_prime_[l];
       // Every label in min_label_ was first seen by init or absorb_tokens,
@@ -145,7 +146,6 @@ class PrecomputeProgram final : public NodeProgram {
         ++o[2];
       }
     }
-    return out;
   }
 
  private:
@@ -352,8 +352,8 @@ class PrecomputeProgram final : public NodeProgram {
   std::uint64_t fresh_ = 0;               // layers to forward in this BFS round
 };
 
-std::unique_ptr<NodeProgram> PrecomputeAlgorithm::make_program(NodeId) const {
-  return std::make_unique<PrecomputeProgram>(*this);
+NodeProgram& PrecomputeAlgorithm::construct_program(NodeId, ProgramArena& arena) const {
+  return arena.make<PrecomputeProgram>(*this);
 }
 
 }  // namespace

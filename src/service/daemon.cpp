@@ -121,7 +121,7 @@ SchedulerDaemon::Admitted SchedulerDaemon::acquire_profile(Pending pending) {
   if (cfg_.static_admission) {
     analysis::PatternCertificate cert = analysis::analyze(graph_, *algorithm);
     if (cert.exact() && cert.has_outputs) {
-      solo = cert.to_solo();
+      solo = std::move(cert).to_solo();
       from_static = true;
     }
   }
@@ -174,14 +174,17 @@ void SchedulerDaemon::compose_and_execute(std::uint64_t tick, ServiceResult& res
 
   // Incremental composition: fold jobs into the live load grid one at a
   // time. edge_acc holds the summed solo loads of everything accepted so
-  // far; grid[t][d] the composed per-cell loads. Accepted jobs keep their
-  // delays -- only the newcomer draws fresh randomness. The grid is dense,
-  // not a LoadCell surface: a trial fold then touches only the newcomer's
-  // cells, where a sorted surface would make it linear in the cohort.
+  // far; grid_[t * E + d] the composed per-cell loads over the first
+  // grid_rows big-rounds, each row zeroed as it comes into use. Accepted
+  // jobs keep their delays -- only the newcomer draws fresh randomness. The
+  // grid is dense, not a LoadCell surface: a trial fold then touches only
+  // the newcomer's cells, where a sorted surface would make it linear in the
+  // cohort.
   std::vector<Admitted> cohort;
   std::vector<Pending> deferred;
-  std::vector<std::uint32_t> edge_acc(graph_.num_directed_edges(), 0);
-  std::vector<std::vector<std::uint32_t>> grid;  // [big_round][directed edge]
+  const std::size_t num_edges = graph_.num_directed_edges();
+  std::vector<std::uint32_t> edge_acc(num_edges, 0);
+  std::size_t grid_rows = 0;
 
   for (auto& pending : queue_) {
     Admitted adm = acquire_profile(std::move(pending));
@@ -205,7 +208,7 @@ void SchedulerDaemon::compose_and_execute(std::uint64_t tick, ServiceResult& res
     const std::size_t need_rows = delay + pattern.last_message_round();
     const bool overflow = std::ranges::any_of(pattern.cells(), [&](const LoadCell& cell) {
       const std::size_t t = delay + cell.big_round - 1;
-      return t < grid.size() && grid[t][cell.edge] + cell.load > budget_;
+      return t < grid_rows && grid_[t * num_edges + cell.edge] + cell.load > budget_;
     });
 
     if (overflow) {
@@ -225,10 +228,14 @@ void SchedulerDaemon::compose_and_execute(std::uint64_t tick, ServiceResult& res
     }
 
     // Commit the fold.
-    if (grid.size() < need_rows)
-      grid.resize(need_rows, std::vector<std::uint32_t>(graph_.num_directed_edges(), 0));
+    if (grid_rows < need_rows) {
+      if (grid_.size() < need_rows * num_edges) grid_.resize(need_rows * num_edges);
+      std::fill(grid_.begin() + static_cast<std::ptrdiff_t>(grid_rows * num_edges),
+                grid_.begin() + static_cast<std::ptrdiff_t>(need_rows * num_edges), 0);
+      grid_rows = need_rows;
+    }
     for (const LoadCell& cell : pattern.cells()) {
-      grid[delay + cell.big_round - 1][cell.edge] += cell.load;
+      grid_[(delay + cell.big_round - 1) * num_edges + cell.edge] += cell.load;
     }
     for (std::uint32_t d = 0; d < graph_.num_directed_edges(); ++d) {
       edge_acc[d] += pattern.edge_load(d);

@@ -272,6 +272,9 @@ class SchedulerDaemon {
   // life; executor_ holds a pointer to gate_, so gate_ is declared first.
   verify::VerifyingAdmission gate_;
   Executor executor_;
+  // compose_and_execute's load grid, rows x directed edges, kept across
+  // compose passes so its storage is allocated once.
+  std::vector<std::uint32_t> grid_;
   ServiceStats stats_;
   std::uint64_t fp_state_;  // running FNV-1a fold (util/fingerprint.hpp)
 };

@@ -63,7 +63,8 @@ class ReferenceExecutor {
     ExecutionResult out;
     auto& fs = out.faults;
 
-    std::vector<std::vector<std::unique_ptr<NodeProgram>>> programs(k);
+    ProgramArena arena;
+    std::vector<std::vector<NodeProgram*>> programs(k);
     std::vector<std::vector<Rng>> rngs(k);
     std::vector<std::vector<std::uint32_t>> progress(k, std::vector<std::uint32_t>(n, 0));
     // inbox[a][v][tag]: messages algorithm a's round-`tag` events sent to v.
@@ -73,7 +74,7 @@ class ReferenceExecutor {
       const std::uint32_t rounds = algos[a]->rounds();
       inbox[a].assign(n, std::vector<std::vector<Message>>(rounds + 1));
       for (NodeId v = 0; v < n; ++v) {
-        programs[a].push_back(algos[a]->make_program(v));
+        programs[a].push_back(&algos[a]->construct_program(v, arena));
         rngs[a].emplace_back(seed_combine(algos[a]->base_seed(), v));
         for (std::uint32_t r = 1; r <= rounds; ++r) {
           const std::uint32_t slot = schedule.at(a, v, r);
@@ -160,16 +161,19 @@ class ReferenceExecutor {
     }
     out.num_big_rounds = horizon;
 
-    out.outputs.assign(k, std::vector<std::vector<std::uint64_t>>(n));
+    out.outputs.assign(k, {});
     out.completed.assign(k, std::vector<std::uint8_t>(n, 0));
     for (std::size_t a = 0; a < k; ++a) {
       const std::uint32_t rounds = algos[a]->rounds();
       for (NodeId v = 0; v < n; ++v) {
-        if (progress[a][v] != rounds) continue;
-        if (faults_ != nullptr && faults_->crash_round(v) < horizon) continue;
-        call(*programs[a][v], inbox[a][v][rounds], v, rounds + 1, &rngs[a][v], nullptr);
-        out.completed[a][v] = 1;
-        out.outputs[a][v] = programs[a][v]->output();
+        std::vector<std::uint64_t> words;
+        if (progress[a][v] == rounds &&
+            (faults_ == nullptr || faults_->crash_round(v) >= horizon)) {
+          call(*programs[a][v], inbox[a][v][rounds], v, rounds + 1, &rngs[a][v], nullptr);
+          out.completed[a][v] = 1;
+          programs[a][v]->write_output(words);
+        }
+        out.outputs[a].push_back(OutputView(words));
       }
     }
     if (patterns != nullptr) {

@@ -203,7 +203,7 @@ TEST(Analysis, CorruptedExactCertificateFiresCellAndOutputFindings) {
 
   // Shift one cell: drop nothing, add a phantom message in a quiet round.
   cert.pattern = with_messages(cert.pattern, {cell_key(cert.rounds, 0)});
-  cert.outputs[1][0] ^= 1;
+  cert.outputs.mutable_words(1)[0] ^= 1;
   const auto report = verify::check_certificate(cert, solo);
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(report.has(verify::kCodeCertificateCellMismatch));
@@ -313,7 +313,7 @@ TEST(CertificateCheckGolden, ReportsMatchPinnedDigests) {
       if (d % 5 == 1) phantom.push_back(cell_key(3, d));
     }
     cert.pattern = with_messages(cert.pattern, std::move(phantom));
-    cert.outputs[2][0] ^= 1;
+    cert.outputs.mutable_words(2)[0] ^= 1;
     check("corrupt_exact_bfs_grid", cert, solo_run(grid, alg));
   }
   {

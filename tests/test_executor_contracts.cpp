@@ -3,9 +3,15 @@
 // report -- not hide -- semantically broken-but-legal schedules.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "algos/broadcast.hpp"
 #include "congest/executor.hpp"
+#include "congest/program_arena.hpp"
 #include "congest/simulator.hpp"
+#include "fault/fault_injector.hpp"
+#include "fault/fault_plan.hpp"
 #include "graph/generators.hpp"
 
 namespace dasched {
@@ -26,7 +32,7 @@ class MisbehavingAlgorithm final : public DistributedAlgorithm {
 
   std::string name() const override { return "misbehaving"; }
   std::uint32_t rounds() const override { return rounds_; }
-  std::unique_ptr<NodeProgram> make_program(NodeId node) const override;
+  NodeProgram& construct_program(NodeId node, ProgramArena& arena) const override;
 
   Mode mode() const { return mode_; }
 
@@ -67,8 +73,8 @@ class MisbehavingProgram final : public NodeProgram {
   NodeId self_;
 };
 
-std::unique_ptr<NodeProgram> MisbehavingAlgorithm::make_program(NodeId node) const {
-  return std::make_unique<MisbehavingProgram>(mode_, node);
+NodeProgram& MisbehavingAlgorithm::construct_program(NodeId node, ProgramArena& arena) const {
+  return arena.make<MisbehavingProgram>(mode_, node);
 }
 
 using Mode = MisbehavingAlgorithm::Mode;
@@ -161,8 +167,8 @@ TEST(ExecutorContracts, SendDuringFinishDies) {
     FinishSenderAlgo() : DistributedAlgorithm(1) {}
     std::string name() const override { return "finish-sender"; }
     std::uint32_t rounds() const override { return 1; }
-    std::unique_ptr<NodeProgram> make_program(NodeId) const override {
-      return std::make_unique<FinishSender>();
+    NodeProgram& construct_program(NodeId, ProgramArena& arena) const override {
+      return arena.make<FinishSender>();
     }
   };
   const auto g = make_path(2);
@@ -213,6 +219,126 @@ TEST(ExecutionResultMeasures, PhaseLenOne) {
 TEST(ExecutionResultMeasures, PhaseLenZeroDies) {
   ExecutionResult r;
   EXPECT_DEATH((void)r.fixed_phase(0), "phase_len");
+}
+
+// --- Programs built in the executor's arena: every one is destroyed once
+// its run is over, whether or not it reached on_finish. ---
+
+/// Counts live instances and owns heap memory, so a program the arena never
+/// destroys shows up here and as a leak under the sanitizers.
+class CountedProgram final : public NodeProgram {
+ public:
+  static inline int live = 0;
+  explicit CountedProgram(NodeId self) : trail_(std::make_unique<std::vector<NodeId>>(4, self)) {
+    ++live;
+  }
+  ~CountedProgram() override { --live; }
+  void on_round(VirtualContext& ctx) override {
+    trail_->push_back(ctx.vround());
+    for (const auto& h : ctx.neighbors()) ctx.send(h.neighbor, {ctx.vround()});
+  }
+  void write_output(std::vector<std::uint64_t>& words) const override {
+    words.push_back(trail_->size());
+  }
+
+ private:
+  std::unique_ptr<std::vector<NodeId>> trail_;
+};
+
+class CountedAlgorithm final : public DistributedAlgorithm {
+ public:
+  CountedAlgorithm() : DistributedAlgorithm(1) {}
+  std::string name() const override { return "counted"; }
+  std::uint32_t rounds() const override { return 3; }
+  NodeProgram& construct_program(NodeId node, ProgramArena& arena) const override {
+    return arena.make<CountedProgram>(node);
+  }
+};
+
+TEST(ProgramLifetime, EveryProgramIsDestroyedAfterCleanAndCrashedRuns) {
+  const auto g = make_grid(5, 5);
+  const CountedAlgorithm a;
+  const CountedAlgorithm b;
+  const DistributedAlgorithm* algos[] = {&a, &b};
+  const std::uint32_t delays[] = {0, 1};
+  const auto schedule = ScheduleTable::from_delays(algos, g.num_nodes(), delays);
+  FaultPlan plan;
+  plan.crashes.push_back({3, 1});
+  plan.crashes.push_back({12, 2});
+  const FaultInjector injector(g, plan);
+  ExecConfig crash_cfg;
+  crash_cfg.faults = &injector;
+
+  Executor clean(g, {});
+  Executor crashing(g, crash_cfg);
+  for (int pass = 0; pass < 3; ++pass) {  // passes 2 and 3 reuse warm arenas
+    const auto ok = clean.run(algos, schedule);
+    EXPECT_EQ(CountedProgram::live, 0);
+    EXPECT_TRUE(ok.all_completed());
+    EXPECT_EQ(ok.outputs[1][0].at(0), 4u + 3u);
+
+    const auto crashed = crashing.run(algos, schedule);
+    EXPECT_EQ(CountedProgram::live, 0);
+    EXPECT_EQ(crashed.completed[0][3], 0u);  // never reached on_finish
+    EXPECT_EQ(crashed.completed[1][12], 0u);
+    EXPECT_TRUE(crashed.outputs[0][3].empty());
+  }
+}
+
+struct Pod {
+  std::uint64_t a;
+  std::uint32_t b;
+};
+
+struct Tracked {
+  static inline int live = 0;
+  Tracked() { ++live; }
+  ~Tracked() { --live; }
+  alignas(64) std::uint64_t words[20] = {};
+};
+
+TEST(ProgramArena, DestroysOnResetAndReusesItsChunks) {
+  ProgramArena arena;
+  for (int pass = 0; pass < 3; ++pass) {
+    std::vector<Pod*> pods;
+    for (std::uint32_t i = 0; i < 5000; ++i) {
+      Pod& p = arena.make<Pod>(Pod{i, i});
+      pods.push_back(&p);
+      (void)arena.make<Tracked>();
+    }
+    EXPECT_EQ(Tracked::live, 5000);
+    for (std::uint32_t i = 0; i < 5000; ++i) {
+      EXPECT_EQ(pods[i]->a, i);
+      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(pods[i]) % alignof(Pod), 0u);
+    }
+    const std::size_t held = arena.capacity_bytes();
+    arena.reset();
+    EXPECT_EQ(Tracked::live, 0);
+    EXPECT_EQ(arena.capacity_bytes(), held);  // rewound, not freed
+  }
+  Tracked& t = arena.make<Tracked>();
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(&t) % 64, 0u);
+  // An object larger than any chunk gets a chunk of its own.
+  struct Big {
+    std::uint64_t words[1 << 15];
+  };
+  Big& big = arena.make<Big>();
+  big.words[(1 << 15) - 1] = 9;
+  EXPECT_EQ(big.words[(1 << 15) - 1], 9u);
+  arena.reset();
+  EXPECT_EQ(Tracked::live, 0);
+}
+
+TEST(ProgramArenaDeathTest, AlgorithmWithoutAProgramHookDies) {
+  class Hookless final : public DistributedAlgorithm {
+   public:
+    Hookless() : DistributedAlgorithm(1) {}
+    std::string name() const override { return "hookless"; }
+    std::uint32_t rounds() const override { return 1; }
+  };
+  const auto g = make_path(2);
+  const Hookless algo;
+  EXPECT_DEATH((void)solo_run(g, algo), "construct_program");
 }
 
 }  // namespace

@@ -418,7 +418,9 @@ class ChainFloodProgram final : public NodeProgram {
     }
   }
   void on_finish(VirtualContext& ctx) override { absorb(ctx); }
-  std::vector<std::uint64_t> output() const override { return {acc_}; }
+  void write_output(std::vector<std::uint64_t>& words) const override {
+    words.push_back(acc_);
+  }
 
  private:
   void absorb(VirtualContext& ctx) {
@@ -437,8 +439,8 @@ class ChainFlood final : public DistributedAlgorithm {
       : DistributedAlgorithm(seed), rounds_(rounds) {}
   std::string name() const override { return "chain-flood"; }
   std::uint32_t rounds() const override { return rounds_; }
-  std::unique_ptr<NodeProgram> make_program(NodeId node) const override {
-    return std::make_unique<ChainFloodProgram>(node);
+  NodeProgram& construct_program(NodeId node, ProgramArena& arena) const override {
+    return arena.make<ChainFloodProgram>(node);
   }
 
  private:

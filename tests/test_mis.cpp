@@ -19,11 +19,11 @@ struct MisRun {
   std::vector<std::uint8_t> in_mis;
 };
 
-MisRun extract(const std::vector<std::vector<std::uint64_t>>& outputs) {
+MisRun extract(const NodeOutputs& outputs) {
   MisRun run;
   run.decided.reserve(outputs.size());
   run.in_mis.reserve(outputs.size());
-  for (const auto& out : outputs) {
+  for (const OutputView out : outputs) {
     run.decided.push_back(static_cast<std::uint8_t>(out[LubyMisAlgorithm::kOutDecided]));
     run.in_mis.push_back(static_cast<std::uint8_t>(out[LubyMisAlgorithm::kOutInMis]));
   }

@@ -20,12 +20,12 @@ class NoopAlgorithm final : public DistributedAlgorithm {
       : DistributedAlgorithm(seed), rounds_(rounds) {}
   std::string name() const override { return "noop"; }
   std::uint32_t rounds() const override { return rounds_; }
-  std::unique_ptr<NodeProgram> make_program(NodeId) const override {
+  NodeProgram& construct_program(NodeId, ProgramArena& arena) const override {
     class P final : public NodeProgram {
       void on_round(VirtualContext&) override {}
-      std::vector<std::uint64_t> output() const override { return {7}; }
+      void write_output(std::vector<std::uint64_t>& words) const override { words.push_back(7); }
     };
-    return std::make_unique<P>();
+    return arena.make<P>();
   }
 
  private:

@@ -20,7 +20,7 @@ class PingPong final : public DistributedAlgorithm {
       : DistributedAlgorithm(seed), rounds_(rounds) {}
   std::string name() const override { return "ping-pong"; }
   std::uint32_t rounds() const override { return rounds_; }
-  std::unique_ptr<NodeProgram> make_program(NodeId node) const override;
+  NodeProgram& construct_program(NodeId node, ProgramArena& arena) const override;
 
  private:
   std::uint32_t rounds_;
@@ -43,15 +43,17 @@ class PingPongProgram final : public NodeProgram {
     for (const auto& m : ctx.inbox()) counter_ = m.payload.at(0);
   }
 
-  std::vector<std::uint64_t> output() const override { return {counter_}; }
+  void write_output(std::vector<std::uint64_t>& words) const override {
+    words.push_back(counter_);
+  }
 
  private:
   NodeId self_;
   std::uint64_t counter_ = 0;
 };
 
-std::unique_ptr<NodeProgram> PingPong::make_program(NodeId node) const {
-  return std::make_unique<PingPongProgram>(node);
+NodeProgram& PingPong::construct_program(NodeId node, ProgramArena& arena) const {
+  return arena.make<PingPongProgram>(node);
 }
 
 TEST(Simulator, PingPongCountsRounds) {

@@ -98,7 +98,9 @@ class FoldProgram final : public NodeProgram {
     for (const auto& h : ctx.neighbors()) ctx.send(h.neighbor, {ctx.vround(), hash_});
   }
   void on_finish(VirtualContext& ctx) override { fold(ctx); }
-  std::vector<std::uint64_t> output() const override { return {hash_}; }
+  void write_output(std::vector<std::uint64_t>& words) const override {
+    words.push_back(hash_);
+  }
 
  private:
   void fold(const VirtualContext& ctx) {
@@ -115,8 +117,8 @@ class FoldAlgorithm final : public DistributedAlgorithm {
   FoldAlgorithm() : DistributedAlgorithm(5) {}
   std::string name() const override { return "fold"; }
   std::uint32_t rounds() const override { return 4; }
-  std::unique_ptr<NodeProgram> make_program(NodeId v) const override {
-    return std::make_unique<FoldProgram>(v);
+  NodeProgram& construct_program(NodeId v, ProgramArena& arena) const override {
+    return arena.make<FoldProgram>(v);
   }
 };
 
@@ -281,8 +283,8 @@ class ChatterAlgorithm final : public DistributedAlgorithm {
       : DistributedAlgorithm(1), rounds_(rounds) {}
   std::string name() const override { return "chatter"; }
   std::uint32_t rounds() const override { return rounds_; }
-  std::unique_ptr<NodeProgram> make_program(NodeId) const override {
-    return std::make_unique<ChatterProgram>();
+  NodeProgram& construct_program(NodeId, ProgramArena& arena) const override {
+    return arena.make<ChatterProgram>();
   }
 
  private:

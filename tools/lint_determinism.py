@@ -34,6 +34,13 @@ patterns quietly break that guarantee long before a test notices:
                         inline, use a recycled arena, or annotate the member
                         with `perf-ok` (arena/capacity-reused vectors) or
                         `det-ok: hot-path-vector`.
+  heap-program          an override of DistributedAlgorithm::make_program or
+                        NodeProgram::output(): the heap-allocating pair that
+                        the base construct_program/write_output adapt. Every
+                        algorithm in the linted paths builds its programs in
+                        the executor's arena (construct_program) and appends
+                        its outputs to the flat table (write_output); the
+                        adapters stay for perfbench/ only.
 
 This is a line-based heuristic lint, not a compiler: it trades soundness for
 zero dependencies. False positives are suppressed inline with
@@ -105,6 +112,14 @@ VECTOR_MEMBER_RE = re.compile(
 # `template <class T>` does not look like a record head).
 RECORD_HEAD_RE = re.compile(r"\b(?:struct|class)\b[^;=]*$")
 PERF_OK_RE = re.compile(r"//\s*perf-ok")
+
+# Overrides of the heap-allocating program hooks: an in-class declaration
+# marked override/final, or an out-of-class definition Type::hook(...). The
+# base class's own virtual declarations match neither.
+HEAP_PROGRAM_RE = re.compile(
+    r"\b(?:make_program\s*\([^)]*\)|output\s*\(\s*\)\s*const)[^;{]*\b(?:override|final)\b"
+    r"|\w+::(?:make_program\s*\(|output\s*\(\s*\)\s*const)"
+)
 
 # util/rng.hpp is the one sanctioned home of raw engines; the lint itself and
 # third-party code are out of scope.
@@ -267,6 +282,16 @@ def lint_file(path: Path) -> list[Finding]:
                     "accumulate in integers or fix the reduction order",
                 ))
 
+    # --- heap-program ---
+    for idx, l in enumerate(code):
+        if HEAP_PROGRAM_RE.search(l) and not suppressed("heap-program", lines, idx):
+            findings.append(Finding(
+                path, idx + 1, "heap-program",
+                "override of make_program/output(): build the program with "
+                "construct_program (arena.make<P>) and append outputs with "
+                "write_output (src/congest/program.hpp)",
+            ))
+
     # --- hot-path-vector (only for struct/class members under src/congest/) ---
     if any(d in rel for d in HOT_PATH_DIRS):
         for idx in sorted(record_member_lines(code)):
@@ -321,6 +346,34 @@ SELF_TEST_EXPECT = [
     (9, "pointer-key"),
 ]
 
+# Exercises the heap-program rule: overrides (in-class and out-of-class) are
+# flagged; the base class's virtual declarations, calls, the arena hooks and
+# a suppressed override are not.
+SELF_TEST_HEAP_PROGRAM = """\
+class Base {
+  virtual std::unique_ptr<NodeProgram> make_program(NodeId node) const;
+  virtual std::vector<std::uint64_t> output() const { return {}; }
+};
+class P final : public NodeProgram {
+  std::vector<std::uint64_t> output() const override { return {1}; }
+  void write_output(std::vector<std::uint64_t>& words) const override {}
+};
+class A final : public DistributedAlgorithm {
+  std::unique_ptr<NodeProgram> make_program(NodeId node) const override;
+  NodeProgram& construct_program(NodeId node, ProgramArena& arena) const override;
+};
+std::unique_ptr<NodeProgram> A::make_program(NodeId node) const { return nullptr; }
+void use(const Base& b) { auto p = b.make_program(0); auto o = p->output(); }
+// det-ok: heap-program -- adapter exercised on purpose
+std::vector<std::uint64_t> output() const override { return {}; }
+"""
+
+SELF_TEST_HEAP_PROGRAM_EXPECT = [
+    (6, "heap-program"),
+    (10, "heap-program"),
+    (13, "heap-program"),
+]
+
 # Exercises the hot-path-vector rule: must live under src/congest/ (the rule
 # is path-gated), flag only *members*, and honor both suppression spellings.
 SELF_TEST_HOT_PATH = """\
@@ -358,6 +411,9 @@ def self_test() -> int:
         elsewhere = Path(tmp) / "hot.hpp"
         elsewhere.write_text(SELF_TEST_HOT_PATH, encoding="utf-8")
         found_elsewhere = [(f.lineno, f.rule) for f in lint_file(elsewhere)]
+        heap = Path(tmp) / "heap.cpp"
+        heap.write_text(SELF_TEST_HEAP_PROGRAM, encoding="utf-8")
+        found_heap = [(f.lineno, f.rule) for f in lint_file(heap)]
     ok = True
     if sorted(found) != sorted(SELF_TEST_EXPECT):
         print(f"self-test FAILED: expected {sorted(SELF_TEST_EXPECT)}, got {sorted(found)}",
@@ -373,9 +429,14 @@ def self_test() -> int:
               f"findings outside src/congest/, got {sorted(found_elsewhere)}",
               file=sys.stderr)
         ok = False
+    if sorted(found_heap) != sorted(SELF_TEST_HEAP_PROGRAM_EXPECT):
+        print(f"self-test FAILED (heap-program): expected "
+              f"{sorted(SELF_TEST_HEAP_PROGRAM_EXPECT)}, got {sorted(found_heap)}",
+              file=sys.stderr)
+        ok = False
     if not ok:
         return 2
-    print("self-test passed: 5 seeded findings caught, 8 suppressions/gates honored")
+    print("self-test passed: 8 seeded findings caught, 13 suppressions/gates honored")
     return 0
 
 
