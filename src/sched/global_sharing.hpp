@@ -36,6 +36,8 @@ struct GlobalSharingOutcome {
   std::uint64_t precomputation_rounds = 0;
   /// True iff every node received the full seed (protocol correctness).
   bool sharing_complete = false;
+  /// The scheduler seed node 0 folded from the broadcast words.
+  std::uint64_t shared_seed = 0;
   SharedScheduleOutcome schedule;
 };
 

@@ -8,6 +8,7 @@
 #include "sched/doubling.hpp"
 #include "sched/global_sharing.hpp"
 #include "sched/workloads.hpp"
+#include "util/fingerprint.hpp"
 
 namespace dasched {
 namespace {
@@ -46,6 +47,35 @@ TEST(GlobalSharing, PrecomputationScalesWithDiameterNotDilation) {
   const auto high = GlobalSharingScheduler(GlobalSharingConfig{}).run(*p2);
 
   EXPECT_GT(high.precomputation_rounds, 3 * low.precomputation_rounds);
+}
+
+// Pins the seed broadcast end to end: the leader's privately drawn words
+// (folded into the shared seed every node computes), the Thm 1.1 delays and
+// big-round table they select, and the scheduled execution, on three seeded
+// problems at threads 0 and 4.
+TEST(GlobalSharingGolden, SeedBroadcastAndScheduleMatchPinnedDigest) {
+  constexpr std::uint64_t kGolden = 0x64dfc879e3f144fe;
+  for (const std::uint32_t threads : {0u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    Rng rng(31);
+    const Graph graphs[] = {make_grid(6, 6), make_gnp_connected(80, 0.06, rng), make_path(30)};
+    Fingerprint fp;
+    for (std::uint64_t i = 0; i < 3; ++i) {
+      auto problem = make_mixed_workload(graphs[i], 8, 3, 21 + i);
+      GlobalSharingConfig cfg;
+      cfg.seed = 500 + i;
+      cfg.scheduler.num_threads = threads;
+      const auto out = GlobalSharingScheduler(cfg).run(*problem);
+      EXPECT_TRUE(out.sharing_complete);
+      EXPECT_TRUE(problem->verify(out.schedule.exec).ok());
+      fp.mix(out.shared_seed).mix(out.precomputation_rounds);
+      fp.mix(out.schedule.phase_len).mix(out.schedule.delay_range);
+      for (const auto d : out.schedule.delays) fp.mix(d);
+      for (const auto t : out.schedule.schedule.flat()) fp.mix(t);
+      fp.mix(out.schedule.schedule_rounds).mix(result_fingerprint(out.schedule.exec));
+    }
+    EXPECT_EQ(fp.digest(), kGolden) << std::hex << "0x" << fp.digest();
+  }
 }
 
 TEST(Doubling, ConvergesAndVerifies) {
