@@ -6,9 +6,10 @@
 // (different priority functions) together under Theorem 1.1 and Theorem 4.1.
 //
 // The contract (src/congest/program.hpp): a NodeProgram is a deterministic
-// state machine driven by (input baked in at construction, ctx.rng(), and
-// the inbox). Follow it and every scheduler in this library can run your
-// algorithm as a black box and guarantee solo-equivalent outputs.
+// state machine driven by (input and private randomness baked in at
+// construction -- node_rng(base_seed(), v) for the latter -- and the inbox).
+// Follow it and every scheduler in this library can run your algorithm as a
+// black box and guarantee solo-equivalent outputs.
 //
 // Two hooks connect it to the engine: the algorithm's construct_program
 // builds each node's program in the executor's arena (arena.make<P>), and

@@ -6,7 +6,7 @@ namespace {
 
 class GossipProgram final : public NodeProgram {
  public:
-  GossipProgram(bool is_source, std::uint64_t rumor) {
+  GossipProgram(bool is_source, std::uint64_t rumor, Rng rng) : rng_(rng) {
     if (is_source) {
       informed_ = true;
       rumor_ = rumor;
@@ -17,7 +17,7 @@ class GossipProgram final : public NodeProgram {
   void on_round(VirtualContext& ctx) override {
     absorb(ctx);
     if (informed_ && ctx.degree() > 0) {
-      const auto pick = ctx.rng().next_below(ctx.degree());
+      const auto pick = rng_.next_below(ctx.degree());
       ctx.send(ctx.neighbors()[pick].neighbor, {rumor_});
     }
   }
@@ -37,6 +37,7 @@ class GossipProgram final : public NodeProgram {
     informed_round_ = ctx.vround() - 1;
   }
 
+  Rng rng_;
   bool informed_ = false;
   std::uint64_t rumor_ = 0;
   std::uint32_t informed_round_ = 0;
@@ -45,7 +46,7 @@ class GossipProgram final : public NodeProgram {
 }  // namespace
 
 NodeProgram& GossipAlgorithm::construct_program(NodeId node, ProgramArena& arena) const {
-  return arena.make<GossipProgram>(node == source_, rumor_);
+  return arena.make<GossipProgram>(node == source_, rumor_, node_rng(base_seed(), node));
 }
 
 }  // namespace dasched

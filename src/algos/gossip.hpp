@@ -5,11 +5,11 @@
 // model: the algorithms being scheduled may themselves be randomized, and
 // "we consider [their randomness] as a part of the input to the node ... at
 // the start of the execution, each node samples its bits of randomness,
-// thus fixing them". In this library that is realized by deriving each
-// node's Rng deterministically from (algorithm base seed, node id) -- so the
-// solo execution and any scheduled execution see identical coin flips, and
-// output verification stays exact even though the communication pattern is
-// random.
+// thus fixing them". In this library that is realized by building each
+// node's program with its own Rng, node_rng(algorithm base seed, node id)
+// (congest/program.hpp) -- so the solo execution and any scheduled execution
+// see identical coin flips, and output verification stays exact even though
+// the communication pattern is random.
 //
 // Gossip is also a pattern-wise interesting workload: its footprint is a
 // random subgraph per round (low congestion, irregular), unlike the

@@ -11,8 +11,8 @@ constexpr std::uint64_t kTagJoin = 2;
 
 class LubyMisProgram final : public NodeProgram {
  public:
-  LubyMisProgram(NodeId self, std::uint64_t seed, bool seeded)
-      : self_(self), seed_(seed), seeded_(seeded) {}
+  LubyMisProgram(NodeId self, std::uint64_t seed, bool seeded, Rng rng)
+      : self_(self), seed_(seed), seeded_(seeded), rng_(rng) {}
 
   void on_round(VirtualContext& ctx) override {
     absorb(ctx);
@@ -21,7 +21,7 @@ class LubyMisProgram final : public NodeProgram {
     if (r % 2 == 1) {
       // Round A of phase (r-1)/2: draw and announce the priority.
       const std::uint32_t phase = (r - 1) / 2;
-      priority_ = seeded_ ? splitmix64(seed_combine(seed_, phase, self_)) : ctx.rng()();
+      priority_ = seeded_ ? splitmix64(seed_combine(seed_, phase, self_)) : rng_();
       beaten_ = false;
       for (const auto& nb : ctx.neighbors()) {
         ctx.send(nb.neighbor, {kTagPriority, priority_});
@@ -59,6 +59,7 @@ class LubyMisProgram final : public NodeProgram {
   NodeId self_;
   std::uint64_t seed_;
   bool seeded_;
+  Rng rng_;  // private priorities when unseeded
   bool decided_ = false;
   bool in_mis_ = false;
   bool beaten_ = false;
@@ -68,14 +69,13 @@ class LubyMisProgram final : public NodeProgram {
 }  // namespace
 
 NodeProgram& LubyMisAlgorithm::construct_program(NodeId node, ProgramArena& arena) const {
-  const bool seeded = !node_seeds_.empty();
-  std::uint64_t seed = 0;
-  if (seeded) {
-    DASCHED_CHECK(node_seeds_.size() > node);
-    seed = 0x9e3779b97f4a7c15ULL;
-    for (const auto w : node_seeds_[node]) seed = seed_combine(seed, w);
+  if (node_seeds_.empty()) {
+    return arena.make<LubyMisProgram>(node, 0, false, node_rng(base_seed(), node));
   }
-  return arena.make<LubyMisProgram>(node, seed, seeded);
+  DASCHED_CHECK(node_seeds_.size() > node);
+  std::uint64_t seed = 0x9e3779b97f4a7c15ULL;
+  for (const auto w : node_seeds_[node]) seed = seed_combine(seed, w);
+  return arena.make<LubyMisProgram>(node, seed, true, Rng());
 }
 
 std::pair<std::uint64_t, std::uint64_t> check_mis(const Graph& g,

@@ -33,7 +33,8 @@ class LubyMisAlgorithm final : public DistributedAlgorithm {
   /// `phases` Luby phases (2 rounds each); Theta(log n) phases suffice
   /// w.h.p. `node_seeds[v]` drives node v's priorities; pass identical seeds
   /// everywhere for a shared-randomness run or per-cluster seeds under the
-  /// Bellagio wrapper. An empty vector means "use private ctx.rng()".
+  /// Bellagio wrapper. An empty vector means private randomness: node v
+  /// draws from node_rng(base_seed, v).
   LubyMisAlgorithm(std::uint32_t phases, std::vector<std::vector<std::uint64_t>> node_seeds,
                    std::uint64_t base_seed)
       : DistributedAlgorithm(base_seed), phases_(phases), node_seeds_(std::move(node_seeds)) {

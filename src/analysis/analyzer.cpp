@@ -138,8 +138,8 @@ void analyze_aggregate(const Graph& g, const StaticFootprint& fp, std::uint64_t 
 }
 
 /// kGossipPush: central replay. Node v's picks come from the very Rng stream
-/// the executor derives for it -- Rng(seed_combine(base_seed, v)), one
-/// next_below(degree) draw per round from the round after v is informed.
+/// its program draws from -- node_rng(base_seed, v), one next_below(degree)
+/// draw per round from the round after v is informed.
 void analyze_gossip(const Graph& g, const StaticFootprint& fp, std::uint32_t T,
                     std::uint64_t base_seed, PatternCertificate& cert) {
   DASCHED_CHECK(fp.source < g.num_nodes());
@@ -149,7 +149,7 @@ void analyze_gossip(const Graph& g, const StaticFootprint& fp, std::uint32_t T,
 
   std::vector<Rng> rng;
   rng.reserve(g.num_nodes());
-  for (NodeId v = 0; v < g.num_nodes(); ++v) rng.emplace_back(seed_combine(base_seed, v));
+  for (NodeId v = 0; v < g.num_nodes(); ++v) rng.push_back(node_rng(base_seed, v));
 
   std::vector<std::uint64_t> keys;
   std::vector<NodeId> newly_informed;

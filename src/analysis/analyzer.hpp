@@ -12,8 +12,8 @@
 //                         the result in round 2h+2+q).
 //   kGossipPush           central replay of the pushes: each informed node's
 //                         per-round uniform pick is re-drawn from the same
-//                         Rng(seed_combine(base_seed, v)) stream the executor
-//                         hands the node, so the random pattern is exact.
+//                         node_rng(base_seed, v) stream the node's program
+//                         draws from, so the random pattern is exact.
 //   kFixedPath            round r carries exactly path[r-1] -> path[r].
 //   kEnvelope             sound per-cell / per-edge caps, no surface.
 //   kOpaque               the CONGEST worst case: every directed edge, every

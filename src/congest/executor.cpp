@@ -294,7 +294,6 @@ struct SendSink {
   WorkerState* ws;
   const std::uint32_t* sched_flat;
   const std::uint32_t* slot_of;
-  std::uint32_t max_payload_words;
   NodeId num_nodes;
   bool need_meta;
   // Per-event bindings. The consumer's flat-schedule slot for a send to node
@@ -327,13 +326,11 @@ struct SendSink {
       slot = static_cast<std::uint32_t>(it - nbrs.begin());
     }
     sink->slot_hint = slot + 1;
-    DASCHED_CHECK_MSG(payload.size() <= sink->max_payload_words,
-                      "message exceeds CONGEST word budget");
-    // A declared-width run sizes its lanes below the config cap; an algorithm
-    // whose footprint under-declared its payload width is a contract bug, not
-    // a silent truncation.
+    // W is the run's word budget: the declared footprint width, or the full
+    // CONGEST budget for undeclared algorithms. A wider message is a contract
+    // bug, not a silent truncation.
     DASCHED_CHECK_MSG(payload.size() <= W,
-                      "message wider than the declared footprint payload width");
+                      "message exceeds the run's word budget (declared footprint payload width)");
     DASCHED_CHECK_MSG(ws.slot_stamp[slot] != ws.event_serial,
                       "two messages to one neighbor in one round");
     ws.slot_stamp[slot] = ws.event_serial;
@@ -458,13 +455,12 @@ struct ExecScratch {
   // --- Parked retransmissions keyed by due big-round (docs/FAULTS.md). ---
   RoundPool<RetryLanes> retry;
 
-  // --- Per-(alg, node) state, flat k*n lanes indexed alg*n + node. The
-  // programs live in the arena from construction until the run has collected
-  // its outputs; reset() then destroys them in place. ---
+  // --- The only per-(alg, node) state: program pointers, one flat k*n lane
+  // indexed alg*n + node. The programs live in the arena from construction
+  // until the run has collected its outputs; reset() then destroys them in
+  // place. ---
   ProgramArena arena;
   std::vector<NodeProgram*> programs;  // perf-ok: per-run lane, capacity retained
-  std::vector<Rng> rngs;               // perf-ok: per-run lane, capacity retained
-  std::vector<std::uint32_t> progress;  // perf-ok: last executed vround per (alg, node)
 
   // --- One algorithm's outputs while they are collected; each finished
   // table is copied out at its exact size. ---
@@ -472,14 +468,12 @@ struct ExecScratch {
   std::vector<std::uint32_t> out_offsets;  // perf-ok: reused per algorithm
 };
 
+static_assert(kDefaultMaxPayloadWords <= InlinePayload::kInlineCapacity,
+              "the CONGEST word budget exceeds the inline payload capacity; "
+              "recompile with a larger -DDASCHED_PAYLOAD_INLINE_WORDS=<n>");
+
 Executor::Executor(const Graph& g, ExecConfig cfg)
     : graph_(g), cfg_(cfg), scratch_(std::make_unique<ExecScratch>()) {
-  DASCHED_CHECK_LE(cfg_.max_payload_words, InlinePayload::kInlineCapacity,
-                   "max_payload_words exceeds the inline payload capacity; "
-                   "recompile with -DDASCHED_PAYLOAD_INLINE_WORDS=<n> to spill "
-                   "to a larger inline message");
-  DASCHED_CHECK_GE(cfg_.max_payload_words, 1u,
-                   "max_payload_words must be at least one word");
   // The retry budget sizes 2^max_retries backoff arithmetic in run_impl;
   // RetryPolicy's own bound keeps it well inside 32 bits.
   if (cfg_.faults != nullptr) (void)cfg_.retry.stretch_factor();
@@ -492,21 +486,14 @@ ExecutionResult Executor::run(std::span<const DistributedAlgorithm* const> algor
   // --- Derive the run width: the payload-word stride of every staging and
   // delivery lane for this run. When every admitted algorithm bounds its
   // payload via StaticFootprint::max_payload_words, the lanes shrink to the
-  // largest declared width; any undeclared algorithm forces the config cap.
-  // The clamp keeps the width a valid lane stride (>= 1) and never above the
-  // cap the SendSink enforces. ---
-  std::uint32_t width = 0;
-  bool all_declared = !algorithms.empty();
+  // largest declared width; an undeclared algorithm (kUndeclaredWidth, above
+  // every width) forces the full word budget. Starting at 1 keeps the width
+  // a valid lane stride. ---
+  std::uint32_t width = 1;
   for (const auto* alg : algorithms) {
-    const std::uint32_t w = alg->static_footprint().max_payload_words;
-    if (w == StaticFootprint::kUndeclaredWidth) {
-      all_declared = false;
-      break;
-    }
-    width = std::max(width, w);
+    width = std::max(width, alg->static_footprint().max_payload_words);
   }
-  if (!all_declared) width = cfg_.max_payload_words;
-  width = std::clamp<std::uint32_t>(width, 1, cfg_.max_payload_words);
+  width = std::min(width, kDefaultMaxPayloadWords);
 
   // Dispatch to the width-specialized engine: one instantiation per
   // supported width, selected once per run, so every per-message copy inside
@@ -636,18 +623,13 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
     }
   }
 
-  // --- Per (alg, node) state, built in the scratch arena. ---
+  // --- Per (alg, node) programs, built in the scratch arena. ---
   auto& programs = scratch.programs;
-  auto& rngs = scratch.rngs;
-  auto& progress = scratch.progress;
   scratch.arena.reset();
   programs.clear();
-  rngs.clear();
-  progress.assign(k * n, 0);
   for (std::size_t a = 0; a < k; ++a) {
     for (NodeId v = 0; v < n; ++v) {
       programs.push_back(&algorithms[a]->construct_program(v, scratch.arena));
-      rngs.emplace_back(seed_combine(algorithms[a]->base_seed(), v));
     }
   }
 
@@ -790,14 +772,17 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
   std::size_t round_begin = 0;
 
   // The per-event body every execution shard runs. Everything it mutates is
-  // either owned by the event's (alg, node) -- programs, rngs, progress -- or
-  // by the executing shard's WorkerState; the round arena and its offsets are
-  // read-only during execution, so shards are data-race free.
+  // either owned by the event's (alg, node) -- its program -- or by the
+  // executing shard's WorkerState; the round arena and its offsets are
+  // read-only during execution, so shards are data-race free. Events reach a
+  // program in virtual-round order: the validation pass proved every row
+  // gap-free and strictly increasing, each bucket runs once in big-round
+  // order, and crash-stop is monotone in t.
   auto execute_event = [&](const ExecEvent& ev, std::size_t event_index,
                            WorkerState& ws, std::uint32_t t) {
     if (faults != nullptr && faults->node_crashed(ev.node, t)) {
-      // Crash-stop: the node executes nothing from its crash round on. Its
-      // progress freezes, so it is never marked completed.
+      // Crash-stop: the node executes nothing from its crash round on, so it
+      // is never marked completed (crash_round(v) < horizon below).
       ++ws.skipped;
       if (recorder != nullptr) {
         recorder->record(static_cast<std::uint32_t>(&ws - workers.data()),
@@ -806,11 +791,6 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
       }
       return;
     }
-    const std::size_t key = std::size_t{ev.alg} * n + ev.node;
-    auto& prog_progress = progress[key];
-    DASCHED_CHECK_EQ(prog_progress + 1, ev.vround,
-                     "executor: out-of-order virtual round");
-    prog_progress = ev.vround;
 
     // This event's inbox: its contiguous slice of the round arena lanes.
     // Messages bound to this round were counting-sorted into per-event
@@ -845,7 +825,6 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
     SendSink<W> sink{&ws,
                      sched_flat.data(),
                      scratch.slot_of.data(),
-                     cfg_.max_payload_words,
                      n,
                      need_meta,
                      nbrs,
@@ -865,9 +844,8 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
     ctx.neighbors_ = nbrs;
     ctx.send_fn_ = &SendSink<W>::send;
     ctx.sink_ = &sink;
-    ctx.rng_ = &rngs[key];
 
-    programs[key]->on_round(ctx);
+    programs[std::size_t{ev.alg} * n + ev.node]->on_round(ctx);
   };
 
   // --- Steady-state window: everything from here to the end of the loop is
@@ -1392,7 +1370,11 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
     out_offsets.assign(1, 0);
     for (NodeId v = 0; v < n; ++v) {
       const std::size_t key = a * n + v;
-      const bool finishes = progress[key] == rounds &&
+      // A node completes iff its row's last slot is scheduled (rows are
+      // gap-free, so it then ran every round) and it did not crash before the
+      // horizon (a crash at or past it spares every event).
+      const auto row = schedule.row(a, v);
+      const bool finishes = (row.empty() || row.back() != kNeverScheduled) &&
                             (faults == nullptr || faults->crash_round(v) >= horizon);
       if (!finishes) {
         out_offsets.push_back(static_cast<std::uint32_t>(out_words.size()));
@@ -1411,7 +1393,6 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
       ctx.neighbors_ = graph_.neighbors(v);
       ctx.send_fn_ = nullptr;
       ctx.sink_ = nullptr;
-      ctx.rng_ = &rngs[key];
       programs[key]->on_finish(ctx);
       result.completed[a][v] = 1;
       programs[key]->write_output(out_words);

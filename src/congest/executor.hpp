@@ -59,7 +59,10 @@
 // scratch's ProgramArena (DistributedAlgorithm::construct_program) and
 // destroys them once their outputs are collected into one flat NodeOutputs
 // table per algorithm, so a warm run of programs that own no heap memory
-// allocates only the ExecutionResult's own tables.
+// allocates only the ExecutionResult's own tables. The program pointer is
+// the engine's only per-(alg, node) state: a node's private randomness is
+// program state (node_rng, congest/program.hpp), and whether it completed
+// follows from its schedule row and crash round.
 //
 // Fault injection: an optional `ExecConfig::faults` hook models an unreliable
 // network (message drops/duplicates, link outages, crash-stop nodes). Fault
@@ -97,7 +100,6 @@
 namespace dasched {
 
 struct ExecConfig {
-  std::uint32_t max_payload_words = kDefaultMaxPayloadWords;
   /// Enforce the raw CONGEST bound of one message per directed edge per
   /// big-round -- used by solo_run where big-round == round.
   bool enforce_unit_capacity = false;
@@ -256,11 +258,7 @@ struct ExecScratch;
 
 class Executor {
  public:
-  /// Aborts if cfg.max_payload_words exceeds the compile-time inline payload
-  /// capacity (InlinePayload::kInlineCapacity): there is deliberately no heap
-  /// spill path on the message hot path -- raise
-  /// -DDASCHED_PAYLOAD_INLINE_WORDS instead. Also aborts if cfg.faults is set
-  /// with a retry budget past RetryPolicy's bound.
+  /// Aborts if cfg.faults is set with a retry budget past RetryPolicy's bound.
   explicit Executor(const Graph& g, ExecConfig cfg = {});
   ~Executor();
 
@@ -269,10 +267,11 @@ class Executor {
   /// strictly increasing big-rounds per (alg, node)) before execution.
   ///
   /// The *run width* -- the payload-word stride of every staging and delivery
-  /// lane -- is derived here, once per run: the maximum declared
+  /// lane, and the word budget every send is checked against -- is derived
+  /// here, once per run: the maximum declared
   /// StaticFootprint::max_payload_words when every admitted algorithm
-  /// declares one, else cfg.max_payload_words (always clamped to
-  /// [1, cfg.max_payload_words]). Execution then dispatches to a
+  /// declares one, else kDefaultMaxPayloadWords (always clamped to
+  /// [1, kDefaultMaxPayloadWords]). Execution then dispatches to a
   /// width-specialized instantiation of the engine, so every per-message copy
   /// is a fixed-size move the compiler vectorizes. Results are bit-identical
   /// across widths >= what the algorithms actually send.

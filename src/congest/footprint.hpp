@@ -57,7 +57,9 @@ struct StaticFootprint {
   };
 
   /// Sentinel for max_payload_words: the algorithm declines to bound its
-  /// payload width, so the executor must assume ExecConfig::max_payload_words.
+  /// payload width, so the executor must assume the full CONGEST word budget
+  /// (kDefaultMaxPayloadWords). It is above every width, so the run width is
+  /// the plain maximum over the algorithms, clamped to the budget.
   static constexpr std::uint32_t kUndeclaredWidth = ~std::uint32_t{0};
 
   Shape shape = Shape::kOpaque;
@@ -69,9 +71,9 @@ struct StaticFootprint {
   /// Upper bound on the payload words any single message of this algorithm
   /// carries, or kUndeclaredWidth. When *every* admitted algorithm declares a
   /// width, the executor sizes its compact delivery lanes to the maximum
-  /// declared width instead of ExecConfig::max_payload_words -- bytes moved
-  /// per message drop accordingly (docs/PERFORMANCE.md). Independent of
-  /// shape: an opaque footprint may still bound its width.
+  /// declared width instead of the full word budget -- bytes moved per
+  /// message drop accordingly (docs/PERFORMANCE.md). Independent of shape:
+  /// an opaque footprint may still bound its width.
   std::uint32_t max_payload_words = kUndeclaredWidth;
   // kFixedPath: consecutive adjacent nodes.
   // perf-ok: declaration-time descriptor built once per algorithm, not hot.

@@ -33,11 +33,10 @@ namespace dasched {
 /// fields, i.e. still a single O(log n)-bit CONGEST message.
 inline constexpr std::uint32_t kDefaultMaxPayloadWords = 5;
 
-/// Compile-time inline capacity of a payload, in 64-bit words. Configs may
-/// lower ExecConfig::max_payload_words freely; raising it beyond this
-/// capacity requires recompiling with -DDASCHED_PAYLOAD_INLINE_WORDS=<n>
-/// (the executor checks and aborts otherwise -- there is deliberately no
-/// heap spill path on the message hot path).
+/// Compile-time inline capacity of a payload, in 64-bit words; at least
+/// kDefaultMaxPayloadWords (the executor static_asserts it -- there is
+/// deliberately no heap spill path on the message hot path). Widen it with
+/// -DDASCHED_PAYLOAD_INLINE_WORDS=<n>.
 #ifndef DASCHED_PAYLOAD_INLINE_WORDS
 #define DASCHED_PAYLOAD_INLINE_WORDS 5
 #endif

@@ -22,24 +22,28 @@
 // --------------------
 // An algorithm is a DistributedAlgorithm subclass plus a NodeProgram
 // subclass. The executor builds one program per (algorithm, node) for every
-// run, in a ProgramArena it owns and reuses across runs:
+// run, in a ProgramArena it owns and reuses across runs; the program pointer
+// is all the executor keeps per (algorithm, node). Everything else a node
+// knows -- its input and its private randomness -- is state of its program:
 //
-//   class EchoProgram final : public NodeProgram {
+//   class CoinProgram final : public NodeProgram {
 //    public:
-//     explicit EchoProgram(std::uint64_t value) : value_(value) {}
+//     explicit CoinProgram(Rng rng) : rng_(rng) {}
 //     void on_round(VirtualContext& ctx) override {
-//       for (const auto& h : ctx.neighbors()) ctx.send(h.neighbor, {value_});
+//       coin_ = rng_() & 1;
+//       for (const auto& h : ctx.neighbors()) ctx.send(h.neighbor, {coin_});
 //     }
 //     void write_output(std::vector<std::uint64_t>& words) const override {
-//       words.push_back(value_);
+//       words.push_back(coin_);
 //     }
 //    private:
-//     std::uint64_t value_;
+//     Rng rng_;  // this node's private randomness, fixed at construction
+//     std::uint64_t coin_ = 0;
 //   };
 //
-//   NodeProgram& EchoAlgorithm::construct_program(NodeId node,
+//   NodeProgram& CoinAlgorithm::construct_program(NodeId node,
 //                                                 ProgramArena& arena) const {
-//     return arena.make<EchoProgram>(std::uint64_t{node});
+//     return arena.make<CoinProgram>(node_rng(base_seed(), node));
 //   }
 //
 // construct_program builds the node's program in place with arena.make<P>;
@@ -48,6 +52,9 @@
 // table (congest/node_outputs.hpp); a node that appends nothing has an empty
 // output. A program may own heap members -- the arena runs its destructor --
 // but one that allocates nothing keeps a warm run free of allocations.
+// node_rng(base_seed(), v) is the one definition of node v's stream, so solo
+// and scheduled executions (and the analyzer's replays) draw the same coins;
+// a program that draws late may build it at its first draw instead.
 //
 // make_program and output() are the older heap-allocating pair. The base
 // construct_program adopts make_program's result and the base write_output
@@ -70,8 +77,9 @@
 namespace dasched {
 
 /// Execution context handed to a program each round. Exposes only what a
-/// CONGEST node may know: its id, n, its incident edges, its inbox, and its
-/// private randomness. Concrete instances are owned by the executor.
+/// CONGEST node may know: its id, n, its incident edges and its inbox (its
+/// private randomness is program state; see node_rng). Concrete instances
+/// are owned by the executor.
 class VirtualContext {
  public:
   NodeId self() const { return self_; }
@@ -97,9 +105,6 @@ class VirtualContext {
     send_fn_(sink_, neighbor, payload);
   }
 
-  /// Private per-node randomness, deterministic per (algorithm, node).
-  Rng& rng() { return *rng_; }
-
  private:
   friend class Executor;
   friend class ReferenceExecutor;  // the differential-test oracle (tests/)
@@ -112,8 +117,14 @@ class VirtualContext {
   std::span<const HalfEdge> neighbors_;
   SendFn send_fn_ = nullptr;
   void* sink_ = nullptr;
-  Rng* rng_ = nullptr;
 };
+
+/// Node v's private random stream under base seed `base_seed` -- the paper's
+/// "each node samples its bits of randomness, thus fixing them" (Section 2).
+/// Programs and the analyzer's replays both derive it here.
+inline Rng node_rng(std::uint64_t base_seed, NodeId v) {
+  return Rng(seed_combine(base_seed, v));
+}
 
 /// Per-node program: override on_round (rounds 1..T) and optionally
 /// on_finish (receives the round-T inbox; may not send). write_output is
@@ -162,8 +173,8 @@ class DistributedAlgorithm {
     return nullptr;
   }
 
-  /// Base seed; the executor derives node v's Rng as
-  /// Rng(seed_combine(base_seed(), v)), making solo and scheduled executions
+  /// Base seed of the nodes' private randomness: a randomized program draws
+  /// from node_rng(base_seed(), v), so solo and scheduled executions are
   /// byte-identical.
   std::uint64_t base_seed() const { return base_seed_; }
 

@@ -59,8 +59,11 @@ std::uint32_t ScheduleProblem::congestion() const {
 
 std::uint32_t ScheduleProblem::sum_congestion() const {
   std::vector<std::uint32_t> loads(graph_->num_directed_edges(), 0);
+  // A profile recorded on another graph may be shorter; only its common
+  // prefix is read, and check_schedule reports the dimension mismatch.
   for (const auto& s : solo_) {
-    for (std::uint32_t d = 0; d < loads.size(); ++d) loads[d] += s->pattern.edge_load(d);
+    const auto edges = std::min<std::size_t>(loads.size(), s->pattern.num_directed_edges());
+    for (std::uint32_t d = 0; d < edges; ++d) loads[d] += s->pattern.edge_load(d);
   }
   std::uint32_t congestion = 0;
   for (const auto load : loads) congestion = std::max(congestion, load);

@@ -39,7 +39,6 @@
 #include "graph/graph.hpp"
 #include "util/check.hpp"
 #include "util/load_cells.hpp"
-#include "util/rng.hpp"
 
 namespace dasched {
 
@@ -65,7 +64,6 @@ class ReferenceExecutor {
 
     ProgramArena arena;
     std::vector<std::vector<NodeProgram*>> programs(k);
-    std::vector<std::vector<Rng>> rngs(k);
     std::vector<std::vector<std::uint32_t>> progress(k, std::vector<std::uint32_t>(n, 0));
     // inbox[a][v][tag]: messages algorithm a's round-`tag` events sent to v.
     std::vector<std::vector<std::vector<std::vector<Message>>>> inbox(k);
@@ -75,7 +73,6 @@ class ReferenceExecutor {
       inbox[a].assign(n, std::vector<std::vector<Message>>(rounds + 1));
       for (NodeId v = 0; v < n; ++v) {
         programs[a].push_back(&algos[a]->construct_program(v, arena));
-        rngs[a].emplace_back(seed_combine(algos[a]->base_seed(), v));
         for (std::uint32_t r = 1; r <= rounds; ++r) {
           const std::uint32_t slot = schedule.at(a, v, r);
           if (slot != kNeverScheduled) horizon = std::max(horizon, slot + 1);
@@ -102,7 +99,7 @@ class ReferenceExecutor {
             DASCHED_CHECK_EQ(progress[a][v] + 1, r);
             progress[a][v] = r;
             Sink sink{&g_, &sent, static_cast<std::uint32_t>(a), v, r};
-            call(*programs[a][v], inbox[a][v][r - 1], v, r, &rngs[a][v], &sink);
+            call(*programs[a][v], inbox[a][v][r - 1], v, r, &sink);
           }
         }
       }
@@ -169,7 +166,7 @@ class ReferenceExecutor {
         std::vector<std::uint64_t> words;
         if (progress[a][v] == rounds &&
             (faults_ == nullptr || faults_->crash_round(v) >= horizon)) {
-          call(*programs[a][v], inbox[a][v][rounds], v, rounds + 1, &rngs[a][v], nullptr);
+          call(*programs[a][v], inbox[a][v][rounds], v, rounds + 1, nullptr);
           out.completed[a][v] = 1;
           programs[a][v]->write_output(words);
         }
@@ -219,7 +216,7 @@ class ReferenceExecutor {
   /// Runs on_round (sink set) or on_finish (sink null) over `msgs`, presented
   /// through the InboxView every NodeProgram reads.
   void call(NodeProgram& program, const std::vector<Message>& msgs, NodeId v,
-            std::uint32_t vround, Rng* rng, Sink* sink) const {
+            std::uint32_t vround, Sink* sink) const {
     constexpr std::uint32_t kStride = InlinePayload::kInlineCapacity;
     std::vector<std::uint32_t> headers;
     std::vector<std::uint64_t> words(msgs.size() * kStride, 0);
@@ -237,7 +234,6 @@ class ReferenceExecutor {
     ctx.neighbors_ = g_.neighbors(v);
     ctx.send_fn_ = sink != nullptr ? &ReferenceExecutor::send : nullptr;
     ctx.sink_ = sink;
-    ctx.rng_ = rng;
     if (sink != nullptr) {
       program.on_round(ctx);
     } else {

@@ -442,6 +442,11 @@ class ChainFlood final : public DistributedAlgorithm {
   NodeProgram& construct_program(NodeId node, ProgramArena& arena) const override {
     return arena.make<ChainFloodProgram>(node);
   }
+  StaticFootprint static_footprint() const override {
+    StaticFootprint f = StaticFootprint::opaque();
+    f.max_payload_words = 3;
+    return f;
+  }
 
  private:
   std::uint32_t rounds_;
@@ -495,7 +500,6 @@ TEST(FaultFateGolden, PooledScaleFatesMatchPinnedDigest) {
     {
       ExecProfiler profiler;
       ExecConfig cfg;
-      cfg.max_payload_words = 3;
       cfg.faults = &injector;
       cfg.retry = pc.retry;
       cfg.profiler = &profiler;
@@ -515,7 +519,6 @@ TEST(FaultFateGolden, PooledScaleFatesMatchPinnedDigest) {
       rc.capacity = 1u << 17;  // holds every fate note of the run
       FlightRecorder recorder(rc);
       ExecConfig cfg;
-      cfg.max_payload_words = 3;
       cfg.num_threads = threads;
       cfg.faults = &injector;
       cfg.retry = pc.retry;

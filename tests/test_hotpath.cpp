@@ -99,13 +99,6 @@ TEST(InlinePayloadDeathTest, OversizedConstructionAborts) {
   }
 }
 
-TEST(InlinePayloadDeathTest, ExecutorRejectsConfigsBeyondInlineCapacity) {
-  const auto g = make_path(4);
-  ExecConfig cfg;
-  cfg.max_payload_words = InlinePayload::kInlineCapacity + 1;
-  EXPECT_DEATH(Executor(g, cfg), "inline payload capacity");
-}
-
 // --- Engine equivalence: the arena/CSR engine is pure perf. ---
 
 struct Instance {
@@ -479,9 +472,8 @@ class WidthProgram final : public NodeProgram {
   std::uint64_t acc_ = 0;
 };
 
-/// Deliberately does NOT declare a footprint payload width: the run width
-/// falls back to cfg.max_payload_words, which the test sweeps -- pinning
-/// every run_impl<W> instantiation in turn.
+/// Declares its exact payload width, so the run width is that width, which
+/// the test sweeps -- pinning every run_impl<W> instantiation in turn.
 class WidthAlgorithm final : public DistributedAlgorithm {
  public:
   WidthAlgorithm(std::uint32_t width, std::uint32_t rounds, std::uint64_t seed)
@@ -490,6 +482,11 @@ class WidthAlgorithm final : public DistributedAlgorithm {
   std::uint32_t rounds() const override { return rounds_; }
   NodeProgram& construct_program(NodeId node, ProgramArena& arena) const override {
     return arena.make<WidthProgram>(node, width_);
+  }
+  StaticFootprint static_footprint() const override {
+    StaticFootprint f = StaticFootprint::opaque();
+    f.max_payload_words = width_;
+    return f;
   }
 
  private:
@@ -538,7 +535,6 @@ TEST(WidthMatrix, EveryWidthMatchesPreChangeGoldensCleanAndFaulty) {
     for (const std::uint32_t threads : {0u, 2u, 4u}) {
       SCOPED_TRACE("threads=" + std::to_string(threads));
       ExecConfig cfg;
-      cfg.max_payload_words = golden.width;
       cfg.num_threads = threads;
       const auto clean = Executor(g, cfg).run(algos, schedule);
       EXPECT_TRUE(clean.all_completed());

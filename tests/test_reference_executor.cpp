@@ -83,6 +83,11 @@ class FloodAlgorithm final : public DistributedAlgorithm {
   NodeProgram& construct_program(NodeId node, ProgramArena& arena) const override {
     return arena.make<FloodProgram>(node, width_);
   }
+  StaticFootprint static_footprint() const override {
+    StaticFootprint f = StaticFootprint::opaque();
+    f.max_payload_words = width_;
+    return f;
+  }
 
  private:
   std::uint32_t width_;
@@ -168,22 +173,56 @@ TEST_P(OracleConformance, ExecutorMatchesTheReference) {
     algos.push_back(owned.back().get());
     delays.push_back(a % 2);
   }
-  const FaultInjector injector(g, make_plan(plan_kind, g));
-  const FaultInjector* faults = plan_kind == Plan::kClean ? nullptr : &injector;
   const RetryPolicy retry{plan_kind == Plan::kRetry ? 2u : 0u};
 
   // Lockstep-with-delays schedules are causal, and are stretched for the
   // retry budget; the skewed kind runs node v (v mod 3) big-rounds late, so
   // a late node's sends arrive after their consumers ran (causality
   // violations), and is not stretched, so retransmissions share barriers
-  // with fresh sends to the same inboxes.
+  // with fresh sends to the same inboxes. The truncated kind is the causal
+  // one with the rows of every fifth node cut short -- they end in
+  // kNeverScheduled, some before their first round -- so those nodes never
+  // complete although none of them crashes.
   const auto causal = ScheduleTable::from_delays(algos, g.num_nodes(), delays);
   const auto skewed = ScheduleTable::from_fn(
       algos, g.num_nodes(), [&](std::size_t a, NodeId v, std::uint32_t r) {
         return delays[a] + v % 3 + 2 * (r - 1);
       });
-  for (const auto* base : {&causal, &skewed}) {
-    const auto schedule = base == &causal ? stretch_for_retries(*base, retry) : *base;
+  const ScheduleTable truncated = [&] {
+    ScheduleTable t = causal;
+    for (std::size_t a = 0; a < algos.size(); ++a) {
+      for (NodeId v = 2; v < g.num_nodes(); v += 5) {
+        const auto row = t.row_mut(a, v);
+        const auto cut = std::min<std::size_t>(row.size(), 1 + (v + a) % 4);
+        std::fill(row.end() - static_cast<std::ptrdiff_t>(cut), row.end(), kNeverScheduled);
+      }
+    }
+    return t;
+  }();
+
+  // The crash plan also crashes two full-row nodes at the truncated
+  // schedule's last big-round and at its horizon: the first never completes,
+  // the second does.
+  FaultPlan plan = make_plan(plan_kind, g);
+  if (plan_kind == Plan::kCrash) {
+    std::uint32_t horizon = 0;
+    for (const auto t : truncated.flat()) {
+      if (t != kNeverScheduled) horizon = std::max(horizon, t + 1);
+    }
+    NodeId next = 0;
+    for (const std::uint32_t at : {horizon - 1, horizon}) {
+      while (next % 5 == 2 || std::any_of(plan.crashes.begin(), plan.crashes.end(),
+                                          [&](const auto& c) { return c.node == next; })) {
+        ++next;
+      }
+      plan.crashes.push_back({next++, at});
+    }
+  }
+  const FaultInjector injector(g, plan);
+  const FaultInjector* faults = plan_kind == Plan::kClean ? nullptr : &injector;
+
+  for (const auto* base : {&causal, &skewed, &truncated}) {
+    const auto schedule = base == &skewed ? *base : stretch_for_retries(*base, retry);
     const auto want = ReferenceExecutor(g, faults, retry).run(algos, schedule);
     if (faults != nullptr) {
       EXPECT_GT(want.faults.attempts, 0u);
@@ -191,12 +230,15 @@ TEST_P(OracleConformance, ExecutorMatchesTheReference) {
     if (base == &skewed) {
       EXPECT_GT(want.causality_violations, 0u);
     }
+    if (base == &truncated) {
+      EXPECT_FALSE(want.all_completed());
+    }
+    const char* const kind =
+        base == &causal ? " causal" : base == &skewed ? " skewed" : " truncated";
     for (const std::uint32_t threads : {0u, 2u, 4u, 7u}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   (base == &causal ? " causal" : " skewed"));
+      SCOPED_TRACE("threads=" + std::to_string(threads) + kind);
       ExecProfiler profiler;
       ExecConfig cfg;
-      cfg.max_payload_words = width;
       cfg.num_threads = threads;
       cfg.faults = faults;
       cfg.retry = retry;
