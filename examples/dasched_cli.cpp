@@ -51,9 +51,9 @@
 //
 // --flight OUT.flight.json attaches a bounded flight recorder: the most
 // recent deliveries, drops, retries, and barrier summaries per worker ring.
-// The executor dumps it automatically on admission rejection, unit-capacity
-// overflow, or crash-stop faults; the CLI writes a final dump on exit if no
-// incident dumped one first.
+// The executor dumps it automatically on unit-capacity overflow or
+// crash-stop faults; the CLI writes a final dump on exit if no incident
+// dumped one first.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>

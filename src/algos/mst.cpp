@@ -364,6 +364,7 @@ class PipelineMstProgram final : public NodeProgram {
     NodeId neighbor;
     EdgeId edge;
     std::uint64_t weight;
+    std::uint32_t sent_round = 0;  // last virtual round that sent on this edge
   };
 
   std::size_t incident_index(NodeId neighbor) const {
@@ -374,9 +375,27 @@ class PipelineMstProgram final : public NodeProgram {
     return 0;
   }
 
+  // Every send goes through here: at most one message per neighbor per
+  // round, the first one winning. A fault-free run never sends twice, but
+  // crash-stop faults leave survivors with partial inboxes and stale
+  // fragment state (a decision can name an edge that is already a fragment
+  // edge), and that must leave nodes with wrong outputs, not break the
+  // engine's one-message-per-edge contract.
+  void send(VirtualContext& ctx, std::size_t i, Payload payload) {
+    if (incident_[i].sent_round == ctx.vround()) return;
+    incident_[i].sent_round = ctx.vround();
+    ctx.send(incident_[i].neighbor, payload);
+  }
+  void send_to(VirtualContext& ctx, NodeId neighbor, Payload payload) {
+    send(ctx, incident_index(neighbor), payload);
+  }
+  void send_all(VirtualContext& ctx, Payload payload) {
+    for (std::size_t i = 0; i < incident_.size(); ++i) send(ctx, i, payload);
+  }
+
   void send_frag_edges(VirtualContext& ctx, Payload payload) {
     for (std::size_t i = 0; i < incident_.size(); ++i) {
-      if (is_frag_edge_[i]) ctx.send(incident_[i].neighbor, payload);
+      if (is_frag_edge_[i]) send(ctx, i, payload);
     }
   }
 
@@ -402,15 +421,16 @@ class PipelineMstProgram final : public NodeProgram {
     absorb_fragment(ctx, l, l_wave);
 
     if (l == 1) {
-      for (const auto& inc : incident_) ctx.send(inc.neighbor, {kTagFragId, frag_});
+      send_all(ctx, {kTagFragId, frag_});
       return;
     }
 
     // Timed convergecast: depth d sends at l = 2 + (dp - d).
     if (depth_ > 0 && dp >= depth_ && l == 2 + (dp - depth_)) {
       if (best_cand_.w != ~std::uint64_t{0}) {
-        ctx.send(parent_, {kTagCandidate, best_cand_.w, best_cand_.u, best_cand_.v,
-                           pack_frags(best_cand_)});
+        send_to(ctx, parent_,
+                {kTagCandidate, best_cand_.w, best_cand_.u, best_cand_.v,
+                 pack_frags(best_cand_)});
       }
       return;
     }
@@ -487,7 +507,7 @@ class PipelineMstProgram final : public NodeProgram {
     if (self_ == u) {
       const auto i = incident_index(v);
       is_frag_edge_[i] = true;
-      ctx.send(v, {kTagActivate});
+      send(ctx, i, {kTagActivate});
     }
   }
 
@@ -530,7 +550,7 @@ class PipelineMstProgram final : public NodeProgram {
               // Forward immediately (same-round absorb-then-send).
               for (std::size_t i = 0; i < incident_.size(); ++i) {
                 if (is_frag_edge_[i] && incident_[i].neighbor != m.from) {
-                  ctx.send(incident_[i].neighbor, {kTagWave});
+                  send(ctx, i, {kTagWave});
                 }
               }
             }
@@ -558,22 +578,23 @@ class PipelineMstProgram final : public NodeProgram {
     absorb_upcast(ctx, l);
 
     if (l == 1) {
-      for (const auto& inc : incident_) ctx.send(inc.neighbor, {kTagFragId, frag_});
+      send_all(ctx, {kTagFragId, frag_});
       return;
     }
     if (l == 2 && self_ == 0) {
       up_depth_ = 0;
       up_parent_ = self_;
       up_done_ = true;
-      for (const auto& inc : incident_) ctx.send(inc.neighbor, {kTagUpBfs});
+      send_all(ctx, {kTagUpBfs});
       return;
     }
-    if (l == l_child && self_ != 0) {
-      DASCHED_CHECK_MSG(up_done_, "mst: BFS wave did not reach a node");
-      ctx.send(up_parent_, {kTagChild});
+    // A crash can cut a node off from the BFS wave; it then has no parent to
+    // report to and sits the upcast out.
+    if (l == l_child && self_ != 0 && up_done_) {
+      send_to(ctx, up_parent_, {kTagChild});
       return;
     }
-    if (l >= l_up0 && l < dn_start && self_ != 0 && !done_sent_) {
+    if (l >= l_up0 && l < dn_start && self_ != 0 && up_done_ && !done_sent_) {
       // Emit the heap minimum once it is safe: every child has finished or
       // has already delivered a weight >= it (child streams never decrease).
       bool emitted = false;
@@ -592,7 +613,7 @@ class PipelineMstProgram final : public NodeProgram {
         heap_.pop();
         if (uf_.find(c.fu) == uf_.find(c.fv)) continue;  // filtered (cycle)
         uf_.unite(c.fu, c.fv);
-        ctx.send(up_parent_, {kTagUpCand, c.w, c.u, c.v, pack_frags(c)});
+        send_to(ctx, up_parent_, {kTagUpCand, c.w, c.u, c.v, pack_frags(c)});
         emitted = true;
         break;
       }
@@ -600,7 +621,7 @@ class PipelineMstProgram final : public NodeProgram {
         bool all_done = true;
         for (const auto& [ch, done] : child_state_) all_done &= done;
         if (all_done) {
-          ctx.send(up_parent_, {kTagUpDone});
+          send_to(ctx, up_parent_, {kTagUpDone});
           done_sent_ = true;
         }
       }
@@ -627,9 +648,7 @@ class PipelineMstProgram final : public NodeProgram {
       if (!down_queue_.empty()) {
         const auto [u, v] = down_queue_.front();
         down_queue_.pop_front();
-        for (const auto& inc : incident_) {
-          ctx.send(inc.neighbor, {kTagChosen, u, v});
-        }
+        send_all(ctx, {kTagChosen, u, v});
       }
       return;
     }
@@ -648,8 +667,8 @@ class PipelineMstProgram final : public NodeProgram {
             up_parent_ = m.from;
             up_depth_ = l - 2;
             if (l < 2 + plan.bfs_depth) {
-              for (const auto& inc : incident_) {
-                if (inc.neighbor != m.from) ctx.send(inc.neighbor, {kTagUpBfs});
+              for (std::size_t i = 0; i < incident_.size(); ++i) {
+                if (incident_[i].neighbor != m.from) send(ctx, i, {kTagUpBfs});
               }
             }
           } else if (l == up_depth_ + 2) {

@@ -11,25 +11,6 @@
 
 namespace dasched {
 
-std::uint64_t ExecutionResult::adaptive_physical_rounds() const {
-  std::uint64_t rounds = 0;
-  for (const auto load : max_load_per_big_round) {
-    rounds += std::max<std::uint32_t>(1, load);
-  }
-  return rounds;
-}
-
-ExecutionResult::FixedPhase ExecutionResult::fixed_phase(std::uint32_t phase_len) const {
-  DASCHED_CHECK_GE(phase_len, 1u);
-  FixedPhase result{0, 0};
-  result.physical_rounds =
-      static_cast<std::uint64_t>(num_big_rounds) * phase_len;
-  for (const auto load : max_load_per_big_round) {
-    if (load > phase_len) ++result.overflowing_phases;
-  }
-  return result;
-}
-
 bool ExecutionResult::all_completed() const {
   for (const auto& per_alg : completed) {
     for (const auto c : per_alg) {
@@ -527,15 +508,6 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
   // Packed finish keys alg*n + to must fit u32 (see finish lanes below).
   DASCHED_CHECK_MSG(static_cast<std::uint64_t>(k) * n <= (std::uint64_t{1} << 32),
                     "k*n exceeds the packed finish-key range");
-
-  // --- Admission gate: consulted once, before any event executes. A null
-  // gate costs nothing; a rejection is a hard contract failure. ---
-  if (cfg_.admission != nullptr && !cfg_.admission->admit(algorithms, schedule)) {
-    // Post-mortem before aborting: with a recorder attached the rejection
-    // leaves a dump (rings from any previous run of this recorder, or empty).
-    if (cfg_.recorder != nullptr) cfg_.recorder->dump_on("admission_rejected");
-    DASCHED_CHECK_MSG(false, "schedule rejected by the admission gate");
-  }
 
   ExecScratch& scratch = *scratch_;
 

@@ -84,7 +84,6 @@
 #include <span>
 #include <vector>
 
-#include "congest/admission.hpp"
 #include "congest/message.hpp"
 #include "congest/node_outputs.hpp"
 #include "congest/program.hpp"
@@ -95,6 +94,7 @@
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/profiler.hpp"
 #include "telemetry/telemetry.hpp"
+#include "util/load_cells.hpp"
 #include "util/parallel.hpp"
 
 namespace dasched {
@@ -142,14 +142,6 @@ struct ExecConfig {
   /// original big-rounds -- then every retransmission lands strictly before
   /// the consumers that depend on it (fault/reliable.hpp).
   RetryPolicy retry;
-  /// Optional pre-execution admission gate (borrowed; must outlive the run).
-  /// Null -- the default -- skips the gate entirely and the engine is
-  /// byte-for-byte the ungated executor. When set, `admit()` is consulted
-  /// once before any event executes; a rejection is a hard contract failure
-  /// (the executor aborts). Pass a verify::VerifyingAdmission to statically
-  /// prove the paper's schedule invariants at admission time
-  /// (docs/VERIFICATION.md).
-  const ScheduleAdmission* admission = nullptr;
   /// Optional congestion profiler (borrowed; must outlive the run). Null --
   /// the default -- leaves the engine byte-for-byte unprofiled. When set, the
   /// executor sizes the profiler once per run (begin_run, with retry
@@ -165,9 +157,9 @@ struct ExecConfig {
   /// and crash skips to its own bounded ring, and the serial fate commit and
   /// barrier epilogue log per-message fates (in canonical order, read from
   /// the shards' fate bytes) and per-round summaries; the executor dumps a
-  /// post-mortem JSON document (FlightRecorderConfig::dump_path) when the
-  /// admission gate rejects a schedule, a unit-capacity round overflows, or
-  /// crash-stop faults fired during the run. See docs/OBSERVABILITY.md.
+  /// post-mortem JSON document (FlightRecorderConfig::dump_path) when a
+  /// unit-capacity round overflows or crash-stop faults fired during the run.
+  /// See docs/OBSERVABILITY.md.
   FlightRecorder* recorder = nullptr;
 };
 
@@ -228,15 +220,14 @@ struct ExecutionResult {
 
   /// Realized schedule length if every big-round lasts exactly as many
   /// physical rounds as its busiest edge needs (>= 1).
-  std::uint64_t adaptive_physical_rounds() const;
-
-  struct FixedPhase {
-    std::uint64_t physical_rounds;
-    std::uint64_t overflowing_phases;  // phases whose max load exceeded the length
-  };
+  std::uint64_t adaptive_physical_rounds() const {
+    return adaptive_length(max_load_per_big_round);
+  }
   /// Realized length with fixed phases of `phase_len` physical rounds (the
   /// paper's w.h.p. regime); overflows indicate the schedule failed.
-  FixedPhase fixed_phase(std::uint32_t phase_len) const;
+  FixedPhase fixed_phase(std::uint32_t phase_len) const {
+    return fixed_length(max_load_per_big_round, phase_len);
+  }
 
   bool all_completed() const;
 };
@@ -264,7 +255,10 @@ class Executor {
 
   /// Runs all algorithms under the given schedule. Algorithms are borrowed
   /// (must outlive the call). The schedule is validated (gap-free prefix,
-  /// strictly increasing big-rounds per (alg, node)) before execution.
+  /// strictly increasing big-rounds per (alg, node)) before execution, but
+  /// nothing more is proved here: a caller that must not run an unproven
+  /// schedule proves it first with verify::check_schedule, as the service
+  /// daemon does for every cohort it composes (docs/VERIFICATION.md).
   ///
   /// The *run width* -- the payload-word stride of every staging and delivery
   /// lane, and the word budget every send is checked against -- is derived

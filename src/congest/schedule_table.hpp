@@ -104,9 +104,6 @@ class ScheduleTable {
   /// The dense big-round lane itself: flat()[slot_index(a, v, r)] == at(a, v, r).
   std::span<const std::uint32_t> flat() const { return table_; }
 
-  /// Equal dimensions and equal slots, compared slot for slot.
-  friend bool operator==(const ScheduleTable&, const ScheduleTable&) = default;
-
  private:
   std::size_t index(std::size_t a, NodeId v, std::uint32_t r) const {
     DASCHED_DCHECK(a < rounds_.size() && v < n_ && r >= 1 && r <= rounds_[a]);

@@ -7,21 +7,6 @@
 
 namespace dasched {
 
-std::uint64_t LoadProfile::adaptive_rounds() const {
-  std::uint64_t rounds = 0;
-  for (const auto load : max_load_per_phase) rounds += std::max<std::uint32_t>(1, load);
-  return rounds;
-}
-
-LoadProfile::Fixed LoadProfile::fixed(std::uint32_t phase_len) const {
-  DASCHED_CHECK(phase_len >= 1);
-  Fixed f{static_cast<std::uint64_t>(max_load_per_phase.size()) * phase_len, 0};
-  for (const auto load : max_load_per_phase) {
-    if (load > phase_len) ++f.overflowing_phases;
-  }
-  return f;
-}
-
 LoadProfile delay_load_profile(const ScheduleProblem& problem,
                                std::span<const std::uint32_t> delays) {
   DASCHED_CHECK(delays.size() == problem.size());

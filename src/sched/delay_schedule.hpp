@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "sched/problem.hpp"
+#include "util/load_cells.hpp"
 
 namespace dasched {
 
@@ -28,14 +29,11 @@ struct LoadProfile {
   }
 
   /// Realized rounds with adaptive phase lengths: sum of max(1, load).
-  std::uint64_t adaptive_rounds() const;
-
-  struct Fixed {
-    std::uint64_t rounds;
-    std::uint64_t overflowing_phases;
-  };
+  std::uint64_t adaptive_rounds() const { return adaptive_length(max_load_per_phase); }
   /// Fixed phases of `phase_len` rounds.
-  Fixed fixed(std::uint32_t phase_len) const;
+  FixedPhase fixed(std::uint32_t phase_len) const {
+    return fixed_length(max_load_per_phase, phase_len);
+  }
 };
 
 /// Loads under per-algorithm phase delays (requires problem.run_solo()).

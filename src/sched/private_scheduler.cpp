@@ -204,9 +204,7 @@ PrivateScheduleOutcome PrivateRandomnessScheduler::run(ScheduleProblem& problem)
     out.exec = executor.run(algos, out.schedule);
   }
 
-  out.phase_len = cfg_.phase_len > 0
-                      ? cfg_.phase_len
-                      : std::max<std::uint32_t>(1, ceil_log2(std::max<NodeId>(2, n)));
+  out.phase_len = cfg_.phase_len > 0 ? cfg_.phase_len : default_phase_len(n);
   out.schedule_rounds = out.exec.adaptive_physical_rounds();
   out.fixed = out.exec.fixed_phase(out.phase_len);
 

@@ -80,7 +80,7 @@ struct PrivateScheduleOutcome {
   std::uint64_t precomputation_rounds = 0;
   /// Realized schedule length in physical rounds (adaptive big-rounds).
   std::uint64_t schedule_rounds = 0;
-  ExecutionResult::FixedPhase fixed{};
+  FixedPhase fixed{};
   std::uint32_t phase_len = 0;
   std::uint32_t delay_support = 0;  // big-rounds of delay range
   /// The executed big-round table (earliest eligible layer per slot), for

@@ -33,7 +33,7 @@ SharedScheduleOutcome SharedRandomnessScheduler::run(ScheduleProblem& problem) c
   TimedSpan run_span(cfg_.telemetry, "sched.shared", "run");
   problem.run_solo();
   const NodeId n = problem.graph().num_nodes();
-  const std::uint32_t log_n = std::max(1, ceil_log2(std::max<NodeId>(2, n)));
+  const std::uint32_t log_n = default_phase_len(n);
 
   SharedScheduleOutcome out;
   out.phase_len = std::max<std::uint32_t>(

@@ -54,7 +54,7 @@ struct SharedScheduleOutcome {
   /// Realized schedule length in physical rounds (adaptive phase lengths).
   std::uint64_t schedule_rounds = 0;
   /// Fixed-phase view at phase_len.
-  ExecutionResult::FixedPhase fixed{};
+  FixedPhase fixed{};
   /// The executed big-round table, for static verification
   /// (verify::check_schedule).
   ScheduleTable schedule;

@@ -1,7 +1,6 @@
 #include "service/daemon.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -15,29 +14,18 @@
 #include "telemetry/json.hpp"
 #include "util/check.hpp"
 #include "util/fingerprint.hpp"
+#include "util/math.hpp"
 #include "util/rng.hpp"
 #include "verify/schedule_verifier.hpp"
 
 namespace dasched::service {
 namespace {
 
-constexpr std::uint64_t ceil_div_u64(std::uint64_t a, std::uint64_t b) {
-  return (a + b - 1) / b;
-}
-
-std::uint32_t derive_phase_len(std::uint32_t requested, NodeId n) {
-  if (requested != 0) return requested;
-  // ceil(log2 n) with the same floor the schedulers use (n < 2 -> 1).
-  const NodeId clamped = n < 2 ? 2 : n;
-  return static_cast<std::uint32_t>(std::bit_width(clamped - 1));
-}
-
 /// Nearest-rank percentile of a sorted sample (q in (0, 100]).
 std::uint64_t nearest_rank(const std::vector<std::uint64_t>& sorted, double q) {
   if (sorted.empty()) return 0;
   const auto rank = static_cast<std::size_t>(
-      ceil_div_u64(static_cast<std::uint64_t>(q * static_cast<double>(sorted.size())),
-                   100));
+      ceil_div(static_cast<std::uint64_t>(q * static_cast<double>(sorted.size())), 100));
   return sorted[std::min(rank == 0 ? 0 : rank - 1, sorted.size() - 1)];
 }
 
@@ -64,18 +52,15 @@ const char* to_string(RejectCode code) {
 SchedulerDaemon::SchedulerDaemon(const Graph& g, ServiceConfig cfg)
     : graph_(g),
       cfg_(cfg),
-      phase_len_(derive_phase_len(cfg.phase_len, g.num_nodes())),
+      phase_len_(cfg.phase_len != 0 ? cfg.phase_len : default_phase_len(g.num_nodes())),
       budget_(cfg.congestion_budget != 0 ? cfg.congestion_budget : 2 * phase_len_),
       graph_fp_(graph_fingerprint(g)),
       cache_(cfg.cache_capacity),
-      gate_(verify::VerifyOptions{
-          .congestion_budget = budget_, .phase_len = phase_len_, .telemetry = cfg.telemetry}),
       executor_(g,
                 [&] {
                   ExecConfig ec;
                   ec.num_threads = cfg.num_threads;
                   ec.telemetry = cfg.telemetry;
-                  ec.admission = &gate_;
                   return ec;
                 }()),
       fp_state_(kFnvOffsetBasis) {
@@ -198,7 +183,7 @@ void SchedulerDaemon::compose_and_execute(std::uint64_t tick, ServiceResult& res
       offered = std::max(offered, load);
     }
     const auto range = static_cast<std::uint32_t>(
-        std::max<std::uint64_t>(1, ceil_div_u64(offered, phase_len_)));
+        std::max<std::uint64_t>(1, ceil_div(offered, phase_len_)));
     const std::uint32_t delay = static_cast<std::uint32_t>(
         splitmix64(seed_combine(cfg_.delay_seed, adm.pending.request.job_id, epoch)) %
         range);
@@ -278,7 +263,10 @@ void SchedulerDaemon::run_cohort(std::vector<Admitted> cohort, std::uint64_t tic
 
     ++stats_.gate_runs;
     count("service.gate_runs");
-    const verify::Report& report = gate_.verify(problem, table);
+    const verify::Report report = verify::check_schedule(
+        problem, table,
+        {.congestion_budget = budget_, .phase_len = phase_len_, .telemetry = cfg_.telemetry},
+        proof_scratch_);
     const auto gate_end = std::chrono::steady_clock::now();
     stats_.gate_seconds += std::chrono::duration<double>(gate_end - gate_start).count();
     if (!report.ok()) {
@@ -322,9 +310,7 @@ void SchedulerDaemon::run_cohort(std::vector<Admitted> cohort, std::uint64_t tic
       continue;  // re-gate the surviving cohort
     }
 
-    // Admitted: run it on the daemon's engine, whose admission gate is the
-    // same gate -- it finds this proof remembered, and would prove again
-    // (and reject) a table that changed since.
+    // Proved: run it on the daemon's engine.
     const ExecutionResult exec = executor_.run(algorithms, table);
     const auto execute_end = std::chrono::steady_clock::now();
     stats_.execute_seconds +=

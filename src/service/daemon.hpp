@@ -29,17 +29,11 @@
 //               entry surfaces here as an error finding attributed to the
 //               offending job, which is then re-profiled from scratch and
 //               requeued (and rejected kVerifyFailed if it fails again).
-//               The daemon owns one verify::VerifyingAdmission for its whole
-//               life: each cohort is proved through gate.verify(problem,
-//               table), and the same gate is installed in the daemon's one
-//               Executor. The gate remembers its last proof -- the table
-//               slot for slot, plus each algorithm's pointer and rounds and
-//               its solo run -- so the engine's admission check of the table
-//               just proved reuses that proof instead of running
-//               check_schedule a second time; a table or problem that
-//               differs in any of these is proved again (and rejected if
-//               bad), so nothing unverified ever runs.
-//   execute     The admitted cohort runs on the daemon's Executor (one per
+//               Each gate run is one check_schedule over verifier buffers
+//               the daemon keeps for its life, and only a table whose
+//               report is ok() goes on to execute: the daemon proves, the
+//               engine runs.
+//   execute     The proved cohort runs on the daemon's Executor (one per
 //               daemon: its pool and arenas stay warm across cohorts).
 //   collect     Per-job completion is checked against the solo ground truth,
 //               and the execution fingerprint is folded into the service
@@ -162,8 +156,8 @@ struct ServiceStats {
   /// the five sum to at most wall_seconds. compose: fairness sort and the
   /// load-grid fold, profiling excluded. gate: building each candidate
   /// cohort's problem and schedule and proving it. execute: the engine run
-  /// (its admission check reuses the gate's proof). collect: the fingerprint
-  /// fold and the per-job completion check. Nondeterministic.
+  /// of the proved table. collect: the fingerprint fold and the per-job
+  /// completion check. Nondeterministic.
   double compose_seconds = 0.0;
   double gate_seconds = 0.0;
   double execute_seconds = 0.0;
@@ -268,9 +262,9 @@ class SchedulerDaemon {
   // compose sort iterates it).
   std::map<std::uint32_t, std::uint64_t> tenant_admitted_;
   std::uint64_t epoch_ = 0;  // compose-pass index (delay seed component)
-  // The verifier gate and the engine it guards, one each for the daemon's
-  // life; executor_ holds a pointer to gate_, so gate_ is declared first.
-  verify::VerifyingAdmission gate_;
+  // The gate's verifier buffers and the engine, one each for the daemon's
+  // life, so both stay warm across cohorts.
+  verify::ProofScratch proof_scratch_;
   Executor executor_;
   // compose_and_execute's load grid, rows x directed edges, kept across
   // compose passes so its storage is allocated once.

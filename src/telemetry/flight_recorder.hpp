@@ -2,8 +2,8 @@
 // ring buffer per worker (plus one for the serial fate commit and barrier) of the
 // most recent logical events -- executions, deliveries, drops, retries,
 // crash skips, barrier summaries -- that can be dumped as a post-mortem JSON
-// document when something goes wrong: the admission gate rejects a schedule,
-// a unit-capacity phase overflows, or crash-stop faults fired during a run.
+// document when something goes wrong: a unit-capacity phase overflows, or
+// crash-stop faults fired during a run.
 //
 // Determinism contract: entries carry only *logical* fields (kind, big-round,
 // ids, counts) and deliberately no wall-clock timestamps, so for a fixed seed

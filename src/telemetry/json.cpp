@@ -189,8 +189,16 @@ class Parser {
       return nullptr;
     }
     const char c = text_[pos_];
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxNestingDepth) {
+        fail("nesting too deep");
+        return nullptr;
+      }
+      ++depth_;
+      auto v = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return v;
+    }
     if (c == '"') return parse_string();
     if (c == 't' || c == 'f') {
       auto v = std::make_shared<Value>();
@@ -302,14 +310,17 @@ class Parser {
 
   ValuePtr parse_number() {
     skip_ws();
-    const char* begin = text_.data() + pos_;
+    // strtod reads up to a terminator, and the view need not end in one, so
+    // it parses a copy of the characters a JSON number can hold.
+    const std::string digits(
+        text_.substr(pos_, text_.find_first_not_of("+-.0123456789eE", pos_) - pos_));
     char* end = nullptr;
-    const double d = std::strtod(begin, &end);
-    if (end == begin) {
+    const double d = std::strtod(digits.c_str(), &end);
+    if (end == digits.c_str()) {
       fail("expected number");
       return nullptr;
     }
-    pos_ += static_cast<std::size_t>(end - begin);
+    pos_ += static_cast<std::size_t>(end - digits.c_str());
     auto v = std::make_shared<Value>();
     v->kind = Value::Kind::kNumber;
     v->number = d;
@@ -319,6 +330,7 @@ class Parser {
   std::string_view text_;
   std::string* error_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // arrays and objects open at pos_
 };
 
 }  // namespace

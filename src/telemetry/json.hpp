@@ -3,9 +3,11 @@
 // descent parser (used by tests to round-trip snapshots and by tools that
 // read reports back). Deliberately tiny and dependency-free; not a general
 // JSON library -- numbers are doubles, no \uXXXX emission beyond pass-through
-// escaping, inputs are trusted artifacts we wrote ourselves.
+// escaping. The parser still takes any byte string: a truncated, corrupted
+// or absurdly nested input yields nullptr and an error, never a crash.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -90,6 +92,10 @@ struct Value {
   /// Object member lookup; nullptr if absent or not an object.
   const Value* get(std::string_view key) const;
 };
+
+/// Deepest array/object nesting parse() accepts; deeper input is rejected
+/// like any other malformed document, so no input can exhaust the stack.
+inline constexpr std::size_t kMaxNestingDepth = 512;
 
 /// Parses a complete JSON document. Returns nullptr on malformed input
 /// (if `error` is non-null it receives a short description).

@@ -4,6 +4,8 @@
 #include <array>
 #include <utility>
 
+#include "util/check.hpp"
+
 namespace dasched {
 
 namespace {
@@ -76,6 +78,21 @@ std::vector<std::uint32_t> round_max_loads(std::span<const LoadCell> cells) {
     max_load[cell.big_round] = std::max(max_load[cell.big_round], cell.load);
   }
   return max_load;
+}
+
+std::uint64_t adaptive_length(std::span<const std::uint32_t> max_loads) {
+  std::uint64_t rounds = 0;
+  for (const auto load : max_loads) rounds += std::max<std::uint32_t>(1, load);
+  return rounds;
+}
+
+FixedPhase fixed_length(std::span<const std::uint32_t> max_loads, std::uint32_t phase_len) {
+  DASCHED_CHECK_GE(phase_len, 1u);
+  FixedPhase f{static_cast<std::uint64_t>(max_loads.size()) * phase_len, 0};
+  for (const auto load : max_loads) {
+    if (load > phase_len) ++f.overflowing_phases;
+  }
+  return f;
 }
 
 }  // namespace dasched

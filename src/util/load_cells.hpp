@@ -44,13 +44,26 @@ void count_cells(std::vector<std::uint64_t>& keys, std::vector<LoadCell>& out);
 
 /// The same count with the radix sort's second key buffer owned by the caller
 /// (its contents are clobbered), so a caller that counts many surfaces -- the
-/// service's admission gate, once per cohort -- reuses its capacity.
+/// service daemon's verifier gate, once per cohort -- reuses its capacity.
 void count_cells(std::vector<std::uint64_t>& keys, std::vector<LoadCell>& out,
                  std::vector<std::uint64_t>& spare);
 
 /// Max load of each round 0..last round of the sorted `cells` (0 for rounds
 /// without a cell); empty for an empty surface.
 std::vector<std::uint32_t> round_max_loads(std::span<const LoadCell> cells);
+
+/// The two schedule-length measures of a per-round max-load vector, one
+/// entry per (big-)round. Adaptive: each round lasts as many physical rounds
+/// as its busiest edge needs, at least one -- sum of max(1, load).
+std::uint64_t adaptive_length(std::span<const std::uint32_t> max_loads);
+
+struct FixedPhase {
+  std::uint64_t physical_rounds;
+  std::uint64_t overflowing_phases;  // phases whose max load exceeded the length
+};
+/// Fixed phases of `phase_len` >= 1 physical rounds (the paper's w.h.p.
+/// regime): rounds * phase_len, with the phases that overflowed counted.
+FixedPhase fixed_length(std::span<const std::uint32_t> max_loads, std::uint32_t phase_len);
 
 /// Calls fn(cell, load_a, load_b) once for each cell of the union of the
 /// sorted surfaces `a` and `b`, in (round, edge) order. A cell missing from

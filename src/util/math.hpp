@@ -6,6 +6,8 @@
 // next_prime() provides that prime.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 
 namespace dasched {
@@ -28,6 +30,12 @@ int floor_log2(std::uint64_t x);
 
 /// ceil(log2(x)) for x >= 1.
 int ceil_log2(std::uint64_t x);
+
+/// Default physical rounds per big-round of every schedule, report and
+/// service: the paper's Theta(log n) phase as ceil(log2 n), and 1 for n < 2.
+constexpr std::uint32_t default_phase_len(std::uint64_t n) {
+  return static_cast<std::uint32_t>(std::bit_width(std::max<std::uint64_t>(n, 2) - 1));
+}
 
 /// ceil(a / b) for b > 0.
 constexpr std::uint64_t ceil_div(std::uint64_t a, std::uint64_t b) {

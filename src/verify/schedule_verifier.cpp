@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "util/check.hpp"
 #include "util/load_cells.hpp"
@@ -13,12 +14,12 @@ namespace {
 
 std::string format_msg(const std::ostringstream& os) { return os.str(); }
 
-/// check_schedule over caller-owned buffers: `loads` (one packed key per
-/// scheduled transmission) and `spare` are scratch, `cells` receives the
-/// static load surface.
-Report prove_into(const ScheduleProblem& problem, const ScheduleTable& schedule,
-                  const VerifyOptions& opts, std::vector<std::uint64_t>& loads,
-                  std::vector<std::uint64_t>& spare, std::vector<LoadCell>& cells) {
+}  // namespace
+
+Report check_schedule(const ScheduleProblem& problem, const ScheduleTable& schedule,
+                      const VerifyOptions& opts, ProofScratch& scratch) {
+  // `loads` holds one packed key per scheduled transmission.
+  auto& [loads, spare, cells] = scratch;
   cells.clear();
   DASCHED_CHECK_MSG(problem.solo_done(),
                     "check_schedule needs solo patterns: call problem.run_solo() first");
@@ -86,10 +87,7 @@ Report prove_into(const ScheduleProblem& problem, const ScheduleTable& schedule,
 
   report.measured.congestion = problem.congestion();
   report.measured.dilation = problem.dilation();
-  report.measured.phase_len =
-      opts.phase_len > 0
-          ? opts.phase_len
-          : static_cast<std::uint32_t>(std::max(1, ceil_log2(std::max<NodeId>(2, n))));
+  report.measured.phase_len = opts.phase_len > 0 ? opts.phase_len : default_phase_len(n);
 
   // --- Per-(alg, node) row invariants: gap-free prefix, strictly increasing
   // big-rounds, and (optionally) Lemma 4.4 implied-delay block membership and
@@ -268,8 +266,7 @@ Report prove_into(const ScheduleProblem& problem, const ScheduleTable& schedule,
       static_cast<double>(report.measured.big_rounds) * report.measured.phase_len;
   const double budget_denominator =
       static_cast<double>(report.measured.congestion) +
-      static_cast<double>(report.measured.dilation) *
-          std::max(1, ceil_log2(std::max<NodeId>(2, n)));
+      static_cast<double>(report.measured.dilation) * default_phase_len(n);
   report.measured.length_ratio =
       budget_denominator > 0 ? physical / budget_denominator : 0.0;
   if (opts.length_budget_factor > 0.0 &&
@@ -324,67 +321,13 @@ Report prove_into(const ScheduleProblem& problem, const ScheduleTable& schedule,
   return report;
 }
 
-}  // namespace
-
 Report check_schedule(const ScheduleProblem& problem, const ScheduleTable& schedule,
                       const VerifyOptions& opts,
                       std::vector<LoadCell>* static_loads) {
-  std::vector<std::uint64_t> loads;
-  std::vector<std::uint64_t> spare;
-  std::vector<LoadCell> local_cells;
-  return prove_into(problem, schedule, opts, loads, spare,
-                    static_loads != nullptr ? *static_loads : local_cells);
-}
-
-void VerifyingAdmission::bind(ScheduleProblem& problem) {
-  problem.run_solo();
-  problem_ = &problem;
-}
-
-const Report& VerifyingAdmission::verify(ScheduleProblem& problem,
-                                         const ScheduleTable& schedule) {
-  bind(problem);
-  return prove(schedule);
-}
-
-bool VerifyingAdmission::admit(std::span<const DistributedAlgorithm* const> algorithms,
-                               const ScheduleTable& schedule) const {
-  DASCHED_CHECK_MSG(problem_ != nullptr, "admission gate: no problem bound");
-  // The gate verifies the problem it was built for; a different algorithm set
-  // is itself an admission failure (caught as a dimension mismatch unless the
-  // counts coincide, so check identity first).
-  DASCHED_CHECK_EQ(algorithms.size(), problem_->size(),
-                   "admission gate: algorithm set does not match the problem");
-  for (std::size_t a = 0; a < algorithms.size(); ++a) {
-    DASCHED_CHECK_MSG(algorithms[a] == &problem_->algorithm(a),
-                      "admission gate: algorithm set does not match the problem");
-  }
-  return prove(schedule).ok();
-}
-
-const Report& VerifyingAdmission::prove(const ScheduleTable& schedule) const {
-  const ScheduleProblem& problem = *problem_;
-  const std::size_t k = problem.size();
-  bool same = proved_subjects_.size() == k && proved_graph_ == &problem.graph() &&
-              proved_table_ == schedule;
-  for (std::size_t a = 0; same && a < k; ++a) {
-    const Subject& s = proved_subjects_[a];
-    same = s.algorithm == &problem.algorithm(a) && s.rounds == problem.algorithm(a).rounds() &&
-           s.solo == problem.solo_results()[a];
-  }
-  if (same) {
-    if (opts_.telemetry != nullptr) opts_.telemetry->add_counter("verify.memo_hits", 1);
-    return last_;
-  }
-  last_ = prove_into(problem, schedule, opts_, loads_, spare_, cells_);
-  proved_graph_ = &problem.graph();
-  proved_subjects_.clear();
-  for (std::size_t a = 0; a < k; ++a) {
-    proved_subjects_.push_back(
-        {&problem.algorithm(a), problem.algorithm(a).rounds(), problem.solo_results()[a]});
-  }
-  proved_table_ = schedule;
-  return last_;
+  ProofScratch scratch;
+  Report report = check_schedule(problem, schedule, opts, scratch);
+  if (static_loads != nullptr) *static_loads = std::move(scratch.cells);
+  return report;
 }
 
 }  // namespace dasched::verify

@@ -254,8 +254,7 @@ TEST(FaultExecutor, NullInjectorMatchesGoldenFingerprint) {
     ExecConfig cfg;
     cfg.num_threads = threads;
     cfg.telemetry = &metrics;
-    cfg.faults = nullptr;     // explicit: the paper's reliable network
-    cfg.admission = nullptr;  // explicit: no pre-execution gate
+    cfg.faults = nullptr;  // explicit: the paper's reliable network
     const auto r = Executor(in.g, cfg).run(in.algos, in.schedule);
 
     EXPECT_EQ(fingerprint(r), kGoldenOutputHash);
@@ -271,28 +270,23 @@ TEST(FaultExecutor, NullInjectorMatchesGoldenFingerprint) {
   }
 }
 
-// A *passing* admission gate must be invisible: verification only observes
-// the schedule, so the gated run reproduces the same golden fingerprint the
-// ungated engine recorded before the verifier (or the gate hook) existed.
+// The admission gate's proof is static: check_schedule, before any event
+// runs, predicts the golden dynamics -- the max edge load and the length --
+// and the proved schedule then runs to the golden fingerprint.
 TEST(FaultExecutor, AdmissionGateMatchesGoldenFingerprint) {
   const auto in = make_instance();
-  verify::VerifyingAdmission gate(*in.problem);
+  const verify::Report report = verify::check_schedule(*in.problem, in.schedule);
+  EXPECT_TRUE(report.ok());
+  EXPECT_EQ(report.measured.max_edge_load, kGoldenMaxEdgeLoad);
+  EXPECT_EQ(report.measured.big_rounds, kGoldenBigRounds);
   for (const std::uint32_t threads : {0u, 2u, 4u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     ExecConfig cfg;
     cfg.num_threads = threads;
-    cfg.admission = &gate;
     const auto r = Executor(in.g, cfg).run(in.algos, in.schedule);
-
-    EXPECT_TRUE(gate.last_report().ok());
     EXPECT_EQ(fingerprint(r), kGoldenOutputHash);
-    EXPECT_EQ(r.total_messages, kGoldenTotalMessages);
-    EXPECT_EQ(r.causality_violations, kGoldenViolations);
-    EXPECT_EQ(r.num_big_rounds, kGoldenBigRounds);
-    EXPECT_EQ(r.max_edge_load, kGoldenMaxEdgeLoad);
-    // The verifier's static load accounting agrees with the golden dynamics.
-    EXPECT_EQ(gate.last_report().measured.max_edge_load, kGoldenMaxEdgeLoad);
-    EXPECT_EQ(gate.last_report().measured.big_rounds, kGoldenBigRounds);
+    EXPECT_EQ(r.num_big_rounds, report.measured.big_rounds);
+    EXPECT_EQ(r.max_edge_load, report.measured.max_edge_load);
   }
 }
 

@@ -11,15 +11,12 @@
 //     flight recorder attached, the big-round loop performs zero heap
 //     allocations from the second run onward (this binary links
 //     util/alloc_hooks.cpp, so that is a measurement).
-//   * FlightRecorder: bounded rings keep the newest entries, dumps are
-//     byte-stable across identical runs, and an admission rejection writes a
-//     post-mortem dump before the engine aborts.
+//   * FlightRecorder: bounded rings keep the newest entries, and dumps are
+//     byte-stable across identical runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 
 #include "congest/executor.hpp"
@@ -431,45 +428,6 @@ TEST(FlightRecorder, DumpIsByteStableAcrossIdenticalRuns) {
   EXPECT_NE(serial.find("\"kind\":\"crash-skip\""), std::string::npos);
   EXPECT_NE(serial.find("\"kind\":\"drop-random\""), std::string::npos);
   ASSERT_NE(json::parse(serial), nullptr);
-}
-
-TEST(FlightRecorderDeathTest, AdmissionRejectionWritesPostMortemDump) {
-  auto in = make_instance();
-  verify::VerifyingAdmission gate(*in.problem);
-  // Dimensions stay valid (the executor's own shape CHECK runs before the
-  // gate); instead invert causality for one receiving node of algorithm 1 so
-  // the verifier rejects the table.
-  ScheduleTable wrong = in.schedule;
-  const auto cells = in.problem->solo(1).pattern.cells();
-  const std::uint32_t rounds = in.problem->algorithm(1).rounds();
-  const auto first = std::ranges::find_if(
-      cells, [rounds](const LoadCell& cell) { return cell.big_round < rounds; });
-  ASSERT_NE(first, cells.end());
-  const auto [lo, hi] = in.g.endpoints(first->edge / 2);
-  const NodeId victim = first->edge % 2 == 0 ? hi : lo;
-  const auto row = wrong.row_mut(1, victim);
-  for (std::uint32_t r = 1; r <= row.size(); ++r) row[r - 1] = r - 1;
-
-  const std::string path = testing::TempDir() + "dasched_admission_dump.json";
-  std::remove(path.c_str());
-  FlightRecorderConfig fcfg;
-  fcfg.dump_path = path;
-  FlightRecorder recorder(fcfg);
-  ExecConfig cfg;
-  cfg.admission = &gate;
-  cfg.recorder = &recorder;
-  EXPECT_DEATH((void)Executor(in.g, cfg).run(in.algos, wrong),
-               "rejected by the admission gate");
-
-  // The child process wrote the post-mortem before aborting.
-  std::ifstream is(path);
-  ASSERT_TRUE(is.good());
-  std::stringstream ss;
-  ss << is.rdbuf();
-  const auto doc = json::parse(ss.str());
-  ASSERT_NE(doc, nullptr);
-  EXPECT_EQ(doc->get("reason")->string, "admission_rejected");
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -340,9 +340,9 @@ TEST(OutputLayoutGolden, EveryFamilyUnderCrashStopMatchesPinnedDigest) {
     delays.push_back(static_cast<std::uint32_t>(a % 3));
   }
   const auto schedule = ScheduleTable::from_delays(algos, n, delays);
-  // The crashes hit the final big-round only: the MST programs are not fault
-  // tolerant, and an earlier crash drives them to send twice on one edge in
-  // one round.
+  // The crashes hit the final big-round only, so the digest pins the output
+  // layout rather than how each family degrades under earlier crashes
+  // (MstUnderCrashStop covers the MST's).
   std::uint32_t last = 0;
   for (std::size_t a = 0; a < algos.size(); ++a) {
     last = std::max(last, delays[a] + algos[a]->rounds() - 1);
@@ -371,6 +371,33 @@ TEST(OutputLayoutGolden, EveryFamilyUnderCrashStopMatchesPinnedDigest) {
     }
     EXPECT_GT(incomplete, 0u);
     EXPECT_EQ(fp.digest(), kGolden) << std::hex << "0x" << fp.digest();
+  }
+}
+
+// Crash-stop faults that fire mid-run leave the pipeline MST's survivors
+// with partial inboxes. Its programs must still send at most once per
+// neighbor per round, so the crashes leave nodes incomplete instead of
+// aborting the process; the run matches the oracle at every thread count.
+TEST(MstUnderCrashStop, MidRunCrashesLeaveNodesIncomplete) {
+  const Graph g = make_graph(Family::kGnp);
+  const PipelineMstAlgorithm mst(g, make_mst_weights(g, 47), 2, 47);
+  const DistributedAlgorithm* algos[] = {&mst};
+  const auto schedule = ScheduleTable::lockstep(algos, g.num_nodes());
+  FaultPlan plan;
+  plan.seed = 6262;
+  add_random_crashes(plan, g.num_nodes(), 10, 8);
+  const FaultInjector injector(g, plan);
+  const auto want = ReferenceExecutor(g, &injector).run(algos, schedule);
+  for (const std::uint32_t threads : {0u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ExecConfig cfg;
+    cfg.num_threads = threads;
+    cfg.faults = &injector;
+    const auto got = Executor(g, cfg).run(algos, schedule);
+    EXPECT_EQ(got.causality_violations, 0u);
+    EXPECT_FALSE(got.all_completed());
+    EXPECT_GT(got.faults.skipped_events, 0u);
+    expect_conforms(want, got);
   }
 }
 

@@ -818,9 +818,9 @@ BenchShape bench_shape() {
 }
 
 TEST(Daemon, OneProofPerGateRun) {
-  // The engine's admission check reuses the daemon gate's proof, so each
-  // gate run costs exactly one check_schedule, on the perfbench stream and on
-  // a stream whose gate rejects a poisoned profile.
+  // The daemon proves each composed cohort once and the engine proves
+  // nothing, so each gate run costs exactly one check_schedule, on the
+  // perfbench stream and on a stream whose gate rejects a poisoned profile.
   const auto shape = bench_shape();
   MetricsRegistry reg;
   ServiceConfig cfg;
@@ -829,7 +829,6 @@ TEST(Daemon, OneProofPerGateRun) {
   const ServiceResult result = daemon.serve(shape.stream);
   ASSERT_NE(reg.span("verify/check_schedule"), nullptr);
   EXPECT_EQ(reg.span("verify/check_schedule")->count, result.stats.gate_runs);
-  EXPECT_EQ(reg.counter("verify.memo_hits"), result.stats.executions);
   EXPECT_EQ(result.stats.executions, 75u);
 
   const Graph g = test_graph();
@@ -842,7 +841,6 @@ TEST(Daemon, OneProofPerGateRun) {
   const ServiceResult recovered = poisoned.serve(stream);
   ASSERT_EQ(recovered.stats.gate_rejections, 1u);
   EXPECT_EQ(poisoned_reg.span("verify/check_schedule")->count, recovered.stats.gate_runs);
-  EXPECT_EQ(poisoned_reg.counter("verify.memo_hits"), recovered.stats.executions);
 }
 
 TEST(ServiceGoldens, PerfbenchShape) {

@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "graph/generators.hpp"
 #include "sched/private_scheduler.hpp"
@@ -17,6 +20,7 @@
 #include "telemetry/metrics_registry.hpp"
 #include "telemetry/run_report.hpp"
 #include "telemetry/telemetry.hpp"
+#include "util/rng.hpp"
 #include "util/stats.hpp"
 
 namespace dasched {
@@ -203,6 +207,103 @@ TEST(Json, ParserRejectsMalformedInput) {
   EXPECT_EQ(json::parse("[1, 2", nullptr), nullptr);
   EXPECT_EQ(json::parse("{} trailing", nullptr), nullptr);
   EXPECT_EQ(json::parse("", nullptr), nullptr);
+}
+
+// A number that the view cuts short is read only up to the view's end.
+TEST(Json, ParserStopsAtTheEndOfTheView) {
+  const auto doc = json::parse(std::string_view("1.5").substr(0, 1));
+  ASSERT_NE(doc, nullptr);
+  EXPECT_DOUBLE_EQ(doc->number, 1.0);
+  EXPECT_EQ(json::parse(std::string_view("[7]").substr(0, 2)), nullptr);
+}
+
+// Seeded mutation fuzzing over real report documents: every truncation,
+// random byte flips, and nesting far past the cap. Each input must yield a
+// document or nullptr with an error -- never a crash.
+TEST(Json, MutatedReportsParseOrFailCleanly) {
+  std::vector<std::string> seeds;
+  {
+    MetricsRegistry m;
+    m.add_counter("runs", 3);
+    m.set_gauge("ratio", 1.0 / 3.0);
+    for (const double x : {5.0, -1.5e-7, 3e300}) m.record_value("load", x);
+    const SpanArg args[] = {{"events", 12.0}};
+    m.record_span("executor", "run", 10, 250, args);
+    seeds.push_back(m.to_json(/*include_samples=*/true));
+
+    ChromeTraceSink trace("fuzz");
+    trace.record_span("executor", "big_round", 1000, 50, args);
+    trace.add_counter("messages", 2);
+    std::ostringstream trace_os;
+    trace.write(trace_os);
+    seeds.push_back(trace_os.str());
+
+    RunReport report;
+    report.set_meta("graph", "gnp \"quoted\"\n");
+    RunReport::Series s;
+    s.name = "series";
+    s.columns = {"x", "y"};
+    s.points = {{0.01, 3.0}, {0.05, 17.0}};
+    report.add_series(std::move(s));
+    report.attach_metrics(m);
+    std::ostringstream report_os;
+    report.write(report_os);
+    seeds.push_back(report_os.str());
+  }
+  std::uint64_t parsed = 0;
+  std::uint64_t rejected = 0;
+  const auto check = [&](std::string_view input) {
+    std::string err;
+    const auto doc = json::parse(input, &err);
+    if (doc != nullptr) {
+      ++parsed;
+    } else {
+      ++rejected;
+      EXPECT_FALSE(err.empty()) << input;
+    }
+  };
+  for (const std::string& seed : seeds) {
+    ASSERT_NE(json::parse(seed), nullptr) << seed;
+    // Truncations, as views into the intact document and as copies.
+    for (std::size_t len = 0; len < seed.size(); ++len) {
+      check(std::string_view(seed).substr(0, len));
+      check(seed.substr(0, len));
+    }
+  }
+  Rng rng(2025);
+  constexpr char kAlphabet[] = "[]{}\",:\\-+.eE0123456789 tfnul\x00\xff";
+  for (int i = 0; i < 3000; ++i) {
+    std::string input = seeds[rng.next_below(seeds.size())];
+    const std::uint64_t flips = 1 + rng.next_below(4);
+    for (std::uint64_t f = 0; f < flips; ++f) {
+      input[rng.next_below(input.size())] =
+          rng.next_below(2) == 0 ? kAlphabet[rng.next_below(sizeof(kAlphabet) - 1)]
+                                 : static_cast<char>(rng.next_below(256));
+    }
+    check(input);
+  }
+  // Nesting: within the cap parses, past it fails with an error, and a
+  // depth that would exhaust the stack is just one more rejection.
+  const auto nested = [](std::size_t depth, std::string_view open, std::string_view close) {
+    std::string s;
+    for (std::size_t d = 0; d < depth; ++d) s += open;
+    s += "1";
+    for (std::size_t d = 0; d < depth; ++d) s += close;
+    return s;
+  };
+  EXPECT_NE(json::parse(nested(json::kMaxNestingDepth, "[", "]")), nullptr);
+  EXPECT_NE(json::parse(nested(json::kMaxNestingDepth, "{\"a\":", "}")), nullptr);
+  for (const std::size_t depth : {json::kMaxNestingDepth + 1, std::size_t{100000}}) {
+    for (const auto& input :
+         {nested(depth, "[", "]"), nested(depth, "{\"a\":", "}"), std::string(depth, '[')}) {
+      std::string err;
+      EXPECT_EQ(json::parse(input, &err), nullptr);
+      EXPECT_NE(err.find("nesting too deep"), std::string::npos) << err;
+    }
+  }
+  check(std::string(100000, '[') + seeds[0]);
+  EXPECT_GT(parsed, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST(MetricsRegistry, JsonSnapshotRoundTrip) {

@@ -9,11 +9,7 @@
 //     reliable network transmit exactly the solo-pattern messages).
 //   * Retry stretch: the 2^R-stretched schedule of fault/reliable.hpp is
 //     statically proven to have retry headroom; the unstretched one is not.
-//   * VerifyingAdmission: an admitting gate leaves the execution identical
-//     to the ungated run; a rejecting gate aborts before any event runs. Its
-//     memo reuses a proof only for an equal table over the same algorithms
-//     and solo runs: a table changed after the proof is rejected, and
-//     re-adopted solo runs are proved again.
+//   * Warm scratch: proofs over one reused ProofScratch equal fresh proofs.
 //   * Static load count: the verifier's load surface, max load and overrun
 //     findings, and util/load_cells' count_cells, equal a naive std::map
 //     count, for slots and edge ids past 2^16.
@@ -35,7 +31,6 @@
 #include "sched/shared_scheduler.hpp"
 #include "sched/workloads.hpp"
 #include "telemetry/json.hpp"
-#include "telemetry/metrics_registry.hpp"
 #include "telemetry/run_report.hpp"
 #include "util/load_cells.hpp"
 #include "verify/schedule_verifier.hpp"
@@ -567,142 +562,35 @@ TEST(StaticLoadCount, EmptyLoadListHasNoCells) {
   EXPECT_TRUE(report.ok()) << table_str(report);
 }
 
-// --- The admission gate: a passing gate is invisible, a failing gate aborts
-// before any event executes. ---
+// --- One scratch across proofs: a caller that keeps its buffers warm (the
+// service daemon does) gets the same report and load surface as a fresh
+// proof, whatever the previous proof over those buffers found. ---
 
-TEST(VerifyingAdmission, AdmittingGateLeavesExecutionIdentical) {
+TEST(CheckScheduleScratch, ReusedBuffersProveLikeFreshOnes) {
   auto f = make_fixture();
-  const auto baseline = Executor(f.g, {}).run(f.algos, f.valid);
-
-  verify::VerifyingAdmission gate(*f.problem);
-  ExecConfig cfg;
-  cfg.admission = &gate;
-  const auto gated = Executor(f.g, cfg).run(f.algos, f.valid);
-
-  EXPECT_TRUE(gate.last_report().ok());
-  EXPECT_GT(gate.last_report().measured.scheduled_slots, 0u);
-  EXPECT_EQ(gated.outputs, baseline.outputs);
-  EXPECT_EQ(gated.completed, baseline.completed);
-  EXPECT_EQ(gated.total_messages, baseline.total_messages);
-  EXPECT_EQ(gated.causality_violations, baseline.causality_violations);
-  EXPECT_EQ(gated.num_big_rounds, baseline.num_big_rounds);
-  EXPECT_EQ(gated.max_load_per_big_round, baseline.max_load_per_big_round);
-  EXPECT_EQ(gated.max_edge_load, baseline.max_edge_load);
-  EXPECT_TRUE(f.problem->verify(gated).ok());
-}
-
-TEST(VerifyingAdmissionDeathTest, RejectingGateAbortsBeforeExecution) {
-  auto f = make_fixture();
-  // Invert causality for one receiving node of algorithm 1 (as above).
+  ScheduleTable broken = f.valid;
   const auto* first = first_consumed(*f.problem, 1);
   ASSERT_NE(first, nullptr);
   const auto victim = receiver_of(f.g, first->edge);
-  const auto row = f.valid.row_mut(1, victim);
+  const auto row = broken.row_mut(1, victim);
   for (std::uint32_t r = 1; r <= row.size(); ++r) row[r - 1] = r - 1;
+  const auto lockstep = ScheduleTable::lockstep(f.algos, f.g.num_nodes());
 
-  verify::VerifyingAdmission gate(*f.problem);
-  ExecConfig cfg;
-  cfg.admission = &gate;
-  EXPECT_DEATH((void)Executor(f.g, cfg).run(f.algos, f.valid),
-               "rejected by the admission gate");
-}
-
-// --- The gate's memo: a proof is reused only for the table and problem it
-// proved; a changed table or re-adopted solo runs are proved again. Proofs
-// are counted as verify/check_schedule spans. ---
-
-std::uint64_t proofs(const MetricsRegistry& reg) {
-  const auto* span = reg.span("verify/check_schedule");
-  return span == nullptr ? 0 : span->count;
-}
-
-TEST(VerifyingAdmissionMemo, IdenticalTableIsNotProvedAgain) {
-  auto f = make_fixture();
-  MetricsRegistry reg;
-  VerifyOptions opts;
-  opts.telemetry = &reg;
-  verify::VerifyingAdmission gate(opts);
-  ASSERT_TRUE(gate.verify(*f.problem, f.valid).ok());
-  EXPECT_EQ(proofs(reg), 1u);
-
-  // The engine's admission check of the proved table reuses the proof, and so
-  // does an equal copy of it: the memo compares slots, not addresses.
-  ExecConfig cfg;
-  cfg.admission = &gate;
-  Executor executor(f.g, cfg);
-  const auto gated = executor.run(f.algos, f.valid);
-  const ScheduleTable copy = f.valid;
-  EXPECT_TRUE(gate.admit(f.algos, copy));
-  EXPECT_EQ(proofs(reg), 1u);
-  EXPECT_EQ(reg.counter("verify.memo_hits"), 2u);
-  EXPECT_TRUE(f.problem->verify(gated).ok());
-
-  // A different (still valid) table is proved.
-  std::vector<std::uint32_t> delays(f.algos.size(), 0);
-  for (std::size_t a = 1; a < f.algos.size(); ++a) {
-    delays[a] = delays[a - 1] + f.problem->algorithm(a - 1).rounds() + 1;
+  verify::ProofScratch scratch;
+  const ScheduleTable* tables[] = {&f.valid, &broken, &lockstep, &f.valid};
+  for (const ScheduleTable* table : tables) {
+    std::vector<LoadCell> fresh_cells;
+    const Report fresh = check_schedule(*f.problem, *table, {}, &fresh_cells);
+    const Report warm = check_schedule(*f.problem, *table, {}, scratch);
+    EXPECT_EQ(warm.ok(), fresh.ok());
+    EXPECT_EQ(warm.errors(), fresh.errors());
+    EXPECT_EQ(warm.has(verify::kCodeCausality), fresh.has(verify::kCodeCausality));
+    EXPECT_EQ(warm.measured.checked_messages, fresh.measured.checked_messages);
+    EXPECT_EQ(warm.measured.max_edge_load, fresh.measured.max_edge_load);
+    EXPECT_EQ(warm.measured.big_rounds, fresh.measured.big_rounds);
+    EXPECT_EQ(scratch.cells, fresh_cells);
   }
-  const auto spaced = ScheduleTable::from_delays(f.algos, f.g.num_nodes(), delays);
-  EXPECT_TRUE(gate.admit(f.algos, spaced));
-  EXPECT_EQ(proofs(reg), 2u);
-  EXPECT_EQ(gate.last_report().measured.big_rounds,
-            check_schedule(*f.problem, spaced).measured.big_rounds);
-}
-
-TEST(VerifyingAdmissionMemoDeathTest, TableChangedAfterTheProofIsRejected) {
-  auto f = make_fixture();
-  verify::VerifyingAdmission gate;
-  ASSERT_TRUE(gate.verify(*f.problem, f.valid).ok());
-
-  // Move one producer slot of algorithm 1 onto its consumer's big-round: the
-  // message is then consumed in the big-round that sends it.
-  const auto* first = first_consumed(*f.problem, 1);
-  ASSERT_NE(first, nullptr) << "fixture: algorithm 1 must deliver at least one message";
-  const std::uint32_t round = first->big_round;
-  const std::uint32_t edge = first->edge;
-  const NodeId sender = sender_of(f.g, edge);
-  const NodeId receiver = receiver_of(f.g, edge);
-  f.valid.set(1, sender, round, f.valid.at(1, receiver, round + 1));
-  ASSERT_TRUE(check_schedule(*f.problem, f.valid).has(verify::kCodeCausality));
-
-  ExecConfig cfg;
-  cfg.admission = &gate;
-  EXPECT_DEATH((void)Executor(f.g, cfg).run(f.algos, f.valid),
-               "rejected by the admission gate");
-}
-
-TEST(VerifyingAdmissionMemoDeathTest, UnboundGateDies) {
-  const auto f = make_fixture();
-  const verify::VerifyingAdmission gate;
-  EXPECT_DEATH((void)gate.admit(f.algos, f.valid), "no problem bound");
-}
-
-TEST(VerifyingAdmissionMemo, ReadoptedSoloRunsAreProvedAgain) {
-  auto f = make_fixture();
-  MetricsRegistry reg;
-  VerifyOptions opts;
-  opts.telemetry = &reg;
-  verify::VerifyingAdmission gate(opts);
-  const Report first = gate.verify(*f.problem, f.valid);
-  ASSERT_TRUE(first.ok());
-
-  // The same workload re-adopting equal copies of the solo runs, on the same
-  // table: new solo pointers, so the gate proves again (to the same result).
-  auto again = make_broadcast_workload(f.g, 4, 3, 21);
-  std::vector<std::shared_ptr<const SoloRunResult>> copies;
-  for (std::size_t a = 0; a < f.problem->size(); ++a) {
-    copies.push_back(std::make_shared<const SoloRunResult>(f.problem->solo(a)));
-  }
-  again->adopt_solo(copies);
-  const Report& second = gate.verify(*again, f.valid);
-  EXPECT_EQ(proofs(reg), 2u);
-  EXPECT_TRUE(second.ok());
-  EXPECT_EQ(second.measured.checked_messages, first.measured.checked_messages);
-
-  // Back to the first problem: its solo runs are no longer the remembered
-  // ones, so it is proved again as well.
-  EXPECT_TRUE(gate.verify(*f.problem, f.valid).ok());
-  EXPECT_EQ(proofs(reg), 3u);
+  EXPECT_FALSE(check_schedule(*f.problem, broken, {}, scratch).ok());
 }
 
 // --- Findings survive the RunReport JSON round-trip. ---
