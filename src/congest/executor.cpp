@@ -453,6 +453,879 @@ static_assert(kDefaultMaxPayloadWords <= InlinePayload::kInlineCapacity,
               "the CONGEST word budget exceeds the inline payload capacity; "
               "recompile with a larger -DDASCHED_PAYLOAD_INLINE_WORDS=<n>");
 
+// --- The big-round pipeline, one function per stage (docs/PERFORMANCE.md):
+// validate + bucket and prepare once per run; then per big-round gather,
+// execute (with fate decide), fate commit, barrier and round close; then
+// finish. Every parallel stage is one owner-partitioned body run by
+// for_each_owner, plus a serial tail on the calling thread. ---
+
+namespace {
+
+/// One big-round as its stages hand it on.
+struct Round {
+  std::uint32_t t = 0;
+  std::size_t begin = 0;  // the bucket is events [begin, begin + size)
+  std::size_t size = 0;
+  const std::uint32_t* bound = nullptr;  // owner w runs slots [bound[w], bound[w + 1])
+  bool has_inbox = false;  // the gather populated the CSR inbox arena
+  std::uint32_t due = kNoBucket;  // retry-pool slot of the retransmissions due now
+  std::uint64_t retries = 0;      // retransmissions sent this round
+  std::uint64_t messages = 0;     // every transmission this round
+};
+
+}  // namespace
+
+/// The per-run state the stages share. Everything from `k` to
+/// `cells_observed` is bound before validation; validate_and_bucket sets the
+/// schedule's extent; `horizon` grows when retransmissions land past it, and
+/// the tallies at the bottom accumulate across rounds.
+struct Executor::Run {
+  const Graph& g;
+  const ScheduleTable& schedule;
+  std::span<const DistributedAlgorithm* const> algorithms;
+  ExecScratch& s;
+  ThreadPool* pool;
+  const FaultInjector* faults;
+  ExecProfiler* profiler;
+  FlightRecorder* recorder;
+  TelemetrySink* telemetry;
+  bool enforce_unit_capacity;
+  std::size_t k;
+  NodeId n;
+  std::uint32_t num_workers;
+  std::uint32_t max_retries;
+  /// Rounds retransmissions may add past the schedule: chained retries back
+  /// off exponentially, so at most sum_{i<R} 2^i = 2^R - 1.
+  std::uint32_t round_headroom;
+  /// Identity lanes are needed only when fates or the fate commit consume
+  /// message identities; the clean unobserved path skips the lane.
+  bool need_meta;
+  /// Per-cell observers read the owners' touched lists after each barrier.
+  bool cells_observed;
+
+  std::uint32_t num_big_rounds = 0;
+  std::uint64_t total_events = 0;
+  std::size_t max_bucket_size = 0;
+  std::uint32_t horizon = 0;
+
+  std::uint64_t delivered_before = 0;  // workers' cumulative inbox messages
+  std::uint64_t skipped_before = 0;    // workers' cumulative crash skips
+  std::uint64_t rounds_parallel = 0;
+  std::uint64_t rounds_serial = 0;
+
+  /// Runs an owner-partitioned body on the pool when `parallel`, else for each
+  /// owner in turn on the calling thread: the same body either way.
+  template <typename Body>
+  void for_each_owner(bool parallel, Body& body) {
+    if (parallel) {
+      pool->run(num_workers, body);
+    } else {
+      for (std::uint32_t w = 0; w < num_workers; ++w) body(w);
+    }
+  }
+
+  /// Validate + bucket. One pass over the schedule validates it (gap-free
+  /// prefix, strictly increasing big-rounds, horizon inside the packed
+  /// destination range), counts events per big-round and records the last
+  /// one. The horizon is checked per slot, before bucket_start grows to cover
+  /// it, so a corrupt table fails here instead of sizing O(max big-round)
+  /// buffers. A counting sort then buckets the events into one flat array plus
+  /// CSR offsets, preserving (alg, node, round) order within each bucket --
+  /// the canonical serial execution order -- and fills the slot_of lane: each
+  /// scheduled slot's event index within its bucket, i.e. the consumer-side
+  /// coordinate every staged message will carry.
+  void validate_and_bucket() {
+    auto& bucket_start = s.bucket_start;
+    std::uint32_t max_big_round = 0;
+    bucket_start.clear();
+    for (std::size_t a = 0; a < k; ++a) {
+      DASCHED_CHECK_EQ(schedule.rounds(a), algorithms[a]->rounds(),
+                       "schedule table does not match the algorithm round counts");
+      for (NodeId v = 0; v < n; ++v) {
+        const auto slots = schedule.row(a, v);
+        std::uint32_t prev = 0;
+        bool ended = false;
+        for (std::uint32_t r = 1; r <= slots.size(); ++r) {
+          const std::uint32_t t = slots[r - 1];
+          if (t == kNeverScheduled) {
+            ended = true;
+            continue;
+          }
+          DASCHED_CHECK_MSG(!ended, "schedule has a gap: round scheduled after a skipped one");
+          DASCHED_CHECK_MSG(r == 1 || t > prev,
+                            "schedule must be strictly increasing per (alg, node)");
+          DASCHED_CHECK_MSG(std::uint64_t{t} + 1 + round_headroom < kNeverDest,
+                            "schedule horizon exceeds the packed destination range");
+          prev = t;
+          max_big_round = std::max(max_big_round, t);
+          if (std::size_t{t} + 2 > bucket_start.size()) bucket_start.resize(std::size_t{t} + 2, 0);
+          ++bucket_start[std::size_t{t} + 1];
+          ++total_events;
+        }
+      }
+    }
+    num_big_rounds = total_events == 0 ? 0 : max_big_round + 1;
+    horizon = num_big_rounds;
+    bucket_start.resize(std::size_t{num_big_rounds} + 1, 0);
+    for (std::uint32_t t = 1; t <= num_big_rounds; ++t) {
+      max_bucket_size = std::max(max_bucket_size, bucket_start[t]);
+      bucket_start[t] += bucket_start[t - 1];
+    }
+
+    auto& events = s.events;
+    events.resize(total_events);
+    if (s.slot_of.size() < schedule.flat_size()) s.slot_of.resize(schedule.flat_size());
+    auto& cursor = s.bucket_cursor;
+    cursor.assign(bucket_start.begin(), bucket_start.end() - 1);
+    for (std::size_t a = 0; a < k; ++a) {
+      for (NodeId v = 0; v < n; ++v) {
+        const auto slots = schedule.row(a, v);
+        for (std::uint32_t r = 1; r <= slots.size(); ++r) {
+          const std::uint32_t t = slots[r - 1];
+          if (t != kNeverScheduled) {
+            s.slot_of[schedule.slot_index(a, v, r)] =
+                static_cast<std::uint32_t>(cursor[t] - bucket_start[t]);
+            events[cursor[t]++] = {static_cast<std::uint32_t>(a), v, r};
+          }
+        }
+      }
+    }
+  }
+
+  /// The owner partition (docs/PERFORMANCE.md, "Owner partition"). Round t's
+  /// bucket of B events splits into P = ceil(B / 64) inbox-presence words;
+  /// owner w holds words [ceil(w*P/W), ceil((w+1)*P/W)), recorded as
+  /// consumer-slot boundaries clamped to B. The gather, the execute shards and
+  /// the delivery barrier all read this one partition, so the worker that
+  /// scatters a slot's inbox also executes its event, and owners never share a
+  /// presence word. The extra all-zero row serves the empty buckets of
+  /// retry-extended rounds.
+  void partition_owners() {
+    const std::uint32_t nw = num_workers;
+    auto& slot_bound = s.slot_bound;
+    slot_bound.assign(std::size_t{num_big_rounds + 1} * (nw + 1), 0);
+    for (std::uint32_t t = 0; t < num_big_rounds; ++t) {
+      const std::size_t bsize = s.bucket_start[t + 1] - s.bucket_start[t];
+      const std::size_t words = (bsize + 63) / 64;
+      auto* row = slot_bound.data() + std::size_t{t} * (nw + 1);
+      for (std::uint32_t w = 0; w <= nw; ++w) {
+        const std::size_t lo_word = (std::size_t{w} * words + nw - 1) / nw;
+        row[w] = static_cast<std::uint32_t>(std::min(bsize, lo_word * 64));
+      }
+    }
+  }
+
+  /// Prepare: the per-run sizing that keeps the steady-state window
+  /// allocation-free -- programs built in the scratch arena, the result's
+  /// tables, the delivery arenas (which only grow to warm-up high-water
+  /// marks), the retry pool and the workers' staging -- then the owner
+  /// partition.
+  template <std::uint32_t W>
+  void prepare(ExecutionResult& result) {
+    s.arena.reset();
+    s.programs.clear();
+    for (std::size_t a = 0; a < k; ++a) {
+      for (NodeId v = 0; v < n; ++v) {
+        s.programs.push_back(&algorithms[a]->construct_program(v, s.arena));
+      }
+    }
+
+    result.outputs.resize(k);
+    result.completed.assign(k, {});
+    result.num_big_rounds = num_big_rounds;
+    // Retransmissions extend the horizon into the reserved headroom, inside
+    // the loop, without reallocating.
+    result.max_load_per_big_round.reserve(std::size_t{num_big_rounds} + round_headroom);
+    result.max_load_per_big_round.assign(num_big_rounds, 0);
+
+    s.inbox_offset.reserve(max_bucket_size);
+    s.inbox_cursor.reserve(max_bucket_size);
+    s.inbox_count.reserve(max_bucket_size);
+    s.inbox_present.reserve(max_bucket_size / 64 + 1);
+    // The tag == T stream holds at most one message per directed edge per
+    // algorithm (an event sends once per neighbor), twice that with raw
+    // duplicates, so it is sized once here instead of doubling mid-run with
+    // both buffers live; the pages a run never writes are never touched.
+    s.finish.clear();
+    const bool raw_duplicates = faults != nullptr && max_retries == 0;
+    const std::size_t num_dir_edges = g.num_directed_edges();
+    const std::size_t finish_cap = k * num_dir_edges * (raw_duplicates ? 2 : 1);
+    s.finish.slot.reserve(finish_cap);
+    s.finish.hdr.reserve(finish_cap);
+    s.finish.pay.reserve(finish_cap * W);
+    s.edge_count.assign(num_dir_edges, 0);
+    // Retransmissions park under their due round, at most
+    // num_big_rounds + round_headroom - 1 (docs/FAULTS.md).
+    s.retry.reset(std::size_t{num_big_rounds} + round_headroom);
+
+    // Workers persist across runs: slot_stamp is set once at creation and the
+    // staging lanes keep their warmed-up capacity.
+    if (s.workers.size() != num_workers) {
+      s.workers.resize(num_workers);
+      for (auto& ws : s.workers) ws.slot_stamp.assign(g.max_degree(), 0);
+    }
+    for (auto& ws : s.workers) {
+      ws.delivered = 0;
+      ws.skipped = 0;
+      ws.max_load_partial = 0;
+      ws.violations = 0;
+      ws.fault_partial = {};
+      ws.clear();
+      ws.staged_hdr.reserve(s.staged_high_water);
+      ws.staged_pay.reserve(s.staged_high_water * W);
+      if (need_meta) ws.staged_meta.reserve(s.staged_high_water);
+      ws.staged_edge.reserve(s.staged_high_water);
+      ws.staged_dest.reserve(s.staged_high_water);
+      ws.pend.reset(num_big_rounds);
+      ws.touched.clear();
+      ws.touched.reserve(num_dir_edges / num_workers + 1);
+      ws.touched_bits.assign(
+          cells_observed ? (num_dir_edges / num_workers + 1) / 64 + 1 : 0, 0);
+      ws.touched_words.clear();
+    }
+    partition_owners();
+  }
+
+  /// The round's bucket and owner-partition row; rounds >= num_big_rounds
+  /// exist only when retransmissions extended the horizon and have no events.
+  Round open_round(std::uint32_t t) const {
+    Round r;
+    r.t = t;
+    const auto& bucket_start = s.bucket_start;
+    r.begin = t < num_big_rounds ? bucket_start[t] : s.events.size();
+    r.size = t < num_big_rounds ? bucket_start[t + 1] - r.begin : 0;
+    r.bound = s.slot_bound.data() +
+              std::size_t{std::min(t, num_big_rounds)} * (num_workers + 1);
+    return r;
+  }
+
+  /// Gather this round's inboxes from the owners' pending segs: counting-sort
+  /// them (stably -- seg order is delivery order) into contiguous arena-lane
+  /// slices per event. Every pending message's consumer provably executes in
+  /// this round, and its slot lies in its owner's range, so owners histogram
+  /// and scatter only slots (and 64-event presence words) they own: the whole
+  /// gather runs on the pool with no atomics, and a serial sweep over the same
+  /// segs builds the identical arena. Exact per-slot offsets come from one
+  /// serial prefix-walk over the populated presence bits between the two
+  /// phases -- O(messages + bucket/64), with no per-slot zeroing anywhere: the
+  /// presence bitset is all-zero on entry (the previous round cleared exactly
+  /// the words it touched) and the first touch of a slot *assigns* its count.
+  template <std::uint32_t W>
+  void gather(Round& r) {
+    const std::uint32_t t = r.t;
+    std::size_t pend_total = 0;
+    for (auto& ws : s.workers) {
+      const std::uint32_t b = ws.pend.find(t);
+      if (b != kNoBucket) pend_total += ws.pend.pool[b].slot.size();
+    }
+    if (pend_total == 0) return;
+    r.has_inbox = true;
+    const std::size_t present_words = (r.size + 63) / 64;
+    // Grow-only sizing: shrinking would churn the zero-page invariant of
+    // inbox_present and the warm capacity of the lanes.
+    if (s.inbox_offset.size() < r.size) {
+      s.inbox_offset.resize(r.size);
+      s.inbox_cursor.resize(r.size);
+      s.inbox_count.resize(r.size);
+    }
+    if (s.inbox_present.size() < present_words) s.inbox_present.resize(present_words, 0);
+    if (s.arena_hdr.size() < pend_total) s.arena_hdr.resize(pend_total);
+    if (s.arena_pay.size() < pend_total * W) s.arena_pay.resize(pend_total * W);
+    const bool parallel = num_workers > 1 && pend_total >= kMinMessagesParallelBarrier;
+    auto histogram_body = [&](std::uint32_t w) {
+      auto& ws = s.workers[w];
+      const std::uint32_t seg_idx = ws.pend.find(t);
+      if (seg_idx == kNoBucket) return;
+      std::uint64_t* const present = s.inbox_present.data();
+      std::uint32_t* const count = s.inbox_count.data();
+      // First-touch histogram over this owner's dense slot lane: presence
+      // bits double as the "count is live" guard, so count cells need no
+      // pre-zeroing and the touched-word list scopes the post-round clear.
+      for (const auto slot : ws.pend.pool[seg_idx].slot) {
+        const std::size_t word = slot >> 6;
+        const std::uint64_t bit = std::uint64_t{1} << (slot & 63);
+        const std::uint64_t wv = present[word];
+        if ((wv & bit) != 0) {
+          ++count[slot];
+        } else {
+          if (wv == 0) ws.touched_words.push_back(static_cast<std::uint32_t>(word));
+          present[word] = wv | bit;
+          count[slot] = 1;
+        }
+      }
+    };
+    auto scatter_body = [&](std::uint32_t w) {
+      auto& ws = s.workers[w];
+      const std::uint32_t seg_idx = ws.pend.find(t);
+      if (seg_idx == kNoBucket) return;
+      const auto& seg = ws.pend.pool[seg_idx];
+      const std::size_t m = seg.slot.size();
+      const std::uint32_t* const sl = seg.slot.data();
+      const std::uint32_t* const sh = seg.hdr.data();
+      const std::uint64_t* const sp = seg.pay.data();
+      const std::uint32_t* const offset = s.inbox_offset.data();
+      std::uint32_t* const cursor = s.inbox_cursor.data();
+      std::uint32_t* const ah = s.arena_hdr.data();
+      std::uint64_t* const ap = s.arena_pay.data();
+      // Width-specialized scatter: the W-word copy is a compile-time-sized
+      // move; the prefetch hides the CSR target's first-touch miss (the slot's
+      // base offset approximates the cursor well enough for a cache line).
+      for (std::size_t i = 0; i < m; ++i) {
+        if (i + kScatterPrefetchDist < m) {
+          prefetch_for_write(ap + std::size_t{offset[sl[i + kScatterPrefetchDist]]} * W);
+        }
+        const std::uint32_t at = cursor[sl[i]]++;
+        ah[at] = sh[i];
+        std::memcpy(ap + std::size_t{at} * W, sp + i * W, W * sizeof(std::uint64_t));
+      }
+      ws.pend.release(t);
+    };
+    for_each_owner(parallel, histogram_body);
+    // Serial prefix over the populated slots only, in slot order (the
+    // presence bits are walked word by word via countr_zero); doubles as the
+    // cursor init, so the scatter needs no bit-walk of its own.
+    std::uint32_t running = 0;
+    for (std::size_t wi = 0; wi < present_words; ++wi) {
+      for (std::uint64_t bits = s.inbox_present[wi]; bits != 0; bits &= bits - 1) {
+        const std::size_t slot = (wi << 6) + std::countr_zero(bits);
+        s.inbox_offset[slot] = running;
+        s.inbox_cursor[slot] = running;
+        running += s.inbox_count[slot];
+      }
+    }
+    for_each_owner(parallel, scatter_body);
+  }
+
+  /// One event on its owner's shard. Everything it mutates is either owned by
+  /// the event's (alg, node) -- its program -- or by the executing shard's
+  /// WorkerState; the round arena and its offsets are read-only during
+  /// execution, so shards are data-race free. Events reach a program in
+  /// virtual-round order: the validation pass proved every row gap-free and
+  /// strictly increasing, each bucket runs once in big-round order, and
+  /// crash-stop is monotone in t.
+  template <std::uint32_t W>
+  void execute_event(const Round& r, std::size_t event_index, WorkerState& ws) const {
+    const ExecEvent& ev = s.events[event_index];
+    const auto worker = static_cast<std::uint32_t>(&ws - s.workers.data());
+    if (faults != nullptr && faults->node_crashed(ev.node, r.t)) {
+      // Crash-stop: the node executes nothing from its crash round on, so it
+      // is never marked completed (crash_round(v) < horizon in collect_outputs).
+      ++ws.skipped;
+      if (recorder != nullptr) {
+        recorder->record(worker, FlightRecorder::Kind::kCrashSkip, r.t,
+                           (std::uint64_t{ev.alg} << 32) | ev.vround, ev.node);
+      }
+      return;
+    }
+
+    // This event's inbox: its contiguous slice of the round arena lanes.
+    // Events without messages (vround 1, quiet rounds) get an empty view --
+    // detected by one presence-bitset bit instead of two offset loads.
+    InboxView in;
+    std::uint32_t in_count = 0;
+    if (r.has_inbox) {
+      const std::size_t li = event_index - r.begin;
+      if ((s.inbox_present[li >> 6] >> (li & 63)) & 1) {
+        const std::uint32_t off = s.inbox_offset[li];
+        in_count = s.inbox_count[li];
+        in = InboxView(s.arena_hdr.data() + off, s.arena_pay.data() + std::size_t{off} * W, W,
+                       in_count);
+      }
+    }
+    ws.delivered += in_count;
+    if (recorder != nullptr) {
+      recorder->record(worker, FlightRecorder::Kind::kEvent, r.t,
+                         (std::uint64_t{ev.alg} << 32) | ev.vround, ev.node);
+    }
+
+    const auto nbrs = g.neighbors(ev.node);
+    // Every send of this event stages directly into ws's compact lanes,
+    // routed against the flat schedule as it lands (see SendSink).
+    ++ws.event_serial;
+    const bool finishing = ev.vround == schedule.rounds(ev.alg);
+    SendSink<W> sink{&ws,
+                     schedule.flat().data(),
+                     s.slot_of.data(),
+                     n,
+                     need_meta,
+                     nbrs,
+                     g.directed_ids(ev.node).data(),
+                     finishing ? 0 : schedule.slot_index(ev.alg, 0, ev.vround + 1),
+                     schedule.rounds(ev.alg),
+                     ev.alg,
+                     ev.vround,
+                     ev.node,
+                     finishing,
+                     /*slot_hint=*/0};
+    VirtualContext ctx;
+    ctx.self_ = ev.node;
+    ctx.num_nodes_ = n;
+    ctx.vround_ = ev.vround;
+    ctx.inbox_ = in;
+    ctx.neighbors_ = nbrs;
+    ctx.send_fn_ = &SendSink<W>::send;
+    ctx.sink_ = &sink;
+    s.programs[std::size_t{ev.alg} * n + ev.node]->on_round(ctx);
+  }
+
+  /// Fault decision for one staged attempt (docs/FAULTS.md): the attempt
+  /// accounting into `fs`, the injector queries, and the copy-count mark on
+  /// staged_dest -- two copies for a raw duplicate, none for a lost message.
+  /// A message due for retransmission keeps its destination for the commit to
+  /// copy. Reads only pure injector state, so shards run it in parallel.
+  std::uint8_t decide(std::uint32_t t, StagedLanes& src, std::size_t i, std::uint32_t attempt,
+                      ExecutionResult::FaultStats& fs) const {
+    const StagedMeta meta = src.staged_meta[i];
+    const std::uint32_t edge = src.staged_edge[i];
+    ++fs.attempts;
+    FlightRecorder::Kind kind = FlightRecorder::Kind::kDeliver;
+    if (faults->link_down(edge / 2, t)) {
+      ++fs.dropped_outage;
+      kind = FlightRecorder::Kind::kDropOutage;
+    } else if (faults->node_crashed(meta.to, t)) {
+      // A crashed receiver neither stores nor acks the message.
+      ++fs.dropped_crash;
+      kind = FlightRecorder::Kind::kDropCrash;
+    } else if (faults->drop(meta.alg, edge, meta.tag, attempt)) {
+      ++fs.dropped_random;
+      kind = FlightRecorder::Kind::kDropRandom;
+    }
+    const auto fate = static_cast<std::uint8_t>(kind);
+    if (kind == FlightRecorder::Kind::kDeliver) {
+      ++fs.delivered;
+      if (!faults->duplicate(meta.alg, edge, meta.tag, attempt)) return fate;
+      if (max_retries > 0) {
+        // The reliable layer's per-edge bookkeeping recognizes the copy.
+        ++fs.duplicates_suppressed;
+        return fate;
+      }
+      ++fs.duplicated;
+      ++fs.delivered;
+      src.staged_dest[i] |= std::uint64_t{kTwoCopies} << 32;
+      return fate | kFateDuplicate;
+    }
+    // Dropped. Retransmit with exponential backoff (gap 2^attempt after failed
+    // attempt `attempt`) while the sender is alive and budget lasts.
+    if (attempt < max_retries &&
+        !faults->node_crashed(msg_header_from(src.staged_hdr[i]), t + (1u << attempt))) {
+      ++fs.retransmissions;
+      return fate | kFateRetransmit;
+    }
+    ++fs.lost;
+    src.staged_dest[i] = std::uint64_t{kNeverDest} << 32;
+    return fate;
+  }
+
+  /// A shard's fresh messages, decided while its lanes are still in the
+  /// worker's cache. Out of line, so the shard body -- with the event loop
+  /// inlined into it -- compiles for clean runs as if faults did not exist.
+  __attribute__((noinline)) void decide_fresh(std::uint32_t t, WorkerState& ws) const {
+    for (std::size_t i = 0; i < ws.staged_hdr.size(); ++i) {
+      const std::uint8_t fate = decide(t, ws, i, 0, ws.fault_partial);
+      ws.staged_fate.push(fate);
+      if ((fate & kFateRetransmit) != 0) ws.retransmit.push(static_cast<std::uint32_t>(i));
+    }
+  }
+
+  /// Execute the bucket: owner w runs its own slots on workers[w], while the
+  /// inboxes it just scattered are cache-resident, and decides its messages'
+  /// fates on faulty runs. The pool runs the owners when more than one is
+  /// non-empty; results are bit-identical either way. The serial tail restores
+  /// the presence-bitset invariant (all-zero between rounds) by clearing
+  /// exactly the words this round's gather touched.
+  template <std::uint32_t W>
+  void execute(const Round& r) {
+    auto shard_body = [&](std::uint32_t w) {
+      auto& ws = s.workers[w];
+      const std::size_t hi = r.begin + r.bound[w + 1];
+      for (std::size_t i = r.begin + r.bound[w]; i < hi; ++i) execute_event<W>(r, i, ws);
+      if (faults != nullptr) decide_fresh(r.t, ws);
+    };
+    const bool parallel = r.bound[1] < r.size;
+    for_each_owner(parallel, shard_body);
+    ++(parallel ? rounds_parallel : rounds_serial);
+    if (r.has_inbox) {
+      for (auto& ws : s.workers) {
+        for (const auto word : ws.touched_words) s.inbox_present[word] = 0;
+        ws.touched_words.clear();
+      }
+    }
+  }
+
+  /// One message's fate entries in the flight recorder's barrier ring (index
+  /// num_workers).
+  void note(std::uint32_t t, const StagedLanes& src, std::size_t i, std::uint32_t attempt,
+            std::uint8_t fate) const {
+    const std::uint32_t ring = num_workers;
+    const StagedMeta meta = src.staged_meta[i];
+    const std::uint32_t edge = src.staged_edge[i];
+    const std::uint64_t fr_key = (std::uint64_t{meta.alg} << 32) | meta.tag;
+    const auto kind = static_cast<FlightRecorder::Kind>(fate & kFateKindMask);
+    recorder->record(ring, kind, t, fr_key, edge);
+    if ((fate & kFateDuplicate) != 0) {
+      recorder->record(ring, FlightRecorder::Kind::kDuplicate, t, fr_key, edge);
+    } else if ((fate & kFateRetransmit) != 0) {
+      recorder->record(ring, FlightRecorder::Kind::kRetry, t,
+                         (std::uint64_t{attempt + 1} << 32) | meta.tag, edge);
+    } else if (kind != FlightRecorder::Kind::kDeliver) {
+      recorder->record(ring, FlightRecorder::Kind::kLost, t, fr_key, edge);
+    }
+  }
+
+  /// Parks a dropped attempt in its due round's lanes and marks the staged
+  /// entry dropped (kNeverDest, 0 copies); extends the horizon into the
+  /// reserved headroom when the due round lies past it.
+  template <std::uint32_t W>
+  void retransmit(std::uint32_t t, StagedLanes& src, std::size_t i,
+                  std::uint32_t attempt, ExecutionResult& result) {
+    const std::uint32_t retry_round = t + (1u << attempt);
+    if (retry_round >= horizon) {
+      horizon = retry_round + 1;
+      result.max_load_per_big_round.resize(horizon, 0);  // within the reserve
+    }
+    // `src` is read out before acquire(), which may grow the pool and so move
+    // `src` when it is this round's bundle.
+    const std::uint32_t hdr = src.staged_hdr[i];
+    const StagedMeta meta = src.staged_meta[i];
+    const std::uint32_t edge = src.staged_edge[i];
+    const std::uint64_t dest = src.staged_dest[i];
+    std::uint64_t pay[W];
+    std::memcpy(pay, src.staged_pay.data() + i * W, W * sizeof(std::uint64_t));
+    src.staged_dest[i] = std::uint64_t{kNeverDest} << 32;
+    RetryLanes& out = s.retry.acquire(retry_round);
+    out.staged_hdr.push(hdr);
+    std::memcpy(out.staged_pay.append_n(W), pay, W * sizeof(std::uint64_t));
+    out.staged_meta.push(meta);
+    out.staged_edge.push(edge);
+    out.staged_dest.push(dest);
+    out.attempt.push(static_cast<std::uint8_t>(attempt + 1));
+  }
+
+  /// Fate commit (docs/FAULTS.md): one serial walk in canonical order -- this
+  /// round's due retransmissions (small: decided here, in the lanes they were
+  /// parked in), then the workers' staged lanes in shard order, whose fates
+  /// the shards decided. It does everything whose order is observable: flight
+  /// recorder fate notes (read back from the fate bytes) and retransmissions.
+  template <std::uint32_t W>
+  void commit_fates(Round& r, ExecutionResult& result) {
+    r.due = s.retry.find(r.t);
+    r.retries = r.due == kNoBucket ? 0 : s.retry.pool[r.due].staged_hdr.size();
+    for (std::size_t j = 0; j < r.retries; ++j) {
+      RetryLanes& lanes = s.retry.pool[r.due];  // re-indexed: retransmit may grow the pool
+      const std::uint32_t attempt = lanes.attempt[j];
+      const std::uint8_t fate = decide(r.t, lanes, j, attempt, result.faults);
+      if (recorder != nullptr) note(r.t, lanes, j, attempt, fate);
+      if ((fate & kFateRetransmit) != 0) retransmit<W>(r.t, lanes, j, attempt, result);
+    }
+    r.messages = r.retries;
+    for (auto& ws : s.workers) {
+      s.staged_high_water = std::max(s.staged_high_water, ws.staged_hdr.size());
+      r.messages += ws.staged_hdr.size();
+      if (recorder != nullptr) {
+        for (std::size_t i = 0; i < ws.staged_hdr.size(); ++i) {
+          note(r.t, ws, i, 0,
+               faults != nullptr ? ws.staged_fate[i]
+                                   : static_cast<std::uint8_t>(FlightRecorder::Kind::kDeliver));
+        }
+      }
+      for (const auto i : ws.retransmit) retransmit<W>(r.t, ws, i, 0, result);
+    }
+  }
+
+  /// Delivery barrier: one owner-partitioned body. Lane sources are this
+  /// round's due-round lanes as they stand, then the workers' staging lanes in
+  /// shard order -- the order the fate commit walked. Owner w folds edge loads
+  /// over its static slice of the directed-edge space (every attempt costs
+  /// bandwidth, whatever its fate), then appends each parked copy whose
+  /// consumer slot it owns to its own seg -- so gathers see one seg order
+  /// regardless of thread count. Owner 0 additionally takes the tag == T
+  /// stream (routed by its packed finish key) and the violation count: a copy
+  /// whose consumer already ran would sit unread in any inbox, so it is
+  /// counted and dropped, which is observationally identical. No atomics
+  /// anywhere: every written cell has exactly one owner. The serial tail
+  /// releases the due-round lanes.
+  template <std::uint32_t W>
+  void barrier(const Round& r) {
+    const std::uint32_t t = r.t;
+    const std::uint32_t nw = num_workers;
+    const StagedLanes& due_lanes = r.due == kNoBucket ? kNoRetries : s.retry.pool[r.due];
+    const std::uint64_t num_dir_edges = g.num_directed_edges();
+    auto barrier_body = [&](std::uint32_t w) {
+      auto& ow = s.workers[w];
+      auto& edge_count = s.edge_count;
+      auto source = [&](std::uint32_t v) -> const StagedLanes& {
+        return v == 0 ? due_lanes : s.workers[v - 1];
+      };
+      const auto elo = static_cast<std::uint32_t>(num_dir_edges * w / nw);
+      const auto ehi = static_cast<std::uint32_t>(num_dir_edges * (w + 1) / nw);
+      // First touches of this owner's edges. Per-cell observers read the
+      // touched list after the barrier in edge order, so observed runs mark
+      // the slice's bitset and walk it -- O(touched + slice / 64), no sort.
+      for (std::uint32_t v = 0; v <= nw; ++v) {
+        for (const auto d : source(v).staged_edge) {
+          if (d < elo || d >= ehi || edge_count[d]++ != 0) continue;
+          if (cells_observed) {
+            ow.touched_bits[(d - elo) >> 6] |= std::uint64_t{1} << ((d - elo) & 63);
+          } else {
+            ow.touched.push_back(d);
+          }
+        }
+      }
+      for (std::size_t wi = 0; wi < ow.touched_bits.size(); ++wi) {
+        for (std::uint64_t bits = std::exchange(ow.touched_bits[wi], 0); bits != 0;
+             bits &= bits - 1) {
+          ow.touched.push_back(elo + static_cast<std::uint32_t>(wi * 64 + std::countr_zero(bits)));
+        }
+      }
+      std::uint32_t local_max = 0;
+      for (const auto d : ow.touched) {
+        local_max = std::max(local_max, edge_count[d]);
+        if (!cells_observed) edge_count[d] = 0;
+      }
+      ow.max_load_partial = local_max;
+      if (!cells_observed) ow.touched.clear();
+      for (std::uint32_t v = 0; v <= nw; ++v) {
+        const StagedLanes& src = source(v);
+        const std::size_t m = src.staged_hdr.size();
+        for (std::size_t i = 0; i < m; ++i) {
+          const std::uint64_t ds = src.staged_dest[i];
+          auto dest = static_cast<std::uint32_t>(ds >> 32);
+          std::uint32_t copies = 1;
+          if (dest >= kNeverDest) {
+            copies += dest >> 31;
+            dest &= ~kTwoCopies;
+            if (dest == kNeverDest) continue;
+            if (dest == kFinishDest) {
+              for (std::uint32_t cp = 0; w == 0 && cp < copies; ++cp) {
+                s.finish.slot.push(static_cast<std::uint32_t>(ds));
+                s.finish.hdr.push(src.staged_hdr[i]);
+                std::memcpy(s.finish.pay.append_n(W), src.staged_pay.data() + i * W,
+                            W * sizeof(std::uint64_t));
+              }
+              continue;
+            }
+          }
+          if (dest <= t) {
+            if (w == 0) ow.violations += copies;
+            continue;
+          }
+          const auto slot = static_cast<std::uint32_t>(ds);
+          const auto* bound = s.slot_bound.data() + std::size_t{dest} * (nw + 1);
+          if (slot < bound[w] || slot >= bound[w + 1]) continue;
+          auto& seg = ow.pend.acquire(dest);
+          for (std::uint32_t cp = 0; cp < copies; ++cp) {
+            seg.slot.push(slot);
+            seg.hdr.push(src.staged_hdr[i]);
+            std::memcpy(seg.pay.append_n(W), src.staged_pay.data() + i * W,
+                        W * sizeof(std::uint64_t));
+          }
+        }
+      }
+    };
+    for_each_owner(nw > 1 && r.messages >= kMinMessagesParallelBarrier, barrier_body);
+    if (r.due != kNoBucket) s.retry.release(t);
+  }
+
+  /// Round close: folds the owners' partials into the result, aborts on a
+  /// unit-capacity overflow (after the flight recorder's post-mortem), hands
+  /// the round's touched cells to the profiler and reports the round to the
+  /// observers.
+  void close_round(const Round& r, ExecutionResult& result, TimedSpan& round_span) {
+    auto& workers = s.workers;
+    // The round's executed events and consumed inbox messages are deltas of
+    // the workers' cumulative counters.
+    std::uint32_t max_load = 0;
+    std::uint64_t delivered_now = 0;
+    std::uint64_t skipped_now = 0;
+    for (auto& ws : workers) {
+      max_load = std::max(max_load, ws.max_load_partial);
+      delivered_now += ws.delivered;
+      skipped_now += ws.skipped;
+      ws.clear();
+      ws.staged_fate.clear();
+      ws.retransmit.clear();
+    }
+    const std::uint64_t round_inbox = delivered_now - delivered_before;
+    const std::uint64_t round_events = r.size - (skipped_now - skipped_before);
+    delivered_before = delivered_now;
+    skipped_before = skipped_now;
+    const std::uint64_t violations = workers[0].violations;
+    result.causality_violations += violations;
+    workers[0].violations = 0;
+    result.total_messages += r.messages;
+    if (enforce_unit_capacity && max_load > 1) {
+      // Post-mortem before the hard failure: the rings hold the deliveries
+      // leading up to the overflow.
+      if (recorder != nullptr) recorder->dump_on("unit_capacity_overflow");
+      DASCHED_CHECK_LE(max_load, 1u, "CONGEST bandwidth violated: >1 message per edge per round");
+    }
+    if (cells_observed) {
+      // Owners' edge slices ascend and each touched list is sorted, so cells
+      // arrive in canonical (round, edge) order at every thread count.
+      for (auto& ws : workers) {
+        for (const auto d : ws.touched) {
+          if (profiler != nullptr) profiler->record_cell(r.t, d, s.edge_count[d]);
+          if (telemetry != nullptr) {
+            telemetry->record_value("executor.edge_load", s.edge_count[d]);
+          }
+          s.edge_count[d] = 0;
+        }
+        ws.touched.clear();
+      }
+    }
+    result.max_load_per_big_round[r.t] = max_load;
+    result.max_edge_load = std::max(result.max_edge_load, max_load);
+
+    if (profiler != nullptr) {
+      profiler->end_round(r.t, r.messages, max_load, r.retries, round_events, round_inbox);
+    }
+    if (recorder != nullptr) recorder->record_barrier(r.t, r.messages, max_load);
+    if (telemetry != nullptr) {
+      telemetry->add_counter("executor.messages_sent", r.messages);
+      telemetry->add_counter("executor.messages_delivered", round_inbox);
+      telemetry->add_counter("executor.causality_violations", violations);
+      telemetry->record_value("executor.max_load_per_big_round", max_load);
+      round_span.arg("t", r.t);
+      round_span.arg("events", static_cast<double>(r.size));
+      round_span.arg("messages", static_cast<double>(r.messages));
+      round_span.arg("max_load", max_load);
+    }
+  }
+
+  /// Finish, first half. The tag == T lanes accumulated across the run are
+  /// counting-sorted by their packed keys (stably: delivery order is preserved
+  /// within each node's slice) IN PLACE: compute each message's final
+  /// position, then realize the permutation by following its cycles, swapping
+  /// one header word and W payload words at a time. No second arena exists --
+  /// at the million-node scale an out-of-place copy would double the largest
+  /// allocation of the whole run.
+  template <std::uint32_t W>
+  void sort_finish_lanes() {
+    auto& finish_offset = s.finish_offset;
+    const std::size_t fcount = s.finish.slot.size();
+    DASCHED_CHECK_MSG(fcount < std::size_t{kPlaced},
+                      "finish arena exceeds the in-place permutation index range");
+    finish_offset.assign(k * n + 1, 0);
+    for (const auto key : s.finish.slot) ++finish_offset[std::size_t{key} + 1];
+    for (std::size_t i = 1; i <= k * n; ++i) finish_offset[i] += finish_offset[i - 1];
+    s.finish_target.resize(fcount);
+    auto& cursor = s.bucket_cursor;  // reuse: the events array is flattened
+    cursor.assign(finish_offset.begin(), finish_offset.end() - 1);
+    for (std::size_t i = 0; i < fcount; ++i) {
+      s.finish_target[i] = static_cast<std::uint32_t>(cursor[s.finish.slot[i]]++);
+    }
+    std::uint32_t* const target = s.finish_target.data();
+    std::uint32_t* const fh = s.finish.hdr.data();
+    std::uint64_t* const fpay = s.finish.pay.data();
+    for (std::size_t i = 0; i < fcount; ++i) {
+      if ((target[i] & kPlaced) != 0) continue;
+      if (target[i] == static_cast<std::uint32_t>(i)) {
+        target[i] |= kPlaced;
+        continue;
+      }
+      std::uint32_t tmp_hdr = fh[i];
+      std::uint64_t tmp_pay[W];
+      std::memcpy(tmp_pay, fpay + i * W, W * sizeof(std::uint64_t));
+      std::uint32_t j = target[i];
+      while (j != static_cast<std::uint32_t>(i)) {
+        std::swap(tmp_hdr, fh[j]);
+        for (std::uint32_t q = 0; q < W; ++q) std::swap(tmp_pay[q], fpay[std::size_t{j} * W + q]);
+        const std::uint32_t nxt = target[j] & ~kPlaced;
+        target[j] |= kPlaced;
+        j = nxt;
+      }
+      fh[i] = tmp_hdr;
+      std::memcpy(fpay + i * W, tmp_pay, W * sizeof(std::uint64_t));
+      target[i] |= kPlaced;
+    }
+  }
+
+  /// Finish, second half: runs on_finish over each finishing node's slice of
+  /// the sorted tag == T lanes and collects its output. Each completed node
+  /// appends its output words to the algorithm's table in the scratch lanes;
+  /// the finished table is copied out at its exact size, so collection costs
+  /// two allocations per algorithm at any n. Returns the inbox messages
+  /// on_finish consumed.
+  template <std::uint32_t W>
+  std::uint64_t collect_outputs(ExecutionResult& result) {
+    std::uint64_t delivered_at_finish = 0;
+    auto& out_words = s.out_words;
+    auto& out_offsets = s.out_offsets;
+    for (std::size_t a = 0; a < k; ++a) {
+      const std::uint32_t rounds = algorithms[a]->rounds();
+      result.completed[a].assign(n, 0);
+      out_words.clear();
+      out_offsets.assign(1, 0);
+      for (NodeId v = 0; v < n; ++v) {
+        const std::size_t key = a * n + v;
+        // A node completes iff its row's last slot is scheduled (rows are
+        // gap-free, so it then ran every round) and it did not crash before
+        // the horizon (a crash at or past it spares every event). A
+        // crash-stopped node never runs on_finish, even if it crashed after
+        // its last scheduled event.
+        const auto row = schedule.row(a, v);
+        const bool finishes = (row.empty() || row.back() != kNeverScheduled) &&
+                              (faults == nullptr || faults->crash_round(v) >= horizon);
+        if (!finishes) {
+          out_offsets.push_back(static_cast<std::uint32_t>(out_words.size()));
+          continue;
+        }
+        const std::size_t off = s.finish_offset[key];
+        const auto cnt = static_cast<std::uint32_t>(s.finish_offset[key + 1] - off);
+        delivered_at_finish += cnt;
+        VirtualContext ctx;
+        ctx.self_ = v;
+        ctx.num_nodes_ = n;
+        ctx.vround_ = rounds + 1;
+        ctx.inbox_ = InboxView(s.finish.hdr.data() + off, s.finish.pay.data() + off * W, W, cnt);
+        ctx.neighbors_ = g.neighbors(v);
+        ctx.send_fn_ = nullptr;
+        ctx.sink_ = nullptr;
+        s.programs[key]->on_finish(ctx);
+        result.completed[a][v] = 1;
+        s.programs[key]->write_output(out_words);
+        out_offsets.push_back(static_cast<std::uint32_t>(out_words.size()));
+      }
+      // The table only grows, so a final size in range means every offset was.
+      DASCHED_CHECK_MSG(out_words.size() <= ~std::uint32_t{0},
+                        "node outputs exceed the 32-bit offset range");
+      if (n > 0) result.outputs[a] = NodeOutputs(out_words, out_offsets);
+    }
+    s.arena.reset();
+    return delivered_at_finish;
+  }
+
+  /// The run's telemetry (docs/OBSERVABILITY.md). fault.* names are emitted
+  /// only on faulty runs, so a null injector leaves the telemetry stream
+  /// byte-identical to the reliable engine.
+  void emit_run_telemetry(const ExecutionResult& result, TimedSpan& run_span,
+                          std::uint64_t delivered_at_finish) const {
+    telemetry->add_counter("executor.messages_delivered", delivered_at_finish);
+    telemetry->set_gauge("executor.max_edge_load", result.max_edge_load);
+    telemetry->set_gauge("executor.parallel.num_threads", num_workers);
+    telemetry->add_counter("executor.parallel.rounds_parallel", rounds_parallel);
+    telemetry->add_counter("executor.parallel.rounds_serial", rounds_serial);
+    run_span.arg("total_messages", static_cast<double>(result.total_messages));
+    if (faults == nullptr) return;
+    const auto& fs = result.faults;
+    // Keep big_rounds == rounds_serial + rounds_parallel when retries
+    // extended the horizon past the scheduled rounds counted up front.
+    telemetry->add_counter("executor.big_rounds", horizon - num_big_rounds);
+    telemetry->add_counter("fault.attempts", fs.attempts);
+    telemetry->add_counter("fault.delivered", fs.delivered);
+    telemetry->add_counter("fault.dropped.random", fs.dropped_random);
+    telemetry->add_counter("fault.dropped.outage", fs.dropped_outage);
+    telemetry->add_counter("fault.dropped.crash", fs.dropped_crash);
+    telemetry->add_counter("fault.duplicates.delivered", fs.duplicated);
+    telemetry->add_counter("fault.duplicates.suppressed", fs.duplicates_suppressed);
+    telemetry->add_counter("fault.retransmissions", fs.retransmissions);
+    telemetry->add_counter("fault.lost", fs.lost);
+    telemetry->add_counter("fault.skipped_events", fs.skipped_events);
+    telemetry->set_gauge("fault.crashed_nodes", faults->num_crashes());
+    telemetry->set_gauge("fault.retry_budget", max_retries);
+  }
+};
+
 Executor::Executor(const Graph& g, ExecConfig cfg)
     : graph_(g), cfg_(cfg), scratch_(std::make_unique<ExecScratch>()) {
   // The retry budget sizes 2^max_retries backoff arithmetic in run_impl;
@@ -505,907 +1378,80 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
   // (32 bits minus the length bits; congest/message.hpp).
   DASCHED_CHECK_MSG(std::uint64_t{n} <= kMaxPackedHeaderNodes,
                     "graph too large for packed 32-bit message headers");
-  // Packed finish keys alg*n + to must fit u32 (see finish lanes below).
+  // Packed finish keys alg*n + to must fit u32 (see the finish lanes).
   DASCHED_CHECK_MSG(static_cast<std::uint64_t>(k) * n <= (std::uint64_t{1} << 32),
                     "k*n exceeds the packed finish-key range");
 
-  ExecScratch& scratch = *scratch_;
-
-  // Retransmissions may land past the last scheduled big-round (they still
-  // matter: tag-T messages are consumed by on_finish after the loop); the
-  // horizon grows to cover them -- by at most sum_{i<R} 2^i = 2^R - 1
-  // big-rounds, since chained retransmissions back off exponentially. Every
-  // round of it must stay below the staged_dest sentinels.
-  const FaultInjector* const faults = cfg_.faults;
-  const std::uint32_t max_retries = faults != nullptr ? cfg_.retry.max_retries : 0;
-  const std::uint32_t round_headroom =
-      max_retries > 0 ? (1u << max_retries) - 1 : 0;
-
-  // --- One pass over the schedule: validate (gap-free prefix, strictly
-  // increasing big-rounds, horizon inside the packed destination range),
-  // count events per big-round, and record max_big_round together. The
-  // horizon is checked per slot, before bucket_start grows to cover it, so a
-  // corrupt table fails here instead of sizing O(max big-round) buffers.
-  // bucket_start[t + 1] accumulates the bucket sizes and is prefix-summed
-  // into CSR offsets below. ---
-  std::uint32_t max_big_round = 0;
-  std::uint64_t total_events = 0;
-  auto& bucket_start = scratch.bucket_start;
-  bucket_start.clear();
-  for (std::size_t a = 0; a < k; ++a) {
-    DASCHED_CHECK_EQ(schedule.rounds(a), algorithms[a]->rounds(),
-                     "schedule table does not match the algorithm round counts");
-    for (NodeId v = 0; v < n; ++v) {
-      const auto slots = schedule.row(a, v);
-      std::uint32_t prev = 0;
-      bool ended = false;
-      for (std::uint32_t r = 1; r <= slots.size(); ++r) {
-        const std::uint32_t t = slots[r - 1];
-        if (t == kNeverScheduled) {
-          ended = true;
-          continue;
-        }
-        DASCHED_CHECK_MSG(!ended, "schedule has a gap: round scheduled after a skipped one");
-        DASCHED_CHECK_MSG(r == 1 || t > prev,
-                          "schedule must be strictly increasing per (alg, node)");
-        DASCHED_CHECK_MSG(std::uint64_t{t} + 1 + round_headroom < kNeverDest,
-                          "schedule horizon exceeds the packed destination range");
-        prev = t;
-        max_big_round = std::max(max_big_round, t);
-        if (std::size_t{t} + 2 > bucket_start.size()) bucket_start.resize(std::size_t{t} + 2, 0);
-        ++bucket_start[std::size_t{t} + 1];
-        ++total_events;
-      }
-    }
-  }
-
-  const std::uint32_t num_big_rounds = total_events == 0 ? 0 : max_big_round + 1;
-  bucket_start.resize(std::size_t{num_big_rounds} + 1, 0);
-  std::size_t max_bucket_size = 0;
-  for (std::uint32_t t = 1; t <= num_big_rounds; ++t) {
-    max_bucket_size = std::max(max_bucket_size, bucket_start[t]);
-    bucket_start[t] += bucket_start[t - 1];
-  }
-
-  // --- Bucket events by big-round: one flat array plus the CSR offsets. The
-  // counting sort preserves (alg, node, round) order within each bucket,
-  // which is the canonical serial execution order. The same pass fills the
-  // slot_of lane: each scheduled slot's event index within its bucket, i.e.
-  // the consumer-side coordinate every staged message will carry. ---
-  auto& events = scratch.events;
-  events.resize(total_events);
-  if (scratch.slot_of.size() < schedule.flat_size()) {
-    scratch.slot_of.resize(schedule.flat_size());
-  }
-  {
-    auto& cursor = scratch.bucket_cursor;
-    cursor.assign(bucket_start.begin(), bucket_start.end() - 1);
-    for (std::size_t a = 0; a < k; ++a) {
-      for (NodeId v = 0; v < n; ++v) {
-        const auto slots = schedule.row(a, v);
-        for (std::uint32_t r = 1; r <= slots.size(); ++r) {
-          const std::uint32_t t = slots[r - 1];
-          if (t != kNeverScheduled) {
-            scratch.slot_of[schedule.slot_index(a, v, r)] =
-                static_cast<std::uint32_t>(cursor[t] - bucket_start[t]);
-            events[cursor[t]++] = {static_cast<std::uint32_t>(a), v, r};
-          }
-        }
-      }
-    }
-  }
-
-  // --- Per (alg, node) programs, built in the scratch arena. ---
-  auto& programs = scratch.programs;
-  scratch.arena.reset();
-  programs.clear();
-  for (std::size_t a = 0; a < k; ++a) {
-    for (NodeId v = 0; v < n; ++v) {
-      programs.push_back(&algorithms[a]->construct_program(v, scratch.arena));
-    }
-  }
-
-  ExecutionResult result;
-  result.outputs.resize(k);
-  result.completed.assign(k, {});
-  result.num_big_rounds = num_big_rounds;
-  // Retransmissions extend the horizon into the reserved headroom, inside
-  // the loop, without reallocating.
-  result.max_load_per_big_round.reserve(std::size_t{num_big_rounds} + round_headroom);
-  result.max_load_per_big_round.assign(num_big_rounds, 0);
-
-  // --- Size the delivery arenas (no allocation inside the loop: segs and
-  // arenas below only grow to warm-up high-water marks). ---
-  scratch.inbox_offset.reserve(max_bucket_size);
-  scratch.inbox_cursor.reserve(max_bucket_size);
-  scratch.inbox_count.reserve(max_bucket_size);
-  scratch.inbox_present.reserve(max_bucket_size / 64 + 1);
-  // The tag == T stream holds at most one message per directed edge per
-  // algorithm (an event sends once per neighbor), twice that with raw
-  // duplicates, so it is sized once here instead of doubling mid-run with
-  // both buffers live; the pages a run never writes are never touched.
-  scratch.finish.clear();
-  {
-    const bool raw_duplicates = faults != nullptr && max_retries == 0;
-    const std::size_t finish_cap =
-        k * graph_.num_directed_edges() * (raw_duplicates ? 2 : 1);
-    scratch.finish.slot.reserve(finish_cap);
-    scratch.finish.hdr.reserve(finish_cap);
-    scratch.finish.pay.reserve(finish_cap * W);
-  }
-  scratch.edge_count.assign(graph_.num_directed_edges(), 0);
-  auto& edge_count = scratch.edge_count;
-
-  // --- Fault injection and reliable delivery (docs/FAULTS.md). Every fate
-  // is a pure function of the plan seed and message identity: each execute
-  // shard decides its own staged messages' fates, and one serial commit
-  // walks them in shard-merged order -- so faulty runs are bit-identical
-  // across thread counts. Retransmissions park in scratch.retry under their
-  // due round, at most num_big_rounds + round_headroom - 1. With `faults`
-  // null the pool stays empty. ---
-  scratch.retry.reset(std::size_t{num_big_rounds} + round_headroom);
-  std::uint32_t horizon = num_big_rounds;
-
-  // --- Worker pool and per-worker staging. Workers persist across runs:
-  // slot_used is zeroed once at creation (the send loop restores it to zero
-  // after every event) and the staging lanes keep their warmed-up capacity. ---
   const std::uint32_t num_workers = std::max<std::uint32_t>(1, cfg_.num_threads);
-  if (num_workers > 1 && pool_ == nullptr) {
-    pool_ = std::make_unique<ThreadPool>(num_workers);
-  }
-  if (scratch.workers.size() != num_workers) {
-    scratch.workers.resize(num_workers);
-    for (auto& ws : scratch.workers) ws.slot_stamp.assign(graph_.max_degree(), 0);
-  }
-  // Identity lanes are needed only when fates or the fate commit consume
-  // message identities; the clean unobserved path skips the lane.
-  const bool need_meta = faults != nullptr || cfg_.recorder != nullptr;
-  // Per-cell observers read the owners' touched lists after each barrier.
-  const bool cells_observed = cfg_.profiler != nullptr || cfg_.telemetry != nullptr;
-  std::vector<WorkerState>& workers = scratch.workers;
-  for (auto& ws : workers) {
-    ws.delivered = 0;
-    ws.skipped = 0;
-    ws.max_load_partial = 0;
-    ws.violations = 0;
-    ws.fault_partial = {};
-    ws.clear();
-    ws.staged_hdr.reserve(scratch.staged_high_water);
-    ws.staged_pay.reserve(scratch.staged_high_water * W);
-    if (need_meta) ws.staged_meta.reserve(scratch.staged_high_water);
-    ws.staged_edge.reserve(scratch.staged_high_water);
-    ws.staged_dest.reserve(scratch.staged_high_water);
-    ws.pend.reset(num_big_rounds);
-    ws.touched.clear();
-    ws.touched.reserve(graph_.num_directed_edges() / num_workers + 1);
-    ws.touched_bits.assign(
-        cells_observed ? (graph_.num_directed_edges() / num_workers + 1) / 64 + 1 : 0, 0);
-    ws.touched_words.clear();
-  }
-  std::uint64_t rounds_parallel = 0;
-  std::uint64_t rounds_serial = 0;
-
-  // --- The owner partition (docs/PERFORMANCE.md, "Owner partition").
-  // Round t's bucket of B events splits into P = ceil(B / 64) inbox-presence
-  // words; owner w holds words [ceil(w*P/W), ceil((w+1)*P/W)), recorded as
-  // consumer-slot boundaries clamped to B. The gather, the execute shards and
-  // the delivery barrier all read this one partition, so the worker that
-  // scatters a slot's inbox also executes its event, and owners never share
-  // a presence word. The extra all-zero row serves the empty buckets of
-  // retry-extended rounds. ---
-  auto& slot_bound = scratch.slot_bound;
-  slot_bound.assign(std::size_t{num_big_rounds + 1} * (num_workers + 1), 0);
-  for (std::uint32_t t = 0; t < num_big_rounds; ++t) {
-    const std::size_t bsize = bucket_start[t + 1] - bucket_start[t];
-    const std::size_t words = (bsize + 63) / 64;
-    auto* row = slot_bound.data() + std::size_t{t} * (num_workers + 1);
-    for (std::uint32_t w = 0; w <= num_workers; ++w) {
-      const std::size_t lo_word = (std::size_t{w} * words + num_workers - 1) / num_workers;
-      row[w] = static_cast<std::uint32_t>(std::min(bsize, lo_word * 64));
-    }
-  }
-  // Owner-partitioned phases (the gather's histogram and scatter, execute,
-  // the delivery barrier) run on the pool when `parallel`, else for each
-  // owner in turn on the calling thread: the same body either way.
-  auto for_each_owner = [&](bool parallel, auto& body) {
-    if (parallel) {
-      pool_->run(num_workers, body);
-    } else {
-      for (std::uint32_t w = 0; w < num_workers; ++w) body(w);
-    }
-  };
-  const auto sched_flat = schedule.flat();
+  const std::uint32_t max_retries = cfg_.faults != nullptr ? cfg_.retry.max_retries : 0;
+  Run c{graph_,
+           schedule,
+           algorithms,
+           *scratch_,
+           /*pool=*/nullptr,
+           cfg_.faults,
+           cfg_.profiler,
+           cfg_.recorder,
+           cfg_.telemetry,
+           cfg_.enforce_unit_capacity,
+           k,
+           n,
+           num_workers,
+           max_retries,
+           max_retries > 0 ? (1u << max_retries) - 1 : 0,
+           cfg_.faults != nullptr || cfg_.recorder != nullptr,
+           cfg_.profiler != nullptr || cfg_.telemetry != nullptr};
+  c.validate_and_bucket();
+  if (num_workers > 1 && pool_ == nullptr) pool_ = std::make_unique<ThreadPool>(num_workers);
+  c.pool = pool_.get();
+  ExecutionResult result;
+  c.prepare<W>(result);
 
   TelemetrySink* const telemetry = cfg_.telemetry;
   TimedSpan run_span(telemetry, "executor", "run");
   if (telemetry != nullptr) {
-    telemetry->add_counter("executor.events_executed", total_events);
-    telemetry->add_counter("executor.big_rounds", num_big_rounds);
+    telemetry->add_counter("executor.events_executed", c.total_events);
+    telemetry->add_counter("executor.big_rounds", c.num_big_rounds);
     run_span.arg("algorithms", static_cast<double>(k));
-    run_span.arg("big_rounds", static_cast<double>(num_big_rounds));
-    run_span.arg("events", static_cast<double>(total_events));
+    run_span.arg("big_rounds", static_cast<double>(c.num_big_rounds));
+    run_span.arg("events", static_cast<double>(c.total_events));
   }
-
-  // --- Congestion profiler + flight recorder (docs/OBSERVABILITY.md). Both
-  // are sized HERE, before the steady-state window opens, with the retry
-  // headroom above, so the profiler's per-round accumulators never resize
-  // inside the loop even on faulty runs. Null pointers keep the engine
-  // byte-for-byte the uninstrumented executor. ---
-  ExecProfiler* const profiler = cfg_.profiler;
-  FlightRecorder* const recorder = cfg_.recorder;
-  if (profiler != nullptr) {
-    profiler->begin_run(graph_.num_directed_edges(), num_big_rounds, round_headroom);
+  // The profiler and the flight recorder are sized here, before the
+  // steady-state window opens (docs/OBSERVABILITY.md).
+  if (c.profiler != nullptr) {
+    c.profiler->begin_run(graph_.num_directed_edges(), c.num_big_rounds, c.round_headroom);
   }
-  if (recorder != nullptr) recorder->begin_run(num_workers);
+  if (c.recorder != nullptr) c.recorder->begin_run(num_workers);
 
-  // Whether the current big-round has a populated CSR inbox arena; false for
-  // rounds with no consumable messages, where every event's inbox is empty.
-  bool round_has_inbox = false;
-  std::size_t round_begin = 0;
-
-  // The per-event body every execution shard runs. Everything it mutates is
-  // either owned by the event's (alg, node) -- its program -- or by the
-  // executing shard's WorkerState; the round arena and its offsets are
-  // read-only during execution, so shards are data-race free. Events reach a
-  // program in virtual-round order: the validation pass proved every row
-  // gap-free and strictly increasing, each bucket runs once in big-round
-  // order, and crash-stop is monotone in t.
-  auto execute_event = [&](const ExecEvent& ev, std::size_t event_index,
-                           WorkerState& ws, std::uint32_t t) {
-    if (faults != nullptr && faults->node_crashed(ev.node, t)) {
-      // Crash-stop: the node executes nothing from its crash round on, so it
-      // is never marked completed (crash_round(v) < horizon below).
-      ++ws.skipped;
-      if (recorder != nullptr) {
-        recorder->record(static_cast<std::uint32_t>(&ws - workers.data()),
-                         FlightRecorder::Kind::kCrashSkip, t,
-                         (std::uint64_t{ev.alg} << 32) | ev.vround, ev.node);
-      }
-      return;
-    }
-
-    // This event's inbox: its contiguous slice of the round arena lanes.
-    // Messages bound to this round were counting-sorted into per-event
-    // slices at the top of the round; events without messages (vround 1,
-    // quiet rounds) get an empty view -- detected by one presence-bitset bit
-    // instead of two offset loads.
-    InboxView in;
-    std::uint32_t in_count = 0;
-    if (round_has_inbox) {
-      const std::size_t li = event_index - round_begin;
-      if ((scratch.inbox_present[li >> 6] >> (li & 63)) & 1) {
-        const std::uint32_t off = scratch.inbox_offset[li];
-        in_count = scratch.inbox_count[li];
-        in = InboxView(scratch.arena_hdr.data() + off,
-                       scratch.arena_pay.data() + std::size_t{off} * W, W,
-                       in_count);
-      }
-    }
-    ws.delivered += in_count;
-    if (recorder != nullptr) {
-      recorder->record(static_cast<std::uint32_t>(&ws - workers.data()),
-                       FlightRecorder::Kind::kEvent, t,
-                       (std::uint64_t{ev.alg} << 32) | ev.vround, ev.node);
-    }
-
-    const auto nbrs = graph_.neighbors(ev.node);
-    const auto directed = graph_.directed_ids(ev.node);
-    // Every send of this event stages directly into ws's compact lanes,
-    // routed against the flat schedule as it lands (see SendSink).
-    ++ws.event_serial;
-    const bool finishing = ev.vround == schedule.rounds(ev.alg);
-    SendSink<W> sink{&ws,
-                     sched_flat.data(),
-                     scratch.slot_of.data(),
-                     n,
-                     need_meta,
-                     nbrs,
-                     directed.data(),
-                     finishing ? 0 : schedule.slot_index(ev.alg, 0, ev.vround + 1),
-                     schedule.rounds(ev.alg),
-                     ev.alg,
-                     ev.vround,
-                     ev.node,
-                     finishing,
-                     /*slot_hint=*/0};
-    VirtualContext ctx;
-    ctx.self_ = ev.node;
-    ctx.num_nodes_ = n;
-    ctx.vround_ = ev.vround;
-    ctx.inbox_ = in;
-    ctx.neighbors_ = nbrs;
-    ctx.send_fn_ = &SendSink<W>::send;
-    ctx.sink_ = &sink;
-
-    programs[std::size_t{ev.alg} * n + ev.node]->on_round(ctx);
-  };
-
-  // --- Steady-state window: everything from here to the end of the loop is
-  // allocation-free once arenas are warm; hot_path_allocs measures it. ---
+  // --- Steady-state window: the big-round loop is allocation-free once the
+  // arenas are warm; hot_path_allocs measures it. ---
   const std::uint64_t allocs_before = alloc_count();
-
-  // --- Main loop over big-rounds. Rounds >= num_big_rounds exist only when
-  // retransmissions extended the horizon; they have no scheduled events. ---
-  std::uint64_t delivered_before = 0;
-  std::uint64_t skipped_before = 0;
-  for (std::uint32_t t = 0; t < horizon; ++t) {
-    const std::size_t begin = t < num_big_rounds ? bucket_start[t] : events.size();
-    const std::size_t end = t < num_big_rounds ? bucket_start[t + 1] : events.size();
-    const std::size_t bucket_size = end - begin;
-    round_begin = begin;
-    // Telemetry is batched per big-round: the per-event/per-message path
-    // below only bumps locals, so a null sink costs nothing and a live sink
-    // costs O(1) virtual calls per big-round (plus one histogram sample per
-    // touched edge).
-    const std::uint64_t violations_before = result.causality_violations;
+  for (std::uint32_t t = 0; t < c.horizon; ++t) {
     TimedSpan round_span(telemetry, "executor", "big_round");
-
-    // --- Gather this round's inboxes from the owners' pending segs:
-    // counting-sort them (stably -- seg order is delivery order) into
-    // contiguous arena-lane slices per event. Every pending message's
-    // consumer provably executes in this round, and its slot lies in its
-    // owner's range, so owners histogram and scatter only slots (and
-    // 64-event presence words) they own: the whole gather runs on the pool
-    // with no atomics, and a serial sweep over the same segs builds the
-    // identical arena. Exact per-slot offsets come from one serial
-    // prefix-walk over the populated presence bits between the two phases --
-    // O(messages + bucket/64), with no per-slot zeroing anywhere: the
-    // presence bitset is all-zero on entry (the previous round cleared
-    // exactly the words it touched) and the first touch of a slot *assigns*
-    // its count. ---
-    round_has_inbox = false;
-    std::size_t pend_total = 0;
-    for (auto& ws : workers) {
-      const std::uint32_t b = ws.pend.find(t);
-      if (b != kNoBucket) pend_total += ws.pend.pool[b].slot.size();
-    }
-    const std::uint32_t* const sb =
-        slot_bound.data() + std::size_t{std::min(t, num_big_rounds)} * (num_workers + 1);
-    if (pend_total > 0) {
-      round_has_inbox = true;
-      const std::size_t present_words = (bucket_size + 63) / 64;
-      // Grow-only sizing: shrinking would churn the zero-page invariant of
-      // inbox_present and the warm capacity of the lanes.
-      if (scratch.inbox_offset.size() < bucket_size) {
-        scratch.inbox_offset.resize(bucket_size);
-        scratch.inbox_cursor.resize(bucket_size);
-        scratch.inbox_count.resize(bucket_size);
-      }
-      if (scratch.inbox_present.size() < present_words) {
-        scratch.inbox_present.resize(present_words, 0);
-      }
-      if (scratch.arena_hdr.size() < pend_total) scratch.arena_hdr.resize(pend_total);
-      if (scratch.arena_pay.size() < pend_total * W) {
-        scratch.arena_pay.resize(pend_total * W);
-      }
-      const bool parallel_gather =
-          num_workers > 1 && pend_total >= kMinMessagesParallelBarrier;
-      auto histogram_body = [&](std::uint32_t w) {
-        auto& ws = workers[w];
-        const std::uint32_t seg_idx = ws.pend.find(t);
-        if (seg_idx == kNoBucket) return;
-        std::uint64_t* const present = scratch.inbox_present.data();
-        std::uint32_t* const count = scratch.inbox_count.data();
-        // First-touch histogram over this owner's dense slot lane: presence
-        // bits double as the "count is live" guard, so count cells need no
-        // pre-zeroing and the touched-word list scopes the post-round clear.
-        for (const auto s : ws.pend.pool[seg_idx].slot) {
-          const std::size_t word = s >> 6;
-          const std::uint64_t bit = std::uint64_t{1} << (s & 63);
-          const std::uint64_t wv = present[word];
-          if ((wv & bit) != 0) {
-            ++count[s];
-          } else {
-            if (wv == 0) ws.touched_words.push_back(static_cast<std::uint32_t>(word));
-            present[word] = wv | bit;
-            count[s] = 1;
-          }
-        }
-      };
-      auto scatter_body = [&](std::uint32_t w) {
-        auto& ws = workers[w];
-        const std::uint32_t seg_idx = ws.pend.find(t);
-        if (seg_idx == kNoBucket) return;
-        const auto& seg = ws.pend.pool[seg_idx];
-        const std::size_t m = seg.slot.size();
-        const std::uint32_t* const sl = seg.slot.data();
-        const std::uint32_t* const sh = seg.hdr.data();
-        const std::uint64_t* const sp = seg.pay.data();
-        const std::uint32_t* const offset = scratch.inbox_offset.data();
-        std::uint32_t* const cursor = scratch.inbox_cursor.data();
-        std::uint32_t* const ah = scratch.arena_hdr.data();
-        std::uint64_t* const ap = scratch.arena_pay.data();
-        // Width-specialized scatter: the W-word copy is a compile-time-sized
-        // move; the prefetch hides the CSR target's first-touch miss (the
-        // slot's base offset approximates the cursor well enough for a cache
-        // line).
-        for (std::size_t i = 0; i < m; ++i) {
-          if (i + kScatterPrefetchDist < m) {
-            prefetch_for_write(ap + std::size_t{offset[sl[i + kScatterPrefetchDist]]} * W);
-          }
-          const std::uint32_t at = cursor[sl[i]]++;
-          ah[at] = sh[i];
-          std::memcpy(ap + std::size_t{at} * W, sp + i * W,
-                      W * sizeof(std::uint64_t));
-        }
-        ws.pend.release(t);
-      };
-      for_each_owner(parallel_gather, histogram_body);
-      // Serial prefix over the populated slots only, in slot order (the
-      // presence bits are walked word by word via countr_zero); doubles as
-      // the cursor init, so the scatter needs no bit-walk of its own.
-      {
-        std::uint32_t running = 0;
-        for (std::size_t wi = 0; wi < present_words; ++wi) {
-          std::uint64_t bits = scratch.inbox_present[wi];
-          while (bits != 0) {
-            const std::size_t s = (wi << 6) + std::countr_zero(bits);
-            bits &= bits - 1;
-            scratch.inbox_offset[s] = running;
-            scratch.inbox_cursor[s] = running;
-            running += scratch.inbox_count[s];
-          }
-        }
-      }
-      for_each_owner(parallel_gather, scatter_body);
-    }
-
-    // Fault decision for one staged attempt (docs/FAULTS.md): the attempt
-    // accounting into `fs`, the injector queries, and the copy-count mark on
-    // staged_dest -- two copies for a raw duplicate, none for a lost message.
-    // A message due for retransmission keeps its destination for the commit
-    // to copy. Reads only pure injector state, so shards run it in parallel.
-    auto decide = [&](StagedLanes& src, std::size_t i, std::uint32_t attempt,
-                      ExecutionResult::FaultStats& fs) -> std::uint8_t {
-      const StagedMeta meta = src.staged_meta[i];
-      const std::uint32_t edge = src.staged_edge[i];
-      ++fs.attempts;
-      FlightRecorder::Kind kind = FlightRecorder::Kind::kDeliver;
-      if (faults->link_down(edge / 2, t)) {
-        ++fs.dropped_outage;
-        kind = FlightRecorder::Kind::kDropOutage;
-      } else if (faults->node_crashed(meta.to, t)) {
-        // A crashed receiver neither stores nor acks the message.
-        ++fs.dropped_crash;
-        kind = FlightRecorder::Kind::kDropCrash;
-      } else if (faults->drop(meta.alg, edge, meta.tag, attempt)) {
-        ++fs.dropped_random;
-        kind = FlightRecorder::Kind::kDropRandom;
-      }
-      const auto fate = static_cast<std::uint8_t>(kind);
-      if (kind == FlightRecorder::Kind::kDeliver) {
-        ++fs.delivered;
-        if (!faults->duplicate(meta.alg, edge, meta.tag, attempt)) return fate;
-        if (max_retries > 0) {
-          // The reliable layer's per-edge bookkeeping recognizes the copy.
-          ++fs.duplicates_suppressed;
-          return fate;
-        }
-        ++fs.duplicated;
-        ++fs.delivered;
-        src.staged_dest[i] |= std::uint64_t{kTwoCopies} << 32;
-        return fate | kFateDuplicate;
-      }
-      // Dropped. Retransmit with exponential backoff (gap 2^attempt after
-      // failed attempt `attempt`) while the sender is alive and budget lasts.
-      if (attempt < max_retries &&
-          !faults->node_crashed(msg_header_from(src.staged_hdr[i]), t + (1u << attempt))) {
-        ++fs.retransmissions;
-        return fate | kFateRetransmit;
-      }
-      ++fs.lost;
-      src.staged_dest[i] = std::uint64_t{kNeverDest} << 32;
-      return fate;
-    };
-    // A shard's fresh messages, decided while its lanes are still in the
-    // worker's cache. Out of line, so the shard body -- with the event loop
-    // inlined into it -- compiles for clean runs as if faults did not exist.
-    auto decide_fresh = [&](WorkerState& ws) __attribute__((noinline)) {
-      for (std::size_t i = 0; i < ws.staged_hdr.size(); ++i) {
-        const std::uint8_t fate = decide(ws, i, 0, ws.fault_partial);
-        ws.staged_fate.push(fate);
-        if ((fate & kFateRetransmit) != 0) ws.retransmit.push(static_cast<std::uint32_t>(i));
-      }
-    };
-    // --- Execute the bucket: owner w runs its own slots on workers[w], while
-    // the inboxes it just scattered are cache-resident. The pool runs the
-    // owners when more than one is non-empty; results are bit-identical
-    // either way. ---
-    auto shard_body = [&](std::uint32_t w) {
-      const std::size_t lo = begin + sb[w];
-      const std::size_t hi = begin + sb[w + 1];
-      auto& ws = workers[w];
-      for (std::size_t i = lo; i < hi; ++i) execute_event(events[i], i, ws, t);
-      if (faults != nullptr) decide_fresh(ws);
-    };
-    const bool parallel_execute = sb[1] < bucket_size;
-    for_each_owner(parallel_execute, shard_body);
-    ++(parallel_execute ? rounds_parallel : rounds_serial);
-
-    // --- Restore the presence-bitset invariant (all-zero between rounds):
-    // clear exactly the words this round's gather touched. O(touched words),
-    // not O(bucket). ---
-    if (round_has_inbox) {
-      for (auto& ws : workers) {
-        for (const auto word : ws.touched_words) scratch.inbox_present[word] = 0;
-        ws.touched_words.clear();
-      }
-    }
-
-    // --- Fate commit (docs/FAULTS.md): one serial walk in canonical order --
-    // this round's due retransmissions (small: decided here, in the lanes
-    // they were parked in), then the workers' staged lanes in shard order,
-    // whose fates the shards decided. It does everything whose order is
-    // observable: flight recorder fate notes (read back from the fate
-    // bytes) and retransmissions, each of which appends the dropped message
-    // to its due round's lanes and marks the entry dropped (kNeverDest, 0
-    // copies). ---
-    const std::uint32_t due = scratch.retry.find(t);
-    const std::uint64_t retries_this_round =
-        due == kNoBucket ? 0 : scratch.retry.pool[due].staged_hdr.size();
-    // Fate entries go to the barrier ring (index num_workers).
-    auto note = [&](const StagedLanes& src, std::size_t i, std::uint32_t attempt,
-                    std::uint8_t fate) {
-      const StagedMeta meta = src.staged_meta[i];
-      const std::uint32_t edge = src.staged_edge[i];
-      const std::uint64_t fr_key = (std::uint64_t{meta.alg} << 32) | meta.tag;
-      const auto kind = static_cast<FlightRecorder::Kind>(fate & kFateKindMask);
-      recorder->record(num_workers, kind, t, fr_key, edge);
-      if ((fate & kFateDuplicate) != 0) {
-        recorder->record(num_workers, FlightRecorder::Kind::kDuplicate, t, fr_key, edge);
-      } else if ((fate & kFateRetransmit) != 0) {
-        recorder->record(num_workers, FlightRecorder::Kind::kRetry, t,
-                         (std::uint64_t{attempt + 1} << 32) | meta.tag, edge);
-      } else if (kind != FlightRecorder::Kind::kDeliver) {
-        recorder->record(num_workers, FlightRecorder::Kind::kLost, t, fr_key, edge);
-      }
-    };
-    auto retransmit = [&](StagedLanes& src, std::size_t i, std::uint32_t attempt) {
-      const std::uint32_t retry_round = t + (1u << attempt);
-      if (retry_round >= horizon) {
-        horizon = retry_round + 1;
-        result.max_load_per_big_round.resize(horizon, 0);  // within the reserve
-      }
-      // `src` is read out before acquire(), which may grow the pool and so
-      // move `src` when it is this round's bundle.
-      const std::uint32_t hdr = src.staged_hdr[i];
-      const StagedMeta meta = src.staged_meta[i];
-      const std::uint32_t edge = src.staged_edge[i];
-      const std::uint64_t dest = src.staged_dest[i];
-      std::uint64_t pay[W];
-      std::memcpy(pay, src.staged_pay.data() + i * W, W * sizeof(std::uint64_t));
-      src.staged_dest[i] = std::uint64_t{kNeverDest} << 32;
-      RetryLanes& out = scratch.retry.acquire(retry_round);
-      out.staged_hdr.push(hdr);
-      std::memcpy(out.staged_pay.append_n(W), pay, W * sizeof(std::uint64_t));
-      out.staged_meta.push(meta);
-      out.staged_edge.push(edge);
-      out.staged_dest.push(dest);
-      out.attempt.push(static_cast<std::uint8_t>(attempt + 1));
-    };
-    for (std::size_t j = 0; j < retries_this_round; ++j) {
-      RetryLanes& lanes = scratch.retry.pool[due];  // re-indexed: retransmit may grow the pool
-      const std::uint32_t attempt = lanes.attempt[j];
-      const std::uint8_t fate = decide(lanes, j, attempt, result.faults);
-      if (recorder != nullptr) note(lanes, j, attempt, fate);
-      if ((fate & kFateRetransmit) != 0) retransmit(lanes, j, attempt);
-    }
-    std::uint64_t fresh_this_round = 0;
-    for (auto& ws : workers) {
-      scratch.staged_high_water =
-          std::max(scratch.staged_high_water, ws.staged_hdr.size());
-      fresh_this_round += ws.staged_hdr.size();
-      if (recorder != nullptr) {
-        for (std::size_t i = 0; i < ws.staged_hdr.size(); ++i) {
-          note(ws, i, 0,
-               faults != nullptr ? ws.staged_fate[i]
-                                 : static_cast<std::uint8_t>(FlightRecorder::Kind::kDeliver));
-        }
-      }
-      for (const auto i : ws.retransmit) retransmit(ws, i, 0);
-    }
-    const std::uint64_t messages_this_round = retries_this_round + fresh_this_round;
-
-    // --- Delivery barrier: one owner-partitioned body. Lane sources are this
-    // round's due-round lanes as they stand, then the workers' staging lanes
-    // in shard order -- the order the fate commit walked. Owner w folds edge
-    // loads over its static slice of the directed-edge space (every attempt
-    // costs bandwidth, whatever its fate), then appends each parked copy
-    // whose consumer slot it owns to its own seg -- so gathers see one seg
-    // order regardless of thread count. Owner 0 additionally takes the tag == T stream (routed by
-    // its packed finish key) and the violation count: a copy whose consumer
-    // already ran would sit unread in any inbox, so it is counted and dropped,
-    // which is observationally identical. No atomics anywhere: every written
-    // cell has exactly one owner. ---
-    const StagedLanes& due_lanes = due == kNoBucket ? kNoRetries : scratch.retry.pool[due];
-    const std::uint64_t num_dir_edges = graph_.num_directed_edges();
-    auto barrier_body = [&](std::uint32_t w) {
-      auto& ow = workers[w];
-      auto source = [&](std::uint32_t v) -> const StagedLanes& {
-        return v == 0 ? due_lanes : workers[v - 1];
-      };
-      const auto elo = static_cast<std::uint32_t>(num_dir_edges * w / num_workers);
-      const auto ehi = static_cast<std::uint32_t>(num_dir_edges * (w + 1) / num_workers);
-      // First touches of this owner's edges. Per-cell observers read the
-      // touched list after the barrier in edge order, so observed runs mark
-      // the slice's bitset and walk it -- O(touched + slice / 64), no sort.
-      for (std::uint32_t v = 0; v <= num_workers; ++v) {
-        for (const auto d : source(v).staged_edge) {
-          if (d < elo || d >= ehi || edge_count[d]++ != 0) continue;
-          if (cells_observed) {
-            ow.touched_bits[(d - elo) >> 6] |= std::uint64_t{1} << ((d - elo) & 63);
-          } else {
-            ow.touched.push_back(d);
-          }
-        }
-      }
-      for (std::size_t wi = 0; wi < ow.touched_bits.size(); ++wi) {
-        for (std::uint64_t bits = std::exchange(ow.touched_bits[wi], 0); bits != 0;
-             bits &= bits - 1) {
-          ow.touched.push_back(elo + static_cast<std::uint32_t>(wi * 64 + std::countr_zero(bits)));
-        }
-      }
-      std::uint32_t local_max = 0;
-      for (const auto d : ow.touched) {
-        local_max = std::max(local_max, edge_count[d]);
-        if (!cells_observed) edge_count[d] = 0;
-      }
-      ow.max_load_partial = local_max;
-      if (!cells_observed) ow.touched.clear();
-      for (std::uint32_t v = 0; v <= num_workers; ++v) {
-        const StagedLanes& src = source(v);
-        const std::size_t m = src.staged_hdr.size();
-        for (std::size_t i = 0; i < m; ++i) {
-          const std::uint64_t ds = src.staged_dest[i];
-          auto dest = static_cast<std::uint32_t>(ds >> 32);
-          std::uint32_t copies = 1;
-          if (dest >= kNeverDest) {
-            copies += dest >> 31;
-            dest &= ~kTwoCopies;
-            if (dest == kNeverDest) continue;
-            if (dest == kFinishDest) {
-              for (std::uint32_t c = 0; w == 0 && c < copies; ++c) {
-                scratch.finish.slot.push(static_cast<std::uint32_t>(ds));
-                scratch.finish.hdr.push(src.staged_hdr[i]);
-                std::memcpy(scratch.finish.pay.append_n(W), src.staged_pay.data() + i * W,
-                            W * sizeof(std::uint64_t));
-              }
-              continue;
-            }
-          }
-          if (dest <= t) {
-            if (w == 0) ow.violations += copies;
-            continue;
-          }
-          const auto slot = static_cast<std::uint32_t>(ds);
-          const auto* bound = slot_bound.data() + std::size_t{dest} * (num_workers + 1);
-          if (slot < bound[w] || slot >= bound[w + 1]) continue;
-          auto& seg = ow.pend.acquire(dest);
-          for (std::uint32_t c = 0; c < copies; ++c) {
-            seg.slot.push(slot);
-            seg.hdr.push(src.staged_hdr[i]);
-            std::memcpy(seg.pay.append_n(W), src.staged_pay.data() + i * W,
-                        W * sizeof(std::uint64_t));
-          }
-        }
-      }
-    };
-    for_each_owner(num_workers > 1 && messages_this_round >= kMinMessagesParallelBarrier,
-                   barrier_body);
-    if (due != kNoBucket) scratch.retry.release(t);
-    // The round's executed events and consumed inbox messages are deltas of
-    // the workers' cumulative counters.
-    std::uint32_t max_load = 0;
-    std::uint64_t delivered_now = 0;
-    std::uint64_t skipped_now = 0;
-    for (auto& ws : workers) {
-      max_load = std::max(max_load, ws.max_load_partial);
-      delivered_now += ws.delivered;
-      skipped_now += ws.skipped;
-      ws.clear();
-      ws.staged_fate.clear();
-      ws.retransmit.clear();
-    }
-    const std::uint64_t round_inbox = delivered_now - delivered_before;
-    const std::uint64_t round_events = bucket_size - (skipped_now - skipped_before);
-    delivered_before = delivered_now;
-    skipped_before = skipped_now;
-    result.causality_violations += workers[0].violations;
-    workers[0].violations = 0;
-    result.total_messages += messages_this_round;
-    if (cfg_.enforce_unit_capacity && max_load > 1) {
-      // Post-mortem before the hard failure: the rings hold the deliveries
-      // leading up to the overflow.
-      if (recorder != nullptr) recorder->dump_on("unit_capacity_overflow");
-      DASCHED_CHECK_LE(max_load, 1u,
-                       "CONGEST bandwidth violated: >1 message per edge per round");
-    }
-    if (cells_observed) {
-      // Owners' edge slices ascend and each touched list is sorted, so cells
-      // arrive in canonical (round, edge) order at every thread count.
-      for (auto& ws : workers) {
-        for (const auto d : ws.touched) {
-          if (profiler != nullptr) profiler->record_cell(t, d, edge_count[d]);
-          if (telemetry != nullptr) {
-            telemetry->record_value("executor.edge_load", edge_count[d]);
-          }
-          edge_count[d] = 0;
-        }
-        ws.touched.clear();
-      }
-    }
-    result.max_load_per_big_round[t] = max_load;
-    result.max_edge_load = std::max(result.max_edge_load, max_load);
-
-    if (profiler != nullptr) {
-      profiler->end_round(t, messages_this_round, max_load, retries_this_round, round_events,
-                          round_inbox);
-    }
-    if (recorder != nullptr) {
-      recorder->record_barrier(t, messages_this_round, max_load);
-    }
-
-    if (telemetry != nullptr) {
-      telemetry->add_counter("executor.messages_sent", messages_this_round);
-      telemetry->add_counter("executor.messages_delivered", round_inbox);
-      telemetry->add_counter("executor.causality_violations",
-                             result.causality_violations - violations_before);
-      telemetry->record_value("executor.max_load_per_big_round", max_load);
-      round_span.arg("t", t);
-      round_span.arg("events", static_cast<double>(bucket_size));
-      round_span.arg("messages", static_cast<double>(messages_this_round));
-      round_span.arg("max_load", max_load);
-    }
+    Round r = c.open_round(t);
+    c.gather<W>(r);
+    c.execute<W>(r);
+    c.commit_fates<W>(r, result);
+    c.barrier<W>(r);
+    c.close_round(r, result, round_span);
   }
-
   result.hot_path_allocs = alloc_count() - allocs_before;
 
   // Retransmissions may have extended the run past the scheduled horizon.
-  result.num_big_rounds = horizon;
-  for (const auto& ws : workers) {
+  result.num_big_rounds = c.horizon;
+  for (const auto& ws : scratch_->workers) {
     result.faults += ws.fault_partial;
     result.faults.skipped_events += ws.skipped;
   }
-
-  if (profiler != nullptr) profiler->end_run();
-  if (recorder != nullptr && faults != nullptr && faults->num_crashes() > 0) {
+  if (c.profiler != nullptr) c.profiler->end_run();
+  if (c.recorder != nullptr && c.faults != nullptr && c.faults->num_crashes() > 0) {
     // Crash-stop faults fired: leave a post-mortem of the run's last events.
-    recorder->dump_on("crash_stop_faults");
+    c.recorder->dump_on("crash_stop_faults");
   }
 
-  // --- Finish and collect outputs. The tag == T lanes accumulated across
-  // the run are counting-sorted by their packed keys (stably: delivery order
-  // is preserved within each node's slice) IN PLACE: compute each message's
-  // final position, then realize the permutation by following its cycles,
-  // swapping one header word and W payload words at a time. No second arena
-  // exists -- at the million-node scale the old out-of-place copy doubled
-  // the largest allocation of the whole run. A crash-stopped node never runs
-  // on_finish and is never marked completed, even if it crashed after its
-  // last scheduled event. ---
-  auto& finish_offset = scratch.finish_offset;
-  const std::size_t fcount = scratch.finish.slot.size();
-  DASCHED_CHECK_MSG(fcount < std::size_t{kPlaced},
-                    "finish arena exceeds the in-place permutation index range");
-  finish_offset.assign(k * n + 1, 0);
-  for (const auto key : scratch.finish.slot) {
-    ++finish_offset[std::size_t{key} + 1];
-  }
-  for (std::size_t i = 1; i <= k * n; ++i) finish_offset[i] += finish_offset[i - 1];
-  scratch.finish_target.resize(fcount);
-  {
-    auto& cursor = scratch.bucket_cursor;  // reuse: events array is flattened
-    cursor.assign(finish_offset.begin(), finish_offset.end() - 1);
-    for (std::size_t i = 0; i < fcount; ++i) {
-      scratch.finish_target[i] =
-          static_cast<std::uint32_t>(cursor[scratch.finish.slot[i]]++);
-    }
-  }
-  {
-    std::uint32_t* const target = scratch.finish_target.data();
-    std::uint32_t* const fh = scratch.finish.hdr.data();
-    std::uint64_t* const fpay = scratch.finish.pay.data();
-    for (std::size_t i = 0; i < fcount; ++i) {
-      if ((target[i] & kPlaced) != 0) continue;
-      if (target[i] == static_cast<std::uint32_t>(i)) {
-        target[i] |= kPlaced;
-        continue;
-      }
-      std::uint32_t tmp_hdr = fh[i];
-      std::uint64_t tmp_pay[W];
-      std::memcpy(tmp_pay, fpay + i * W, W * sizeof(std::uint64_t));
-      std::uint32_t j = target[i];
-      while (j != static_cast<std::uint32_t>(i)) {
-        std::swap(tmp_hdr, fh[j]);
-        for (std::uint32_t q = 0; q < W; ++q) {
-          std::swap(tmp_pay[q], fpay[std::size_t{j} * W + q]);
-        }
-        const std::uint32_t nxt = target[j] & ~kPlaced;
-        target[j] |= kPlaced;
-        j = nxt;
-      }
-      fh[i] = tmp_hdr;
-      std::memcpy(fpay + i * W, tmp_pay, W * sizeof(std::uint64_t));
-      target[i] |= kPlaced;
-    }
-  }
-
-  // Each completed node appends its output words to the algorithm's table
-  // in the scratch lanes; the finished table is copied out at its exact size,
-  // so collection costs two allocations per algorithm at any n.
-  std::uint64_t delivered_at_finish = 0;
-  auto& out_words = scratch.out_words;
-  auto& out_offsets = scratch.out_offsets;
-  for (std::size_t a = 0; a < k; ++a) {
-    const std::uint32_t rounds = algorithms[a]->rounds();
-    result.completed[a].assign(n, 0);
-    out_words.clear();
-    out_offsets.assign(1, 0);
-    for (NodeId v = 0; v < n; ++v) {
-      const std::size_t key = a * n + v;
-      // A node completes iff its row's last slot is scheduled (rows are
-      // gap-free, so it then ran every round) and it did not crash before the
-      // horizon (a crash at or past it spares every event).
-      const auto row = schedule.row(a, v);
-      const bool finishes = (row.empty() || row.back() != kNeverScheduled) &&
-                            (faults == nullptr || faults->crash_round(v) >= horizon);
-      if (!finishes) {
-        out_offsets.push_back(static_cast<std::uint32_t>(out_words.size()));
-        continue;
-      }
-      const std::size_t off = finish_offset[key];
-      const auto cnt = static_cast<std::uint32_t>(finish_offset[key + 1] - off);
-      const InboxView in(scratch.finish.hdr.data() + off,
-                         scratch.finish.pay.data() + off * W, W, cnt);
-      delivered_at_finish += cnt;
-      VirtualContext ctx;
-      ctx.self_ = v;
-      ctx.num_nodes_ = n;
-      ctx.vround_ = rounds + 1;
-      ctx.inbox_ = in;
-      ctx.neighbors_ = graph_.neighbors(v);
-      ctx.send_fn_ = nullptr;
-      ctx.sink_ = nullptr;
-      programs[key]->on_finish(ctx);
-      result.completed[a][v] = 1;
-      programs[key]->write_output(out_words);
-      out_offsets.push_back(static_cast<std::uint32_t>(out_words.size()));
-    }
-    // The table only grows, so a final size in range means every offset was.
-    DASCHED_CHECK_MSG(out_words.size() <= ~std::uint32_t{0},
-                      "node outputs exceed the 32-bit offset range");
-    if (n > 0) result.outputs[a] = NodeOutputs(out_words, out_offsets);
-  }
-  scratch.arena.reset();
-
-  if (telemetry != nullptr) {
-    telemetry->add_counter("executor.messages_delivered", delivered_at_finish);
-    telemetry->set_gauge("executor.max_edge_load", result.max_edge_load);
-    telemetry->set_gauge("executor.parallel.num_threads", num_workers);
-    telemetry->add_counter("executor.parallel.rounds_parallel", rounds_parallel);
-    telemetry->add_counter("executor.parallel.rounds_serial", rounds_serial);
-    run_span.arg("total_messages", static_cast<double>(result.total_messages));
-    if (faults != nullptr) {
-      // fault.* names are emitted only on faulty runs, so a null injector
-      // leaves the telemetry stream byte-identical to the reliable engine.
-      const auto& fs = result.faults;
-      // Keep big_rounds == rounds_serial + rounds_parallel when retries
-      // extended the horizon past the scheduled rounds counted up front.
-      telemetry->add_counter("executor.big_rounds", horizon - num_big_rounds);
-      telemetry->add_counter("fault.attempts", fs.attempts);
-      telemetry->add_counter("fault.delivered", fs.delivered);
-      telemetry->add_counter("fault.dropped.random", fs.dropped_random);
-      telemetry->add_counter("fault.dropped.outage", fs.dropped_outage);
-      telemetry->add_counter("fault.dropped.crash", fs.dropped_crash);
-      telemetry->add_counter("fault.duplicates.delivered", fs.duplicated);
-      telemetry->add_counter("fault.duplicates.suppressed", fs.duplicates_suppressed);
-      telemetry->add_counter("fault.retransmissions", fs.retransmissions);
-      telemetry->add_counter("fault.lost", fs.lost);
-      telemetry->add_counter("fault.skipped_events", fs.skipped_events);
-      telemetry->set_gauge("fault.crashed_nodes", faults->num_crashes());
-      telemetry->set_gauge("fault.retry_budget", max_retries);
-    }
-  }
-
+  c.sort_finish_lanes<W>();
+  const std::uint64_t delivered_at_finish = c.collect_outputs<W>(result);
+  if (telemetry != nullptr) c.emit_run_telemetry(result, run_span, delivered_at_finish);
   return result;
 }
 

@@ -279,6 +279,9 @@ class Executor {
   template <std::uint32_t W>
   ExecutionResult run_impl(std::span<const DistributedAlgorithm* const> algorithms,
                            const ScheduleTable& schedule);
+  /// One run's state and the big-round pipeline's stage functions; defined
+  /// in executor.cpp.
+  struct Run;
 
   const Graph& graph_;
   ExecConfig cfg_;
