@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cstring>
 #include <utility>
 
@@ -10,6 +11,8 @@
 #include "util/fingerprint.hpp"
 
 namespace dasched {
+
+using namespace std::chrono_literals;
 
 bool ExecutionResult::all_completed() const {
   for (const auto& per_alg : completed) {
@@ -66,7 +69,6 @@ struct Lane {
   std::size_t cap = 0;
 
   void clear() { len = 0; }
-  bool empty() const { return len == 0; }
   std::size_t size() const { return len; }
   T* data() { return store.get(); }
   const T* data() const { return store.get(); }
@@ -226,8 +228,8 @@ struct WorkerState : StagedLanes {
   std::vector<std::uint32_t> touched_words;  // perf-ok: scoped presence clears
   std::uint32_t max_load_partial = 0;  // max edge load over this owner's edge range
   std::uint64_t violations = 0;  // causality violations counted at the barrier (owner 0)
-  std::uint64_t delivered = 0;  // cumulative messages consumed by this worker
-  std::uint64_t skipped = 0;    // events skipped because the node crash-stopped
+  std::uint64_t delivered = 0;  // inbox messages this worker's events consumed this round
+  std::uint64_t skipped = 0;    // events skipped this round: the node crash-stopped
   // --- Fault fates of this worker's staged messages, decided at the end of
   // its execute shard on faulty runs and read by the serial fate commit. ---
   Lane<std::uint8_t> staged_fate;   // perf-ok: one fate byte per staged message
@@ -466,7 +468,6 @@ struct Round {
   std::uint32_t t = 0;
   std::size_t begin = 0;  // the bucket is events [begin, begin + size)
   std::size_t size = 0;
-  const std::uint32_t* bound = nullptr;  // owner w runs slots [bound[w], bound[w + 1])
   bool has_inbox = false;  // the gather populated the CSR inbox arena
   std::uint32_t due = kNoBucket;  // retry-pool slot of the retransmissions due now
   std::uint64_t retries = 0;      // retransmissions sent this round
@@ -475,43 +476,39 @@ struct Round {
 
 }  // namespace
 
-/// The per-run state the stages share. Everything from `k` to
-/// `cells_observed` is bound before validation; validate_and_bucket sets the
-/// schedule's extent; `horizon` grows when retransmissions land past it, and
-/// the tallies at the bottom accumulate across rounds.
+/// The per-run state the stages share: the run's inputs, the values derived
+/// from them by the initializers below, the schedule's extent (set by
+/// validate_and_bucket), the horizon (which retransmissions extend) and the
+/// tallies that accumulate across rounds.
 struct Executor::Run {
   const Graph& g;
   const ScheduleTable& schedule;
   std::span<const DistributedAlgorithm* const> algorithms;
   ExecScratch& s;
-  ThreadPool* pool;
-  const FaultInjector* faults;
-  ExecProfiler* profiler;
-  FlightRecorder* recorder;
-  TelemetrySink* telemetry;
-  bool enforce_unit_capacity;
-  std::size_t k;
-  NodeId n;
-  std::uint32_t num_workers;
-  std::uint32_t max_retries;
+  const ExecConfig& cfg;
+  ThreadPool* pool = nullptr;  // bound after validation, for parallel runs
+  const FaultInjector* faults = cfg.faults;
+  ExecProfiler* profiler = cfg.profiler;
+  FlightRecorder* recorder = cfg.recorder;
+  std::size_t k = algorithms.size();
+  NodeId n = g.num_nodes();
+  std::uint32_t num_workers = std::max<std::uint32_t>(1, cfg.num_threads);
+  std::uint32_t max_retries = faults != nullptr ? cfg.retry.max_retries : 0;
   /// Rounds retransmissions may add past the schedule: chained retries back
   /// off exponentially, so at most sum_{i<R} 2^i = 2^R - 1.
-  std::uint32_t round_headroom;
+  std::uint32_t round_headroom = max_retries > 0 ? (1u << max_retries) - 1 : 0;
   /// Identity lanes are needed only when fates or the fate commit consume
   /// message identities; the clean unobserved path skips the lane.
-  bool need_meta;
-  /// Per-cell observers read the owners' touched lists after each barrier.
-  bool cells_observed;
+  bool need_meta = faults != nullptr || recorder != nullptr;
 
   std::uint32_t num_big_rounds = 0;
   std::uint64_t total_events = 0;
   std::size_t max_bucket_size = 0;
   std::uint32_t horizon = 0;
 
-  std::uint64_t delivered_before = 0;  // workers' cumulative inbox messages
-  std::uint64_t skipped_before = 0;    // workers' cumulative crash skips
   std::uint64_t rounds_parallel = 0;
   std::uint64_t rounds_serial = 0;
+  std::chrono::steady_clock::time_point round_clock{};  // the last round's close
 
   /// Runs an owner-partitioned body on the pool when `parallel`, else for each
   /// owner in turn on the calling thread: the same body either way.
@@ -535,6 +532,17 @@ struct Executor::Run {
   /// scheduled slot's event index within its bucket, i.e. the consumer-side
   /// coordinate every staged message will carry.
   void validate_and_bucket() {
+    DASCHED_CHECK_EQ(schedule.num_algorithms(), k,
+                     "schedule table does not match the problem dimensions");
+    DASCHED_CHECK_EQ(schedule.num_nodes(), n,
+                     "schedule table does not match the problem dimensions");
+    // Packed-header capacity: the sender id must fit the header's from-field
+    // (32 bits minus the length bits; congest/message.hpp).
+    DASCHED_CHECK_MSG(std::uint64_t{n} <= kMaxPackedHeaderNodes,
+                      "graph too large for packed 32-bit message headers");
+    // Packed finish keys alg*n + to must fit u32 (see the finish lanes).
+    DASCHED_CHECK_MSG(static_cast<std::uint64_t>(k) * n <= (std::uint64_t{1} << 32),
+                      "k*n exceeds the packed finish-key range");
     auto& bucket_start = s.bucket_start;
     std::uint32_t max_big_round = 0;
     bucket_start.clear();
@@ -592,29 +600,6 @@ struct Executor::Run {
     }
   }
 
-  /// The owner partition (docs/PERFORMANCE.md, "Owner partition"). Round t's
-  /// bucket of B events splits into P = ceil(B / 64) inbox-presence words;
-  /// owner w holds words [ceil(w*P/W), ceil((w+1)*P/W)), recorded as
-  /// consumer-slot boundaries clamped to B. The gather, the execute shards and
-  /// the delivery barrier all read this one partition, so the worker that
-  /// scatters a slot's inbox also executes its event, and owners never share a
-  /// presence word. The extra all-zero row serves the empty buckets of
-  /// retry-extended rounds.
-  void partition_owners() {
-    const std::uint32_t nw = num_workers;
-    auto& slot_bound = s.slot_bound;
-    slot_bound.assign(std::size_t{num_big_rounds + 1} * (nw + 1), 0);
-    for (std::uint32_t t = 0; t < num_big_rounds; ++t) {
-      const std::size_t bsize = s.bucket_start[t + 1] - s.bucket_start[t];
-      const std::size_t words = (bsize + 63) / 64;
-      auto* row = slot_bound.data() + std::size_t{t} * (nw + 1);
-      for (std::uint32_t w = 0; w <= nw; ++w) {
-        const std::size_t lo_word = (std::size_t{w} * words + nw - 1) / nw;
-        row[w] = static_cast<std::uint32_t>(std::min(bsize, lo_word * 64));
-      }
-    }
-  }
-
   /// Prepare: the per-run sizing that keeps the steady-state window
   /// allocation-free -- programs built in the scratch arena, the result's
   /// tables, the delivery arenas (which only grow to warm-up high-water
@@ -632,11 +617,11 @@ struct Executor::Run {
 
     result.outputs.resize(k);
     result.completed.assign(k, {});
-    result.num_big_rounds = num_big_rounds;
     // Retransmissions extend the horizon into the reserved headroom, inside
     // the loop, without reallocating.
     result.max_load_per_big_round.reserve(std::size_t{num_big_rounds} + round_headroom);
     result.max_load_per_big_round.assign(num_big_rounds, 0);
+    result.round_records.reserve(std::size_t{num_big_rounds} + round_headroom);
 
     s.inbox_offset.reserve(max_bucket_size);
     s.inbox_cursor.reserve(max_bucket_size);
@@ -680,23 +665,36 @@ struct Executor::Run {
       ws.touched.clear();
       ws.touched.reserve(num_dir_edges / num_workers + 1);
       ws.touched_bits.assign(
-          cells_observed ? (num_dir_edges / num_workers + 1) / 64 + 1 : 0, 0);
+          profiler != nullptr ? (num_dir_edges / num_workers + 1) / 64 + 1 : 0, 0);
       ws.touched_words.clear();
     }
-    partition_owners();
+    // The owner partition (docs/PERFORMANCE.md, "Owner partition"). Round t's
+    // bucket of B events splits into P = ceil(B / 64) inbox-presence words;
+    // owner w holds words [ceil(w*P/W), ceil((w+1)*P/W)), recorded as
+    // consumer-slot boundaries clamped to B. The gather, the execute shards and
+    // the delivery barrier all read this one partition, so the worker that
+    // scatters a slot's inbox also executes its event, and owners never share a
+    // presence word. The extra all-zero row serves the empty buckets of
+    // retry-extended rounds.
+    const std::uint32_t nw = num_workers;
+    auto& slot_bound = s.slot_bound;
+    slot_bound.assign(std::size_t{num_big_rounds + 1} * (nw + 1), 0);
+    for (std::uint32_t t = 0; t < num_big_rounds; ++t) {
+      const std::size_t bsize = s.bucket_start[t + 1] - s.bucket_start[t];
+      const std::size_t words = (bsize + 63) / 64;
+      auto* row = slot_bound.data() + std::size_t{t} * (nw + 1);
+      for (std::uint32_t w = 0; w <= nw; ++w) {
+        const std::size_t lo_word = (std::size_t{w} * words + nw - 1) / nw;
+        row[w] = static_cast<std::uint32_t>(std::min(bsize, lo_word * 64));
+      }
+    }
   }
 
-  /// The round's bucket and owner-partition row; rounds >= num_big_rounds
-  /// exist only when retransmissions extended the horizon and have no events.
+  /// The round's bucket. Rounds >= num_big_rounds exist only when
+  /// retransmissions extended the horizon; they have no events.
   Round open_round(std::uint32_t t) const {
-    Round r;
-    r.t = t;
-    const auto& bucket_start = s.bucket_start;
-    r.begin = t < num_big_rounds ? bucket_start[t] : s.events.size();
-    r.size = t < num_big_rounds ? bucket_start[t + 1] - r.begin : 0;
-    r.bound = s.slot_bound.data() +
-              std::size_t{std::min(t, num_big_rounds)} * (num_workers + 1);
-    return r;
+    if (t >= num_big_rounds) return {t, s.events.size(), 0};
+    return {t, s.bucket_start[t], s.bucket_start[t + 1] - s.bucket_start[t]};
   }
 
   /// Gather this round's inboxes from the owners' pending segs: counting-sort
@@ -712,10 +710,9 @@ struct Executor::Run {
   /// the words it touched) and the first touch of a slot *assigns* its count.
   template <std::uint32_t W>
   void gather(Round& r) {
-    const std::uint32_t t = r.t;
     std::size_t pend_total = 0;
     for (auto& ws : s.workers) {
-      const std::uint32_t b = ws.pend.find(t);
+      const std::uint32_t b = ws.pend.find(r.t);
       if (b != kNoBucket) pend_total += ws.pend.pool[b].slot.size();
     }
     if (pend_total == 0) return;
@@ -734,7 +731,7 @@ struct Executor::Run {
     const bool parallel = num_workers > 1 && pend_total >= kMinMessagesParallelBarrier;
     auto histogram_body = [&](std::uint32_t w) {
       auto& ws = s.workers[w];
-      const std::uint32_t seg_idx = ws.pend.find(t);
+      const std::uint32_t seg_idx = ws.pend.find(r.t);
       if (seg_idx == kNoBucket) return;
       std::uint64_t* const present = s.inbox_present.data();
       std::uint32_t* const count = s.inbox_count.data();
@@ -756,7 +753,7 @@ struct Executor::Run {
     };
     auto scatter_body = [&](std::uint32_t w) {
       auto& ws = s.workers[w];
-      const std::uint32_t seg_idx = ws.pend.find(t);
+      const std::uint32_t seg_idx = ws.pend.find(r.t);
       if (seg_idx == kNoBucket) return;
       const auto& seg = ws.pend.pool[seg_idx];
       const std::size_t m = seg.slot.size();
@@ -778,7 +775,7 @@ struct Executor::Run {
         ah[at] = sh[i];
         std::memcpy(ap + std::size_t{at} * W, sp + i * W, W * sizeof(std::uint64_t));
       }
-      ws.pend.release(t);
+      ws.pend.release(r.t);
     };
     for_each_owner(parallel, histogram_body);
     // Serial prefix over the populated slots only, in slot order (the
@@ -809,11 +806,11 @@ struct Executor::Run {
     const auto worker = static_cast<std::uint32_t>(&ws - s.workers.data());
     if (faults != nullptr && faults->node_crashed(ev.node, r.t)) {
       // Crash-stop: the node executes nothing from its crash round on, so it
-      // is never marked completed (crash_round(v) < horizon in collect_outputs).
+      // is never marked completed (crash_round(v) < horizon in finish).
       ++ws.skipped;
       if (recorder != nullptr) {
         recorder->record(worker, FlightRecorder::Kind::kCrashSkip, r.t,
-                           (std::uint64_t{ev.alg} << 32) | ev.vround, ev.node);
+                         (std::uint64_t{ev.alg} << 32) | ev.vround, ev.node);
       }
       return;
     }
@@ -835,7 +832,7 @@ struct Executor::Run {
     ws.delivered += in_count;
     if (recorder != nullptr) {
       recorder->record(worker, FlightRecorder::Kind::kEvent, r.t,
-                         (std::uint64_t{ev.alg} << 32) | ev.vround, ev.node);
+                       (std::uint64_t{ev.alg} << 32) | ev.vround, ev.node);
     }
 
     const auto nbrs = g.neighbors(ev.node);
@@ -843,28 +840,12 @@ struct Executor::Run {
     // routed against the flat schedule as it lands (see SendSink).
     ++ws.event_serial;
     const bool finishing = ev.vround == schedule.rounds(ev.alg);
-    SendSink<W> sink{&ws,
-                     schedule.flat().data(),
-                     s.slot_of.data(),
-                     n,
-                     need_meta,
-                     nbrs,
+    SendSink<W> sink{&ws, schedule.flat().data(), s.slot_of.data(), n, need_meta, nbrs,
                      g.directed_ids(ev.node).data(),
                      finishing ? 0 : schedule.slot_index(ev.alg, 0, ev.vround + 1),
-                     schedule.rounds(ev.alg),
-                     ev.alg,
-                     ev.vround,
-                     ev.node,
-                     finishing,
+                     schedule.rounds(ev.alg), ev.alg, ev.vround, ev.node, finishing,
                      /*slot_hint=*/0};
-    VirtualContext ctx;
-    ctx.self_ = ev.node;
-    ctx.num_nodes_ = n;
-    ctx.vround_ = ev.vround;
-    ctx.inbox_ = in;
-    ctx.neighbors_ = nbrs;
-    ctx.send_fn_ = &SendSink<W>::send;
-    ctx.sink_ = &sink;
+    VirtualContext ctx(ev.node, n, ev.vround, in, nbrs, &SendSink<W>::send, &sink);
     s.programs[std::size_t{ev.alg} * n + ev.node]->on_round(ctx);
   }
 
@@ -873,8 +854,11 @@ struct Executor::Run {
   /// staged_dest -- two copies for a raw duplicate, none for a lost message.
   /// A message due for retransmission keeps its destination for the commit to
   /// copy. Reads only pure injector state, so shards run it in parallel.
-  std::uint8_t decide(std::uint32_t t, StagedLanes& src, std::size_t i, std::uint32_t attempt,
-                      ExecutionResult::FaultStats& fs) const {
+  /// Inlined into both callers, as its lambda form was: the shard loop in
+  /// decide_fresh runs it once per message.
+  [[gnu::always_inline]] std::uint8_t decide(std::uint32_t t, StagedLanes& src, std::size_t i,
+                                             std::uint32_t attempt,
+                                             ExecutionResult::FaultStats& fs) const {
     const StagedMeta meta = src.staged_meta[i];
     const std::uint32_t edge = src.staged_edge[i];
     ++fs.attempts;
@@ -935,13 +919,17 @@ struct Executor::Run {
   /// exactly the words this round's gather touched.
   template <std::uint32_t W>
   void execute(const Round& r) {
+    // Owner w runs slots [bound[w], bound[w + 1]) of the bucket; the
+    // all-zero last row serves retry-extended rounds.
+    const std::uint32_t* const bound =
+        s.slot_bound.data() + std::size_t{std::min(r.t, num_big_rounds)} * (num_workers + 1);
     auto shard_body = [&](std::uint32_t w) {
       auto& ws = s.workers[w];
-      const std::size_t hi = r.begin + r.bound[w + 1];
-      for (std::size_t i = r.begin + r.bound[w]; i < hi; ++i) execute_event<W>(r, i, ws);
+      const std::size_t hi = r.begin + bound[w + 1];
+      for (std::size_t i = r.begin + bound[w]; i < hi; ++i) execute_event<W>(r, i, ws);
       if (faults != nullptr) decide_fresh(r.t, ws);
     };
-    const bool parallel = r.bound[1] < r.size;
+    const bool parallel = bound[1] < r.size;
     for_each_owner(parallel, shard_body);
     ++(parallel ? rounds_parallel : rounds_serial);
     if (r.has_inbox) {
@@ -1046,10 +1034,11 @@ struct Executor::Run {
   /// releases the due-round lanes.
   template <std::uint32_t W>
   void barrier(const Round& r) {
-    const std::uint32_t t = r.t;
     const std::uint32_t nw = num_workers;
     const StagedLanes& due_lanes = r.due == kNoBucket ? kNoRetries : s.retry.pool[r.due];
     const std::uint64_t num_dir_edges = g.num_directed_edges();
+    // The profiler reads the owners' touched lists at the round close.
+    const bool cells_observed = profiler != nullptr;
     auto barrier_body = [&](std::uint32_t w) {
       auto& ow = s.workers[w];
       auto& edge_count = s.edge_count;
@@ -1105,7 +1094,7 @@ struct Executor::Run {
               continue;
             }
           }
-          if (dest <= t) {
+          if (dest <= r.t) {
             if (w == 0) ow.violations += copies;
             continue;
           }
@@ -1123,51 +1112,46 @@ struct Executor::Run {
       }
     };
     for_each_owner(nw > 1 && r.messages >= kMinMessagesParallelBarrier, barrier_body);
-    if (r.due != kNoBucket) s.retry.release(t);
+    if (r.due != kNoBucket) s.retry.release(r.t);
   }
 
-  /// Round close: folds the owners' partials into the result, aborts on a
-  /// unit-capacity overflow (after the flight recorder's post-mortem), hands
-  /// the round's touched cells to the profiler and reports the round to the
-  /// observers.
-  void close_round(const Round& r, ExecutionResult& result, TimedSpan& round_span) {
+  /// Round close: folds the owners' partials into the result and the
+  /// round's record, aborts on a unit-capacity overflow (after the flight
+  /// recorder's post-mortem) and hands the round's touched cells to the
+  /// profiler -- the one per-cell observer. Reads the clock once.
+  void close_round(const Round& r, ExecutionResult& result) {
     auto& workers = s.workers;
-    // The round's executed events and consumed inbox messages are deltas of
-    // the workers' cumulative counters.
     std::uint32_t max_load = 0;
-    std::uint64_t delivered_now = 0;
-    std::uint64_t skipped_now = 0;
+    std::uint64_t inbox = 0;
+    std::uint64_t skipped = 0;
     for (auto& ws : workers) {
       max_load = std::max(max_load, ws.max_load_partial);
-      delivered_now += ws.delivered;
-      skipped_now += ws.skipped;
+      inbox += std::exchange(ws.delivered, 0);
+      skipped += std::exchange(ws.skipped, 0);
       ws.clear();
       ws.staged_fate.clear();
       ws.retransmit.clear();
     }
-    const std::uint64_t round_inbox = delivered_now - delivered_before;
-    const std::uint64_t round_events = r.size - (skipped_now - skipped_before);
-    delivered_before = delivered_now;
-    skipped_before = skipped_now;
-    const std::uint64_t violations = workers[0].violations;
-    result.causality_violations += violations;
+    result.faults.skipped_events += skipped;
+    const auto now = std::chrono::steady_clock::now();
+    result.round_records.push_back({r.messages, r.retries, r.size - skipped, inbox,
+                                    static_cast<std::uint64_t>((now - round_clock) / 1ns)});
+    round_clock = now;
+    result.causality_violations += workers[0].violations;
     workers[0].violations = 0;
     result.total_messages += r.messages;
-    if (enforce_unit_capacity && max_load > 1) {
+    if (cfg.enforce_unit_capacity && max_load > 1) {
       // Post-mortem before the hard failure: the rings hold the deliveries
       // leading up to the overflow.
       if (recorder != nullptr) recorder->dump_on("unit_capacity_overflow");
       DASCHED_CHECK_LE(max_load, 1u, "CONGEST bandwidth violated: >1 message per edge per round");
     }
-    if (cells_observed) {
+    if (profiler != nullptr) {
       // Owners' edge slices ascend and each touched list is sorted, so cells
       // arrive in canonical (round, edge) order at every thread count.
       for (auto& ws : workers) {
         for (const auto d : ws.touched) {
-          if (profiler != nullptr) profiler->record_cell(r.t, d, s.edge_count[d]);
-          if (telemetry != nullptr) {
-            telemetry->record_value("executor.edge_load", s.edge_count[d]);
-          }
+          profiler->record_cell(r.t, d, s.edge_count[d]);
           s.edge_count[d] = 0;
         }
         ws.touched.clear();
@@ -1175,32 +1159,19 @@ struct Executor::Run {
     }
     result.max_load_per_big_round[r.t] = max_load;
     result.max_edge_load = std::max(result.max_edge_load, max_load);
-
-    if (profiler != nullptr) {
-      profiler->end_round(r.t, r.messages, max_load, r.retries, round_events, round_inbox);
-    }
     if (recorder != nullptr) recorder->record_barrier(r.t, r.messages, max_load);
-    if (telemetry != nullptr) {
-      telemetry->add_counter("executor.messages_sent", r.messages);
-      telemetry->add_counter("executor.messages_delivered", round_inbox);
-      telemetry->add_counter("executor.causality_violations", violations);
-      telemetry->record_value("executor.max_load_per_big_round", max_load);
-      round_span.arg("t", r.t);
-      round_span.arg("events", static_cast<double>(r.size));
-      round_span.arg("messages", static_cast<double>(r.messages));
-      round_span.arg("max_load", max_load);
-    }
   }
 
-  /// Finish, first half. The tag == T lanes accumulated across the run are
+  /// Finish. First the tag == T lanes accumulated across the run are
   /// counting-sorted by their packed keys (stably: delivery order is preserved
   /// within each node's slice) IN PLACE: compute each message's final
   /// position, then realize the permutation by following its cycles, swapping
   /// one header word and W payload words at a time. No second arena exists --
   /// at the million-node scale an out-of-place copy would double the largest
-  /// allocation of the whole run.
+  /// allocation of the whole run. Returns the inbox messages on_finish
+  /// consumed.
   template <std::uint32_t W>
-  void sort_finish_lanes() {
+  std::uint64_t finish(ExecutionResult& result) {
     auto& finish_offset = s.finish_offset;
     const std::size_t fcount = s.finish.slot.size();
     DASCHED_CHECK_MSG(fcount < std::size_t{kPlaced},
@@ -1238,16 +1209,12 @@ struct Executor::Run {
       std::memcpy(fpay + i * W, tmp_pay, W * sizeof(std::uint64_t));
       target[i] |= kPlaced;
     }
-  }
 
-  /// Finish, second half: runs on_finish over each finishing node's slice of
-  /// the sorted tag == T lanes and collects its output. Each completed node
-  /// appends its output words to the algorithm's table in the scratch lanes;
-  /// the finished table is copied out at its exact size, so collection costs
-  /// two allocations per algorithm at any n. Returns the inbox messages
-  /// on_finish consumed.
-  template <std::uint32_t W>
-  std::uint64_t collect_outputs(ExecutionResult& result) {
+    // Then on_finish runs over each finishing node's slice and collects its
+    // output. Each completed node appends its output words to the
+    // algorithm's table in the scratch lanes; the finished table is copied
+    // out at its exact size, so collection costs two allocations per
+    // algorithm at any n.
     std::uint64_t delivered_at_finish = 0;
     auto& out_words = s.out_words;
     auto& out_offsets = s.out_offsets;
@@ -1273,14 +1240,10 @@ struct Executor::Run {
         const std::size_t off = s.finish_offset[key];
         const auto cnt = static_cast<std::uint32_t>(s.finish_offset[key + 1] - off);
         delivered_at_finish += cnt;
-        VirtualContext ctx;
-        ctx.self_ = v;
-        ctx.num_nodes_ = n;
-        ctx.vround_ = rounds + 1;
-        ctx.inbox_ = InboxView(s.finish.hdr.data() + off, s.finish.pay.data() + off * W, W, cnt);
-        ctx.neighbors_ = g.neighbors(v);
-        ctx.send_fn_ = nullptr;
-        ctx.sink_ = nullptr;
+        VirtualContext ctx(v, n, rounds + 1,
+                           InboxView(s.finish.hdr.data() + off, s.finish.pay.data() + off * W,
+                                     W, cnt),
+                           g.neighbors(v), nullptr, nullptr);
         s.programs[key]->on_finish(ctx);
         result.completed[a][v] = 1;
         s.programs[key]->write_output(out_words);
@@ -1295,22 +1258,52 @@ struct Executor::Run {
     return delivered_at_finish;
   }
 
-  /// The run's telemetry (docs/OBSERVABILITY.md). fault.* names are emitted
-  /// only on faulty runs, so a null injector leaves the telemetry stream
-  /// byte-identical to the reliable engine.
+  /// The run's telemetry (docs/OBSERVABILITY.md), all of it derived after
+  /// the loop from the result's per-round record and, for executor.edge_load,
+  /// the profiler's cells. The big-round spans are laid end to end from the
+  /// loop's start, each ending at its round's close. fault.* names are
+  /// emitted only on faulty runs, so a null injector leaves the telemetry
+  /// stream byte-identical to the reliable engine.
   void emit_run_telemetry(const ExecutionResult& result, TimedSpan& run_span,
-                          std::uint64_t delivered_at_finish) const {
-    telemetry->add_counter("executor.messages_delivered", delivered_at_finish);
+                          std::uint64_t delivered_at_finish,
+                          std::chrono::steady_clock::time_point loop_start) const {
+    TelemetrySink* const telemetry = cfg.telemetry;
+    std::uint64_t delivered = delivered_at_finish;
+    auto end_ns = static_cast<std::uint64_t>(loop_start.time_since_epoch() / 1ns);
+    for (std::uint32_t t = 0; t < horizon; ++t) {
+      const RoundRecord& rec = result.round_records[t];
+      const std::uint32_t max_load = result.max_load_per_big_round[t];
+      delivered += rec.inbox;
+      telemetry->record_value("executor.max_load_per_big_round", max_load);
+      const std::uint64_t start_ns = end_ns;
+      end_ns += rec.wall_ns;
+      const SpanArg args[] = {{"t", static_cast<double>(t)},
+                              {"events", static_cast<double>(open_round(t).size)},
+                              {"messages", static_cast<double>(rec.messages)},
+                              {"max_load", static_cast<double>(max_load)}};
+      telemetry->record_span("executor", "big_round", start_ns / 1000,
+                             end_ns / 1000 - start_ns / 1000, args);
+    }
+    if (profiler != nullptr) {
+      for (const LoadCell& cell : profiler->cells()) {
+        telemetry->record_value("executor.edge_load", cell.load);
+      }
+    }
+    telemetry->add_counter("executor.events_executed", total_events);
+    telemetry->add_counter("executor.big_rounds", horizon);
+    telemetry->add_counter("executor.messages_sent", result.total_messages);
+    telemetry->add_counter("executor.messages_delivered", delivered);
+    telemetry->add_counter("executor.causality_violations", result.causality_violations);
     telemetry->set_gauge("executor.max_edge_load", result.max_edge_load);
     telemetry->set_gauge("executor.parallel.num_threads", num_workers);
     telemetry->add_counter("executor.parallel.rounds_parallel", rounds_parallel);
     telemetry->add_counter("executor.parallel.rounds_serial", rounds_serial);
+    run_span.arg("algorithms", static_cast<double>(k));
+    run_span.arg("big_rounds", static_cast<double>(num_big_rounds));
+    run_span.arg("events", static_cast<double>(total_events));
     run_span.arg("total_messages", static_cast<double>(result.total_messages));
     if (faults == nullptr) return;
     const auto& fs = result.faults;
-    // Keep big_rounds == rounds_serial + rounds_parallel when retries
-    // extended the horizon past the scheduled rounds counted up front.
-    telemetry->add_counter("executor.big_rounds", horizon - num_big_rounds);
     telemetry->add_counter("fault.attempts", fs.attempts);
     telemetry->add_counter("fault.delivered", fs.delivered);
     telemetry->add_counter("fault.dropped.random", fs.dropped_random);
@@ -1368,90 +1361,47 @@ ExecutionResult Executor::run(std::span<const DistributedAlgorithm* const> algor
 template <std::uint32_t W>
 ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> algorithms,
                                    const ScheduleTable& schedule) {
-  const std::size_t k = algorithms.size();
-  const NodeId n = graph_.num_nodes();
-  DASCHED_CHECK_EQ(schedule.num_algorithms(), k,
-                   "schedule table does not match the problem dimensions");
-  DASCHED_CHECK_EQ(schedule.num_nodes(), n,
-                   "schedule table does not match the problem dimensions");
-  // Packed-header capacity: the sender id must fit the header's from-field
-  // (32 bits minus the length bits; congest/message.hpp).
-  DASCHED_CHECK_MSG(std::uint64_t{n} <= kMaxPackedHeaderNodes,
-                    "graph too large for packed 32-bit message headers");
-  // Packed finish keys alg*n + to must fit u32 (see the finish lanes).
-  DASCHED_CHECK_MSG(static_cast<std::uint64_t>(k) * n <= (std::uint64_t{1} << 32),
-                    "k*n exceeds the packed finish-key range");
-
-  const std::uint32_t num_workers = std::max<std::uint32_t>(1, cfg_.num_threads);
-  const std::uint32_t max_retries = cfg_.faults != nullptr ? cfg_.retry.max_retries : 0;
-  Run c{graph_,
-           schedule,
-           algorithms,
-           *scratch_,
-           /*pool=*/nullptr,
-           cfg_.faults,
-           cfg_.profiler,
-           cfg_.recorder,
-           cfg_.telemetry,
-           cfg_.enforce_unit_capacity,
-           k,
-           n,
-           num_workers,
-           max_retries,
-           max_retries > 0 ? (1u << max_retries) - 1 : 0,
-           cfg_.faults != nullptr || cfg_.recorder != nullptr,
-           cfg_.profiler != nullptr || cfg_.telemetry != nullptr};
+  Run c{graph_, schedule, algorithms, *scratch_, cfg_};
   c.validate_and_bucket();
-  if (num_workers > 1 && pool_ == nullptr) pool_ = std::make_unique<ThreadPool>(num_workers);
+  if (c.num_workers > 1 && pool_ == nullptr) pool_ = std::make_unique<ThreadPool>(c.num_workers);
   c.pool = pool_.get();
   ExecutionResult result;
   c.prepare<W>(result);
-
-  TelemetrySink* const telemetry = cfg_.telemetry;
-  TimedSpan run_span(telemetry, "executor", "run");
-  if (telemetry != nullptr) {
-    telemetry->add_counter("executor.events_executed", c.total_events);
-    telemetry->add_counter("executor.big_rounds", c.num_big_rounds);
-    run_span.arg("algorithms", static_cast<double>(k));
-    run_span.arg("big_rounds", static_cast<double>(c.num_big_rounds));
-    run_span.arg("events", static_cast<double>(c.total_events));
-  }
-  // The profiler and the flight recorder are sized here, before the
-  // steady-state window opens (docs/OBSERVABILITY.md).
-  if (c.profiler != nullptr) {
-    c.profiler->begin_run(graph_.num_directed_edges(), c.num_big_rounds, c.round_headroom);
-  }
-  if (c.recorder != nullptr) c.recorder->begin_run(num_workers);
+  // The observers are sized here, before the steady-state window opens.
+  if (c.profiler != nullptr) c.profiler->begin_run(graph_.num_directed_edges());
+  if (c.recorder != nullptr) c.recorder->begin_run(c.num_workers);
+  TimedSpan run_span(cfg_.telemetry, "executor", "run");
 
   // --- Steady-state window: the big-round loop is allocation-free once the
   // arenas are warm; hot_path_allocs measures it. ---
+  const auto loop_start = std::chrono::steady_clock::now();
+  c.round_clock = loop_start;
   const std::uint64_t allocs_before = alloc_count();
   for (std::uint32_t t = 0; t < c.horizon; ++t) {
-    TimedSpan round_span(telemetry, "executor", "big_round");
     Round r = c.open_round(t);
     c.gather<W>(r);
     c.execute<W>(r);
     c.commit_fates<W>(r, result);
     c.barrier<W>(r);
-    c.close_round(r, result, round_span);
+    c.close_round(r, result);
   }
   result.hot_path_allocs = alloc_count() - allocs_before;
 
   // Retransmissions may have extended the run past the scheduled horizon.
   result.num_big_rounds = c.horizon;
-  for (const auto& ws : scratch_->workers) {
-    result.faults += ws.fault_partial;
-    result.faults.skipped_events += ws.skipped;
+  for (const auto& ws : scratch_->workers) result.faults += ws.fault_partial;
+  if (c.profiler != nullptr) {
+    c.profiler->end_run(result.round_records, result.max_load_per_big_round);
   }
-  if (c.profiler != nullptr) c.profiler->end_run();
   if (c.recorder != nullptr && c.faults != nullptr && c.faults->num_crashes() > 0) {
     // Crash-stop faults fired: leave a post-mortem of the run's last events.
     c.recorder->dump_on("crash_stop_faults");
   }
 
-  c.sort_finish_lanes<W>();
-  const std::uint64_t delivered_at_finish = c.collect_outputs<W>(result);
-  if (telemetry != nullptr) c.emit_run_telemetry(result, run_span, delivered_at_finish);
+  const std::uint64_t delivered_at_finish = c.finish<W>(result);
+  if (cfg_.telemetry != nullptr) {
+    c.emit_run_telemetry(result, run_span, delivered_at_finish, loop_start);
+  }
   return result;
 }
 

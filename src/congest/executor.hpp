@@ -111,18 +111,20 @@ struct ExecConfig {
   /// hardware concurrency for throughput (docs/PERFORMANCE.md).
   std::uint32_t num_threads = 0;
   /// Optional telemetry sink (borrowed; must outlive the Executor). Null --
-  /// the default -- disables all instrumentation: the message hot path then
-  /// performs no telemetry calls and no telemetry allocations. When set, the
-  /// executor emits (see docs/OBSERVABILITY.md for the full name list):
-  ///   spans      executor/run, executor/big_round (one per big-round, with
-  ///              events/messages/max_load args)
+  /// the default -- emits nothing. The big-round loop never calls it, set or
+  /// not: after the loop the executor emits, from
+  /// ExecutionResult::round_records and the run's totals (see
+  /// docs/OBSERVABILITY.md for the full name list):
+  ///   spans      executor/run, executor/big_round (one per big-round, laid
+  ///              end to end by wall_ns, with t/events/messages/max_load args)
   ///   counters   executor.events_executed, executor.messages_sent,
   ///              executor.messages_delivered, executor.causality_violations,
   ///              executor.big_rounds, executor.parallel.rounds_parallel,
   ///              executor.parallel.rounds_serial
   ///   gauges     executor.max_edge_load, executor.parallel.num_threads
-  ///   histograms executor.edge_load (per touched directed edge per
-  ///              big-round), executor.max_load_per_big_round
+  ///   histograms executor.max_load_per_big_round, and executor.edge_load
+  ///              (per touched directed edge per big-round) when `profiler`
+  ///              is set too, read from its cells
   TelemetrySink* telemetry = nullptr;
   /// Optional fault injector (borrowed; must outlive the run). Null -- the
   /// default -- models the paper's perfectly reliable network; results are
@@ -144,19 +146,20 @@ struct ExecConfig {
   RetryPolicy retry;
   /// Optional congestion profiler (borrowed; must outlive the run). Null --
   /// the default -- leaves the engine byte-for-byte unprofiled. When set, the
-  /// executor sizes the profiler once per run (begin_run, with retry
-  /// headroom), and after each delivery barrier, on the calling thread,
-  /// hands it the round's counts and every touched (directed edge,
-  /// big-round) load cell in (big-round, edge) order -- so profiled runs stay
-  /// bit-identical across thread counts and allocation-free in steady state.
-  /// The profiler only observes; ExecutionResults are unchanged
-  /// (tests/test_profiler.cpp pins both).
+  /// executor sizes the profiler once per run (begin_run), hands it every
+  /// touched (directed edge, big-round) load cell after each delivery
+  /// barrier, on the calling thread, in (big-round, edge) order -- the one
+  /// per-cell observer in the loop -- and after the loop gives it the run's
+  /// per-round record (end_run). Profiled runs stay bit-identical across
+  /// thread counts and allocation-free in steady state. The profiler only
+  /// observes; ExecutionResults are unchanged (tests/test_profiler.cpp pins
+  /// both).
   ExecProfiler* profiler = nullptr;
   /// Optional flight recorder (borrowed; must outlive the run). Null -- the
   /// default -- records nothing. When set, each worker logs its executions
-  /// and crash skips to its own bounded ring, and the serial fate commit and
-  /// barrier epilogue log per-message fates (in canonical order, read from
-  /// the shards' fate bytes) and per-round summaries; the executor dumps a
+  /// and crash skips to its own bounded ring, the serial fate commit logs
+  /// per-message fates (in canonical order, read from the shards' fate
+  /// bytes) and the round close a per-round summary; the executor dumps a
   /// post-mortem JSON document (FlightRecorderConfig::dump_path) when a
   /// unit-capacity round overflows or crash-stop faults fired during the run.
   /// See docs/OBSERVABILITY.md.
@@ -176,13 +179,20 @@ struct ExecutionResult {
   /// max over directed edges of the message load, per big-round.
   std::vector<std::uint32_t> max_load_per_big_round;  // perf-ok: one entry per big-round
   std::uint32_t max_edge_load = 0;
+  /// One record per big-round (util/load_cells.hpp), parallel to
+  /// max_load_per_big_round: the counts the profiler and the telemetry read
+  /// after the run. Its wall_ns is the one field of an ExecutionResult
+  /// outside the bit-identity contract (and result_fingerprint): it varies
+  /// from run to run. Every other field is bit-identical across thread
+  /// counts, widths and observers.
+  std::vector<RoundRecord> round_records;  // perf-ok: one entry per big-round
 
   /// Heap allocations observed during the big-round loop (event execution
   /// plus delivery barriers) -- the steady-state message path. Non-zero only
   /// in binaries that link util/alloc_hooks.cpp (bench_e13_message_hotpath,
-  /// test_hotpath); 0 everywhere else. With telemetry off and allocation-free
-  /// programs this is 0 from the second run of an Executor onwards (the first
-  /// run warms the arenas up to their high-water marks).
+  /// test_hotpath); 0 everywhere else. With allocation-free programs this is
+  /// 0 from the second run of an Executor onwards, whatever observers are
+  /// attached (the first run warms the arenas up to their high-water marks).
   std::uint64_t hot_path_allocs = 0;
 
   /// Fault accounting; all-zero unless ExecConfig::faults was set.
@@ -236,6 +246,8 @@ struct ExecutionResult {
 /// over the per-(alg, node) outputs (size then words), the completion flags,
 /// and the per-big-round max loads -- exactly the fields the bit-identity
 /// contract pins across thread counts, run widths, and observer attachments.
+/// round_records stays out: its wall_ns is a clock reading, the one result
+/// field outside that contract.
 /// The golden constants in tests/test_fault.cpp and tests/test_profiler.cpp
 /// are digests of this function; the service layer folds it into its own
 /// end-to-end fingerprint (src/service/daemon.hpp).

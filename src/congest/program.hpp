@@ -110,6 +110,12 @@ class VirtualContext {
   friend class ReferenceExecutor;  // the differential-test oracle (tests/)
   using SendFn = void (*)(void* sink, NodeId neighbor, const Payload& payload);
 
+  /// A null send_fn marks on_finish, where send() aborts.
+  VirtualContext(NodeId self, NodeId num_nodes, std::uint32_t vround, InboxView inbox,
+                 std::span<const HalfEdge> neighbors, SendFn send_fn, void* sink)
+      : self_(self), num_nodes_(num_nodes), vround_(vround), inbox_(inbox),
+        neighbors_(neighbors), send_fn_(send_fn), sink_(sink) {}
+
   NodeId self_ = 0;
   NodeId num_nodes_ = 0;
   std::uint32_t vround_ = 0;

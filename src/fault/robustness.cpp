@@ -48,11 +48,6 @@ SlackReport analyze_slack(std::span<const std::uint32_t> max_load_per_big_round,
   return report;
 }
 
-SlackReport analyze_slack(const ExecProfiler& profiler, std::uint32_t phase_len,
-                          TelemetrySink* telemetry) {
-  return analyze_slack(profiler.round_max_loads(), phase_len, telemetry);
-}
-
 Table SurvivalCurve::to_table(const std::string& title) const {
   Table t(title);
   t.set_header({"drop_rate", "trials", "survived", "survival"});

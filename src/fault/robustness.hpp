@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "telemetry/profiler.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/table.hpp"
 
@@ -49,11 +48,6 @@ struct SlackReport {
 /// `telemetry` is non-null.
 SlackReport analyze_slack(std::span<const std::uint32_t> max_load_per_big_round,
                           std::uint32_t phase_len,
-                          TelemetrySink* telemetry = nullptr);
-
-/// Convenience overload over a profiled run: analyzes the per-big-round max
-/// loads ExecProfiler measured (round_max_loads() of its last run).
-SlackReport analyze_slack(const ExecProfiler& profiler, std::uint32_t phase_len,
                           TelemetrySink* telemetry = nullptr);
 
 struct SurvivalPoint {

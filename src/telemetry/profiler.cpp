@@ -8,53 +8,39 @@
 
 namespace dasched {
 
-void ExecProfiler::begin_run(std::uint32_t num_directed_edges,
-                             std::uint32_t num_big_rounds,
-                             std::uint32_t round_headroom) {
+void ExecProfiler::begin_run(std::uint32_t num_directed_edges) {
   num_edges_ = num_directed_edges;
-  rounds_capacity_ = num_big_rounds + round_headroom;
-  rounds_used_ = 0;
+  edge_total_.assign(num_edges_, 0);
+  edge_max_.assign(num_edges_, 0);
+  edge_peak_round_.assign(num_edges_, 0);
+  cells_.clear();
+  cells_.reserve(cells_high_water_);
+  hist_cell_load_.clear();
+}
+
+void ExecProfiler::end_run(std::span<const RoundRecord> rounds,
+                           std::span<const std::uint32_t> max_loads) {
+  DASCHED_CHECK_EQ(rounds.size(), max_loads.size(),
+                   "profiler: per-round record and max loads differ in length");
+  rounds_.assign(rounds.begin(), rounds.end());
+  round_max_load_.assign(max_loads.begin(), max_loads.end());
+  rounds_used_ = static_cast<std::uint32_t>(rounds.size());
   total_messages_ = 0;
   total_events_ = 0;
   total_inbox_ = 0;
   total_retries_ = 0;
+  for (const RoundRecord& r : rounds) {
+    total_messages_ += r.messages;
+    total_events_ += r.events;
+    total_inbox_ += r.inbox;
+    total_retries_ += r.retries;
+  }
   run_max_load_ = 0;
-
-  edge_total_.assign(num_edges_, 0);
-  edge_max_.assign(num_edges_, 0);
-  edge_peak_round_.assign(num_edges_, 0);
-  round_messages_.assign(rounds_capacity_, 0);
-  round_max_load_.assign(rounds_capacity_, 0);
-  round_events_.assign(rounds_capacity_, 0);
-  round_inbox_.assign(rounds_capacity_, 0);
-  round_retries_.assign(rounds_capacity_, 0);
-
-  cells_.clear();
-  cells_.reserve(cells_high_water_);
-  hist_cell_load_.clear();
   hist_round_max_.clear();
-}
-
-void ExecProfiler::end_round(std::uint32_t big_round, std::uint64_t messages,
-                             std::uint32_t max_load, std::uint64_t retries,
-                             std::uint64_t events, std::uint64_t inbox) {
-  DASCHED_CHECK_MSG(big_round < rounds_capacity_,
-                    "profiler: big-round beyond the sized horizon headroom");
-  round_messages_[big_round] = messages;
-  round_max_load_[big_round] = max_load;
-  round_events_[big_round] = events;
-  round_inbox_[big_round] = inbox;
-  round_retries_[big_round] = retries;
-  rounds_used_ = std::max(rounds_used_, big_round + 1);
-  total_messages_ += messages;
-  total_events_ += events;
-  total_inbox_ += inbox;
-  total_retries_ += retries;
-  run_max_load_ = std::max(run_max_load_, max_load);
-  hist_round_max_.add(max_load);
-}
-
-void ExecProfiler::end_run() {
+  for (const std::uint32_t load : max_loads) {
+    run_max_load_ = std::max(run_max_load_, load);
+    hist_round_max_.add(load);
+  }
   ++runs_;
   cells_high_water_ = std::max(cells_high_water_, cells_.size());
 }
@@ -138,9 +124,9 @@ Table ExecProfiler::hot_rounds_table(std::size_t top_n) const {
                     });
   rounds.resize(keep);
   for (const auto t : rounds) {
-    table.add_row({Table::fmt(std::uint64_t{t}), Table::fmt(round_messages_[t]),
+    table.add_row({Table::fmt(std::uint64_t{t}), Table::fmt(rounds_[t].messages),
                    Table::fmt(std::uint64_t{round_max_load_[t]}),
-                   Table::fmt(round_events_[t]), Table::fmt(round_retries_[t]),
+                   Table::fmt(rounds_[t].events), Table::fmt(rounds_[t].retries),
                    heat_bar(round_max_load_[t], run_max_load_)});
   }
   return table;
@@ -172,11 +158,11 @@ void ExecProfiler::write_json(std::ostream& os) const {
   for (std::uint32_t t = 0; t < rounds_used_; ++t) {
     w.begin_object();
     w.kv("t", std::uint64_t{t});
-    w.kv("messages", round_messages_[t]);
+    w.kv("messages", rounds_[t].messages);
     w.kv("max_load", std::uint64_t{round_max_load_[t]});
-    w.kv("events", round_events_[t]);
-    w.kv("inbox", round_inbox_[t]);
-    w.kv("retries", round_retries_[t]);
+    w.kv("events", rounds_[t].events);
+    w.kv("inbox", rounds_[t].inbox);
+    w.kv("retries", rounds_[t].retries);
     w.end_object();
   }
   w.end_array();

@@ -12,16 +12,17 @@
 //
 // Engineering contract (mirrors the PR 5 hot-path discipline):
 //   * Sizing happens once per run in begin_run(): fixed-size SoA accumulators
-//     per directed edge and per big-round (with retry headroom, so
-//     fault-induced horizon extensions never resize mid-loop), a sparse
-//     (big_round, edge, load) cell list reserved to its high-water mark, and
-//     fixed 64-bucket log histograms. From the second profiled run of an
-//     Executor onwards, the big-round loop performs zero heap allocations
-//     with the profiler attached (tests/test_profiler.cpp measures this).
-//   * Calling thread only: the executor hands each round's event and inbox
-//     counts (sums it already keeps per worker) to end_round(), so the
-//     profiler is never touched by a pool worker, and every snapshot is
-//     bit-identical across thread counts -- same guarantee as
+//     per directed edge, a sparse (big_round, edge, load) cell list reserved
+//     to its high-water mark, and a fixed 64-bucket log histogram. From the
+//     second profiled run of an Executor onwards, the big-round loop performs
+//     zero heap allocations with the profiler attached
+//     (tests/test_profiler.cpp measures this).
+//   * record_cell() is the profiler's one call inside the big-round loop, on
+//     the calling thread after each delivery barrier. The per-round series
+//     comes after the run, from the engine's own per-round record
+//     (ExecutionResult::round_records and max_load_per_big_round) handed to
+//     end_run(). The profiler is never touched by a pool worker, and every
+//     snapshot is bit-identical across thread counts -- same guarantee as
 //     ExecutionResult itself.
 //   * The profiler only observes: attaching it never changes execution
 //     results (pinned by the golden-fingerprint tests), and a null
@@ -60,13 +61,10 @@ class ExecProfiler {
 
   // --- Executor-facing hooks (congest/executor.cpp). ---
 
-  /// Sizes every accumulator for a run of `num_big_rounds` scheduled rounds
-  /// plus `round_headroom` extra rounds retransmissions may extend into, and
-  /// resets the previous run's data (capacities are retained, so repeated
-  /// runs stay allocation-free once warm). Called by the executor before the
-  /// steady-state window opens.
-  void begin_run(std::uint32_t num_directed_edges, std::uint32_t num_big_rounds,
-                 std::uint32_t round_headroom);
+  /// Sizes the per-edge accumulators and resets the previous run's data
+  /// (capacities are retained, so repeated runs stay allocation-free once
+  /// warm). Called by the executor before the steady-state window opens.
+  void begin_run(std::uint32_t num_directed_edges);
 
   /// Hot path, after each delivery barrier: one touched (edge, big-round)
   /// cell, in (big_round, edge) order.
@@ -80,14 +78,10 @@ class ExecProfiler {
     hist_cell_load_.add(load);
   }
 
-  /// Barrier epilogue (calling thread): records one round's messages sent,
-  /// max edge load, retransmissions, events executed and inbox messages
-  /// consumed into its SoA slots.
-  void end_round(std::uint32_t big_round, std::uint64_t messages, std::uint32_t max_load,
-                 std::uint64_t retries, std::uint64_t events, std::uint64_t inbox);
-
-  /// Closes the run (total attempts recorded for the summary).
-  void end_run();
+  /// Closes the run with the engine's per-round record: `rounds[t]` and
+  /// `max_loads[t]` describe big-round t (ExecutionResult::round_records and
+  /// max_load_per_big_round; equal lengths).
+  void end_run(std::span<const RoundRecord> rounds, std::span<const std::uint32_t> max_loads);
 
   // --- Post-run queries (allocation is fine here). ---
 
@@ -101,17 +95,14 @@ class ExecProfiler {
   std::uint64_t total_retries() const { return total_retries_; }
   std::uint32_t max_edge_load() const { return run_max_load_; }
 
-  std::uint64_t round_messages(std::uint32_t t) const { return round_messages_[t]; }
+  std::uint64_t round_messages(std::uint32_t t) const { return rounds_[t].messages; }
   std::uint32_t round_max_load(std::uint32_t t) const { return round_max_load_[t]; }
-  std::uint64_t round_events(std::uint32_t t) const { return round_events_[t]; }
-  std::uint64_t round_inbox(std::uint32_t t) const { return round_inbox_[t]; }
-  std::uint64_t round_retries(std::uint32_t t) const { return round_retries_[t]; }
-  /// Per-big-round max loads as one span (rounds_used() entries) -- the
-  /// profiled counterpart of ExecutionResult::max_load_per_big_round, e.g.
-  /// for fault::analyze_slack.
-  std::span<const std::uint32_t> round_max_loads() const {
-    return {round_max_load_.data(), rounds_used_};
-  }
+  std::uint64_t round_events(std::uint32_t t) const { return rounds_[t].events; }
+  std::uint64_t round_inbox(std::uint32_t t) const { return rounds_[t].inbox; }
+  std::uint64_t round_retries(std::uint32_t t) const { return rounds_[t].retries; }
+  /// Per-big-round max loads of the last run (rounds_used() entries): a copy
+  /// of its ExecutionResult::max_load_per_big_round.
+  std::span<const std::uint32_t> round_max_loads() const { return round_max_load_; }
 
   /// Every touched cell of the last run, sorted by (big_round, edge) -- the
   /// order the executor records them in at every thread count, and the join
@@ -146,10 +137,10 @@ class ExecProfiler {
   void emit(TelemetrySink* sink) const;
 
  private:
-  // All vectors below are fixed-size SoA accumulators or high-water-mark
-  // arenas: sized in begin_run(), never grown inside the big-round loop.
+  // Per-edge vectors are sized in begin_run() and the cell list reserved
+  // there, so none grows inside the big-round loop; the per-round copies
+  // are filled by end_run(), after it.
   std::uint32_t num_edges_ = 0;
-  std::uint32_t rounds_capacity_ = 0;
   std::uint32_t rounds_used_ = 0;
   std::uint64_t runs_ = 0;
   std::uint64_t total_messages_ = 0;
@@ -164,12 +155,9 @@ class ExecProfiler {
   std::vector<std::uint32_t> edge_max_;
   std::vector<std::uint32_t> edge_peak_round_;
 
-  // Per-big-round SoA (size rounds_capacity_).
-  std::vector<std::uint64_t> round_messages_;
+  // The last run's per-round record and max loads (rounds_used_ entries).
+  std::vector<RoundRecord> rounds_;
   std::vector<std::uint32_t> round_max_load_;
-  std::vector<std::uint64_t> round_events_;
-  std::vector<std::uint64_t> round_inbox_;
-  std::vector<std::uint64_t> round_retries_;
 
   // Sparse touched cells, (big_round, edge) order; capacity reused across runs.
   std::vector<LoadCell> cells_;

@@ -31,6 +31,21 @@ struct LoadCell {
   friend bool operator==(const LoadCell&, const LoadCell&) = default;
 };
 
+/// One big-round of an engine run as the round close records it
+/// (ExecutionResult::round_records, entry t for big-round t). The round's max
+/// edge load is entry t of ExecutionResult::max_load_per_big_round; the
+/// profiler and the telemetry read both after the run.
+struct RoundRecord {
+  std::uint64_t messages = 0;  // transmissions, retransmissions included
+  std::uint64_t retries = 0;   // retransmissions among them
+  std::uint64_t events = 0;    // events executed (crash-stop skips excluded)
+  std::uint64_t inbox = 0;     // inbox messages the events consumed
+  /// Steady-clock nanoseconds from the previous round's close (for round 0,
+  /// the loop's start) to this one's. The one field that varies from run to
+  /// run: it is outside the bit-identity contract and result_fingerprint.
+  std::uint64_t wall_ns = 0;
+};
+
 /// One transmission on `edge` in `round`, packed so that integer order is
 /// (round, edge) order.
 constexpr std::uint64_t cell_key(std::uint32_t round, std::uint32_t edge) {

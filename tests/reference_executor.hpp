@@ -9,7 +9,9 @@
 // send order, after the round's due retransmissions. A delivery whose
 // consumer has already executed is a causality violation: counted, never
 // read. There are no lanes, owners, arenas, shards or width dispatch;
-// the whole run is one thread walking the schedule table slot by slot.
+// the whole run is one thread walking the schedule table slot by slot. Like
+// the engine, it aborts on a send to a non-neighbor and on a second send to
+// one neighbor from one event.
 //
 // Faults use the same FaultInjector questions as the engine, with the
 // semantics docs/FAULTS.md states: a crashed node skips its events; every
@@ -98,7 +100,7 @@ class ReferenceExecutor {
             }
             DASCHED_CHECK_EQ(progress[a][v] + 1, r);
             progress[a][v] = r;
-            Sink sink{&g_, &sent, static_cast<std::uint32_t>(a), v, r};
+            Sink sink{&g_, &sent, sent.size(), static_cast<std::uint32_t>(a), v, r};
             call(*programs[a][v], inbox[a][v][r - 1], v, r, &sink);
           }
         }
@@ -196,6 +198,7 @@ class ReferenceExecutor {
   struct Sink {
     const Graph* g;
     std::vector<Transmission>* sent;
+    std::size_t first;  // this event's sends are sent[first..]
     std::uint32_t alg;
     NodeId from;
     std::uint32_t tag;
@@ -203,6 +206,12 @@ class ReferenceExecutor {
 
   static void send(void* raw, NodeId to, const Payload& payload) {
     const auto& sink = *static_cast<Sink*>(raw);
+    // CONGEST bandwidth: one message per edge per round, checked against
+    // this event's earlier sends.
+    for (std::size_t i = sink.first; i < sink.sent->size(); ++i) {
+      DASCHED_CHECK_MSG((*sink.sent)[i].msg.to != to,
+                        "two messages to one neighbor in one round");
+    }
     const auto nbrs = sink.g->neighbors(sink.from);
     for (std::size_t slot = 0; slot < nbrs.size(); ++slot) {
       if (nbrs[slot].neighbor != to) continue;
@@ -225,15 +234,11 @@ class ReferenceExecutor {
       headers.push_back(pack_msg_header(msgs[i].from, static_cast<std::uint32_t>(p.size())));
       std::copy(p.data(), p.data() + p.size(), words.begin() + i * kStride);
     }
-    VirtualContext ctx;
-    ctx.self_ = v;
-    ctx.num_nodes_ = g_.num_nodes();
-    ctx.vround_ = vround;
-    ctx.inbox_ = InboxView(headers.data(), words.data(), kStride,
-                           static_cast<std::uint32_t>(msgs.size()));
-    ctx.neighbors_ = g_.neighbors(v);
-    ctx.send_fn_ = sink != nullptr ? &ReferenceExecutor::send : nullptr;
-    ctx.sink_ = sink;
+    VirtualContext ctx(v, g_.num_nodes(), vround,
+                       InboxView(headers.data(), words.data(), kStride,
+                                 static_cast<std::uint32_t>(msgs.size())),
+                       g_.neighbors(v), sink != nullptr ? &ReferenceExecutor::send : nullptr,
+                       sink);
     if (sink != nullptr) {
       program.on_round(ctx);
     } else {

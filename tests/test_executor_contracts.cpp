@@ -13,6 +13,7 @@
 #include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
 #include "graph/generators.hpp"
+#include "reference_executor.hpp"
 
 namespace dasched {
 namespace {
@@ -89,6 +90,19 @@ TEST(ExecutorContracts, RejectsDoubleSendToSameNeighbor) {
   const auto g = make_path(4);
   MisbehavingAlgorithm algo(Mode::kDoubleSendToNeighbor, 2);
   EXPECT_DEATH((void)solo_run(g, algo), "two messages to one neighbor");
+}
+
+// The oracle enforces the send contract itself, so a conformance test cannot
+// run a program to the end that the engine aborts on.
+TEST(OracleContractDeathTest, DoubleSendAbortsOracleAndEngine) {
+  const auto g = make_path(4);
+  MisbehavingAlgorithm algo(Mode::kDoubleSendToNeighbor, 2);
+  const DistributedAlgorithm* algos[] = {&algo};
+  const auto schedule = ScheduleTable::lockstep(algos, g.num_nodes());
+  EXPECT_DEATH((void)ReferenceExecutor(g).run(algos, schedule),
+               "two messages to one neighbor in one round");
+  EXPECT_DEATH((void)Executor(g).run(algos, schedule),
+               "two messages to one neighbor in one round");
 }
 
 TEST(ExecutorContracts, RejectsOversizedPayload) {

@@ -27,6 +27,7 @@
 #include "graph/generators.hpp"
 #include "sched/shared_scheduler.hpp"
 #include "sched/workloads.hpp"
+#include "telemetry/metrics_registry.hpp"
 #include "util/alloc_counter.hpp"
 
 namespace dasched {
@@ -374,17 +375,24 @@ TEST(HotPathAllocations, WarmedEngineReportsZeroHotPathAllocs) {
   }
   const auto schedule = ScheduleTable::from_delays(algos, g.num_nodes(), delays);
 
-  for (const std::uint32_t threads : {0u, 2u}) {
-    ExecConfig cfg;
-    cfg.num_threads = threads;
-    Executor executor(g, cfg);
-    const auto warm = executor.run(algos, schedule);
-    EXPECT_GT(warm.total_messages, 0u);
-    const auto steady = executor.run(algos, schedule);
-    expect_identical(warm, steady);
-    EXPECT_EQ(steady.hot_path_allocs, 0u)
-        << "steady-state big-round loop allocated (threads=" << threads << ")";
-    EXPECT_EQ(executor.run(algos, schedule).hot_path_allocs, 0u);
+  // Telemetry reads the run's per-round record after the loop, so a
+  // registry-attached run allocates nothing inside it either.
+  for (const bool with_telemetry : {false, true}) {
+    for (const std::uint32_t threads : {0u, 2u}) {
+      SCOPED_TRACE(::testing::Message() << "threads=" << threads
+                                        << " telemetry=" << with_telemetry);
+      MetricsRegistry metrics;
+      ExecConfig cfg;
+      cfg.num_threads = threads;
+      if (with_telemetry) cfg.telemetry = &metrics;
+      Executor executor(g, cfg);
+      const auto warm = executor.run(algos, schedule);
+      EXPECT_GT(warm.total_messages, 0u);
+      const auto steady = executor.run(algos, schedule);
+      expect_identical(warm, steady);
+      EXPECT_EQ(steady.hot_path_allocs, 0u) << "steady-state big-round loop allocated";
+      EXPECT_EQ(executor.run(algos, schedule).hot_path_allocs, 0u);
+    }
   }
 }
 
