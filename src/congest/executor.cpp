@@ -180,7 +180,8 @@ struct RoundPool {
   std::uint32_t find(std::uint32_t round) const {
     return round < index.size() ? index[round] : kNoBucket;
   }
-  Seg& acquire(std::uint32_t round) {
+  /// Forced inline: the barrier calls it once per routed message.
+  [[gnu::always_inline]] Seg& acquire(std::uint32_t round) {
     std::uint32_t& b = index[round];
     if (b == kNoBucket) {
       if (free_list.empty()) {
@@ -954,7 +955,7 @@ struct Executor::Run {
       recorder->record(ring, FlightRecorder::Kind::kDuplicate, t, fr_key, edge);
     } else if ((fate & kFateRetransmit) != 0) {
       recorder->record(ring, FlightRecorder::Kind::kRetry, t,
-                         (std::uint64_t{attempt + 1} << 32) | meta.tag, edge);
+                       (std::uint64_t{attempt + 1} << 32) | meta.tag, edge);
     } else if (kind != FlightRecorder::Kind::kDeliver) {
       recorder->record(ring, FlightRecorder::Kind::kLost, t, fr_key, edge);
     }
@@ -1013,7 +1014,7 @@ struct Executor::Run {
         for (std::size_t i = 0; i < ws.staged_hdr.size(); ++i) {
           note(r.t, ws, i, 0,
                faults != nullptr ? ws.staged_fate[i]
-                                   : static_cast<std::uint8_t>(FlightRecorder::Kind::kDeliver));
+                                 : static_cast<std::uint8_t>(FlightRecorder::Kind::kDeliver));
         }
       }
       for (const auto i : ws.retransmit) retransmit<W>(r.t, ws, i, 0, result);

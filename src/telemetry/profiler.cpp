@@ -24,7 +24,6 @@ void ExecProfiler::end_run(std::span<const RoundRecord> rounds,
                    "profiler: per-round record and max loads differ in length");
   rounds_.assign(rounds.begin(), rounds.end());
   round_max_load_.assign(max_loads.begin(), max_loads.end());
-  rounds_used_ = static_cast<std::uint32_t>(rounds.size());
   total_messages_ = 0;
   total_events_ = 0;
   total_inbox_ = 0;
@@ -112,8 +111,8 @@ Table ExecProfiler::hot_edges_table(
 Table ExecProfiler::hot_rounds_table(std::size_t top_n) const {
   Table table("profile: top-" + std::to_string(top_n) + " hot big-rounds");
   table.set_header({"big-round", "messages", "max load", "events", "retries", "heat"});
-  std::vector<std::uint32_t> rounds(rounds_used_);
-  for (std::uint32_t t = 0; t < rounds_used_; ++t) rounds[t] = t;
+  std::vector<std::uint32_t> rounds(rounds_used());
+  for (std::uint32_t t = 0; t < rounds_used(); ++t) rounds[t] = t;
   const std::size_t keep = std::min(top_n, rounds.size());
   std::partial_sort(rounds.begin(), rounds.begin() + static_cast<std::ptrdiff_t>(keep),
                     rounds.end(), [&](std::uint32_t x, std::uint32_t y) {
@@ -140,7 +139,7 @@ void ExecProfiler::write_json(std::ostream& os) const {
   w.key("totals");
   w.begin_object();
   w.kv("runs", runs_);
-  w.kv("big_rounds", std::uint64_t{rounds_used_});
+  w.kv("big_rounds", std::uint64_t{rounds_used()});
   w.kv("directed_edges", std::uint64_t{num_edges_});
   w.kv("messages", total_messages_);
   w.kv("events", total_events_);
@@ -155,7 +154,7 @@ void ExecProfiler::write_json(std::ostream& os) const {
 
   w.key("rounds");
   w.begin_array();
-  for (std::uint32_t t = 0; t < rounds_used_; ++t) {
+  for (std::uint32_t t = 0; t < rounds_used(); ++t) {
     w.begin_object();
     w.kv("t", std::uint64_t{t});
     w.kv("messages", rounds_[t].messages);
@@ -205,10 +204,10 @@ void ExecProfiler::emit(TelemetrySink* sink) const {
   sink->add_counter("profile.events", total_events_);
   sink->add_counter("profile.retries", total_retries_);
   sink->add_counter("profile.touched_cells", cells_.size());
-  sink->set_gauge("profile.big_rounds", rounds_used_);
+  sink->set_gauge("profile.big_rounds", rounds_used());
   sink->set_gauge("profile.max_edge_load", run_max_load_);
-  for (std::uint32_t t = 0; t < rounds_used_; ++t) {
-    sink->record_value("profile.round_max_load", round_max_load_[t]);
+  for (const std::uint32_t load : round_max_load_) {
+    sink->record_value("profile.round_max_load", load);
   }
 }
 

@@ -88,7 +88,7 @@ class ExecProfiler {
   std::uint64_t runs() const { return runs_; }
   /// Big-rounds the last run actually used (>= scheduled when retries
   /// extended the horizon).
-  std::uint32_t rounds_used() const { return rounds_used_; }
+  std::uint32_t rounds_used() const { return static_cast<std::uint32_t>(rounds_.size()); }
   std::uint32_t num_directed_edges() const { return num_edges_; }
   std::uint64_t total_messages() const { return total_messages_; }
   std::uint64_t total_events() const { return total_events_; }
@@ -141,7 +141,6 @@ class ExecProfiler {
   // there, so none grows inside the big-round loop; the per-round copies
   // are filled by end_run(), after it.
   std::uint32_t num_edges_ = 0;
-  std::uint32_t rounds_used_ = 0;
   std::uint64_t runs_ = 0;
   std::uint64_t total_messages_ = 0;
   std::uint64_t total_events_ = 0;
@@ -155,7 +154,7 @@ class ExecProfiler {
   std::vector<std::uint32_t> edge_max_;
   std::vector<std::uint32_t> edge_peak_round_;
 
-  // The last run's per-round record and max loads (rounds_used_ entries).
+  // The last run's per-round record and max loads (rounds_used() entries).
   std::vector<RoundRecord> rounds_;
   std::vector<std::uint32_t> round_max_load_;
 
