@@ -12,6 +12,7 @@
 // match serial). Speedup depends on hardware concurrency; on a single-core
 // host all rows are expected to be ~1x.
 #include "bench_common.hpp"
+#include "flood_workload.hpp"
 
 #include <chrono>
 
@@ -56,15 +57,6 @@ Workload make_workload(NodeId n, std::size_t k, std::uint32_t radius,
   return w;
 }
 
-bool identical(const ExecutionResult& a, const ExecutionResult& b) {
-  return a.outputs == b.outputs && a.completed == b.completed &&
-         a.causality_violations == b.causality_violations &&
-         a.total_messages == b.total_messages &&
-         a.num_big_rounds == b.num_big_rounds &&
-         a.max_load_per_big_round == b.max_load_per_big_round &&
-         a.max_edge_load == b.max_edge_load;
-}
-
 constexpr int kRepeats = 3;
 
 void run_scaling_table(const char* title, NodeId n, std::size_t k,
@@ -98,7 +90,7 @@ void run_scaling_table(const char* title, NodeId n, std::size_t k,
       serial_ms = best_ms;
       serial_result = result;
     }
-    const bool same = identical(serial_result, result);
+    const bool same = bench::identical(serial_result, result);
     table.add_row({Table::fmt(std::uint64_t{threads}), Table::fmt(best_ms, 2),
                    Table::fmt(w.events / (best_ms / 1000.0), 0),
                    Table::fmt(serial_ms / best_ms, 2), same ? "yes" : "NO"});

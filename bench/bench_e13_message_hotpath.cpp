@@ -22,108 +22,19 @@
 // allocation the audit observes is attributable to the engine, not the
 // workload.
 #include "bench_common.hpp"
+#include "flood_workload.hpp"
 
 #include <chrono>
 
 #include "congest/executor.hpp"
-#include "graph/generators.hpp"
 #include "util/alloc_counter.hpp"
 
 namespace dasched {
 namespace {
 
-/// Floods (self, vround, running-xor) to every neighbor each round and folds
-/// the inbox into the running xor. on_round performs no heap allocation: the
-/// payload is inline and the accumulator is a scalar.
-class FloodProgram final : public NodeProgram {
- public:
-  explicit FloodProgram(NodeId self) : self_(self) {}
-
-  void on_round(VirtualContext& ctx) override {
-    absorb(ctx);
-    const Payload p{std::uint64_t{self_}, std::uint64_t{ctx.vround()}, acc_};
-    for (const auto& h : ctx.neighbors()) ctx.send(h.neighbor, p);
-  }
-
-  void on_finish(VirtualContext& ctx) override { absorb(ctx); }
-
-  void write_output(std::vector<std::uint64_t>& words) const override {
-    words.push_back(acc_);
-  }
-
- private:
-  void absorb(VirtualContext& ctx) {
-    for (const auto& m : ctx.inbox()) {
-      for (const auto w : m.payload) acc_ ^= w + 0x9e3779b97f4a7c15ull + m.from;
-    }
-  }
-
-  NodeId self_;
-  std::uint64_t acc_ = 0;
-};
-
-class FloodAlgorithm final : public DistributedAlgorithm {
- public:
-  FloodAlgorithm(std::uint32_t rounds, std::uint64_t base_seed)
-      : DistributedAlgorithm(base_seed), rounds_(rounds) {}
-
-  std::string name() const override { return "flood"; }
-  /// The flood payload is exactly {self, vround, acc}: three words. The
-  /// declared width lets the executor run 3-word compact lanes instead of
-  /// config-cap-wide ones.
-  StaticFootprint static_footprint() const override {
-    StaticFootprint f = StaticFootprint::opaque();
-    f.max_payload_words = 3;
-    return f;
-  }
-  std::uint32_t rounds() const override { return rounds_; }
-  NodeProgram& construct_program(NodeId node, ProgramArena& arena) const override {
-    return arena.make<FloodProgram>(node);
-  }
-
- private:
-  std::uint32_t rounds_;
-};
-
-struct Workload {
-  std::unique_ptr<Graph> graph;
-  std::vector<std::unique_ptr<FloodAlgorithm>> owned;
-  std::vector<const DistributedAlgorithm*> algos;
-  ScheduleTable schedule;
-  std::uint64_t messages_per_run = 0;
-};
-
-/// k staggered flood instances (delay a for algorithm a) on a connected
-/// G(n, 6/n): every scheduled event sends deg(v) inline messages, so the
-/// message volume is k * T * 2|E|.
-Workload make_workload(NodeId n, std::size_t k, std::uint32_t rounds,
-                       std::uint64_t seed) {
-  Rng rng(seed);
-  Workload w;
-  w.graph = std::make_unique<Graph>(make_gnp_connected(n, 6.0 / n, rng));
-  std::vector<std::uint32_t> delays;
-  for (std::size_t a = 0; a < k; ++a) {
-    w.owned.push_back(std::make_unique<FloodAlgorithm>(rounds, seed + a));
-    w.algos.push_back(w.owned.back().get());
-    delays.push_back(static_cast<std::uint32_t>(a));
-  }
-  w.schedule = ScheduleTable::from_delays(w.algos, n, delays);
-  w.messages_per_run = std::uint64_t{k} * rounds * w.graph->num_directed_edges();
-  return w;
-}
-
-bool identical(const ExecutionResult& a, const ExecutionResult& b) {
-  return a.outputs == b.outputs && a.completed == b.completed &&
-         a.causality_violations == b.causality_violations &&
-         a.total_messages == b.total_messages &&
-         a.num_big_rounds == b.num_big_rounds &&
-         a.max_load_per_big_round == b.max_load_per_big_round &&
-         a.max_edge_load == b.max_edge_load;
-}
-
 void run_alloc_audit(const char* title, NodeId n, std::size_t k,
                      std::uint32_t rounds, std::uint64_t seed) {
-  Workload w = make_workload(n, k, rounds, seed);
+  bench::FloodWorkload w = bench::make_flood_workload(n, k, rounds, 6.0, seed);
   Executor executor(*w.graph, {});
 
   Table table(title);
@@ -147,7 +58,7 @@ constexpr int kRepeats = 3;
 
 void run_throughput_table(const char* title, NodeId n, std::size_t k,
                           std::uint32_t rounds, std::uint64_t seed) {
-  Workload w = make_workload(n, k, rounds, seed);
+  bench::FloodWorkload w = bench::make_flood_workload(n, k, rounds, 6.0, seed);
 
   Table table(title);
   table.set_header({"threads", "ms/run", "messages/s", "speedup", "identical"});
@@ -175,7 +86,7 @@ void run_throughput_table(const char* title, NodeId n, std::size_t k,
       serial_ms = best_ms;
       serial_result = result;
     }
-    const bool same = identical(serial_result, result);
+    const bool same = bench::identical(serial_result, result);
     table.add_row({Table::fmt(std::uint64_t{threads}), Table::fmt(best_ms, 2),
                    Table::fmt(w.messages_per_run / (best_ms / 1000.0), 0),
                    Table::fmt(serial_ms / best_ms, 2), same ? "yes" : "NO"});
@@ -198,7 +109,7 @@ void print_tables() {
 }
 
 void bm_hotpath(benchmark::State& state) {
-  static Workload w = make_workload(1000, 16, 10, 13003);
+  static bench::FloodWorkload w = bench::make_flood_workload(1000, 16, 10, 6.0, 13003);
   ExecConfig cfg;
   cfg.num_threads = static_cast<std::uint32_t>(state.range(0));
   Executor executor(*w.graph, cfg);

@@ -10,8 +10,11 @@
 //          max edge load). "identical"/"agrees" are hard columns the CI
 //          perf-smoke job checks in BENCH_e14.json.
 //   E14.b  overhead: message throughput with the profiler on stays within 10%
-//          of the unprofiled engine (best-of-N, same workload as E13.b). The
-//          measured overhead also feeds tools/bench_trajectory.py.
+//          of the unprofiled engine (same workload as E13.b). The verdict is
+//          the median overhead of 11 off/on pairs, alternating which side
+//          runs first, shown with its quartile band; ms/run and messages/s
+//          are each side's median. The measured overhead also feeds
+//          tools/bench_trajectory.py.
 //   E14.c  allocation: with profiler AND flight recorder attached, the
 //          big-round loop still reports zero hot-path allocations from the
 //          second run onward -- the observatory obeys the same arena
@@ -20,106 +23,22 @@
 //
 // Links util/alloc_hooks.cpp so the E14.c audit measures the real allocator.
 #include "bench_common.hpp"
+#include "flood_workload.hpp"
 
 #include <chrono>
+#include <string>
 
 #include "congest/executor.hpp"
-#include "graph/generators.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "util/alloc_counter.hpp"
+#include "util/stats.hpp"
 
 namespace dasched {
 namespace {
 
-/// Same flood workload as E13: every scheduled event sends deg(v) inline
-/// messages and folds its inbox into a scalar, so on_round itself never
-/// allocates and run times are dominated by the engine.
-class FloodProgram final : public NodeProgram {
- public:
-  explicit FloodProgram(NodeId self) : self_(self) {}
-
-  void on_round(VirtualContext& ctx) override {
-    absorb(ctx);
-    const Payload p{std::uint64_t{self_}, std::uint64_t{ctx.vround()}, acc_};
-    for (const auto& h : ctx.neighbors()) ctx.send(h.neighbor, p);
-  }
-
-  void on_finish(VirtualContext& ctx) override { absorb(ctx); }
-
-  void write_output(std::vector<std::uint64_t>& words) const override {
-    words.push_back(acc_);
-  }
-
- private:
-  void absorb(VirtualContext& ctx) {
-    for (const auto& m : ctx.inbox()) {
-      for (const auto w : m.payload) acc_ ^= w + 0x9e3779b97f4a7c15ull + m.from;
-    }
-  }
-
-  NodeId self_;
-  std::uint64_t acc_ = 0;
-};
-
-class FloodAlgorithm final : public DistributedAlgorithm {
- public:
-  FloodAlgorithm(std::uint32_t rounds, std::uint64_t base_seed)
-      : DistributedAlgorithm(base_seed), rounds_(rounds) {}
-
-  std::string name() const override { return "flood"; }
-  /// The flood payload is exactly {self, vround, acc}: three words. The
-  /// declared width lets the executor run 3-word compact lanes instead of
-  /// config-cap-wide ones.
-  StaticFootprint static_footprint() const override {
-    StaticFootprint f = StaticFootprint::opaque();
-    f.max_payload_words = 3;
-    return f;
-  }
-  std::uint32_t rounds() const override { return rounds_; }
-  NodeProgram& construct_program(NodeId node, ProgramArena& arena) const override {
-    return arena.make<FloodProgram>(node);
-  }
-
- private:
-  std::uint32_t rounds_;
-};
-
-struct Workload {
-  std::unique_ptr<Graph> graph;
-  std::vector<std::unique_ptr<FloodAlgorithm>> owned;
-  std::vector<const DistributedAlgorithm*> algos;
-  ScheduleTable schedule;
-  std::uint64_t messages_per_run = 0;
-};
-
-Workload make_workload(NodeId n, std::size_t k, std::uint32_t rounds,
-                       std::uint64_t seed) {
-  Rng rng(seed);
-  Workload w;
-  w.graph = std::make_unique<Graph>(make_gnp_connected(n, 6.0 / n, rng));
-  std::vector<std::uint32_t> delays;
-  for (std::size_t a = 0; a < k; ++a) {
-    w.owned.push_back(std::make_unique<FloodAlgorithm>(rounds, seed + a));
-    w.algos.push_back(w.owned.back().get());
-    delays.push_back(static_cast<std::uint32_t>(a));
-  }
-  w.schedule = ScheduleTable::from_delays(w.algos, n, delays);
-  w.messages_per_run = std::uint64_t{k} * rounds * w.graph->num_directed_edges();
-  return w;
-}
-
-bool identical(const ExecutionResult& a, const ExecutionResult& b) {
-  return a.outputs == b.outputs && a.completed == b.completed &&
-         a.causality_violations == b.causality_violations &&
-         a.total_messages == b.total_messages &&
-         a.num_big_rounds == b.num_big_rounds &&
-         a.max_load_per_big_round == b.max_load_per_big_round &&
-         a.max_edge_load == b.max_edge_load;
-}
-
 void run_identity_table(const char* title, NodeId n, std::size_t k,
                         std::uint32_t rounds, std::uint64_t seed) {
-  Workload w = make_workload(n, k, rounds, seed);
+  bench::FloodWorkload w = bench::make_flood_workload(n, k, rounds, 6.0, seed);
 
   Executor plain(*w.graph, {});
   const auto base = plain.run(w.algos, w.schedule);
@@ -143,57 +62,73 @@ void run_identity_table(const char* title, NodeId n, std::size_t k,
   table.add_row({"profiler on", Table::fmt(measured.total_messages),
                  Table::fmt(std::uint64_t{measured.num_big_rounds}),
                  Table::fmt(std::uint64_t{measured.max_edge_load}),
-                 identical(base, measured) ? "yes" : "NO", agrees ? "yes" : "NO"});
+                 bench::identical(base, measured) ? "yes" : "NO", agrees ? "yes" : "NO"});
   bench::emit(table);
 }
 
-// Best-of-5: the off/on comparison divides two wall-clock samples, so one
-// noisy scheduler quantum on either side shows up directly in the overhead
-// percentage. Five repeats keeps the minimum stable on shared machines.
-constexpr int kRepeats = 5;
+// Off/on pairs, alternating which side runs first. One pair's ratio swings
+// with whatever else the host runs at that moment, so the verdict reads the
+// median per-pair overhead over kPairs pairs and the table shows its
+// quartile band.
+constexpr int kPairs = 11;
 
-double best_run_ms(Executor& executor, const Workload& w) {
-  double best = 0.0;
-  for (int rep = 0; rep < kRepeats; ++rep) {
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto result = executor.run(w.algos, w.schedule);
-    benchmark::DoNotOptimize(result.total_messages);
-    const auto t1 = std::chrono::steady_clock::now();
-    const double ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-    if (rep == 0 || ms < best) best = ms;
-  }
-  return best;
+double run_ms(Executor& executor, const bench::FloodWorkload& w) {
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto result = executor.run(w.algos, w.schedule);
+  benchmark::DoNotOptimize(result.total_messages);
+  const auto t1 = std::chrono::steady_clock::now();
+  return std::chrono::duration<double, std::milli>(t1 - t0).count();
 }
 
 void run_overhead_table(const char* title, NodeId n, std::size_t k,
                         std::uint32_t rounds, std::uint64_t seed) {
-  Workload w = make_workload(n, k, rounds, seed);
+  bench::FloodWorkload w = bench::make_flood_workload(n, k, rounds, 6.0, seed);
 
   Executor plain(*w.graph, {});
-  const double off_ms = best_run_ms(plain, w);
-
   ExecProfiler profiler;
   ExecConfig pcfg;
   pcfg.profiler = &profiler;
   Executor profiled(*w.graph, pcfg);
-  const double on_ms = best_run_ms(profiled, w);
+  // Warm both engines' arenas before anything is timed.
+  (void)run_ms(plain, w);
+  (void)run_ms(profiled, w);
 
-  const double overhead = off_ms > 0.0 ? (on_ms - off_ms) / off_ms * 100.0 : 0.0;
+  SampleSet off_ms, on_ms, overhead;
+  for (int pair = 0; pair < kPairs; ++pair) {
+    double off = 0.0, on = 0.0;
+    if (pair % 2 == 0) {
+      off = run_ms(plain, w);
+      on = run_ms(profiled, w);
+    } else {
+      on = run_ms(profiled, w);
+      off = run_ms(plain, w);
+    }
+    off_ms.add(off);
+    on_ms.add(on);
+    overhead.add((on - off) / off * 100.0);
+  }
+  const double median = overhead.quantile(0.5);
+  const std::string band =
+      Table::fmt(overhead.quantile(0.25), 1) + ".." + Table::fmt(overhead.quantile(0.75), 1);
 
   Table table(title);
-  table.set_header({"engine", "ms/run", "messages/s", "overhead %", "within 10%"});
-  table.add_row({"profiler off", Table::fmt(off_ms, 2),
-                 Table::fmt(w.messages_per_run / (off_ms / 1000.0), 0), "0.0",
-                 "baseline"});
-  table.add_row({"profiler on", Table::fmt(on_ms, 2),
-                 Table::fmt(w.messages_per_run / (on_ms / 1000.0), 0),
-                 Table::fmt(overhead, 1), overhead <= 10.0 ? "yes" : "NO"});
+  table.set_header({"engine", "ms/run", "messages/s", "overhead %", "overhead q1..q3 %",
+                    "within 10%"});
+  const auto row = [&](const char* engine, const SampleSet& ms, std::string pct,
+                       std::string iqr, const char* verdict) {
+    const double median_ms = ms.quantile(0.5);
+    table.add_row({engine, Table::fmt(median_ms, 2),
+                   Table::fmt(w.messages_per_run / (median_ms / 1000.0), 0), std::move(pct),
+                   std::move(iqr), verdict});
+  };
+  row("profiler off", off_ms, "0.0", "-", "baseline");
+  row("profiler on", on_ms, Table::fmt(median, 1), band, median <= 10.0 ? "yes" : "NO");
   bench::emit(table);
 }
 
 void run_alloc_audit(const char* title, NodeId n, std::size_t k,
                      std::uint32_t rounds, std::uint64_t seed) {
-  Workload w = make_workload(n, k, rounds, seed);
+  bench::FloodWorkload w = bench::make_flood_workload(n, k, rounds, 6.0, seed);
 
   ExecProfiler profiler;
   FlightRecorder recorder(FlightRecorderConfig{});  // in-memory rings; no dump path
@@ -242,7 +177,7 @@ void print_tables() {
 }
 
 void bm_profiler(benchmark::State& state) {
-  static Workload w = make_workload(1000, 16, 10, 13003);
+  static bench::FloodWorkload w = bench::make_flood_workload(1000, 16, 10, 6.0, 13003);
   static ExecProfiler profiler;
   const bool on = state.range(0) != 0;
   ExecConfig cfg;

@@ -26,120 +26,14 @@
 //   --max-n N   drop ladder rungs with more than N nodes (CI's reduced
 //               ladder; the default keeps all rungs up to n = 10^6).
 #include "bench_common.hpp"
+#include "flood_workload.hpp"
 
 #include <chrono>
 
 #include "congest/executor.hpp"
-#include "graph/generators.hpp"
-
-#if defined(__unix__)
-#include <sys/resource.h>
-#endif
 
 namespace dasched {
 namespace {
-
-/// Floods (self, vround, running-xor) to every neighbor each round and folds
-/// the inbox into the running xor -- the allocation-free flood of E13, so
-/// every cost in this sweep is the engine's, not the workload's.
-class FloodProgram final : public NodeProgram {
- public:
-  explicit FloodProgram(NodeId self) : self_(self) {}
-
-  void on_round(VirtualContext& ctx) override {
-    absorb(ctx);
-    const Payload p{std::uint64_t{self_}, std::uint64_t{ctx.vround()}, acc_};
-    for (const auto& h : ctx.neighbors()) ctx.send(h.neighbor, p);
-  }
-
-  void on_finish(VirtualContext& ctx) override { absorb(ctx); }
-
-  void write_output(std::vector<std::uint64_t>& words) const override {
-    words.push_back(acc_);
-  }
-
- private:
-  void absorb(VirtualContext& ctx) {
-    for (const auto& m : ctx.inbox()) {
-      for (const auto w : m.payload) acc_ ^= w + 0x9e3779b97f4a7c15ull + m.from;
-    }
-  }
-
-  NodeId self_;
-  std::uint64_t acc_ = 0;
-};
-
-class FloodAlgorithm final : public DistributedAlgorithm {
- public:
-  FloodAlgorithm(std::uint32_t rounds, std::uint64_t base_seed)
-      : DistributedAlgorithm(base_seed), rounds_(rounds) {}
-
-  std::string name() const override { return "flood"; }
-  /// The flood payload is exactly {self, vround, acc}: three words. The
-  /// declared width lets the executor run 3-word compact lanes instead of
-  /// config-cap-wide ones.
-  StaticFootprint static_footprint() const override {
-    StaticFootprint f = StaticFootprint::opaque();
-    f.max_payload_words = 3;
-    return f;
-  }
-  std::uint32_t rounds() const override { return rounds_; }
-  NodeProgram& construct_program(NodeId node, ProgramArena& arena) const override {
-    return arena.make<FloodProgram>(node);
-  }
-
- private:
-  std::uint32_t rounds_;
-};
-
-struct Workload {
-  std::unique_ptr<Graph> graph;
-  std::vector<std::unique_ptr<FloodAlgorithm>> owned;
-  std::vector<const DistributedAlgorithm*> algos;
-  ScheduleTable schedule;
-  std::uint64_t messages_per_run = 0;
-};
-
-/// k flood instances staggered one big-round apart (delay a for algorithm a)
-/// on a connected G(n, deg/n): every scheduled event sends deg(v) inline
-/// messages, total message volume k * T * 2|E| per run.
-Workload make_workload(NodeId n, std::size_t k, std::uint32_t rounds,
-                       double deg, std::uint64_t seed) {
-  Rng rng(seed);
-  Workload w;
-  w.graph = std::make_unique<Graph>(make_gnp_connected(n, deg / n, rng));
-  std::vector<std::uint32_t> delays;
-  for (std::size_t a = 0; a < k; ++a) {
-    w.owned.push_back(std::make_unique<FloodAlgorithm>(rounds, seed + a));
-    w.algos.push_back(w.owned.back().get());
-    delays.push_back(static_cast<std::uint32_t>(a));
-  }
-  w.schedule = ScheduleTable::from_delays(w.algos, n, delays);
-  w.messages_per_run = std::uint64_t{k} * rounds * w.graph->num_directed_edges();
-  return w;
-}
-
-bool identical(const ExecutionResult& a, const ExecutionResult& b) {
-  return a.outputs == b.outputs && a.completed == b.completed &&
-         a.causality_violations == b.causality_violations &&
-         a.total_messages == b.total_messages &&
-         a.num_big_rounds == b.num_big_rounds &&
-         a.max_load_per_big_round == b.max_load_per_big_round &&
-         a.max_edge_load == b.max_edge_load;
-}
-
-/// Process peak RSS in MiB (0 where unsupported). A high-water mark: never
-/// decreases, so per-rung readings bound everything run so far.
-double peak_rss_mib() {
-#if defined(__unix__)
-  rusage usage{};
-  if (getrusage(RUSAGE_SELF, &usage) != 0) return 0.0;
-  // Linux reports ru_maxrss in KiB.
-  return static_cast<double>(usage.ru_maxrss) / 1024.0;
-#else
-  return 0.0;
-#endif
-}
 
 /// One ladder rung. Rounds shrink as n grows so every rung's total message
 /// volume stays runnable while the top rung still carries k = 100 algorithms
@@ -172,7 +66,7 @@ void run_scale_ladder() {
 
   for (const auto& rung : kLadder) {
     if (rung.n > g_max_n) continue;
-    Workload w = make_workload(rung.n, rung.k, rung.rounds, rung.deg,
+    bench::FloodWorkload w = bench::make_flood_workload(rung.n, rung.k, rung.rounds, rung.deg,
                                15000 + rung.n);
     // Big rungs are single-pass; small ones take best-of to steady the clock.
     const int repeats = rung.n >= 100'000 ? 1 : 3;
@@ -201,7 +95,7 @@ void run_scale_ladder() {
         serial_result = std::move(result);
       } else {
         speedup[ti - 1] = serial_ms / best_ms;
-        rung_identical = rung_identical && identical(serial_result, result);
+        rung_identical = rung_identical && bench::identical(serial_result, result);
       }
     }
     g_identity_ok = g_identity_ok && rung_identical;
@@ -214,7 +108,7 @@ void run_scale_ladder() {
                    Table::fmt(serial_ms, 2),
                    Table::fmt(serial_result.total_messages / (serial_ms / 1000.0), 0),
                    Table::fmt(speedup[0], 2), Table::fmt(speedup[1], 2),
-                   rung_identical ? "yes" : "NO", Table::fmt(peak_rss_mib(), 1)});
+                   rung_identical ? "yes" : "NO", Table::fmt(bench::peak_rss_mib(), 1)});
   }
   bench::emit(table);
 }
@@ -231,7 +125,7 @@ void print_tables() {
 }
 
 void bm_scale_mid(benchmark::State& state) {
-  static Workload w = make_workload(10'000, 100, 6, 6.0, 15999);
+  static bench::FloodWorkload w = bench::make_flood_workload(10'000, 100, 6, 6.0, 15999);
   ExecConfig cfg;
   cfg.num_threads = static_cast<std::uint32_t>(state.range(0));
   Executor executor(*w.graph, cfg);

@@ -161,7 +161,7 @@ void run_width_ladder() {
                     "saved %", "ms/run", "messages/s", "hot-path allocs",
                     "zero-alloc", "identical"});
 
-  for (std::uint32_t width = 1; width <= kDefaultMaxPayloadWords; ++width) {
+  for (std::uint32_t width = 1; width <= kMaxPayloadWords; ++width) {
     Workload w = make_workload(width, n, k, rounds, 18000 + width);
 
     // Serial: one warm-up, then best-of-kRepeats with the steady-state

@@ -452,10 +452,6 @@ struct ExecScratch {
   std::vector<std::uint32_t> out_offsets;  // perf-ok: reused per algorithm
 };
 
-static_assert(kDefaultMaxPayloadWords <= InlinePayload::kInlineCapacity,
-              "the CONGEST word budget exceeds the inline payload capacity; "
-              "recompile with a larger -DDASCHED_PAYLOAD_INLINE_WORDS=<n>");
-
 // --- The big-round pipeline, one function per stage (docs/PERFORMANCE.md):
 // validate + bucket and prepare once per run; then per big-round gather,
 // execute (with fate decide), fate commit, barrier and round close; then
@@ -1341,7 +1337,7 @@ ExecutionResult Executor::run(std::span<const DistributedAlgorithm* const> algor
   for (const auto* alg : algorithms) {
     width = std::max(width, alg->static_footprint().max_payload_words);
   }
-  width = std::min(width, kDefaultMaxPayloadWords);
+  width = std::min(width, kMaxPayloadWords);
 
   // Dispatch to the width-specialized engine: one instantiation per
   // supported width, selected once per run, so every per-message copy inside
@@ -1354,7 +1350,7 @@ ExecutionResult Executor::run(std::span<const DistributedAlgorithm* const> algor
                    dispatched = true)
                 : false) ||
            ...);
-  }(std::make_index_sequence<InlinePayload::kInlineCapacity>{});
+  }(std::make_index_sequence<kMaxPayloadWords>{});
   DASCHED_CHECK_MSG(dispatched, "run width outside the inline payload capacity");
   return out;
 }

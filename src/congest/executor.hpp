@@ -276,8 +276,8 @@ class Executor {
   /// lane, and the word budget every send is checked against -- is derived
   /// here, once per run: the maximum declared
   /// StaticFootprint::max_payload_words when every admitted algorithm
-  /// declares one, else kDefaultMaxPayloadWords (always clamped to
-  /// [1, kDefaultMaxPayloadWords]). Execution then dispatches to a
+  /// declares one, else kMaxPayloadWords (always clamped to
+  /// [1, kMaxPayloadWords]). Execution then dispatches to a
   /// width-specialized instantiation of the engine, so every per-message copy
   /// is a fixed-size move the compiler vectorizes. Results are bit-identical
   /// across widths >= what the algorithms actually send.
@@ -286,7 +286,7 @@ class Executor {
 
  private:
   /// The width-specialized engine body; W is the run width in payload words
-  /// (1..InlinePayload::kInlineCapacity). Instantiated in executor.cpp for
+  /// (1..kMaxPayloadWords). Instantiated in executor.cpp for
   /// every supported width by run()'s dispatch.
   template <std::uint32_t W>
   ExecutionResult run_impl(std::span<const DistributedAlgorithm* const> algorithms,

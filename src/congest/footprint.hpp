@@ -58,7 +58,7 @@ struct StaticFootprint {
 
   /// Sentinel for max_payload_words: the algorithm declines to bound its
   /// payload width, so the executor must assume the full CONGEST word budget
-  /// (kDefaultMaxPayloadWords). It is above every width, so the run width is
+  /// (kMaxPayloadWords). It is above every width, so the run width is
   /// the plain maximum over the algorithms, clamped to the budget.
   static constexpr std::uint32_t kUndeclaredWidth = ~std::uint32_t{0};
 

@@ -3,8 +3,8 @@
 // The CONGEST model allows one O(log n)-bit message per directed edge per
 // round. We represent message content as a small fixed-capacity sequence of
 // 64-bit words stored *inline* (no heap): conceptually each word is one
-// O(log n)-bit field, and the execution engine enforces a configurable word
-// budget per message. Scheduling headers (algorithm id, virtual round,
+// O(log n)-bit field, and the execution engine enforces a word budget per
+// message. Scheduling headers (algorithm id, virtual round,
 // clustering layer) are accounted separately -- the paper explicitly allows
 // "adding a small amount of information to the header" of black-box messages.
 //
@@ -27,21 +27,15 @@
 
 namespace dasched {
 
-/// Default cap on content words per message. Each word is one O(log n)-bit
-/// field (an id, a hop count, a weight); the largest message in this repo is
-/// an MST edge record {weight, u, v, fragment(u), fragment(v)} -- five
-/// fields, i.e. still a single O(log n)-bit CONGEST message.
-inline constexpr std::uint32_t kDefaultMaxPayloadWords = 5;
+/// The CONGEST word budget: content words per message, and the inline
+/// capacity of a payload. Each word is one O(log n)-bit field (an id, a hop
+/// count, a weight); the largest message in this repo is an MST edge record
+/// {weight, u, v, fragment(u), fragment(v)} -- five fields, i.e. still a
+/// single O(log n)-bit CONGEST message. There is deliberately no heap spill
+/// path on the message hot path.
+inline constexpr std::uint32_t kMaxPayloadWords = 5;
 
-/// Compile-time inline capacity of a payload, in 64-bit words; at least
-/// kDefaultMaxPayloadWords (the executor static_asserts it -- there is
-/// deliberately no heap spill path on the message hot path). Widen it with
-/// -DDASCHED_PAYLOAD_INLINE_WORDS=<n>.
-#ifndef DASCHED_PAYLOAD_INLINE_WORDS
-#define DASCHED_PAYLOAD_INLINE_WORDS 5
-#endif
-
-/// Fixed-capacity inline message content: up to kInlineCapacity 64-bit words
+/// Fixed-capacity inline message content: up to kMaxPayloadWords 64-bit words
 /// plus a length, no heap. Mirrors the slice of the std::vector interface the
 /// algorithms use ({...} construction, at/operator[], iteration, size), so a
 /// NodeProgram reads exactly like it did when Payload was a vector -- but the
@@ -51,13 +45,10 @@ class InlinePayload {
  public:
   using value_type = std::uint64_t;
 
-  static constexpr std::uint32_t kInlineCapacity = DASCHED_PAYLOAD_INLINE_WORDS;
-  static_assert(kInlineCapacity >= 1);
-
   InlinePayload() = default;
 
   InlinePayload(std::initializer_list<std::uint64_t> words) {
-    DASCHED_CHECK_MSG(words.size() <= kInlineCapacity,
+    DASCHED_CHECK_MSG(words.size() <= kMaxPayloadWords,
                       "message exceeds the CONGEST word budget (inline payload capacity)");
     len_ = static_cast<std::uint32_t>(words.size());
     std::uint32_t i = 0;
@@ -66,7 +57,7 @@ class InlinePayload {
 
   /// Fill constructor (vector-compatible): `count` copies of `value`.
   InlinePayload(std::size_t count, std::uint64_t value) {
-    DASCHED_CHECK_MSG(count <= kInlineCapacity,
+    DASCHED_CHECK_MSG(count <= kMaxPayloadWords,
                       "message exceeds the CONGEST word budget (inline payload capacity)");
     len_ = static_cast<std::uint32_t>(count);
     for (std::uint32_t i = 0; i < len_; ++i) words_[i] = value;
@@ -74,7 +65,7 @@ class InlinePayload {
 
   std::uint32_t size() const { return len_; }
   bool empty() const { return len_ == 0; }
-  static constexpr std::uint32_t capacity() { return kInlineCapacity; }
+  static constexpr std::uint32_t capacity() { return kMaxPayloadWords; }
 
   /// Bounds-checked access (vector::at without the exception machinery: a
   /// contract failure aborts, matching the repo-wide DASCHED_CHECK style).
@@ -96,7 +87,7 @@ class InlinePayload {
   std::uint64_t back() const { return at(len_ - 1); }
 
   void push_back(std::uint64_t w) {
-    DASCHED_CHECK_MSG(len_ < kInlineCapacity,
+    DASCHED_CHECK_MSG(len_ < kMaxPayloadWords,
                       "message exceeds the CONGEST word budget (inline payload capacity)");
     words_[len_++] = w;
   }
@@ -118,7 +109,7 @@ class InlinePayload {
   std::uint32_t len_ = 0;
   // Zero-initialized so the executor's width-specialized lane copies may move
   // a fixed W words per message without ever reading indeterminate bytes.
-  std::uint64_t words_[kInlineCapacity] = {};
+  std::uint64_t words_[kMaxPayloadWords] = {};
 };
 
 using Payload = InlinePayload;
@@ -140,14 +131,13 @@ static_assert(std::is_trivially_copyable_v<InlinePayload>);
 //                 live at [i*W, i*W + W))
 //
 // so a delivered message costs 4 + 8*W bytes (arena_message_bytes(W)) rather
-// than a fixed worst-case record sized to the compile-time capacity.
+// than a fixed worst-case record sized to the word budget.
 // NodePrograms observe the lanes through the view types below.
 
-/// Bits of the packed header reserved for the payload length. Sized to the
-/// compile-time inline capacity so raising DASCHED_PAYLOAD_INLINE_WORDS
-/// automatically widens the length field (and narrows the sender field).
+/// Bits of the packed header reserved for the payload length, sized to the
+/// word budget.
 inline constexpr std::uint32_t kMsgHeaderLenBits =
-    std::uint32_t{std::bit_width(InlinePayload::kInlineCapacity)};
+    std::uint32_t{std::bit_width(kMaxPayloadWords)};
 inline constexpr std::uint32_t kMsgHeaderFromBits = 32 - kMsgHeaderLenBits;
 
 /// Largest node count addressable by a packed header's sender field. The
@@ -217,7 +207,7 @@ class PayloadView {
 
 /// A delivered message as seen by a NodeProgram: sender plus payload view
 /// (`m.from`, `m.payload.at(0)`, ...), borrowing the arena lanes instead of
-/// owning 8*kInlineCapacity payload bytes.
+/// owning 8*kMaxPayloadWords payload bytes.
 struct MsgView {
   NodeId from;
   PayloadView payload;

@@ -75,10 +75,6 @@ class NodeOutputs {
     return std::span<const std::uint64_t>(words_.data() + offsets_[v],
                                           offsets_[v + 1] - offsets_[v]);
   }
-  /// Node v's words, writable in place (their count is fixed).
-  std::span<std::uint64_t> mutable_words(std::size_t v) {
-    return {words_.data() + offsets_[v], offsets_[v + 1] - offsets_[v]};
-  }
 
   /// Builder: sizes for `nodes` more outputs of `num_words` words in total.
   void reserve(std::size_t nodes, std::size_t num_words) {

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -54,21 +53,5 @@ class CommunicationPattern {
   std::vector<std::uint32_t> edge_load_;  // perf-ok: per directed edge, sized once
   std::uint64_t total_ = 0;
 };
-
-/// Big-round assignment for a node's virtual rounds (Section 2's simulation
-/// mapping f, restricted to lockstep-per-node schedules): returns the
-/// big-round in which node v executes virtual round r, or kNeverScheduled.
-using NodeRoundTime =
-    std::function<std::uint32_t(NodeId v, std::uint32_t vround)>;
-
-/// Checks that a schedule is a valid *simulation* of the pattern in the
-/// paper's Section 2 sense: causal precedence is preserved, i.e. every
-/// message (u -> v, sent in round r) is transmitted strictly before the
-/// receiver executes round r+1 (where it consumes the message). Returns the
-/// number of violated message constraints; 0 means the mapping is a
-/// simulation. Never-scheduled consumer rounds impose no constraint (the
-/// receiver truncated its execution), matching Lemma 4.4's discard rule.
-std::uint64_t simulation_violations(const Graph& g, const CommunicationPattern& pattern,
-                                    const NodeRoundTime& time);
 
 }  // namespace dasched

@@ -23,7 +23,6 @@ BellagioResult run_bellagio(const Graph& g, std::uint32_t algorithm_rounds,
   const ClusteringBuilder builder(ccfg);
   RandSharingConfig scfg;
   scfg.seed = cfg.seed;
-  if (cfg.seed_words > 0) scfg.words_per_seed = cfg.seed_words;
   const RandomnessSharing sharing(scfg);
   Precomputation pre;
   if (cfg.central_precomputation) {

@@ -40,7 +40,6 @@ struct BellagioConfig {
   std::uint64_t seed = 1;
   std::uint32_t num_layers = 0;   // 0: Theta(log n)
   double radius_factor = 2.0;     // clustering radius scale, in units of T
-  std::uint32_t seed_words = 0;   // R / Theta(log n); 0: Theta(log n)
   bool central_precomputation = false;  // oracle clustering/sharing (fast sweeps)
 };
 

@@ -48,17 +48,6 @@ SlackReport analyze_slack(std::span<const std::uint32_t> max_load_per_big_round,
   return report;
 }
 
-Table SurvivalCurve::to_table(const std::string& title) const {
-  Table t(title);
-  t.set_header({"drop_rate", "trials", "survived", "survival"});
-  for (const auto& p : points) {
-    t.add_row({Table::fmt(p.drop_rate, 3), Table::fmt(std::uint64_t{p.trials}),
-               Table::fmt(std::uint64_t{p.survived}),
-               Table::fmt(p.survival_fraction(), 2)});
-  }
-  return t;
-}
-
 SurvivalCurve survival_curve(
     std::span<const double> drop_rates, std::uint32_t trials,
     std::uint64_t base_seed,

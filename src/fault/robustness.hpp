@@ -61,7 +61,6 @@ struct SurvivalPoint {
 
 struct SurvivalCurve {
   std::vector<SurvivalPoint> points;
-  Table to_table(const std::string& title) const;
 };
 
 /// Runs `trials` seeded trials per drop rate; `run_trial(drop_rate, seed)`

@@ -2,7 +2,8 @@
 //
 // These are *oracles*: the distributed algorithms in src/algos are validated
 // against them, and experiment harnesses use them to compute ground-truth
-// distances, diameters, and MSTs.
+// distances and diameters. The MST oracle lives with its tests
+// (tests/kruskal.hpp).
 #pragma once
 
 #include <cstdint>
@@ -27,21 +28,5 @@ std::uint32_t eccentricity(const Graph& g, NodeId source);
 
 /// Exact diameter via n BFS runs. O(n * m) -- fine for simulator-scale graphs.
 std::uint32_t exact_diameter(const Graph& g);
-
-/// 2-approximate diameter via one double-sweep BFS (lower bound that is often
-/// tight in practice; always >= radius).
-std::uint32_t double_sweep_diameter_lb(const Graph& g);
-
-/// Connected component label per node (labels are representative node ids).
-std::vector<NodeId> connected_components(const Graph& g);
-
-/// Kruskal MST for edge weights w (w.size() == g.num_edges()); returns the
-/// set of chosen edge ids sorted ascending. Graph must be connected and
-/// weights must be distinct for a unique MST (checked).
-std::vector<EdgeId> kruskal_mst(const Graph& g, const std::vector<std::uint64_t>& weights);
-
-/// Total weight of an edge set.
-std::uint64_t total_weight(const std::vector<EdgeId>& edges,
-                           const std::vector<std::uint64_t>& weights);
 
 }  // namespace dasched

@@ -53,17 +53,6 @@ Graph::Graph(NodeId n, std::span<const std::pair<NodeId, NodeId>> edges) : n_(n)
   }
 }
 
-std::uint32_t Graph::neighbor_slot(NodeId v, NodeId u) const {
-  DASCHED_DCHECK(v < n_ && u < n_);
-  const auto nbrs = neighbors(v);
-  auto it = std::lower_bound(nbrs.begin(), nbrs.end(), u,
-                             [](const HalfEdge& h, NodeId x) { return h.neighbor < x; });
-  if (it != nbrs.end() && it->neighbor == u) {
-    return static_cast<std::uint32_t>(it - nbrs.begin());
-  }
-  return kInvalidEdge;
-}
-
 EdgeId Graph::find_edge(NodeId u, NodeId v) const {
   DASCHED_DCHECK(u < n_ && v < n_);
   if (degree(u) > degree(v)) std::swap(u, v);

@@ -71,10 +71,6 @@ class Graph {
     return {directed_adjacency_.data() + offsets_[v], offsets_[v + 1] - offsets_[v]};
   }
 
-  /// Adjacency slot of `v`'s half-edge towards `u` (index into neighbors(v)),
-  /// or kInvalidEdge if u is not adjacent to v. O(log degree(v)).
-  std::uint32_t neighbor_slot(NodeId v, NodeId u) const;
-
   /// The other endpoint of e relative to v.
   NodeId other_endpoint(EdgeId e, NodeId v) const {
     const auto [a, b] = endpoints(e);

@@ -36,17 +36,4 @@ double KWiseFamily::unit_value(std::uint64_t x) const {
   return static_cast<double>(value(x)) / static_cast<double>(prime_);
 }
 
-std::uint64_t KWiseFamily::seed_bits() const {
-  return static_cast<std::uint64_t>(coeffs_.size()) *
-         static_cast<std::uint64_t>(ceil_log2(prime_));
-}
-
-std::vector<std::uint64_t> seed_to_words(const KWiseFamily& family) {
-  return {family.seed().begin(), family.seed().end()};
-}
-
-KWiseFamily family_from_words(std::uint64_t prime, std::span<const std::uint64_t> words) {
-  return {prime, static_cast<std::uint32_t>(words.size()), words};
-}
-
 }  // namespace dasched

@@ -41,18 +41,9 @@ class KWiseFamily {
   std::uint32_t independence() const { return static_cast<std::uint32_t>(coeffs_.size()); }
   std::span<const std::uint64_t> seed() const { return coeffs_; }
 
-  /// Number of seed *bits* this family consumes -- the quantity Lemma 4.3
-  /// budgets as Theta(log^2 n).
-  std::uint64_t seed_bits() const;
-
  private:
   std::uint64_t prime_;
   std::vector<std::uint64_t> coeffs_;  // a_0..a_{k-1}, each in [0, prime)
 };
-
-/// Packs/unpacks a seed into Theta(log n)-bit message words for dissemination
-/// (Lemma 4.3 sends the seed as O(log n) messages of O(log n) bits each).
-std::vector<std::uint64_t> seed_to_words(const KWiseFamily& family);
-KWiseFamily family_from_words(std::uint64_t prime, std::span<const std::uint64_t> words);
 
 }  // namespace dasched

@@ -17,33 +17,16 @@ std::uint32_t Clustering::coverage(NodeId v, std::uint32_t radius) const {
   return count;
 }
 
-std::uint32_t Clustering::best_radius(NodeId v) const {
-  std::uint32_t best = 0;
-  for (const auto& layer : layers) best = std::max(best, layer.h_prime[v]);
-  return best;
-}
-
 ClusteringBuilder::ClusteringBuilder(ClusteringConfig cfg) : cfg_(cfg) {
   DASCHED_CHECK(cfg_.dilation >= 1);
   DASCHED_CHECK(cfg_.radius_factor > 0);
-  DASCHED_CHECK(cfg_.truncation_lns > 0);
 }
 
 std::uint32_t ClusteringBuilder::resolved_layers(NodeId n) const {
   if (cfg_.num_layers > 0) return cfg_.num_layers;
   return std::max<std::uint32_t>(
-      1, static_cast<std::uint32_t>(cfg_.layer_factor * log_ceil_ln(n)));
+      1, static_cast<std::uint32_t>(2.0 * log_ceil_ln(n)));
 }
-
-namespace {
-
-TruncatedExponentialRadius make_radius_dist(const ClusteringConfig& cfg, NodeId n) {
-  const double scale = cfg.radius_factor * cfg.dilation;
-  const double lns = std::max(1, log_ceil_ln(n));
-  return {scale, cfg.truncation_lns * lns};
-}
-
-}  // namespace
 
 void ClusterLayer::record_metrics(TelemetrySink* telemetry) const {
   if (telemetry == nullptr) return;
@@ -66,13 +49,12 @@ void ClusteringBuilder::draw_node_params(Rng& rng, const TruncatedExponentialRad
 }
 
 Clustering ClusteringBuilder::frame(const Graph& g) const {
-  const auto dist = make_radius_dist(cfg_, g.num_nodes());
   Clustering result;
-  result.hop_cap = dist.max_radius() + 1;
+  result.radius_scale = cfg_.radius_factor * cfg_.dilation;
+  // Radii are truncated at R * 2 ln(n).
+  result.radius_truncation_logs = 2.0 * std::max(1, log_ceil_ln(g.num_nodes()));
+  result.hop_cap = result.radius_distribution_for_replay().max_radius() + 1;
   result.radius_query_cap = cfg_.dilation;
-  result.radius_scale = dist.scale();
-  result.radius_truncation_logs =
-      cfg_.truncation_lns * std::max(1, log_ceil_ln(g.num_nodes()));
   return result;
 }
 

@@ -45,11 +45,9 @@ struct ClusteringConfig {
   /// dilation-ball is padded with probability ~0.4-0.5 per layer across the
   /// test topologies (the paper's "constant probability"; see bench E3).
   double radius_factor = 2.0;
-  /// Radius truncation: caps radii at R * truncation_lns * ln(n).
-  double truncation_lns = 2.0;
-  /// Number of layers; 0 derives layer_factor * ln(n).
+  /// Number of layers; 0 derives 2 ln(n). Radii are truncated at
+  /// R * 2 ln(n).
   std::uint32_t num_layers = 0;
-  double layer_factor = 2.0;
   /// Optional telemetry sink (borrowed): the clustering/build_central span,
   /// the clustering.rounds counter of the distributed run's tail, and the
   /// clustering.clusters_per_layer / clustering.h_prime histograms.
@@ -84,9 +82,6 @@ struct Clustering {
 
   /// Number of layers whose cluster fully contains B(v, radius).
   std::uint32_t coverage(NodeId v, std::uint32_t radius) const;
-
-  /// Max over layers of h'(v).
-  std::uint32_t best_radius(NodeId v) const;
 };
 
 class ClusteringBuilder {

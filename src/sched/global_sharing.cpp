@@ -118,11 +118,9 @@ GlobalSharingOutcome GlobalSharingScheduler::run(ScheduleProblem& problem) const
   problem.run_solo();
   const auto& g = problem.graph();
   const std::uint32_t diameter = exact_diameter(g);
-  const std::uint32_t words =
-      cfg_.seed_words > 0
-          ? cfg_.seed_words
-          : std::max<std::uint32_t>(2, static_cast<std::uint32_t>(
-                                           log_ceil_ln(g.num_nodes())));
+  // Theta(log n) seed words.
+  const auto words = std::max<std::uint32_t>(
+      2, static_cast<std::uint32_t>(log_ceil_ln(g.num_nodes())));
 
   GlobalSharingOutcome out;
   MinIdSeedBroadcast protocol(std::max(1u, diameter), words, cfg_.seed);

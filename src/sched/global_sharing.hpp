@@ -27,7 +27,6 @@ namespace dasched {
 
 struct GlobalSharingConfig {
   std::uint64_t seed = 1;           // the leader's private randomness
-  std::uint32_t seed_words = 0;     // Theta(log n) if 0
   SharedSchedulerConfig scheduler;  // shared_seed is overwritten
 };
 

@@ -15,7 +15,7 @@ MoserTardosOutcome MoserTardosScheduler::run(ScheduleProblem& problem) const {
   MoserTardosOutcome out;
   out.frame = std::max<std::uint32_t>(
       1, static_cast<std::uint32_t>(
-             std::ceil(cfg_.frame_factor * problem.congestion() / cfg_.capacity)));
+             std::ceil(cfg_.frame_factor * problem.congestion())));
 
   // Flatten messages: (algorithm, round, directed edge).
   struct Msg {
@@ -48,7 +48,7 @@ MoserTardosOutcome MoserTardosScheduler::run(ScheduleProblem& problem) const {
     for (const auto& m : messages) keys.push_back(cell_of(m));
     count_cells(keys, cells);
     const auto event = std::find_if(cells.begin(), cells.end(), [&](const LoadCell& c) {
-      return c.load > cfg_.capacity;
+      return c.load > 1;  // one message per (round, directed edge)
     });
     if (event == cells.end()) {
       out.converged = true;
@@ -73,7 +73,7 @@ MoserTardosOutcome MoserTardosScheduler::run(ScheduleProblem& problem) const {
 
   // Realize the schedule: unit-length phases, unit capacity enforced.
   ExecConfig cfg;
-  cfg.enforce_unit_capacity = (cfg_.capacity == 1);
+  cfg.enforce_unit_capacity = true;
   Executor executor(problem.graph(), cfg);
   const auto algos = problem.algorithm_ptrs();
   out.exec = executor.run(

@@ -34,9 +34,8 @@ namespace dasched {
 
 struct MoserTardosConfig {
   std::uint64_t seed = 1;
-  /// Messages allowed per (round, directed edge): 1 is the CONGEST capacity.
-  std::uint32_t capacity = 1;
-  /// Delay frame = max(1, ceil(frame_factor * congestion / capacity)).
+  /// Delay frame = max(1, ceil(frame_factor * congestion)). A (round,
+  /// directed edge) holds one message, the CONGEST capacity.
   double frame_factor = 3.0;
   /// Give up after this many resampling iterations (no convergence).
   std::uint64_t max_iterations = 200000;

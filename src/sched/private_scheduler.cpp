@@ -17,18 +17,15 @@ std::unique_ptr<DelayDistribution> make_delay_distribution(
     const PrivateSchedulerConfig& cfg, std::uint32_t congestion, std::uint32_t layers,
     NodeId n) {
   const double lns = std::max(1, log_ceil_ln(n));
-  const std::uint32_t beta =
-      cfg.num_blocks > 0 ? cfg.num_blocks
-                         : std::max<std::uint32_t>(2, static_cast<std::uint32_t>(lns));
+  // beta = Theta(log n) blocks; the first holds L = ceil(congestion / ln n)
+  // delays.
+  const auto beta = std::max<std::uint32_t>(2, static_cast<std::uint32_t>(lns));
   const auto first_block = std::max<std::uint32_t>(
-      1, static_cast<std::uint32_t>(std::ceil(cfg.first_block_factor * congestion / lns)));
-  double alpha = cfg.alpha;
-  if (alpha <= 0.0) {
-    // The paper's gamma = (1 - 1/beta)^{#layers}: the probability that none
-    // of the other copies landed in an earlier block.
-    alpha = std::pow(1.0 - 1.0 / beta, static_cast<double>(layers));
-    alpha = std::min(0.95, std::max(0.05, alpha));
-  }
+      1, static_cast<std::uint32_t>(std::ceil(congestion / lns)));
+  // The paper's gamma = (1 - 1/beta)^{#layers}: the probability that none
+  // of the other copies landed in an earlier block.
+  const double alpha = std::min(
+      0.95, std::max(0.05, std::pow(1.0 - 1.0 / beta, static_cast<double>(layers))));
   switch (cfg.delay_kind) {
     case DelayKind::kBlock:
       return std::make_unique<BlockDelayDistribution>(first_block, beta, alpha);

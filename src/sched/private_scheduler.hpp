@@ -46,12 +46,6 @@ struct PrivateSchedulerConfig {
   ClusteringConfig clustering;      // dilation is overwritten from the problem
   RandSharingConfig sharing;        // seed is overwritten from `seed`
   DelayKind delay_kind = DelayKind::kBlock;
-  /// L = max(1, first_block_factor * congestion / ln n).
-  double first_block_factor = 1.0;
-  /// beta; 0 derives ceil(ln n).
-  std::uint32_t num_blocks = 0;
-  /// Geometric decay; 0 derives exp(-num_layers / beta) (the paper's gamma).
-  double alpha = 0.0;
   /// Phase (big-round) length for the fixed-phase measure; 0 derives ceil(log2 n).
   std::uint32_t phase_len = 0;
   /// Build the clustering and share the randomness with the central oracles

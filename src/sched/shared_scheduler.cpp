@@ -40,11 +40,12 @@ SharedScheduleOutcome SharedRandomnessScheduler::run(ScheduleProblem& problem) c
       1, static_cast<std::uint32_t>(std::lround(cfg_.phase_factor * log_n)));
   const std::uint32_t congestion =
       cfg_.congestion_estimate > 0 ? cfg_.congestion_estimate : problem.congestion();
+  // Delays are uniform over ceil(congestion / phase_len) phases.
   out.delay_range = std::max<std::uint32_t>(
       1, static_cast<std::uint32_t>(
-             std::ceil(cfg_.range_factor * congestion / out.phase_len)));
-  const std::uint32_t independence =
-      cfg_.independence > 0 ? cfg_.independence : std::max<std::uint32_t>(2, log_n);
+             std::ceil(static_cast<double>(congestion) / out.phase_len)));
+  // Theta(log n)-wise independent delays.
+  const std::uint32_t independence = std::max<std::uint32_t>(2, log_n);
 
   out.delays = draw_delays(cfg_.shared_seed, problem.size(), out.delay_range, independence);
 

@@ -26,10 +26,6 @@ struct SharedSchedulerConfig {
   std::uint64_t shared_seed = 1;
   /// Phase length multiplier: phase_len = max(1, round(factor * log2 n)).
   double phase_factor = 1.0;
-  /// Delay range multiplier: range = max(1, ceil(factor * congestion / phase_len)).
-  double range_factor = 1.0;
-  /// Independence k of the delay family; 0 means Theta(log n).
-  std::uint32_t independence = 0;
   /// Override for the congestion estimate handed to the scheduler (0 = use the
   /// exact value). Lets tests exercise the paper's "constant-factor
   /// approximation" assumption.

@@ -35,20 +35,6 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 
 }  // namespace
 
-const char* to_string(RejectCode code) {
-  switch (code) {
-    case RejectCode::kNone:
-      return "none";
-    case RejectCode::kQueueFull:
-      return "queue-full";
-    case RejectCode::kCongestionBudget:
-      return "congestion-budget";
-    case RejectCode::kVerifyFailed:
-      return "verify-failed";
-  }
-  return "unknown";
-}
-
 SchedulerDaemon::SchedulerDaemon(const Graph& g, ServiceConfig cfg)
     : graph_(g),
       cfg_(cfg),

@@ -71,8 +71,6 @@ enum class RejectCode : std::uint8_t {
   kVerifyFailed,      // verifier gate rejected the job even after re-profiling
 };
 
-const char* to_string(RejectCode code);
-
 struct ServiceConfig {
   /// Physical rounds per big-round. 0 derives ceil(log2 n), the paper's
   /// Theta(log n) phase.

@@ -19,18 +19,6 @@ constexpr std::uint64_t kSpecTag = 0x5eb1ce0a44174a02ULL;
 
 }  // namespace
 
-std::uint32_t JobSpec::rounds() const {
-  switch (kind) {
-    case Kind::kBroadcast:
-    case Kind::kBfs:
-      return radius;
-    case Kind::kAggregate:
-      return 3 * radius + 1;
-  }
-  DASCHED_CHECK_MSG(false, "JobSpec::rounds: unknown kind");
-  return 0;
-}
-
 std::uint64_t JobSpec::fingerprint() const {
   return Fingerprint{}
       .mix(static_cast<std::uint64_t>(kind))
@@ -38,18 +26,6 @@ std::uint64_t JobSpec::fingerprint() const {
       .mix(radius)
       .mix(payload_seed)
       .digest();
-}
-
-const char* to_string(JobSpec::Kind kind) {
-  switch (kind) {
-    case JobSpec::Kind::kBroadcast:
-      return "broadcast";
-    case JobSpec::Kind::kBfs:
-      return "bfs";
-    case JobSpec::Kind::kAggregate:
-      return "aggregate";
-  }
-  return "unknown";
 }
 
 std::unique_ptr<DistributedAlgorithm> make_algorithm(const JobSpec& spec) {

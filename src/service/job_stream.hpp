@@ -36,15 +36,10 @@ struct JobSpec {
 
   friend bool operator==(const JobSpec&, const JobSpec&) = default;
 
-  /// Declared rounds of the program this spec builds (without building it).
-  std::uint32_t rounds() const;
-
   /// Canonical program fingerprint (util/fingerprint.hpp) over every field
   /// that shapes the program: the cache key's program half.
   std::uint64_t fingerprint() const;
 };
-
-const char* to_string(JobSpec::Kind kind);
 
 /// Builds the algorithm instance a spec describes. `root` must be < n of the
 /// graph the job will run on (the stream generator guarantees this).

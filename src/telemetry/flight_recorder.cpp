@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <fstream>
-#include <sstream>
 
 #include "telemetry/json.hpp"
 
@@ -101,12 +100,6 @@ void FlightRecorder::write_json(std::ostream& os, std::string_view reason) const
   w.end_array();
   w.end_object();
   os << '\n';
-}
-
-std::string FlightRecorder::to_json(std::string_view reason) const {
-  std::ostringstream oss;
-  write_json(oss, reason);
-  return oss.str();
 }
 
 bool FlightRecorder::dump_file(const std::string& path, std::string_view reason) const {

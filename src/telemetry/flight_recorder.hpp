@@ -92,10 +92,8 @@ class FlightRecorder {
   std::uint64_t dumps_written() const { return dumps_written_; }
   const std::string& last_reason() const { return last_reason_; }
 
-  /// The dump document, to any stream / as a string (tests pin
-  /// byte-stability on this).
+  /// The dump document, to any stream (tests pin byte-stability on this).
   void write_json(std::ostream& os, std::string_view reason) const;
-  std::string to_json(std::string_view reason) const;
   bool dump_file(const std::string& path, std::string_view reason) const;
 
  private:

@@ -1,16 +1,11 @@
 // Minimal JSON support for the telemetry subsystem: a streaming writer (used
-// by MetricsRegistry / ChromeTraceSink / RunReport) and a small recursive-
-// descent parser (used by tests to round-trip snapshots and by tools that
-// read reports back). Deliberately tiny and dependency-free; not a general
-// JSON library -- numbers are doubles, no \uXXXX emission beyond pass-through
-// escaping. The parser still takes any byte string: a truncated, corrupted
-// or absurdly nested input yields nullptr and an error, never a crash.
+// by MetricsRegistry / ChromeTraceSink / RunReport). Deliberately tiny and
+// dependency-free; not a general JSON library -- no \uXXXX emission beyond
+// pass-through escaping. The reader the tests use to round-trip reports
+// lives with them (tests/json_reader.hpp).
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -41,9 +36,7 @@ class Writer {
   void value(const char* s) { value(std::string_view(s)); }
   void value(double v);
   void value(std::uint64_t v);
-  void value(std::int64_t v);
   void value(bool b);
-  void null();
 
   /// Splices pre-rendered JSON verbatim in value position (after a key or as
   /// an array element), with normal comma/pending-key handling. The caller
@@ -67,38 +60,5 @@ class Writer {
 
 /// Escapes `s` per RFC 8259 and writes it including surrounding quotes.
 void write_escaped(std::ostream& os, std::string_view s);
-
-// ---------------------------------------------------------------------------
-// Parser (tests / report readers).
-// ---------------------------------------------------------------------------
-
-struct Value;
-using ValuePtr = std::shared_ptr<Value>;
-
-struct Value {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<ValuePtr> array;
-  std::map<std::string, ValuePtr> object;
-
-  bool is_object() const { return kind == Kind::kObject; }
-  bool is_array() const { return kind == Kind::kArray; }
-  bool is_number() const { return kind == Kind::kNumber; }
-  bool is_string() const { return kind == Kind::kString; }
-
-  /// Object member lookup; nullptr if absent or not an object.
-  const Value* get(std::string_view key) const;
-};
-
-/// Deepest array/object nesting parse() accepts; deeper input is rejected
-/// like any other malformed document, so no input can exhaust the stack.
-inline constexpr std::size_t kMaxNestingDepth = 512;
-
-/// Parses a complete JSON document. Returns nullptr on malformed input
-/// (if `error` is non-null it receives a short description).
-ValuePtr parse(std::string_view text, std::string* error = nullptr);
 
 }  // namespace dasched::json

@@ -61,19 +61,6 @@ std::vector<ExecProfiler::EdgeSummary> ExecProfiler::top_edges(std::size_t n) co
   return all;
 }
 
-std::vector<LoadCell> ExecProfiler::top_cells(std::size_t n) const {
-  std::vector<LoadCell> all = cells_;
-  const std::size_t keep = std::min(n, all.size());
-  std::partial_sort(all.begin(), all.begin() + static_cast<std::ptrdiff_t>(keep),
-                    all.end(), [](const LoadCell& x, const LoadCell& y) {
-                      if (x.load != y.load) return x.load > y.load;
-                      if (x.big_round != y.big_round) return x.big_round < y.big_round;
-                      return x.edge < y.edge;
-                    });
-  all.resize(keep);
-  return all;
-}
-
 namespace {
 
 std::string heat_bar(std::uint32_t value, std::uint32_t max_value) {

@@ -111,8 +111,6 @@ class ExecProfiler {
 
   /// The n busiest directed edges by total load (ties broken by edge id).
   std::vector<EdgeSummary> top_edges(std::size_t n) const;
-  /// The n single hottest cells by load (ties: earlier round, lower edge).
-  std::vector<LoadCell> top_cells(std::size_t n) const;
 
   const LogHistogram& cell_load_histogram() const { return hist_cell_load_; }
   const LogHistogram& round_max_histogram() const { return hist_round_max_; }

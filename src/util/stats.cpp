@@ -16,42 +16,14 @@ void StatAccumulator::add(double x) {
   }
   ++count_;
   sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
+  mean_ += (x - mean_) / static_cast<double>(count_);
 }
-
-double StatAccumulator::variance() const {
-  if (count_ < 2) return 0.0;
-  return m2_ / static_cast<double>(count_ - 1);
-}
-
-double StatAccumulator::stddev() const { return std::sqrt(variance()); }
 
 void SampleSet::ensure_sorted() const {
   if (!sorted_) {
     std::sort(samples_.begin(), samples_.end());
     sorted_ = true;
   }
-}
-
-double SampleSet::mean() const {
-  if (samples_.empty()) return 0.0;
-  double s = 0.0;
-  for (double x : samples_) s += x;
-  return s / static_cast<double>(samples_.size());
-}
-
-double SampleSet::min() const {
-  DASCHED_CHECK(!samples_.empty());
-  ensure_sorted();
-  return samples_.front();
-}
-
-double SampleSet::max() const {
-  DASCHED_CHECK(!samples_.empty());
-  ensure_sorted();
-  return samples_.back();
 }
 
 double SampleSet::quantile(double q) const {

@@ -1,5 +1,5 @@
 // Small statistics helpers for experiment harnesses: streaming accumulator
-// (mean / stddev / min / max), exact quantiles over stored samples, a
+// (mean / min / max), exact quantiles over stored samples, a
 // fixed-size log-bucketed (HDR-style) histogram, and a capped histogram that
 // combines all three for O(1)-memory distributions over long runs.
 #pragma once
@@ -11,15 +11,13 @@
 
 namespace dasched {
 
-/// Streaming accumulator (Welford) -- O(1) memory.
+/// Streaming accumulator -- O(1) memory.
 class StatAccumulator {
  public:
   void add(double x);
 
   std::size_t count() const { return count_; }
   double mean() const { return count_ == 0 ? 0.0 : mean_; }
-  double variance() const;
-  double stddev() const;
   double min() const { return min_; }
   double max() const { return max_; }
   double sum() const { return sum_; }
@@ -27,7 +25,6 @@ class StatAccumulator {
  private:
   std::size_t count_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
   double sum_ = 0.0;
@@ -36,8 +33,8 @@ class StatAccumulator {
 /// Stores all samples; supports exact quantiles. Used where distributions
 /// (not just moments) matter, e.g. per-big-round edge loads.
 ///
-/// NOT thread-safe, including the const accessors: `min()`, `max()`,
-/// `quantile()`, and `sorted()` lazily sort the stored samples through
+/// NOT thread-safe, including the const accessors: `quantile()` and
+/// `sorted()` lazily sort the stored samples through
 /// `mutable` members, so two concurrent readers race on the sort. Confine
 /// each SampleSet to one thread or guard it externally.
 class SampleSet {
@@ -50,9 +47,6 @@ class SampleSet {
 
   std::size_t count() const { return samples_.size(); }
   bool empty() const { return samples_.empty(); }
-  double mean() const;
-  double min() const;
-  double max() const;
   /// q in [0, 1]; q = 0.5 is the median. Uses nearest-rank on sorted data.
   double quantile(double q) const;
 

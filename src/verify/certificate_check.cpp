@@ -127,12 +127,4 @@ bool check_certificate(const analysis::PatternCertificate& cert, const SoloRunRe
   return report.errors() == errors_before;
 }
 
-Report check_certificate(const analysis::PatternCertificate& cert, const SoloRunResult& solo,
-                         const VerifyOptions& opts) {
-  Report report;
-  report.max_findings_per_code = opts.max_findings_per_code;
-  check_certificate(cert, solo, report, -1);
-  return report;
-}
-
 }  // namespace dasched::verify

@@ -28,8 +28,4 @@ namespace dasched::verify {
 bool check_certificate(const analysis::PatternCertificate& cert, const SoloRunResult& solo,
                        Report& report, std::int64_t alg_index = -1);
 
-/// Convenience wrapper: a fresh report for a single pair.
-Report check_certificate(const analysis::PatternCertificate& cert, const SoloRunResult& solo,
-                         const VerifyOptions& opts = {});
-
 }  // namespace dasched::verify

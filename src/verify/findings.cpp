@@ -38,7 +38,6 @@ void Report::add(Finding finding) {
   switch (finding.severity) {
     case Severity::kError:
       ++errors_;
-      ++error_counts_by_code_[finding.code];
       break;
     case Severity::kWarning:
       ++warnings_;
@@ -56,13 +55,6 @@ void Report::add(Finding finding) {
 std::uint64_t Report::count(std::string_view code) const {
   const auto it = counts_by_code_.find(code);
   return it == counts_by_code_.end() ? 0 : it->second;
-}
-
-std::vector<std::string> Report::error_codes() const {
-  std::vector<std::string> codes;
-  codes.reserve(error_counts_by_code_.size());
-  for (const auto& [code, count] : error_counts_by_code_) codes.push_back(code);
-  return codes;
 }
 
 Table Report::to_table(const std::string& title) const {

@@ -87,8 +87,6 @@ class Report {
   /// Total occurrences of `code`, including ones dropped by the cap.
   std::uint64_t count(std::string_view code) const;
   bool has(std::string_view code) const { return count(code) > 0; }
-  /// Sorted distinct codes of error-severity findings (exact, cap-immune).
-  std::vector<std::string> error_codes() const;
 
   /// Recorded-findings cap per code; set before the verifier fills the report.
   std::size_t max_findings_per_code = 16;
@@ -104,9 +102,7 @@ class Report {
 
  private:
   std::vector<Finding> findings_;
-  // Ordered map: deterministic code enumeration for error_codes()/reports.
   std::map<std::string, std::uint64_t, std::less<>> counts_by_code_;
-  std::map<std::string, std::uint64_t, std::less<>> error_counts_by_code_;
   std::uint64_t errors_ = 0;
   std::uint64_t warnings_ = 0;
   std::uint64_t infos_ = 0;

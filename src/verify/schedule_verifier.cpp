@@ -165,12 +165,8 @@ Report check_schedule(const ScheduleProblem& problem, const ScheduleTable& sched
   // run iff its producer slot is scheduled (Lemma 4.4 discard rule). ---
   const std::uint32_t headroom =
       opts.retry_budget == 0 ? 1u : (1u << opts.retry_budget);
-  {
-    std::uint64_t messages = 0;
-    for (std::size_t a = 0; a < k; ++a) messages += problem.solo(a).pattern.total_messages();
-    loads.clear();
-    loads.reserve(messages);
-  }
+  loads.clear();
+  loads.reserve(problem.total_messages());
   // A cell of load L stands for L messages: its counts are weighted by L,
   // and its findings (which would repeat) are reported once.
   for (std::size_t a = 0; a < k; ++a) {

@@ -226,7 +226,7 @@ class ReferenceExecutor {
   /// through the InboxView every NodeProgram reads.
   void call(NodeProgram& program, const std::vector<Message>& msgs, NodeId v,
             std::uint32_t vround, Sink* sink) const {
-    constexpr std::uint32_t kStride = InlinePayload::kInlineCapacity;
+    constexpr std::uint32_t kStride = kMaxPayloadWords;
     std::vector<std::uint32_t> headers;
     std::vector<std::uint64_t> words(msgs.size() * kStride, 0);
     for (std::size_t i = 0; i < msgs.size(); ++i) {

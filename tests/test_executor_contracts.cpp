@@ -59,7 +59,7 @@ class MisbehavingProgram final : public NodeProgram {
         ctx.send(1, {2});
         break;
       case Mode::kOversizedPayload: {
-        Payload big(kDefaultMaxPayloadWords + 1, 7);
+        Payload big(kMaxPayloadWords + 1, 7);
         ctx.send(1, std::move(big));
         break;
       }

@@ -529,7 +529,9 @@ TEST(FaultFateGolden, PooledScaleFatesMatchPinnedDigest) {
       if (observed) {
         // The barrier ring is the dump's last ring; worker rings depend on
         // which worker ran which event, so they are left out.
-        const std::string dump = recorder.to_json("golden");
+        std::ostringstream os;
+        recorder.write_json(os, "golden");
+        const std::string dump = os.str();
         const auto at = dump.find("{\"ring\":\"barrier\"");
         EXPECT_NE(at, std::string::npos);
         if (at != std::string::npos) {

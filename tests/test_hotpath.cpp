@@ -1,7 +1,7 @@
 // The zero-allocation message hot path (docs/PERFORMANCE.md, "Memory layout
 // & allocation budget"):
 //   * InlinePayload: fixed-capacity inline storage semantics, the capacity
-//     boundary at kInlineCapacity words, and the hard abort on overflow.
+//     boundary at kMaxPayloadWords words, and the hard abort on overflow.
 //   * POD discipline: the message types the engine moves by memcpy must stay
 //     trivially copyable.
 //   * Engine equivalence: the arena-backed executor must be bit-identical
@@ -36,13 +36,12 @@ namespace {
 // --- InlinePayload semantics. ---
 
 static_assert(std::is_trivially_copyable_v<InlinePayload>);
-static_assert(InlinePayload::kInlineCapacity >= kDefaultMaxPayloadWords);
 
 TEST(InlinePayload, BasicSemantics) {
   Payload p;
   EXPECT_TRUE(p.empty());
   EXPECT_EQ(p.size(), 0u);
-  EXPECT_EQ(p.capacity(), InlinePayload::kInlineCapacity);
+  EXPECT_EQ(p.capacity(), kMaxPayloadWords);
 
   p.push_back(7);
   p.push_back(11);
@@ -79,25 +78,21 @@ TEST(InlinePayload, FillConstructorAndEqualityIgnoreStaleTail) {
 
 TEST(InlinePayload, CapacityBoundaryHoldsExactlyKWords) {
   Payload p;
-  for (std::uint64_t i = 0; i < InlinePayload::kInlineCapacity; ++i) p.push_back(i);
-  EXPECT_EQ(p.size(), InlinePayload::kInlineCapacity);
-  const Payload full(InlinePayload::kInlineCapacity, 9);
-  EXPECT_EQ(full.size(), InlinePayload::kInlineCapacity);
+  for (std::uint64_t i = 0; i < kMaxPayloadWords; ++i) p.push_back(i);
+  EXPECT_EQ(p.size(), kMaxPayloadWords);
+  const Payload full(kMaxPayloadWords, 9);
+  EXPECT_EQ(full.size(), kMaxPayloadWords);
 }
 
 TEST(InlinePayloadDeathTest, PushBeyondCapacityAborts) {
-  Payload p(InlinePayload::kInlineCapacity, 1);
+  Payload p(kMaxPayloadWords, 1);
   EXPECT_DEATH(p.push_back(2), "word budget");
 }
 
 TEST(InlinePayloadDeathTest, OversizedConstructionAborts) {
-  EXPECT_DEATH(Payload(InlinePayload::kInlineCapacity + 1, 1), "word budget");
-  // The initializer-list constructor enforces the same budget. Nine words
-  // overflow both the default capacity (5) and the CI compile-option smoke
-  // (-DDASCHED_PAYLOAD_INLINE_WORDS=8).
-  if constexpr (InlinePayload::kInlineCapacity < 9) {
-    EXPECT_DEATH((Payload{1, 2, 3, 4, 5, 6, 7, 8, 9}), "word budget");
-  }
+  EXPECT_DEATH(Payload(kMaxPayloadWords + 1, 1), "word budget");
+  // The initializer-list constructor enforces the same budget.
+  EXPECT_DEATH((Payload{1, 2, 3, 4, 5, 6}), "word budget");
 }
 
 // --- Engine equivalence: the arena/CSR engine is pure perf. ---

@@ -7,6 +7,7 @@
 #include "congest/simulator.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
+#include "kruskal.hpp"
 #include "sched/problem.hpp"
 #include "sched/shared_scheduler.hpp"
 

@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 
 #include "algos/bfs.hpp"
 #include "algos/broadcast.hpp"
 #include "congest/pattern.hpp"
+#include "congest/schedule_table.hpp"
 #include "congest/simulator.hpp"
 #include "graph/generators.hpp"
 #include "sched/private_scheduler.hpp"
@@ -18,6 +20,40 @@
 
 namespace dasched {
 namespace {
+
+/// Big-round assignment for a node's virtual rounds (Section 2's simulation
+/// mapping f, restricted to lockstep-per-node schedules): returns the
+/// big-round in which node v executes virtual round r, or kNeverScheduled.
+using NodeRoundTime =
+    std::function<std::uint32_t(NodeId v, std::uint32_t vround)>;
+
+/// Checks that a schedule is a valid *simulation* of the pattern in the
+/// paper's Section 2 sense: causal precedence is preserved, i.e. every
+/// message (u -> v, sent in round r) is transmitted strictly before the
+/// receiver executes round r+1 (where it consumes the message). Returns the
+/// number of violated message constraints; 0 means the mapping is a
+/// simulation. Never-scheduled consumer rounds impose no constraint (the
+/// receiver truncated its execution), matching Lemma 4.4's discard rule.
+std::uint64_t simulation_violations(const Graph& g, const CommunicationPattern& pattern,
+                                    const NodeRoundTime& time) {
+  std::uint64_t violations = 0;
+  for (const LoadCell& cell : pattern.cells()) {
+    const std::uint32_t r = cell.big_round;
+    const auto [lo, hi] = g.endpoints(cell.edge / 2);
+    const NodeId sender = (cell.edge % 2 == 0) ? lo : hi;
+    const NodeId receiver = (cell.edge % 2 == 0) ? hi : lo;
+    const std::uint32_t sent = time(sender, r);
+    const std::uint32_t consumed = time(receiver, r + 1);
+    if (sent == kNeverScheduled) {
+      // The sender never transmits a message the pattern requires: if the
+      // receiver still executes the consuming round, causality is broken.
+      if (consumed != kNeverScheduled) violations += cell.load;
+      continue;
+    }
+    if (consumed != kNeverScheduled && consumed <= sent) violations += cell.load;
+  }
+  return violations;
+}
 
 /// The pattern of the messages `keys` (cell_key(round, directed edge) values,
 /// in any order, repeats counted).

@@ -25,10 +25,10 @@
 #include "fault/reliable.hpp"
 #include "fault/robustness.hpp"
 #include "graph/generators.hpp"
+#include "json_reader.hpp"
 #include "sched/shared_scheduler.hpp"
 #include "sched/workloads.hpp"
 #include "telemetry/flight_recorder.hpp"
-#include "telemetry/json.hpp"
 #include "telemetry/profiler.hpp"
 #include "util/alloc_counter.hpp"
 #include "util/fingerprint.hpp"
@@ -164,9 +164,6 @@ TEST(Profiler, TopEdgeAndRoundViewsAreConsistent) {
   for (std::size_t i = 1; i < top.size(); ++i) {
     EXPECT_GE(top[i - 1].total_load, top[i].total_load);
   }
-  const auto hottest = profiler.top_cells(1);
-  ASSERT_EQ(hottest.size(), 1u);
-  EXPECT_EQ(hottest.front().load, kGoldenMaxEdgeLoad);
 
   EXPECT_EQ(profiler.hot_edges_table(5).data().size(), top.size());
   EXPECT_EQ(profiler.hot_rounds_table(5).data().size(), 5u);
@@ -387,7 +384,9 @@ TEST(FlightRecorder, RingOverflowKeepsTheNewestEntries) {
   for (std::uint32_t i = 0; i < 10; ++i) {
     rec.record(0, FlightRecorder::Kind::kEvent, i, std::uint64_t{i} << 32, i);
   }
-  const auto doc = json::parse(rec.to_json("test"));
+  std::ostringstream os;
+  rec.write_json(os, "test");
+  const auto doc = json::parse(os.str());
   ASSERT_NE(doc, nullptr);
   EXPECT_EQ(doc->get("schema")->string, "dasched.flight_recorder.v1");
   EXPECT_EQ(doc->get("reason")->string, "test");
@@ -420,7 +419,9 @@ TEST(FlightRecorder, DumpIsByteStableAcrossIdenticalRuns) {
     // The executor flags the crash-stop faults automatically (no file was
     // written: the config has no dump path).
     EXPECT_EQ(recorder.last_reason(), "crash_stop_faults");
-    return recorder.to_json("post_mortem");
+    std::ostringstream os;
+    recorder.write_json(os, "post_mortem");
+    return os.str();
   };
 
   const auto serial = dump_of_run(0);

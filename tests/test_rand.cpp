@@ -14,9 +14,8 @@ namespace {
 TEST(KWise, SeedRoundTrip) {
   Rng rng(1);
   KWiseFamily f(101, 8, rng);
-  const auto words = seed_to_words(f);
-  EXPECT_EQ(words.size(), 8u);
-  const auto g = family_from_words(101, words);
+  EXPECT_EQ(f.seed().size(), 8u);
+  const KWiseFamily g(101, 8, f.seed());
   for (std::uint64_t x = 0; x < 200; ++x) EXPECT_EQ(f.value(x), g.value(x));
 }
 
@@ -64,13 +63,6 @@ TEST(KWise, EmpiricalUniformity) {
   KWiseFamily f(p, 12, rng);
   for (int x = 0; x < trials; ++x) sum += f.unit_value(static_cast<std::uint64_t>(x));
   EXPECT_NEAR(sum / trials, 0.5, 0.02);
-}
-
-TEST(KWise, SeedBitsBudget) {
-  Rng rng(4);
-  // k = Theta(log n), prime ~ poly range -> seed_bits = Theta(log^2 n).
-  KWiseFamily f(next_prime(1 << 10), 10, rng);
-  EXPECT_EQ(f.seed_bits(), 10u * 11u);
 }
 
 TEST(UniformDelay, RangeAndCoverage) {

@@ -14,11 +14,11 @@
 #include "congest/schedule_table.hpp"
 #include "congest/simulator.hpp"
 #include "graph/generators.hpp"
+#include "json_reader.hpp"
 #include "sched/problem.hpp"
 #include "service/daemon.hpp"
 #include "service/job_stream.hpp"
 #include "service/profile_cache.hpp"
-#include "telemetry/json.hpp"
 #include "telemetry/metrics_registry.hpp"
 #include "telemetry/run_report.hpp"
 #include "util/fingerprint.hpp"
@@ -111,19 +111,6 @@ TEST(Fingerprint, GraphFingerprintStableAndShapeSensitive) {
 // ---------------------------------------------------------------------------
 // Job specs and streams
 // ---------------------------------------------------------------------------
-
-TEST(JobStream, SpecRoundsMatchBuiltAlgorithms) {
-  for (const auto kind : {JobSpec::Kind::kBroadcast, JobSpec::Kind::kBfs,
-                          JobSpec::Kind::kAggregate}) {
-    JobSpec spec;
-    spec.kind = kind;
-    spec.root = 5;
-    spec.radius = 4;
-    spec.payload_seed = 99;
-    EXPECT_EQ(service::make_algorithm(spec)->rounds(), spec.rounds())
-        << service::to_string(kind);
-  }
-}
 
 TEST(JobStream, SpecFingerprintSeparatesEveryField) {
   JobSpec base;
@@ -654,7 +641,7 @@ void poison_cache(SchedulerDaemon& daemon, const Graph& g, const JobSpec& victim
   ASSERT_NE(wrong->pattern.last_message_round(),
             solo_run(g, *service::make_algorithm(victim)).pattern.last_message_round());
   JobProfile poison;
-  poison.rounds = victim.rounds();
+  poison.rounds = service::make_algorithm(victim)->rounds();
   poison.max_edge_load = wrong->pattern.max_edge_load();
   poison.total_messages = wrong->pattern.total_messages();
   poison.solo = wrong;
@@ -746,13 +733,6 @@ TEST(Daemon, StageSecondsSplitTheWallTime) {
   zeroed.stats.collect_seconds = 0.0;
   zeroed.stats.wall_seconds = 0.0;
   EXPECT_EQ(zeroed.to_json(false), result.to_json(false));
-}
-
-TEST(Daemon, RejectCodeNames) {
-  EXPECT_STREQ(service::to_string(RejectCode::kNone), "none");
-  EXPECT_STREQ(service::to_string(RejectCode::kQueueFull), "queue-full");
-  EXPECT_STREQ(service::to_string(RejectCode::kCongestionBudget), "congestion-budget");
-  EXPECT_STREQ(service::to_string(RejectCode::kVerifyFailed), "verify-failed");
 }
 
 TEST(DaemonDeathTest, ContractViolationsDie) {

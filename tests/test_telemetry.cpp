@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "graph/generators.hpp"
+#include "json_reader.hpp"
 #include "sched/private_scheduler.hpp"
 #include "sched/shared_scheduler.hpp"
 #include "sched/workloads.hpp"
@@ -168,7 +169,6 @@ TEST(SampleSet, SortedAccessorIsAscendingAndTracksAdds) {
   const auto& sorted = s.sorted();
   ASSERT_EQ(sorted.size(), 3u);
   EXPECT_TRUE(std::is_sorted(sorted.begin(), sorted.end()));
-  EXPECT_DOUBLE_EQ(s.min(), 0.5);
   EXPECT_DOUBLE_EQ(s.quantile(0.0), 0.5);
 }
 
@@ -186,7 +186,7 @@ TEST(Json, WriterEscapesAndParserUnescapes) {
   w.begin_array();
   w.value(std::uint64_t{7});
   w.value(true);
-  w.null();
+  w.raw("null");
   w.end_array();
   w.end_object();
 

@@ -35,10 +35,10 @@
 #include "fault/fault_plan.hpp"
 #include "fault/reliable.hpp"
 #include "graph/generators.hpp"
+#include "json_reader.hpp"
 #include "sched/shared_scheduler.hpp"
 #include "sched/workloads.hpp"
 #include "telemetry/flight_recorder.hpp"
-#include "telemetry/json.hpp"
 #include "telemetry/metrics_registry.hpp"
 #include "telemetry/profiler.hpp"
 #include "util/fingerprint.hpp"
@@ -201,7 +201,9 @@ TEST(TiledBarrier, OwnerBoundariesAreInvisibleInResults) {
         SweepRun out{result_fingerprint(r), r.faults, {}, {}};
         if (mode == Mode::kObserved) {
           out.profile_json = profiler.to_json();
-          const std::string dump = recorder.to_json("sweep");
+          std::ostringstream dump_os;
+          recorder.write_json(dump_os, "sweep");
+          const std::string dump = dump_os.str();
           out.barrier_ring = dump.substr(dump.find("\"ring\":\"barrier\""));
         }
         return out;
@@ -450,7 +452,9 @@ Observation observe(const ObservedInstance& in, const FaultInjector& injector,
   o.result = Executor(in.base.g, cfg).run(in.algos, stretch_for_retries(in.schedule, retry));
   o.cells = profiler.cells();
   o.profile_json = profiler.to_json();
-  const std::string dump = recorder.to_json("observed");
+  std::ostringstream dump_os;
+  recorder.write_json(dump_os, "observed");
+  const std::string dump = dump_os.str();
   const auto ring = dump.find("\"ring\":\"barrier\"");
   EXPECT_NE(ring, std::string::npos);
   o.barrier_ring = dump.substr(ring);

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <set>
 
 #include "util/load_cells.hpp"
@@ -156,7 +155,6 @@ TEST(Stats, AccumulatorMoments) {
   EXPECT_DOUBLE_EQ(acc.mean(), 5.0);
   EXPECT_DOUBLE_EQ(acc.min(), 2.0);
   EXPECT_DOUBLE_EQ(acc.max(), 9.0);
-  EXPECT_NEAR(acc.stddev(), std::sqrt(32.0 / 7.0), 1e-12);
   EXPECT_DOUBLE_EQ(acc.sum(), 40.0);
 }
 
@@ -164,11 +162,8 @@ TEST(Stats, SampleSetQuantiles) {
   SampleSet s;
   for (int i = 100; i >= 1; --i) s.add(i);
   EXPECT_EQ(s.count(), 100u);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 100.0);
   EXPECT_NEAR(s.quantile(0.5), 50.0, 1.0);
   EXPECT_NEAR(s.quantile(0.9), 90.0, 1.0);
-  EXPECT_NEAR(s.mean(), 50.5, 1e-9);
 }
 
 TEST(Table, PrintsAlignedRows) {

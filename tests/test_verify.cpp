@@ -18,19 +18,20 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 
 #include "congest/executor.hpp"
 #include "fault/reliable.hpp"
 #include "graph/generators.hpp"
+#include "json_reader.hpp"
 #include "sched/baseline.hpp"
 #include "sched/doubling.hpp"
 #include "sched/global_sharing.hpp"
 #include "sched/private_scheduler.hpp"
 #include "sched/shared_scheduler.hpp"
 #include "sched/workloads.hpp"
-#include "telemetry/json.hpp"
 #include "telemetry/run_report.hpp"
 #include "util/load_cells.hpp"
 #include "verify/schedule_verifier.hpp"
@@ -88,7 +89,15 @@ const LoadCell* first_consumed(const ScheduleProblem& problem, std::size_t a) {
   return it == cells.end() ? nullptr : &*it;
 }
 
-std::vector<std::string> codes(const Report& r) { return r.error_codes(); }
+/// Sorted distinct codes of the recorded error-severity findings (every
+/// code with an error has at least one recorded finding).
+std::vector<std::string> codes(const Report& r) {
+  std::set<std::string> codes;
+  for (const auto& f : r.findings()) {
+    if (f.severity == verify::Severity::kError) codes.insert(f.code);
+  }
+  return {codes.begin(), codes.end()};
+}
 
 std::string table_str(const Report& r) {
   std::ostringstream os;
